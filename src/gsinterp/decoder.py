@@ -9,6 +9,7 @@ Hamming radius.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from . import fast
@@ -17,9 +18,9 @@ from .field import PrimeField
 from .problem import InterpolationInstance
 from .unipoly import UniPoly
 
-# root extraction scans the whole field per branch point; plenty for the
-# desk-scale parameters this decoder targets
-ROOT_SEARCH_LIMIT = 1 << 16
+# root splitting draws its shifts from a generator of its own with this seed,
+# so the global RNG is untouched and a decode repeats its work exactly
+_SPLIT_SEED = 0x5EED
 
 
 class InfeasibleParameters(ValueError):
@@ -95,11 +96,57 @@ def gs_params(code: RSCode, tau: int, s_cap: int = 8, ell_cap: int = 32) -> GSPa
 # ---------------------------------------------------------------------------
 
 
+def _gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+    """Monic gcd of a and b, not both zero."""
+    while b:
+        a, b = b, a % b
+    return a.scale(a.field.inv(a.coeffs[-1]))
+
+
+def _pow_mod(base: UniPoly, e: int, m: UniPoly) -> UniPoly:
+    """base^e mod m by left-to-right square-and-multiply."""
+    base = base % m
+    out = UniPoly.one(base.field) % m
+    for bit in bin(e)[2:]:
+        out = out * out % m
+        if bit == "1":
+            out = out * base % m
+    return out
+
+
+def _split_linear(h: UniPoly, rng: random.Random, out: list[int]) -> None:
+    """Append the roots of h, monic and a product of distinct linear factors
+    over GF(p) with p odd, by equal-degree splitting: for a random shift
+    delta, gcd(h, (x + delta)^((p-1)/2) - 1) keeps the roots r whose r + delta
+    is a nonzero square, about half of them."""
+    field, p = h.field, h.field.p
+    one = UniPoly.one(field)
+    while h.degree > 1:
+        shift = UniPoly(field, [rng.randrange(p), 1], normalized=True)
+        d = _gcd(h, _pow_mod(shift, (p - 1) // 2, h) - one)
+        if 0 < d.degree < h.degree:
+            _split_linear(d, rng, out)
+            h = h // d
+    if h.degree == 1:
+        out.append(-h.coeffs[0] % p)
+
+
 def _poly_roots(f: UniPoly) -> list[int]:
+    """Sorted distinct roots of a nonzero f in GF(p): g = gcd(f, x^p - x) is
+    the product of the distinct linear factors of f, and Cantor-Zassenhaus
+    splitting breaks g into them. Expected O(d^2 log d log p) field operations
+    for d = deg f."""
+    if f.is_zero():
+        raise ValueError("every field element is a root of the zero polynomial")
     p = f.field.p
-    if p > ROOT_SEARCH_LIMIT:
-        raise ValueError(f"root search over GF({p}) exceeds the scan budget")
-    return [v for v in range(p) if f.eval(v) == 0]
+    if p == 2:
+        c = f.coeffs
+        return [v for v, val in ((0, c[0]), (1, sum(c) % 2)) if val == 0]
+    x = UniPoly.monomial(f.field, 1)
+    g = _gcd(f, _pow_mod(x, p, f) - x)
+    out: list[int] = []
+    _split_linear(g, random.Random(_SPLIT_SEED), out)
+    return sorted(out)
 
 
 def _strip_x(q: BiPoly) -> BiPoly:

@@ -107,6 +107,28 @@ def test_decode_roundtrip(capsys):
     assert "message: 1,2,3" in out
 
 
+def test_decode_over_bench_prime(capsys):
+    # [64,16] over the 30-bit prime, 27 errors: past half the distance
+    import random
+
+    from gsinterp.decoder import RSCode
+
+    field = PrimeField(754974721)
+    rng = random.Random(27)
+    code = RSCode(field, 64, 16)
+    msg = [field.rand(rng) for _ in range(16)]
+    word = code.encode(msg)
+    for pos in rng.sample(range(64), 27):
+        word[pos] = (word[pos] + field.rand_nonzero(rng)) % field.p
+    rc = main([
+        "decode", "--modulus", "754974721", "--n", "64", "--k", "16", "--tau", "27",
+        "--received", ",".join(str(v) for v in word),
+    ])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "message: " + ",".join(str(v) for v in msg) in out
+
+
 def test_decode_empty_list_exit_code(capsys):
     # received word far from every codeword: found in test_decoder; here a
     # quick fixed one (checked against the exhaustive table when generated)

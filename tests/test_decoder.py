@@ -13,10 +13,13 @@ from gsinterp.decoder import (
     hamming,
     is_feasible,
     monomial_budget,
+    _poly_roots,
     y_roots,
 )
 from gsinterp.field import PrimeField
 from gsinterp.unipoly import UniPoly
+
+from util import scan_roots
 
 F13 = PrimeField(13)
 F5 = PrimeField(5)
@@ -102,6 +105,79 @@ def test_code_validation():
         RSCode(F13, 4, 5)  # k > n
     with pytest.raises(ValueError):
         RSCode(F13, 3, 2, evalpoints=[1, 1, 2])
+
+
+# -- root finding -------------------------------------------------------------------
+
+
+def _root_free_quadratic(field, rng):
+    while True:
+        q = UniPoly(field, [field.rand(rng), field.rand(rng), 1])
+        if not scan_roots(q):
+            return q
+
+
+def _root_cases(field, rng):
+    """Nonzero polynomials with a known root set: a nonzero constant times
+    chosen linear factors (repeats allowed) times, in half the cases, a
+    root-free quadratic; plus bare constants."""
+    p = field.p
+    cofactor = _root_free_quadratic(field, rng)
+    cases = [(UniPoly.constant(field, field.rand_nonzero(rng)), set()) for _ in range(3)]
+    for trial in range(8):
+        f = UniPoly.constant(field, field.rand_nonzero(rng))
+        roots = set()
+        for _ in range(rng.randint(1, 5)):
+            r = field.rand(rng)
+            roots.add(r)
+            for _ in range(rng.randint(1, 3)):
+                f = f * UniPoly.x_minus(field, r)
+        if trial % 2:
+            f = f * cofactor
+        cases.append((f, roots))
+    if p <= 13:
+        # deg f > p, so x^p mod f is a real reduction; every element is
+        # covered in the first, none in the second
+        full = UniPoly.one(field)
+        for r in range(p):
+            full = full * UniPoly.x_minus(field, r)
+        cases.append((full * UniPoly.x_minus(field, 0) * cofactor, set(range(p))))
+        cases.append((cofactor.pow(p // 2 + 1), set()))
+        for _ in range(6):
+            f = UniPoly(field, [field.rand(rng) for _ in range(p + 1 + rng.randint(0, 2 * p))] + [1])
+            cases.append((f, None))
+    return cases
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13, 65521])
+def test_poly_roots_match_scan(p):
+    field = PrimeField(p)
+    rng = random.Random(1000 + p)
+    for f, roots in _root_cases(field, rng):
+        rng_state = random.getstate()
+        got = _poly_roots(f)
+        assert random.getstate() == rng_state
+        assert got == scan_roots(f)
+        if roots is not None:
+            assert got == sorted(roots)
+        assert _poly_roots(f) == got
+
+
+def test_poly_roots_bench_prime():
+    field = PrimeField(754974721)
+    p = field.p
+    rng = random.Random(9)
+    roots = sorted({field.rand(rng) for _ in range(12)} | {0, p - 1})
+    non_residue = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
+    f = UniPoly(field, [-non_residue, 0, 1])  # root-free
+    for r in roots:
+        f = f * UniPoly.x_minus(field, r) * UniPoly.x_minus(field, r)
+    assert _poly_roots(f) == roots
+
+
+def test_poly_roots_zero_rejected():
+    with pytest.raises(ValueError):
+        _poly_roots(UniPoly.zero(F13))
 
 
 # -- y-roots ------------------------------------------------------------------------
@@ -217,3 +293,15 @@ def test_decoded_messages_reencode_within_radius():
         recv[pos] = (recv[pos] + rng.randrange(1, 13)) % 13
     for m in decode_list(code, recv, params):
         assert hamming(code.encode(m), recv) <= 5
+
+
+def test_decode_over_bench_prime():
+    # [64,16] over the 30-bit prime with 27 errors, past half the distance (24)
+    field = PrimeField(754974721)
+    rng = random.Random(7)
+    code = RSCode(field, 64, 16)
+    msg = [field.rand(rng) for _ in range(16)]
+    recv = code.encode(msg)
+    for pos in rng.sample(range(64), 27):
+        recv[pos] = (recv[pos] + field.rand_nonzero(rng)) % field.p
+    assert msg in decode_list(code, recv, gs_params(code, 27))

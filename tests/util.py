@@ -48,3 +48,14 @@ def schoolbook_product(a: UniPoly, b: UniPoly) -> UniPoly:
         for j, bj in enumerate(b.coeffs):
             out[i + j] = (out[i + j] + ai * bj) % p
     return UniPoly(a.field, out)
+
+
+SCAN_MAX_P = 1 << 16
+
+
+def scan_roots(f: UniPoly) -> list[int]:
+    """Independent root oracle: evaluate f at every element of GF(p)."""
+    p = f.field.p
+    if p > SCAN_MAX_P:
+        raise ValueError(f"scanning GF({p}) is too slow for a test oracle")
+    return [v for v in range(p) if f.eval(v) == 0]
