@@ -10,7 +10,7 @@ from . import classic, fast
 from .field import PrimeField
 from .problem import random_instance
 
-# 30-bit prime with 2-adicity 24; the default modulus for scaling runs
+# 30-bit prime; the default modulus for scaling runs
 BENCH_PRIME = 754974721
 
 

@@ -8,9 +8,10 @@ Two modes produce bit-identical output:
   * "naive"  — every Hasse value is recomputed from the full-degree element
                via the direct formula.
   * "cached" — per point, elements are reduced mod (x - x_i)^{s_i} once, all
-               Hasse matrices are computed from the reductions, and the
-               matrices are then maintained through the inner loop by the
-               same linear combinations / row shifts applied to the basis.
+               Hasse matrices are computed from the reductions, and
+               eliminate_point maintains them through the inner loop by the
+               same linear combinations / row shifts it applies to the basis.
+               The fast solver runs the same eliminate_point on its transforms.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 
 from .bipoly import BiPoly, derivative_orders
 from .problem import InterpolationInstance
+from .unipoly import UniPoly
 
 
 @dataclass
@@ -61,6 +63,47 @@ def _pick_pivot(values: list[int], deltas: list[int], positions: list[int]) -> i
     return best
 
 
+def eliminate_point(
+    rows: list[list[UniPoly]],
+    matrices: list[list[list[int]]],
+    deltas: list[int],
+    positions: list[int],
+    xi: int,
+    s: int,
+    pivot_log: list | None = None,
+    point_index: int = 0,
+) -> None:
+    """Run the inner rounds of one point in place on the cached Hasse matrices.
+
+    matrices[j] is the s x s Hasse matrix of basis element j at the point.
+    Each round that finds a pivot t cancels the (dx, dy) derivative from every
+    other element j, applying row_j -= ratio_j * row_t to rows[j] and
+    matrices[j], then multiplies row t by (x - xi) and bumps deltas[t]. Row j
+    of `rows` holds the coefficients of whatever element j is expressed in:
+    the y-power rows of the element itself, or a transform's row over F[x].
+    """
+    field = rows[0][0].field
+    p = field.p
+    for dx, dy in derivative_orders(s):
+        values = [H[dx][dy] for H in matrices]
+        t = _pick_pivot(values, deltas, positions)
+        if t is None:
+            continue  # constraint already satisfied by every element
+        if pivot_log is not None:
+            pivot_log.append((point_index, dx, dy, t))
+        inv_vt = field.inv(values[t])
+        pivot_row = rows[t]
+        for j, v in enumerate(values):
+            if j == t or v == 0:
+                continue
+            c = v * inv_vt % p
+            rows[j] = [a.sub_scaled(c, b) for a, b in zip(rows[j], pivot_row)]
+            matrices[j] = hasse_combine(matrices[j], matrices[t], c, p)
+        rows[t] = [e.mul_linear(xi) for e in pivot_row]
+        matrices[t] = hasse_shift_down(matrices[t], s)
+        deltas[t] += 1
+
+
 def interpolate(
     inst: InterpolationInstance,
     mode: str = "cached",
@@ -80,34 +123,32 @@ def interpolate(
     deltas = [w * j for j in range(ell + 1)]
     positions = list(range(ell + 1))
 
-    for i, ((xi, yi), s) in enumerate(zip(inst.points, inst.mults)):
-        if mode == "cached":
+    if mode == "cached":
+        rows = [e.rows for e in elems]
+        for i, ((xi, yi), s) in enumerate(zip(inst.points, inst.mults)):
             # hasse_matrix folds the mod-(x - x_i)^s reduction into its
             # synthetic-division pass, so this is the once-per-point cost
-            matrices = [e.hasse_matrix(xi, yi, s) for e in elems]
-        for dx, dy in derivative_orders(s):
-            if mode == "cached":
-                values = [H[dx][dy] for H in matrices]
-            else:
+            matrices = [BiPoly(field, ell, r).hasse_matrix(xi, yi, s) for r in rows]
+            eliminate_point(rows, matrices, deltas, positions, xi, s, pivot_log, i)
+        elems = [BiPoly(field, ell, r) for r in rows]
+    else:
+        for i, ((xi, yi), s) in enumerate(zip(inst.points, inst.mults)):
+            for dx, dy in derivative_orders(s):
                 values = [e.hasse_derivative(xi, yi, dx, dy) for e in elems]
-            t = _pick_pivot(values, deltas, positions)
-            if t is None:
-                continue  # constraint already satisfied by every element
-            if pivot_log is not None:
-                pivot_log.append((i, dx, dy, t))
-            inv_vt = field.inv(values[t])
-            pivot_elem = elems[t]
-            for j in range(ell + 1):
-                if j == t or values[j] == 0:
-                    continue
-                c = values[j] * inv_vt % p
-                elems[j] = elems[j].sub_scaled(c, pivot_elem)
-                if mode == "cached":
-                    matrices[j] = hasse_combine(matrices[j], matrices[t], c, p)
-            elems[t] = pivot_elem.mul_linear(xi)
-            if mode == "cached":
-                matrices[t] = hasse_shift_down(matrices[t], s)
-            deltas[t] += 1
+                t = _pick_pivot(values, deltas, positions)
+                if t is None:
+                    continue  # constraint already satisfied by every element
+                if pivot_log is not None:
+                    pivot_log.append((i, dx, dy, t))
+                inv_vt = field.inv(values[t])
+                pivot_elem = elems[t]
+                for j in range(ell + 1):
+                    if j == t or values[j] == 0:
+                        continue
+                    c = values[j] * inv_vt % p
+                    elems[j] = elems[j].sub_scaled(c, pivot_elem)
+                elems[t] = pivot_elem.mul_linear(xi)
+                deltas[t] += 1
 
     basis = TrackedBasis(elems, deltas, positions)
     best = min(range(ell + 1), key=lambda j: (deltas[j], -positions[j]))

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bipoly import BiPoly, derivative_orders
+from .bipoly import BiPoly
 from .field import PrimeField
-from .classic import TrackedBasis, _pick_pivot, hasse_combine, hasse_shift_down
+from .classic import TrackedBasis, eliminate_point
 from .problem import InterpolationInstance
-from .unipoly import NEWTON_REM_MIN, UniPoly, _mul_raw, _series_inv, _trim
+from .unipoly import NEWTON_REM_MIN, UniPoly, _newton_divmod, _series_inv
 
 
 @dataclass
@@ -51,17 +51,6 @@ class TransformMatrix:
     def degree(self):
         return max(e.degree for row in self.entries for e in row)
 
-    def left_update(self, t: int, ratios: list[int], xi: int) -> None:
-        """In-place multiply by the single-round update matrix: row t gets the
-        (x - xi) factor, every other row j loses ratios[j] times old row t."""
-        rows = self.entries
-        pivot_row = rows[t]
-        for j, r in enumerate(ratios):
-            if j == t or r == 0:
-                continue
-            rows[j] = [a.sub_scaled(r, b) for a, b in zip(rows[j], pivot_row)]
-        rows[t] = [e.mul_linear(xi) for e in pivot_row]
-
     def __matmul__(self, other: "TransformMatrix") -> "TransformMatrix":
         if self.field != other.field or self.ell != other.ell:
             raise ValueError("transform dimensions do not match")
@@ -80,22 +69,6 @@ class TransformMatrix:
         """Rows read as elements of F[x,y]_ell (valid when the transform acts
         on the standard basis {1, y, ..., y^ell})."""
         return [BiPoly(self.field, self.ell, list(row)) for row in self.entries]
-
-
-def build_update_matrix(
-    field: PrimeField, ell: int, t: int, ratios: list[int], xi: int
-) -> TransformMatrix:
-    """One inner round as a matrix: identity except column t, which holds
-    -ratios[j] off the diagonal and (x - xi) on it."""
-    if len(ratios) != ell + 1:
-        raise ValueError("need one ratio per basis element")
-    U = TransformMatrix.identity(field, ell)
-    for j in range(ell + 1):
-        if j == t:
-            U.entries[t][t] = UniPoly.x_minus(field, xi)
-        elif ratios[j] % field.p:
-            U.entries[j][t] = UniPoly.constant(field, -ratios[j])
-    return U
 
 
 # ---------------------------------------------------------------------------
@@ -154,13 +127,8 @@ class _ModNode:
             prec = max(qlen, dm + 1)
             self._inv = _series_inv(m.coeffs[::-1], prec, field)
             self._inv_prec = prec
-        rev_q = _mul_raw(f.coeffs[::-1][:qlen], self._inv[:qlen], field)[:qlen]
-        rev_q += [0] * (qlen - len(rev_q))
-        q = _trim(rev_q[::-1])
-        qm = _mul_raw(q, m.coeffs, field)
-        p = field.p
-        r = [(f.coeffs[i] - (qm[i] if i < len(qm) else 0)) % p for i in range(dm)]
-        return UniPoly(field, _trim(r), normalized=True)
+        _, r = _newton_divmod(f.coeffs, m.coeffs, self._inv, field)
+        return UniPoly(field, r, normalized=True)
 
 
 def build_modulus_tree(field: PrimeField, points, mults, lo=0, hi=None) -> _ModNode:
@@ -196,46 +164,23 @@ def interpolate_point(
     ell = reduced.elems[0].ell
     if not (len(reduced.elems) == len(reduced.deltas) == len(reduced.positions) == ell + 1):
         raise ValueError("basis bookkeeping has inconsistent dimensions")
-    p = field.p
     xi, yi = point
     matrices = [e.hasse_matrix(xi, yi, s) for e in reduced.elems]
     T = TransformMatrix.identity(field, ell)
     deltas = list(reduced.deltas)
     positions = list(reduced.positions)
-    for dx, dy in derivative_orders(s):
-        values = [H[dx][dy] for H in matrices]
-        t = _pick_pivot(values, deltas, positions)
-        if t is None:
-            continue
-        if pivot_log is not None:
-            pivot_log.append((point_index, dx, dy, t))
-        inv_vt = field.inv(values[t])
-        ratios = [0] * (ell + 1)
-        for j in range(ell + 1):
-            if j != t and values[j]:
-                ratios[j] = values[j] * inv_vt % p
-                matrices[j] = hasse_combine(matrices[j], matrices[t], ratios[j], p)
-        matrices[t] = hasse_shift_down(matrices[t], s)
-        ratios[t] = 1
-        T.left_update(t, ratios, xi)
-        deltas[t] += 1
+    eliminate_point(T.entries, matrices, deltas, positions, xi, s, pivot_log, point_index)
     return T, deltas, positions
 
 
-def apply_transform(
-    T: TransformMatrix, basis: list[BiPoly], modulus: UniPoly | None = None
-) -> list[BiPoly]:
-    """Matrix action over F[x]: result_j = sum_k T[j][k] * basis_k, with an
-    optional row-wise reduction of the result."""
+def apply_transform(T: TransformMatrix, basis: list[BiPoly]) -> list[BiPoly]:
+    """Matrix action over F[x]: result_j = sum_k T[j][k] * basis_k."""
     if not basis or basis[0].ell != T.ell:
         raise ValueError("basis does not match transform dimensions")
     field = T.field
     B = [[e.rows[r] for r in range(T.ell + 1)] for e in basis]
     C = _poly_matmul(field, T.entries, B)
-    out = [BiPoly(field, T.ell, row) for row in C]
-    if modulus is not None:
-        out = [e.reduce_mod(modulus) for e in out]
-    return out
+    return [BiPoly(field, T.ell, row) for row in C]
 
 
 def _apply_reduced(T: TransformMatrix, basis: list[BiPoly], node: _ModNode) -> list[BiPoly]:

@@ -1,25 +1,39 @@
 """Prime field GF(p) arithmetic.
 
-Elements are plain ints in [0, p); the modulus and all derived data
-(binomial caches, NTT roots) live on a shared PrimeField context object.
+Elements are plain ints in [0, p); the modulus and its binomial cache live
+on a shared PrimeField context object. Moduli are word-sized: p < 2^64.
 """
 
 from __future__ import annotations
 
 
+# the first twelve primes: as Miller-Rabin bases they decide primality
+# exactly for every n < 2^64
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MODULUS_LIMIT = 1 << 64
+
+
 def _is_prime(n: int) -> bool:
-    """Trial division; fine for word-sized moduli."""
+    """Deterministic Miller-Rabin for 0 <= n < MODULUS_LIMIT."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -31,22 +45,17 @@ _PASCAL_CACHE_MAX = 256
 class PrimeField:
     """Context for GF(p); immutable after construction."""
 
-    __slots__ = ("p", "two_adicity", "_pascal", "_generator", "_root_cache")
+    __slots__ = ("p", "_pascal")
 
     def __init__(self, p: int):
         if not isinstance(p, int):
             raise ValueError("modulus must be an integer")
+        if p >= MODULUS_LIMIT:
+            raise ValueError(f"modulus {p} is not below 2^64")
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
-        m, v = p - 1, 0
-        while m % 2 == 0 and m > 0:
-            m //= 2
-            v += 1
-        self.two_adicity = v
         self._pascal = [[1]]
-        self._generator = None
-        self._root_cache = {}
 
     # -- element construction ------------------------------------------------
 
@@ -140,43 +149,6 @@ class PrimeField:
                 nxt[i] = (nxt[i - 1] + col[i - 1]) % p
             col = nxt
         return col
-
-    # -- NTT support (optional; only when p has enough 2-adic roots) ----------
-
-    def _find_generator(self) -> int:
-        if self._generator is not None:
-            return self._generator
-        p = self.p
-        m = p - 1
-        factors = []
-        d = 2
-        while d * d <= m:
-            if m % d == 0:
-                factors.append(d)
-                while m % d == 0:
-                    m //= d
-            d += 1
-        if m > 1:
-            factors.append(m)
-        g = 2
-        while True:
-            if all(pow(g, (p - 1) // q, p) != 1 for q in factors):
-                self._generator = g
-                return g
-            g += 1
-
-    def supports_ntt(self, size: int) -> bool:
-        """size must be a power of two dividing p - 1."""
-        return size > 0 and size & (size - 1) == 0 and size <= (1 << self.two_adicity)
-
-    def ntt_root(self, size: int) -> int:
-        """Primitive size-th root of unity; size a power of two ≤ 2^two_adicity."""
-        if not self.supports_ntt(size):
-            raise ValueError(f"no order-{size} root of unity in GF({self.p})")
-        if size not in self._root_cache:
-            g = self._find_generator()
-            self._root_cache[size] = pow(g, (self.p - 1) // size, self.p)
-        return self._root_cache[size]
 
     # -- identity ------------------------------------------------------------
 

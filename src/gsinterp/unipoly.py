@@ -3,14 +3,11 @@
 Coefficients are stored low-to-high as plain ints with no trailing zeros;
 the zero polynomial has an empty coefficient list and degree NEG_INF.
 
-Multiplication tiers: schoolbook for tiny operands, then Kronecker
-substitution (coefficients packed into one big integer so CPython's
-C-level integer multiply does the convolution). A classic Karatsuba
-kernel and an NTT kernel (usable when p - 1 has enough 2-adic factors)
-are kept alongside: both are exact, and `USE_NTT` routes large products
-through the NTT when enabled. Correctness never depends on which tier
-runs. Remainders use synthetic division for small quotients and Newton
-series inversion above NEWTON_REM_MIN.
+Multiplication is schoolbook for tiny operands and Kronecker substitution
+above SCHOOLBOOK_MAX (coefficients packed into one big integer so CPython's
+C-level integer multiply does the convolution). Remainders use synthetic
+division for small quotients and, above NEWTON_REM_MIN, the Newton quotient
+from a series inverse of the reversed modulus.
 """
 
 from __future__ import annotations
@@ -22,20 +19,13 @@ from .field import PrimeField
 NEG_INF = float("-inf")
 
 SCHOOLBOOK_MAX = 8  # below this, packing overhead beats the double loop
-KARATSUBA_CUTOFF = 32  # leaf size inside the Karatsuba kernel
 NEWTON_REM_MIN = 48  # modulus/quotient degree where Newton division takes over
-
-# The NTT tier is exact whenever the field supports the transform size, but
-# on CPython the packed-integer path below outruns it at desk scale, so it
-# is off by default and exercised explicitly by tests.
-USE_NTT = False
-NTT_MIN_RESULT = 128
 
 
 class ScalarMultCounter:
     """Tallies the per-coefficient work of the executed kernels: products for
-    schoolbook/Karatsuba, butterflies and pointwise products for the NTT,
-    unpacked result slots for the packed-integer path."""
+    schoolbook multiply and synthetic division, unpacked result slots for the
+    packed-integer (Kronecker) multiply."""
 
     __slots__ = ("mults",)
 
@@ -93,30 +83,6 @@ def _add_raw(a: list[int], b: list[int], p: int) -> list[int]:
     return out
 
 
-def _mul_kara(a: list[int], b: list[int], p: int) -> list[int]:
-    if min(len(a), len(b)) <= KARATSUBA_CUTOFF:
-        return _mul_school(a, b, p)
-    h = (max(len(a), len(b)) + 1) // 2
-    a0, a1 = a[:h], a[h:]
-    b0, b1 = b[:h], b[h:]
-    z0 = _mul_kara(a0, b0, p)
-    z2 = _mul_kara(a1, b1, p)
-    z1 = _mul_kara(_add_raw(a0, a1, p), _add_raw(b0, b1, p), p)
-    # z1's top terms only cancel after recombination, so size the scratch
-    # list for the intermediate, not the final degree
-    out = [0] * max(len(a) + len(b) - 1, h + len(z1), 2 * h + len(z2))
-    for i, v in enumerate(z0):
-        out[i] = v
-    for i, v in enumerate(z1):
-        out[i + h] = (out[i + h] + v) % p
-    for i, v in enumerate(z0):
-        out[i + h] = (out[i + h] - v) % p
-    for i, v in enumerate(z2):
-        out[i + h] = (out[i + h] - v) % p
-        out[i + 2 * h] = (out[i + 2 * h] + v) % p
-    return _trim(out)
-
-
 def _mul_kron(a: list[int], b: list[int], p: int) -> list[int]:
     """Convolution by packing into machine integers: each coefficient gets a
     byte-aligned slot wide enough for the largest column sum, the two packed
@@ -135,81 +101,11 @@ def _mul_kron(a: list[int], b: list[int], p: int) -> list[int]:
     )
 
 
-def _ntt(vec: list[int], root: int, p: int) -> None:
-    """In-place iterative NTT; length a power of two, root of that order."""
-    n = len(vec)
-    j = 0
-    for i in range(1, n):
-        bit = n >> 1
-        while j & bit:
-            j ^= bit
-            bit >>= 1
-        j |= bit
-        if i < j:
-            vec[i], vec[j] = vec[j], vec[i]
-    length = 2
-    while length <= n:
-        w_len = pow(root, n // length, p)
-        half = length // 2
-        for start in range(0, n, length):
-            w = 1
-            for k in range(start, start + half):
-                u = vec[k]
-                v = vec[k + half] * w % p
-                vec[k] = (u + v) % p
-                vec[k + half] = (u - v) % p
-                w = w * w_len % p
-        length <<= 1
-    if _COUNTER is not None:
-        _COUNTER.mults += (n // 2) * max(1, n.bit_length() - 1) + n
-
-
-def ntt_size(result_len: int) -> int:
-    n = 1
-    while n < result_len:
-        n <<= 1
-    return n
-
-
-def ntt_forward(field: PrimeField, coeffs: list[int], size: int) -> list[int]:
-    vec = coeffs + [0] * (size - len(coeffs))
-    _ntt(vec, field.ntt_root(size), field.p)
-    return vec
-
-
-def ntt_inverse(field: PrimeField, vec: list[int], size: int) -> list[int]:
-    p = field.p
-    _ntt(vec, field.inv(field.ntt_root(size)), p)
-    inv_n = field.inv(size)
-    if _COUNTER is not None:
-        _COUNTER.mults += size
-    return _trim([v * inv_n % p for v in vec])
-
-
-def _mul_ntt(a: list[int], b: list[int], field: PrimeField) -> list[int] | None:
-    rlen = len(a) + len(b) - 1
-    size = ntt_size(rlen)
-    if not field.supports_ntt(size):
-        return None
-    p = field.p
-    fa = ntt_forward(field, a, size)
-    fb = ntt_forward(field, b, size)
-    for i in range(size):
-        fa[i] = fa[i] * fb[i] % p
-    if _COUNTER is not None:
-        _COUNTER.mults += size
-    return ntt_inverse(field, fa, size)
-
-
 def _mul_raw(a: list[int], b: list[int], field: PrimeField) -> list[int]:
     if not a or not b:
         return []
     if min(len(a), len(b)) <= SCHOOLBOOK_MAX:
         return _mul_school(a, b, field.p)
-    if USE_NTT and len(a) + len(b) - 1 >= NTT_MIN_RESULT:
-        out = _mul_ntt(a, b, field)
-        if out is not None:
-            return out
     return _mul_kron(a, b, field.p)
 
 
@@ -226,6 +122,22 @@ def _series_inv(f: list[int], n: int, field: PrimeField) -> list[int]:
         two_minus[0] = (two_minus[0] + 2) % p
         g = _mul_raw(g, _trim(two_minus), field)[:prec]
     return _trim(g)
+
+
+def _newton_divmod(
+    a: list[int], m: list[int], inv: list[int], field: PrimeField
+) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by m, where len(a) >= len(m) and inv is
+    the inverse of reversed m modulo at least x^(len(a) - len(m) + 1)."""
+    dm = len(m) - 1
+    qlen = len(a) - dm
+    rev_q = _mul_raw(a[::-1][:qlen], inv[:qlen], field)[:qlen]
+    rev_q += [0] * (qlen - len(rev_q))
+    q = _trim(rev_q[::-1])
+    qm = _mul_raw(q, m, field)
+    p = field.p
+    r = [(a[i] - (qm[i] if i < len(qm) else 0)) % p for i in range(dm)]
+    return q, _trim(r)
 
 
 # ---------------------------------------------------------------------------
@@ -388,17 +300,9 @@ class UniPoly:
         field, p = self.field, self.field.p
         qlen = da - dm + 1
         if dm >= NEWTON_REM_MIN and qlen >= NEWTON_REM_MIN:
-            rev_m = m.coeffs[::-1]
-            inv = _series_inv(rev_m, qlen, field)
-            rev_q = _mul_raw(self.coeffs[::-1][:qlen], inv, field)[:qlen]
-            rev_q += [0] * (qlen - len(rev_q))
-            q = _trim(rev_q[::-1])
-            qm = _mul_raw(q, m.coeffs, field)
-            r = [(self.coeffs[i] - (qm[i] if i < len(qm) else 0)) % p for i in range(dm)]
-            return (
-                UniPoly(field, q, normalized=True),
-                UniPoly(field, _trim(r), normalized=True),
-            )
+            inv = _series_inv(m.coeffs[::-1], qlen, field)
+            q, r = _newton_divmod(self.coeffs, m.coeffs, inv, field)
+            return UniPoly(field, q, normalized=True), UniPoly(field, r, normalized=True)
         # synthetic long division
         lead_inv = field.inv(m.coeffs[-1])
         rem = list(self.coeffs)
@@ -438,19 +342,6 @@ class UniPoly:
 
     def __call__(self, c: int) -> int:
         return self.eval(c)
-
-    def taylor_shift(self, c: int) -> "UniPoly":
-        """self(x + c), by the synthetic-division cascade; O(d^2)."""
-        c %= self.field.p
-        if c == 0 or self.is_zero():
-            return self
-        p = self.field.p
-        b = list(self.coeffs)
-        n = len(b)
-        for i in range(n):
-            for j in range(n - 2, i - 1, -1):
-                b[j] = (b[j] + c * b[j + 1]) % p
-        return UniPoly(self.field, _trim(b), normalized=True)
 
     def taylor_coeffs(self, x0: int, s: int) -> list[int]:
         """First s coefficients of self(x + x0): s synthetic-division passes

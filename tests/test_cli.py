@@ -6,7 +6,9 @@ import pytest
 from gsinterp.bipoly import BiPoly
 from gsinterp.cli import (
     InstanceFileError,
+    build_parser,
     format_monomials,
+    load_instance,
     main,
     parse_instance_text,
     parse_monomials,
@@ -88,6 +90,30 @@ def test_verify_exit_zero_iff_all_pass(capsys):
     rc = main(["verify", COLLINEAR])
     capsys.readouterr()
     assert rc == 0
+
+
+def test_interpolate_over_mersenne_61(capsys):
+    # p = 2^61 - 1: the prime check must not stall, and the answer must reach
+    # the oracle's minimal weighted degree with every multiplicity met
+    from gsinterp.oracle import minimal_solution
+
+    path = os.path.join(HERE, "..", "instances", "07_random_02.txt")
+    flags = ["--modulus", "2305843009213693951", "--s", "2"]
+    inst = load_instance(path, build_parser().parse_args(["verify", *flags, path]))
+    _, mindeg = minimal_solution(inst)
+    for algorithm in ("classic", "classic-hasse", "fast"):
+        rc = main(["interpolate", "--algorithm", algorithm, *flags, path])
+        out = capsys.readouterr().out
+        assert rc == 0
+        fields = dict(line.split(": ", 1) for line in out.strip().splitlines())
+        assert int(fields["wdeg"]) == mindeg
+        q = parse_monomials(inst.field, inst.ell, fields["monomials"])
+        assert all(q.has_multiplicity(x, y, s) for (x, y), s in zip(inst.points, inst.mults))
+    assert main(["verify", *flags, path]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    # past word size the modulus is refused as a usage error
+    assert main(["interpolate", "--modulus", str(2**64 + 13), path]) == 2
+    assert "2^64" in capsys.readouterr().err
 
 
 def test_decode_roundtrip(capsys):

@@ -6,20 +6,20 @@ from gsinterp.bipoly import BiPoly
 from gsinterp.fast import (
     ReducedBasis,
     TransformMatrix,
+    _ModNode,
     apply_transform,
     build_modulus_tree,
-    build_update_matrix,
     interpolate_point,
     interpolate_tree,
     solve,
     solve_basis,
 )
 from gsinterp.field import PrimeField
-from gsinterp.classic import interpolate
+from gsinterp.classic import eliminate_point, interpolate
 from gsinterp.oracle import minimal_solution
 from gsinterp.problem import InterpolationInstance, random_instance
-from gsinterp.unipoly import UniPoly
-from util import proportional, rand_bipoly
+from gsinterp.unipoly import NEWTON_REM_MIN, UniPoly
+from util import bundled_instances, build_update_matrix, proportional, rand_bipoly, rand_unipoly
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -79,7 +79,9 @@ def test_update_matrix_action_is_row_operation():
                 assert got[j] == basis[j].sub_scaled(ratios[j], basis[t])
 
 
-def test_left_update_equals_matrix_product():
+def test_eliminate_point_row_update_equals_matrix_product():
+    # with s = 1 there is one round, so the in-place row update on a random
+    # transform must equal one explicit update matrix applied on the left
     rng = random.Random(1)
     for _ in range(20):
         ell = rng.randint(0, 3)
@@ -88,14 +90,21 @@ def test_left_update_equals_matrix_product():
             [[UniPoly(F101, [F101.rand(rng) for _ in range(rng.randint(0, 4))])
               for _ in range(ell + 1)] for _ in range(ell + 1)],
         )
-        t = rng.randint(0, ell)
-        ratios = [F101.rand(rng) for _ in range(ell + 1)]
-        ratios[t] = 1
+        before = TransformMatrix(F101, ell, [list(row) for row in T.entries])
+        values = [F101.rand(rng) for _ in range(ell + 1)]
+        values[rng.randint(0, ell)] = F101.rand_nonzero(rng)
+        deltas = [rng.randint(0, 5) for _ in range(ell + 1)]
+        positions = rng.sample(range(ell + 1), ell + 1)
         xi = F101.rand(rng)
-        U = build_update_matrix(F101, ell, t, ratios, xi)
-        want = U @ T
-        T.left_update(t, ratios, xi)
-        assert T == want
+        t = min((j for j in range(ell + 1) if values[j]), key=lambda j: (deltas[j], -positions[j]))
+        ratios = [v * F101.inv(values[t]) % 101 for v in values]
+        want_deltas = list(deltas)
+        want_deltas[t] += 1
+        log = []
+        eliminate_point(T.entries, [[[v]] for v in values], deltas, positions, xi, 1, log, 7)
+        assert T == build_update_matrix(F101, ell, t, ratios, xi) @ before
+        assert deltas == want_deltas
+        assert log == [(7, 0, 0, t)]
 
 
 # -- interpolate_point ---------------------------------------------------------------
@@ -202,7 +211,7 @@ def test_tree_two_points_matches_sequential_reference():
         )
         T1, d1, p1 = interpolate_point(pts[0], s1, w, r1)
         m2 = UniPoly.x_minus(F101, x2).pow(s2)
-        applied = apply_transform(T1, base.elems, m2)
+        applied = [e.reduce_mod(m2) for e in apply_transform(T1, base.elems)]
         T2, d2, p2 = interpolate_point(pts[1], s2, w, ReducedBasis(applied, d1, p1))
         want = T2 @ T1
 
@@ -242,6 +251,23 @@ def test_modulus_tree_structure():
     walk(root)
 
 
+def test_modnode_rem_matches_divmod():
+    # quotient lengths straddle rem's Newton threshold (32) and divmod's (48),
+    # modulus degrees straddle NEWTON_REM_MIN; quotients grow call by call,
+    # so later calls must refresh the cached inverse
+    rng = random.Random(12)
+    FN = PrimeField(754974721)
+    for dm in (NEWTON_REM_MIN - 1, NEWTON_REM_MIN, 70):
+        node = _ModNode(0, 0, rand_unipoly(FN, rng, dm))
+        m = node.modulus
+        f = rand_unipoly(FN, rng, dm - 1)
+        assert node.rem(f) == f
+        for qlen in (1, 31, 32, 47, 48, 90, 200):
+            f = rand_unipoly(FN, rng, dm + qlen - 1)
+            assert node.rem(f) == f % m
+        assert node._inv_prec == (200 if dm >= NEWTON_REM_MIN else 0)
+
+
 # -- apply_transform -------------------------------------------------------------------
 
 
@@ -249,22 +275,6 @@ def test_apply_identity():
     rng = random.Random(5)
     basis = [rand_bipoly(F101, rng, 2, 5) for _ in range(3)]
     assert apply_transform(TransformMatrix.identity(F101, 2), basis) == basis
-
-
-def test_apply_with_modulus_is_apply_then_reduce():
-    rng = random.Random(6)
-    for _ in range(10):
-        ell = rng.randint(0, 2)
-        T = TransformMatrix(
-            F101, ell,
-            [[UniPoly(F101, [F101.rand(rng) for _ in range(4)]) for _ in range(ell + 1)]
-             for _ in range(ell + 1)],
-        )
-        basis = [rand_bipoly(F101, rng, ell, 6) for _ in range(ell + 1)]
-        m = UniPoly.x_minus(F101, 3).pow(2)
-        assert apply_transform(T, basis, m) == [
-            e.reduce_mod(m) for e in apply_transform(T, basis)
-        ]
 
 
 # -- solve -------------------------------------------------------------------------------
@@ -349,3 +359,40 @@ def test_tree_subrange_bookkeeping_exact():
                 assert e.leading_position(w) == pos
                 for (x, y), s in zip(pts, mults):
                     assert e.has_multiplicity(x, y, s)
+
+
+# -- one elimination step, three solvers ------------------------------------------------
+
+
+def _pivot_logs(inst):
+    logs = []
+    for mode in ("naive", "cached"):
+        log = []
+        _, basis = interpolate(inst, mode, pivot_log=log)
+        logs.append(log)
+    log = []
+    _, fast_basis = solve_basis(inst, pivot_log=log)
+    logs.append(log)
+    assert fast_basis.elems == basis.elems
+    assert fast_basis.deltas == basis.deltas
+    return logs
+
+
+def test_pivot_logs_agree_on_bundled_instances():
+    for inst in bundled_instances():
+        naive, cached, fast = _pivot_logs(inst)
+        assert naive == cached == fast
+
+
+def test_pivot_logs_agree_on_edge_instances():
+    # small characteristic (s >= p included), ell = 0, a single point and
+    # mixed multiplicities
+    rng = random.Random(13)
+    for p in (2, 3, 101):
+        field = PrimeField(p)
+        for k in range(30):
+            n = 1 if k % 5 == 0 else rng.randint(1, min(p, 8))
+            ell = 0 if k % 3 == 0 else rng.randint(1, 4)
+            inst = random_instance(field, rng, n, ell, rng.randint(1, 4), smin=1, smax=4)
+            naive, cached, fast = _pivot_logs(inst)
+            assert naive == cached == fast

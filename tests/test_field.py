@@ -1,9 +1,10 @@
 import math
 import random
+import time
 
 import pytest
 
-from gsinterp.field import PrimeField
+from gsinterp.field import PrimeField, _is_prime
 
 
 def test_modular_identities():
@@ -79,17 +80,38 @@ def test_binom_large_arguments_take_lucas_path():
     assert F.binom(i, p) == math.comb(3, 1) * math.comb(5, 0) % p
 
 
-def test_ntt_roots():
-    F = PrimeField(754974721)
-    assert F.two_adicity == 24
-    assert F.supports_ntt(1 << 10)
-    assert not F.supports_ntt(1 << 25)
-    assert not F.supports_ntt(3)
-    root = F.ntt_root(8)
-    assert pow(root, 8, F.p) == 1
-    assert pow(root, 4, F.p) != 1
-    with pytest.raises(ValueError):
-        PrimeField(101).ntt_root(64)
+def _trial_division(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(10**4):
+        assert _is_prime(n) == _trial_division(n), n
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # Carmichael numbers; 3215031751, a strong pseudoprime to bases 2, 3, 5
+    # and 7; 3825123056546413051, one to every prime base up to 23
+    for n in (561, 41041, 3215031751, 3825123056546413051):
+        assert not _is_prime(n)
+        with pytest.raises(ValueError):
+            PrimeField(n)
+
+
+def test_word_sized_primes_accepted_fast():
+    for p in (2**61 - 1, 2**64 - 59, 754974721):
+        t0 = time.perf_counter()
+        assert PrimeField(p).p == p
+        assert time.perf_counter() - t0 < 0.1
+    # a composite with only large factors: the two largest primes below 2^32
+    assert not _is_prime(4294967291 * 4294967279)
+
+
+def test_modulus_above_word_size_rejected():
+    with pytest.raises(ValueError, match="2\\^64"):
+        PrimeField(2**64 + 13)
+    with pytest.raises(ValueError, match="2\\^64"):
+        PrimeField(2**89 - 1)
 
 
 def test_field_identity():

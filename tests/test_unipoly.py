@@ -4,16 +4,8 @@ import pytest
 
 from gsinterp.field import PrimeField
 import gsinterp.unipoly as up
-from gsinterp.unipoly import (
-    NEG_INF,
-    UniPoly,
-    _mul_kara,
-    _mul_kron,
-    _mul_ntt,
-    _mul_school,
-    count_scalar_mults,
-)
-from util import rand_unipoly, schoolbook_product
+from gsinterp.unipoly import NEG_INF, UniPoly, _mul_kron, _mul_school, count_scalar_mults
+from util import rand_unipoly, schoolbook_product, taylor_shift
 
 F5 = PrimeField(5)
 F101 = PrimeField(101)
@@ -61,26 +53,12 @@ def test_kernels_agree():
         for da, db in ((5, 90), (130, 130), (257, 61)):
             a = [field.rand(rng) for _ in range(da)] + [1]
             b = [field.rand(rng) for _ in range(db)] + [1]
-            ref = _mul_school(a, b, p)
-            assert _mul_kara(a, b, p) == ref
-            assert _mul_kron(a, b, p) == ref
-            if field.supports_ntt(1 << (da + db + 1).bit_length()):
-                assert _mul_ntt(a, b, field) == ref
-
-
-def test_ntt_dispatch_flag(monkeypatch):
-    rng = random.Random(5)
-    FN = PrimeField(754974721)
-    a = rand_unipoly(FN, rng, 300)
-    b = rand_unipoly(FN, rng, 300)
-    expected = schoolbook_product(a, b)
-    assert a * b == expected
-    monkeypatch.setattr(up, "USE_NTT", True)
-    assert a * b == expected
+            assert _mul_kron(a, b, p) == _mul_school(a, b, p)
 
 
 def test_scalar_op_counts_subquadratic():
-    # counted on the executed dispatch path
+    # counted on the executed dispatch path, which at these sizes is the
+    # Kronecker kernel: one unpacked slot per result coefficient
     rng = random.Random(6)
     counts = {}
     for d in (256, 512, 1024):
@@ -91,18 +69,8 @@ def test_scalar_op_counts_subquadratic():
         counts[d] = ctr.mults
     assert counts[512] / counts[256] <= 3.3
     assert counts[1024] / counts[512] <= 3.3
-    # and on the explicit Karatsuba kernel, whose ratio sits near 3
-    kara = {}
-    for d in (256, 512, 1024):
-        a = [F101.rand(rng) for _ in range(d)] + [1]
-        b = [F101.rand(rng) for _ in range(d)] + [1]
-        with count_scalar_mults() as ctr:
-            _mul_kara(a, b, F101.p)
-        kara[d] = ctr.mults
-    assert kara[512] / kara[256] <= 3.3
-    assert kara[1024] / kara[512] <= 3.3
     # genuinely subquadratic: doubling the degree must not quadruple the work
-    assert kara[1024] < 4 * kara[512] * 0.9
+    assert counts[1024] < 4 * counts[512] * 0.9
 
 
 # -- ring axioms ----------------------------------------------------------------
@@ -170,20 +138,20 @@ def test_newton_and_synthetic_division_agree():
 
 def test_taylor_shift_example():
     F7 = PrimeField(7)
-    assert P(F7, 0, 0, 1).taylor_shift(1) == P(F7, 1, 2, 1)
+    assert taylor_shift(P(F7, 0, 0, 1), 1) == P(F7, 1, 2, 1)
 
 
 def test_taylor_shift_by_zero_is_identity():
     rng = random.Random(11)
     a = rand_unipoly(F101, rng, 20)
-    assert a.taylor_shift(0) == a
+    assert taylor_shift(a, 0) == a
 
 
 def test_taylor_shift_coefficient_formula():
     rng = random.Random(12)
     a = rand_unipoly(F101, rng, 50)
     c = F101.rand_nonzero(rng)
-    shifted = a.taylor_shift(c)
+    shifted = taylor_shift(a, c)
     p = F101.p
     for k in range(len(a.coeffs)):
         want = 0
@@ -198,7 +166,7 @@ def test_taylor_shift_roundtrip():
     for _ in range(20):
         a = rand_unipoly(F101, rng, rng.randint(0, 40))
         c = F101.rand(rng)
-        assert a.taylor_shift(c).taylor_shift(-c % 101) == a
+        assert taylor_shift(taylor_shift(a, c), -c % 101) == a
 
 
 def test_taylor_coeffs_matches_reduce_then_shift():
@@ -207,7 +175,7 @@ def test_taylor_coeffs_matches_reduce_then_shift():
         a = rand_unipoly(F101, rng, rng.randint(0, 60))
         x0 = F101.rand(rng)
         s = rng.randint(1, 5)
-        explicit = (a % UniPoly.x_minus(F101, x0).pow(s)).taylor_shift(x0)
+        explicit = taylor_shift(a % UniPoly.x_minus(F101, x0).pow(s), x0)
         want = (explicit.coeffs + [0] * s)[:s]
         assert a.taylor_coeffs(x0, s) == want
 
@@ -217,7 +185,7 @@ def test_hasse_deriv_matches_taylor_shift():
     for _ in range(30):
         a = rand_unipoly(F101, rng, rng.randint(0, 30))
         x0 = F101.rand(rng)
-        shifted = a.taylor_shift(x0)
+        shifted = taylor_shift(a, x0)
         for k in range(len(a.coeffs) + 2):
             want = shifted.coeffs[k] if k < len(shifted.coeffs) else 0
             assert a.hasse_deriv(k, x0) == want

@@ -1,10 +1,30 @@
 """Shared test helpers."""
 
+import glob
+import os
 import random
 
 from gsinterp.bipoly import BiPoly
+from gsinterp.cli import parse_instance_text
+from gsinterp.fast import TransformMatrix
 from gsinterp.field import PrimeField
+from gsinterp.problem import InterpolationInstance
 from gsinterp.unipoly import UniPoly
+
+INSTANCE_DIR = os.path.join(os.path.dirname(__file__), "..", "instances")
+
+
+def bundled_instances() -> list[InterpolationInstance]:
+    """The instances/*.txt files, read as the CLI reads them with --s 1."""
+    out = []
+    for path in sorted(glob.glob(os.path.join(INSTANCE_DIR, "*.txt"))):
+        with open(path, encoding="utf-8") as fh:
+            p, w, ell, points = parse_instance_text(fh.read())
+        mults = [1 if s is None else s for _, _, s in points]
+        out.append(
+            InterpolationInstance(PrimeField(p), [(x, y) for x, y, _ in points], mults, ell, w)
+        )
+    return out
 
 
 def rand_unipoly(field: PrimeField, rng: random.Random, deg: int) -> UniPoly:
@@ -48,6 +68,31 @@ def schoolbook_product(a: UniPoly, b: UniPoly) -> UniPoly:
         for j, bj in enumerate(b.coeffs):
             out[i + j] = (out[i + j] + ai * bj) % p
     return UniPoly(a.field, out)
+
+
+def taylor_shift(a: UniPoly, c: int) -> UniPoly:
+    """Independent reference for a(x + c), by the synthetic-division cascade; O(d^2)."""
+    p = a.field.p
+    b = list(a.coeffs)
+    n = len(b)
+    for i in range(n):
+        for j in range(n - 2, i - 1, -1):
+            b[j] = (b[j] + c * b[j + 1]) % p
+    return UniPoly(a.field, b)
+
+
+def build_update_matrix(
+    field: PrimeField, ell: int, t: int, ratios: list[int], xi: int
+) -> TransformMatrix:
+    """One inner round as an explicit matrix: identity except column t, which
+    holds -ratios[j] off the diagonal and (x - xi) on it."""
+    U = TransformMatrix.identity(field, ell)
+    for j in range(ell + 1):
+        if j == t:
+            U.entries[t][t] = UniPoly.x_minus(field, xi)
+        elif ratios[j] % field.p:
+            U.entries[j][t] = UniPoly.constant(field, -ratios[j])
+    return U
 
 
 SCAN_MAX_P = 1 << 16
