@@ -6,7 +6,7 @@ from .bipoly import BiPoly, Monomial, compare_monomials, derivative_orders
 from .decoder import GSParams, InfeasibleParameters, RSCode, decode_list, gs_params, y_roots
 from .field import PrimeField
 from .classic import TrackedBasis, interpolate
-from .fast import TransformMatrix, apply_transform, interpolate_point, interpolate_tree, solve
+from .fast import interpolate_point, interpolate_tree, solve
 from .oracle import minimal_solution
 from .problem import InterpolationInstance, random_instance
 from .unipoly import NEG_INF, UniPoly
@@ -21,9 +21,7 @@ __all__ = [
     "PrimeField",
     "RSCode",
     "TrackedBasis",
-    "TransformMatrix",
     "UniPoly",
-    "apply_transform",
     "compare_monomials",
     "decode_list",
     "derivative_orders",

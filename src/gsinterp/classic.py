@@ -1,8 +1,10 @@
 """Classic iterative interpolation over the basis {1, y, ..., y^ell}.
 
 Runs over points in order; for each derivative order (dx, dy) it picks the
-eligible basis element with the smallest weighted degree as pivot, cancels
-the derivative from everyone else, and multiplies the pivot by (x - x_i).
+eligible basis element with the smallest weighted degree as pivot (ties go to
+the larger index), cancels the derivative from everyone else, and multiplies
+the pivot by (x - x_i). Element j starts as y^j, and this pivot rule keeps
+its leading y-position at j throughout, so the index is the position.
 
 Two modes produce bit-identical output:
   * "naive"  — every Hasse value is recomputed from the full-degree element
@@ -19,18 +21,32 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bipoly import BiPoly, derivative_orders
+from .field import PrimeField
 from .problem import InterpolationInstance
 from .unipoly import UniPoly
 
 
 @dataclass
 class TrackedBasis:
-    """Basis elements plus their bookkeeping: deltas[j] is the weighted degree
-    of elems[j], positions[j] its leading y-position (pairwise distinct)."""
+    """Basis elements with their weighted degrees: deltas[j] is the (1, w)-weighted
+    degree of elems[j], whose leading y-position is j. The fast solver also holds
+    bases reduced mod a subtree modulus in it; the deltas (and the leading
+    y-position j) then describe the unreduced elements."""
 
     elems: list[BiPoly]
     deltas: list[int]
-    positions: list[int]
+
+    @classmethod
+    def standard(cls, field: PrimeField, ell: int, w: int) -> "TrackedBasis":
+        """The starting basis {1, y, ..., y^ell}."""
+        return cls(
+            [BiPoly.y_power(field, ell, j) for j in range(ell + 1)],
+            [w * j for j in range(ell + 1)],
+        )
+
+    def minimal(self) -> BiPoly:
+        """The element of least weighted degree, ties to the larger y-position."""
+        return self.elems[min(range(len(self.deltas)), key=lambda j: (self.deltas[j], -j))]
 
 
 def hasse_shift_down(H: list[list[int]], s: int) -> list[list[int]]:
@@ -50,14 +66,14 @@ def hasse_combine(Hj: list[list[int]], Ht: list[list[int]], c: int, p: int) -> l
     return [[(a - c * b) % p for a, b in zip(ra, rb)] for ra, rb in zip(Hj, Ht)]
 
 
-def _pick_pivot(values: list[int], deltas: list[int], positions: list[int]) -> int | None:
-    """Index minimizing (delta, -position) among nonzero values; None if all zero."""
+def _pick_pivot(values: list[int], deltas: list[int]) -> int | None:
+    """Index j minimizing (delta, -j) among nonzero values; None if all zero."""
     best = None
     best_key = None
     for j, v in enumerate(values):
         if v == 0:
             continue
-        key = (deltas[j], -positions[j])
+        key = (deltas[j], -j)
         if best is None or key < best_key:
             best, best_key = j, key
     return best
@@ -67,7 +83,6 @@ def eliminate_point(
     rows: list[list[UniPoly]],
     matrices: list[list[list[int]]],
     deltas: list[int],
-    positions: list[int],
     xi: int,
     s: int,
     pivot_log: list | None = None,
@@ -86,7 +101,7 @@ def eliminate_point(
     p = field.p
     for dx, dy in derivative_orders(s):
         values = [H[dx][dy] for H in matrices]
-        t = _pick_pivot(values, deltas, positions)
+        t = _pick_pivot(values, deltas)
         if t is None:
             continue  # constraint already satisfied by every element
         if pivot_log is not None:
@@ -117,11 +132,10 @@ def interpolate(
     if mode not in ("naive", "cached"):
         raise ValueError(f"unknown mode {mode!r}")
     field, p = inst.field, inst.field.p
-    ell, w = inst.ell, inst.w
+    ell = inst.ell
 
-    elems = [BiPoly.y_power(field, ell, j) for j in range(ell + 1)]
-    deltas = [w * j for j in range(ell + 1)]
-    positions = list(range(ell + 1))
+    basis = TrackedBasis.standard(field, ell, inst.w)
+    elems, deltas = basis.elems, basis.deltas
 
     if mode == "cached":
         rows = [e.rows for e in elems]
@@ -129,13 +143,13 @@ def interpolate(
             # hasse_matrix folds the mod-(x - x_i)^s reduction into its
             # synthetic-division pass, so this is the once-per-point cost
             matrices = [BiPoly(field, ell, r).hasse_matrix(xi, yi, s) for r in rows]
-            eliminate_point(rows, matrices, deltas, positions, xi, s, pivot_log, i)
-        elems = [BiPoly(field, ell, r) for r in rows]
+            eliminate_point(rows, matrices, deltas, xi, s, pivot_log, i)
+        basis.elems = [BiPoly(field, ell, r) for r in rows]
     else:
         for i, ((xi, yi), s) in enumerate(zip(inst.points, inst.mults)):
             for dx, dy in derivative_orders(s):
                 values = [e.hasse_derivative(xi, yi, dx, dy) for e in elems]
-                t = _pick_pivot(values, deltas, positions)
+                t = _pick_pivot(values, deltas)
                 if t is None:
                     continue  # constraint already satisfied by every element
                 if pivot_log is not None:
@@ -150,6 +164,4 @@ def interpolate(
                 elems[t] = pivot_elem.mul_linear(xi)
                 deltas[t] += 1
 
-    basis = TrackedBasis(elems, deltas, positions)
-    best = min(range(ell + 1), key=lambda j: (deltas[j], -positions[j]))
-    return elems[best], basis
+    return basis.minimal(), basis

@@ -186,23 +186,24 @@ def _shift_root(q: BiPoly, gamma: int) -> BiPoly:
 
 def y_roots(q: BiPoly, k: int) -> list[UniPoly]:
     """All f with deg f < k and q(x, f(x)) = 0, by branching on the roots of
-    the constant-x slice level by level, verifying each full candidate."""
+    the constant-x slice level by level, verifying each full candidate. The
+    branches wait on an explicit worklist, so k is not bounded by the
+    interpreter's recursion limit."""
     if q.is_zero():
         raise ValueError("root extraction needs a nonzero polynomial")
     field = q.field
     candidates: set[tuple[int, ...]] = set()
-
-    def rec(cur: BiPoly, prefix: list[int]) -> None:
+    work: list[tuple[BiPoly, tuple[int, ...]]] = [(q, ())]
+    while work:
+        cur, prefix = work.pop()
         cur = _strip_x(cur)
         slice_poly = UniPoly(field, [row.eval(0) for row in cur.rows])
         for gamma in _poly_roots(slice_poly):
-            nxt = prefix + [gamma]
+            nxt = prefix + (gamma,)
             if len(nxt) == k:
-                candidates.add(tuple(nxt))
+                candidates.add(nxt)
             else:
-                rec(_shift_root(cur, gamma), nxt)
-
-    rec(q, [])
+                work.append((_shift_root(cur, gamma), nxt))
     out = []
     for coeffs in sorted(candidates):
         f = UniPoly(field, list(coeffs))

@@ -57,10 +57,7 @@ class PrimeField:
         self.p = p
         self._pascal = [[1]]
 
-    # -- element construction ------------------------------------------------
-
-    def element(self, v: int) -> int:
-        return v % self.p
+    # -- random elements -----------------------------------------------------
 
     def rand(self, rng) -> int:
         return rng.randrange(self.p)
@@ -75,25 +72,13 @@ class PrimeField:
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero in GF(p)")
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a: int, b: int) -> int:
-        return a * self.inv(b) % self.p
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.p)
 
     # -- binomial coefficients -----------------------------------------------
 

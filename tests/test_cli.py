@@ -155,6 +155,29 @@ def test_decode_over_bench_prime(capsys):
     assert "message: " + ",".join(str(v) for v in msg) in out
 
 
+def test_decode_long_message(capsys):
+    # [1100,1000] over the 30-bit prime, 10 errors: one root-extraction level
+    # per message coefficient
+    import random
+
+    from gsinterp.decoder import RSCode
+
+    field = PrimeField(754974721)
+    rng = random.Random(1100)
+    code = RSCode(field, 1100, 1000)
+    msg = [field.rand(rng) for _ in range(1000)]
+    word = code.encode(msg)
+    for pos in rng.sample(range(1100), 10):
+        word[pos] = (word[pos] + field.rand_nonzero(rng)) % field.p
+    rc = main([
+        "decode", "--modulus", "754974721", "--n", "1100", "--k", "1000", "--tau", "10",
+        "--received", ",".join(str(v) for v in word),
+    ])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "message: " + ",".join(str(v) for v in msg) in out
+
+
 def test_decode_empty_list_exit_code(capsys):
     # received word far from every codeword: found in test_decoder; here a
     # quick fixed one (checked against the exhaustive table when generated)
@@ -201,6 +224,12 @@ def test_parse_error_exit_code(tmp_path, capsys):
     rc = main(["interpolate", str(tmp_path / "missing.txt")])
     assert rc == 2
     capsys.readouterr()
+
+
+def test_unreadable_instance_path_exit_code(tmp_path, capsys):
+    rc = main(["interpolate", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_bench_csv_format(capsys):

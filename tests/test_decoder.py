@@ -305,3 +305,16 @@ def test_decode_over_bench_prime():
     for pos in rng.sample(range(64), 27):
         recv[pos] = (recv[pos] + field.rand_nonzero(rng)) % field.p
     assert msg in decode_list(code, recv, gs_params(code, 27))
+
+
+def test_decode_long_message_over_bench_prime():
+    # k = 1000: root extraction walks one level per message coefficient, far
+    # past the interpreter's default recursion limit
+    field = PrimeField(754974721)
+    rng = random.Random(1100)
+    code = RSCode(field, 1100, 1000)
+    msg = [field.rand(rng) for _ in range(1000)]
+    recv = code.encode(msg)
+    for pos in rng.sample(range(1100), 10):
+        recv[pos] = (recv[pos] + field.rand_nonzero(rng)) % field.p
+    assert decode_list(code, recv, gs_params(code, 10)) == [msg]

@@ -4,10 +4,9 @@ import pytest
 
 from gsinterp.bipoly import BiPoly
 from gsinterp.fast import (
-    ReducedBasis,
-    TransformMatrix,
+    _identity,
     _ModNode,
-    apply_transform,
+    _poly_matmul,
     build_modulus_tree,
     interpolate_point,
     interpolate_tree,
@@ -15,7 +14,7 @@ from gsinterp.fast import (
     solve_basis,
 )
 from gsinterp.field import PrimeField
-from gsinterp.classic import eliminate_point, interpolate
+from gsinterp.classic import TrackedBasis, eliminate_point, interpolate
 from gsinterp.oracle import minimal_solution
 from gsinterp.problem import InterpolationInstance, random_instance
 from gsinterp.unipoly import NEWTON_REM_MIN, UniPoly
@@ -26,9 +25,15 @@ F5 = PrimeField(5)
 F101 = PrimeField(101)
 
 
-def standard_basis(field, ell, w):
-    elems = [BiPoly.y_power(field, ell, j) for j in range(ell + 1)]
-    return ReducedBasis(elems, [w * j for j in range(ell + 1)], list(range(ell + 1)))
+def apply(T, elems):
+    """Matrix action over F[x]: result_j = sum_k T[j][k] * elems_k."""
+    field, ell = elems[0].field, elems[0].ell
+    return [BiPoly(field, ell, row) for row in _poly_matmul(field, T, [e.rows for e in elems])]
+
+
+def reduced_standard(field, ell, w, modulus):
+    base = TrackedBasis.standard(field, ell, w)
+    return TrackedBasis([e.reduce_mod(modulus) for e in base.elems], base.deltas)
 
 
 def rand_inst(rng, field=F101, nmax=8, smax=3):
@@ -44,21 +49,21 @@ def rand_inst(rng, field=F101, nmax=8, smax=3):
 def test_update_matrix_shape():
     c = 4
     U = build_update_matrix(F5, 1, 0, [1, c], 2)
-    assert U.entries[0][0] == UniPoly.x_minus(F5, 2)
-    assert U.entries[0][1].is_zero()
-    assert U.entries[1][0] == UniPoly.constant(F5, -c)
-    assert U.entries[1][1] == UniPoly.one(F5)
+    assert U[0][0] == UniPoly.x_minus(F5, 2)
+    assert U[0][1].is_zero()
+    assert U[1][0] == UniPoly.constant(F5, -c)
+    assert U[1][1] == UniPoly.one(F5)
 
 
 def test_update_matrix_zero_ratios():
     U = build_update_matrix(F5, 2, 1, [0, 1, 0], 3)
-    I = TransformMatrix.identity(F5, 2)
+    I = _identity(F5, 2)
     for i in range(3):
         for j in range(3):
             if (i, j) == (1, 1):
-                assert U.entries[i][j] == UniPoly.x_minus(F5, 3)
+                assert U[i][j] == UniPoly.x_minus(F5, 3)
             else:
-                assert U.entries[i][j] == I.entries[i][j]
+                assert U[i][j] == I[i][j]
 
 
 def test_update_matrix_action_is_row_operation():
@@ -71,7 +76,7 @@ def test_update_matrix_action_is_row_operation():
         ratios[t] = 1
         U = build_update_matrix(F101, ell, t, ratios, xi)
         basis = [rand_bipoly(F101, rng, ell, 5) for _ in range(ell + 1)]
-        got = apply_transform(U, basis)
+        got = apply(U, basis)
         for j in range(ell + 1):
             if j == t:
                 assert got[j] == basis[j].mul_linear(xi)
@@ -85,24 +90,20 @@ def test_eliminate_point_row_update_equals_matrix_product():
     rng = random.Random(1)
     for _ in range(20):
         ell = rng.randint(0, 3)
-        T = TransformMatrix(
-            F101, ell,
-            [[UniPoly(F101, [F101.rand(rng) for _ in range(rng.randint(0, 4))])
-              for _ in range(ell + 1)] for _ in range(ell + 1)],
-        )
-        before = TransformMatrix(F101, ell, [list(row) for row in T.entries])
+        T = [[UniPoly(F101, [F101.rand(rng) for _ in range(rng.randint(0, 4))])
+              for _ in range(ell + 1)] for _ in range(ell + 1)]
+        before = [list(row) for row in T]
         values = [F101.rand(rng) for _ in range(ell + 1)]
         values[rng.randint(0, ell)] = F101.rand_nonzero(rng)
         deltas = [rng.randint(0, 5) for _ in range(ell + 1)]
-        positions = rng.sample(range(ell + 1), ell + 1)
         xi = F101.rand(rng)
-        t = min((j for j in range(ell + 1) if values[j]), key=lambda j: (deltas[j], -positions[j]))
+        t = min((j for j in range(ell + 1) if values[j]), key=lambda j: (deltas[j], -j))
         ratios = [v * F101.inv(values[t]) % 101 for v in values]
         want_deltas = list(deltas)
         want_deltas[t] += 1
         log = []
-        eliminate_point(T.entries, [[[v]] for v in values], deltas, positions, xi, 1, log, 7)
-        assert T == build_update_matrix(F101, ell, t, ratios, xi) @ before
+        eliminate_point(T, [[[v]] for v in values], deltas, xi, 1, log, 7)
+        assert T == _poly_matmul(F101, build_update_matrix(F101, ell, t, ratios, xi), before)
         assert deltas == want_deltas
         assert log == [(7, 0, 0, t)]
 
@@ -111,14 +112,12 @@ def test_eliminate_point_row_update_equals_matrix_product():
 
 
 def test_interpolate_point_hand_trace():
-    basis = standard_basis(F5, 1, 1)
-    T, deltas, positions = interpolate_point((0, 0), 1, 1, basis)
-    assert T.entries[0][0] == UniPoly(F5, [0, 1])  # x
-    assert T.entries[0][1].is_zero()
-    assert T.entries[1][0].is_zero()
-    assert T.entries[1][1] == UniPoly.one(F5)
+    T, deltas = interpolate_point((0, 0), 1, TrackedBasis.standard(F5, 1, 1))
+    assert T[0][0] == UniPoly(F5, [0, 1])  # x
+    assert T[0][1].is_zero()
+    assert T[1][0].is_zero()
+    assert T[1][1] == UniPoly.one(F5)
     assert deltas == [1, 1]
-    assert positions == [0, 1]
 
 
 def test_interpolate_point_noop_when_satisfied():
@@ -129,11 +128,9 @@ def test_interpolate_point_noop_when_satisfied():
         BiPoly(F5, 1, [UniPoly.zero(F5), UniPoly.zero(F5)]),
         BiPoly(F5, 1, [UniPoly.zero(F5), UniPoly.zero(F5)]),
     ]
-    basis = ReducedBasis(elems, [1, 2], [0, 1])
-    T, deltas, positions = interpolate_point((a, 3), 1, 1, basis)
-    assert T == TransformMatrix.identity(F5, 1)
+    T, deltas = interpolate_point((a, 3), 1, TrackedBasis(elems, [1, 2]))
+    assert T == _identity(F5, 1)
     assert deltas == [1, 2]
-    assert positions == [0, 1]
 
 
 def test_interpolate_point_random_postconditions():
@@ -143,27 +140,21 @@ def test_interpolate_point_random_postconditions():
         w = rng.randint(1, 3)
         s = rng.randint(1, 3)
         xi, yi = F101.rand(rng), F101.rand(rng)
-        full = [BiPoly.y_power(F101, ell, j) for j in range(ell + 1)]
-        modulus = UniPoly.x_minus(F101, xi).pow(s)
-        reduced = ReducedBasis(
-            [e.reduce_mod(modulus) for e in full],
-            [w * j for j in range(ell + 1)],
-            list(range(ell + 1)),
-        )
-        T, deltas, positions = interpolate_point((xi, yi), s, w, reduced)
-        assert T.degree <= s
-        updated = apply_transform(T, full)
-        for e, d, pos in zip(updated, deltas, positions):
+        full = TrackedBasis.standard(F101, ell, w).elems
+        reduced = reduced_standard(F101, ell, w, UniPoly.x_minus(F101, xi).pow(s))
+        T, deltas = interpolate_point((xi, yi), s, reduced)
+        updated = apply(T, full)
+        assert max(e.x_degree for e in updated) <= s
+        for j, (e, d) in enumerate(zip(updated, deltas)):
             assert e.has_multiplicity(xi, yi, s)
             assert e.weighted_degree(w) == d
-            assert e.leading_position(w) == pos
-        assert positions == list(range(ell + 1))
+            assert e.leading_position(w) == j
 
 
 def test_interpolate_point_dimension_check():
-    basis = ReducedBasis([BiPoly.y_power(F5, 1, 0)], [0], [0])
+    basis = TrackedBasis([BiPoly.y_power(F5, 1, 0)], [0])
     with pytest.raises(ValueError):
-        interpolate_point((0, 0), 1, 1, basis)
+        interpolate_point((0, 0), 1, basis)
 
 
 # -- interpolate_tree -----------------------------------------------------------------
@@ -176,14 +167,10 @@ def test_tree_single_point_equals_point():
         w = rng.randint(1, 3)
         s = rng.randint(1, 3)
         point = (F101.rand(rng), F101.rand(rng))
-        base = standard_basis(F101, ell, w)
-        modulus = UniPoly.x_minus(F101, point[0]).pow(s)
-        reduced = ReducedBasis(
-            [e.reduce_mod(modulus) for e in base.elems], base.deltas, base.positions
-        )
-        T1, d1, p1 = interpolate_tree([point], [s], w, reduced)
-        T2, d2, p2 = interpolate_point(point, s, w, reduced)
-        assert T1 == T2 and d1 == d2 and p1 == p2
+        reduced = reduced_standard(F101, ell, w, UniPoly.x_minus(F101, point[0]).pow(s))
+        T1, d1 = interpolate_tree([point], [s], reduced)
+        T2, d2 = interpolate_point(point, s, reduced)
+        assert T1 == T2 and d1 == d2
 
 
 def test_tree_collinear_example():
@@ -202,33 +189,26 @@ def test_tree_two_points_matches_sequential_reference():
         s1, s2 = rng.randint(1, 3), rng.randint(1, 3)
         x1, x2 = rng.sample(range(101), 2)
         pts = [(x1, F101.rand(rng)), (x2, F101.rand(rng))]
-        base = standard_basis(F101, ell, w)
+        base = TrackedBasis.standard(F101, ell, w)
 
         # reference: two explicit point calls with the intermediate reduction
         m1 = UniPoly.x_minus(F101, x1).pow(s1)
-        r1 = ReducedBasis(
-            [e.reduce_mod(m1) for e in base.elems], base.deltas, base.positions
-        )
-        T1, d1, p1 = interpolate_point(pts[0], s1, w, r1)
+        T1, d1 = interpolate_point(pts[0], s1, reduced_standard(F101, ell, w, m1))
         m2 = UniPoly.x_minus(F101, x2).pow(s2)
-        applied = [e.reduce_mod(m2) for e in apply_transform(T1, base.elems)]
-        T2, d2, p2 = interpolate_point(pts[1], s2, w, ReducedBasis(applied, d1, p1))
-        want = T2 @ T1
+        applied = [e.reduce_mod(m2) for e in apply(T1, base.elems)]
+        T2, d2 = interpolate_point(pts[1], s2, TrackedBasis(applied, d1))
+        want = _poly_matmul(F101, T2, T1)
 
-        modulus = m1 * m2
-        reduced = ReducedBasis(
-            [e.reduce_mod(modulus) for e in base.elems], base.deltas, base.positions
-        )
-        T, d, p = interpolate_tree(pts, [s1, s2], w, reduced)
-        assert T == want and d == d2 and p == p2
+        T, d = interpolate_tree(pts, [s1, s2], reduced_standard(F101, ell, w, m1 * m2))
+        assert T == want and d == d2
 
 
 def test_tree_usage_errors():
-    base = standard_basis(F5, 1, 1)
+    base = TrackedBasis.standard(F5, 1, 1)
     with pytest.raises(ValueError):
-        interpolate_tree([], [], 1, base)
+        interpolate_tree([], [], base)
     with pytest.raises(ValueError):
-        interpolate_tree([(0, 0)], [1, 2], 1, base)
+        interpolate_tree([(0, 0)], [1, 2], base)
 
 
 def test_modulus_tree_structure():
@@ -268,13 +248,13 @@ def test_modnode_rem_matches_divmod():
         assert node._inv_prec == (200 if dm >= NEWTON_REM_MIN else 0)
 
 
-# -- apply_transform -------------------------------------------------------------------
+# -- transform action --------------------------------------------------------------------
 
 
 def test_apply_identity():
     rng = random.Random(5)
     basis = [rand_bipoly(F101, rng, 2, 5) for _ in range(3)]
-    assert apply_transform(TransformMatrix.identity(F101, 2), basis) == basis
+    assert apply(_identity(F101, 2), basis) == basis
 
 
 # -- solve -------------------------------------------------------------------------------
@@ -304,12 +284,11 @@ def test_solve_basis_bookkeeping_exact():
     rng = random.Random(8)
     for _ in range(25):
         inst = rand_inst(rng, nmax=6)
-        T, basis = solve_basis(inst)
-        assert T.degree <= inst.total_multiplicity()
-        assert basis.positions == list(range(inst.ell + 1))
-        for e, d, pos in zip(basis.elems, basis.deltas, basis.positions):
+        basis = solve_basis(inst)
+        assert max(e.x_degree for e in basis.elems) <= inst.total_multiplicity()
+        for j, (e, d) in enumerate(zip(basis.elems, basis.deltas)):
             assert e.weighted_degree(inst.w) == d
-            assert e.leading_position(inst.w) == pos
+            assert e.leading_position(inst.w) == j
             for (x, y), s in zip(inst.points, inst.mults):
                 assert e.has_multiplicity(x, y, s)
 
@@ -319,7 +298,7 @@ def test_delta_sum_counts_pivot_rounds():
     for _ in range(15):
         inst = rand_inst(rng, nmax=6)
         log = []
-        _, basis = solve_basis(inst, pivot_log=log)
+        basis = solve_basis(inst, pivot_log=log)
         base_sum = inst.w * inst.ell * (inst.ell + 1) // 2
         assert sum(basis.deltas) == base_sum + len(log)
 
@@ -328,8 +307,8 @@ def test_transform_composition_degrees():
     rng = random.Random(10)
     inst = rand_inst(rng, nmax=8)
     log = []
-    T, _ = solve_basis(inst, pivot_log=log)
-    assert T.degree <= inst.total_multiplicity()
+    basis = solve_basis(inst, pivot_log=log)
+    assert max(e.x_degree for e in basis.elems) <= inst.total_multiplicity()
 
 
 def test_tree_subrange_bookkeeping_exact():
@@ -338,7 +317,7 @@ def test_tree_subrange_bookkeeping_exact():
     rng = random.Random(11)
     inst = rand_inst(rng, nmax=6)
     w = inst.w
-    base = standard_basis(F101, inst.ell, w)
+    base = TrackedBasis.standard(F101, inst.ell, w)
     for i1 in range(inst.n):
         for i2 in range(i1, inst.n):
             pts = inst.points[i1 : i2 + 1]
@@ -346,17 +325,12 @@ def test_tree_subrange_bookkeeping_exact():
             modulus = UniPoly.one(F101)
             for (x, _), s in zip(pts, mults):
                 modulus = modulus * UniPoly.x_minus(F101, x).pow(s)
-            reduced = ReducedBasis(
-                [e.reduce_mod(modulus) for e in base.elems],
-                base.deltas,
-                base.positions,
-            )
-            T, deltas, positions = interpolate_tree(pts, mults, w, reduced)
-            assert T.degree <= sum(mults)
-            updated = apply_transform(T, base.elems)
-            for e, d, pos in zip(updated, deltas, positions):
+            T, deltas = interpolate_tree(pts, mults, reduced_standard(F101, inst.ell, w, modulus))
+            updated = apply(T, base.elems)
+            assert max(e.x_degree for e in updated) <= sum(mults)
+            for j, (e, d) in enumerate(zip(updated, deltas)):
                 assert e.weighted_degree(w) == d
-                assert e.leading_position(w) == pos
+                assert e.leading_position(w) == j
                 for (x, y), s in zip(pts, mults):
                     assert e.has_multiplicity(x, y, s)
 
@@ -371,7 +345,7 @@ def _pivot_logs(inst):
         _, basis = interpolate(inst, mode, pivot_log=log)
         logs.append(log)
     log = []
-    _, fast_basis = solve_basis(inst, pivot_log=log)
+    fast_basis = solve_basis(inst, pivot_log=log)
     logs.append(log)
     assert fast_basis.elems == basis.elems
     assert fast_basis.deltas == basis.deltas

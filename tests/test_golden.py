@@ -1,0 +1,60 @@
+"""Golden output: a sha256 over the exact output of every solver.
+
+For each instance it hashes q, the basis rows, the deltas and the pivot log
+of classic naive, classic cached and the fast solver. Any refactor that
+changes a single coefficient, delta or pivot choice changes the digest; a
+deliberate change of output must re-record it and say why.
+"""
+
+import hashlib
+import random
+
+from gsinterp import classic, fast
+from gsinterp.field import PrimeField
+from gsinterp.problem import random_instance
+from util import bundled_instances
+
+BENCH_PRIME = 754974721
+GOLDEN_SHA256 = "a7ec0b410af4eff1718f795abe5a6230c61ca9022c2d1fc5ba9ee940c6eb619a"
+
+
+def _golden_instances():
+    out = bundled_instances()
+    rng = random.Random(20261018)
+    field = PrimeField(BENCH_PRIME)
+    for k in range(20):
+        n = rng.randint(1, 6) if k % 4 else rng.randint(40, 70)
+        inst = random_instance(
+            field, rng, n, rng.randint(0, 4), rng.randint(1, 4), smin=1, smax=3
+        )
+        out.append(inst)
+    return out
+
+
+def _rows(q):
+    return tuple(tuple(r.coeffs) for r in q.rows)
+
+
+def _fast_basis(inst, log):
+    # older commits returned (transform, basis); the transform rows are the
+    # basis rows, so only the basis enters the digest either way
+    out = fast.solve_basis(inst, pivot_log=log)
+    return out[-1] if isinstance(out, tuple) else out
+
+
+def _canonical(inst):
+    out = []
+    for mode in ("naive", "cached"):
+        log = []
+        q, basis = classic.interpolate(inst, mode, pivot_log=log)
+        out.append((mode, _rows(q), tuple(map(_rows, basis.elems)), tuple(basis.deltas), tuple(log)))
+    log = []
+    basis = _fast_basis(inst, log)
+    q, deltas = fast.solve(inst)
+    out.append(("fast", _rows(q), tuple(map(_rows, basis.elems)), tuple(deltas), tuple(log)))
+    return (inst.field.p, inst.points, inst.mults, inst.ell, inst.w, tuple(out))
+
+
+def test_golden_digest():
+    dump = repr([_canonical(inst) for inst in _golden_instances()])
+    assert hashlib.sha256(dump.encode()).hexdigest() == GOLDEN_SHA256

@@ -6,7 +6,6 @@ import random
 
 from gsinterp.bipoly import BiPoly
 from gsinterp.cli import parse_instance_text
-from gsinterp.fast import TransformMatrix
 from gsinterp.field import PrimeField
 from gsinterp.problem import InterpolationInstance
 from gsinterp.unipoly import UniPoly
@@ -83,15 +82,17 @@ def taylor_shift(a: UniPoly, c: int) -> UniPoly:
 
 def build_update_matrix(
     field: PrimeField, ell: int, t: int, ratios: list[int], xi: int
-) -> TransformMatrix:
-    """One inner round as an explicit matrix: identity except column t, which
-    holds -ratios[j] off the diagonal and (x - xi) on it."""
-    U = TransformMatrix.identity(field, ell)
-    for j in range(ell + 1):
+) -> list[list[UniPoly]]:
+    """One inner round as an explicit matrix over F[x], as its list of rows:
+    identity except column t, which holds -ratios[j] off the diagonal and
+    (x - xi) on it."""
+    n = ell + 1
+    U = [[UniPoly.one(field) if i == j else UniPoly.zero(field) for j in range(n)] for i in range(n)]
+    for j in range(n):
         if j == t:
-            U.entries[t][t] = UniPoly.x_minus(field, xi)
+            U[t][t] = UniPoly.x_minus(field, xi)
         elif ratios[j] % field.p:
-            U.entries[j][t] = UniPoly.constant(field, -ratios[j])
+            U[j][t] = UniPoly.constant(field, -ratios[j])
     return U
 
 
