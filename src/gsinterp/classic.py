@@ -13,7 +13,8 @@ Two modes produce bit-identical output:
                Hasse matrices are computed from the reductions, and
                eliminate_point maintains them through the inner loop by the
                same linear combinations / row shifts it applies to the basis.
-               The fast solver runs the same eliminate_point on its transforms.
+               The fast solver runs the same eliminate_point on short runs of
+               points, over its transform rows joined to the reduced basis.
 """
 
 from __future__ import annotations

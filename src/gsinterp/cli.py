@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: interpolate (run one algorithm on an instance file), verify
-(cross-check all three algorithms plus the brute-force reference), decode
+(cross-check all three algorithms plus the brute-force reference, which
+refuses instances above oracle.MAX_CONSTRAINTS constraints), decode
 (Reed-Solomon list decoding), bench (CSV timing table).
 
 Exit codes: 0 success, 2 usage or parse error, 3 infeasible decode
@@ -126,11 +127,12 @@ def cmd_interpolate(args) -> int:
 def cmd_verify(args) -> int:
     inst = load_instance(args.file, args)
     w = inst.w
+    # first, so that an instance too large for the oracle fails at once
+    q_oracle, mindeg = oracle.minimal_solution(inst)
     q_naive, b_naive = classic.interpolate(inst, "naive")
     q_cached, b_cached = classic.interpolate(inst, "cached")
     b_fast = fast.solve_basis(inst)
     q_fast_delta = min(b_fast.deltas)
-    q_oracle, mindeg = oracle.minimal_solution(inst)
 
     checks = [
         ("modes-identical", all(a == b for a, b in zip(b_naive.elems, b_cached.elems))),

@@ -1,13 +1,16 @@
 """Divide-and-conquer interpolation with recorded transforms.
 
-The inner loop never touches full-degree basis elements: per point it works
-on the basis reduced mod (x - x_i)^{s_i}, manipulates only Hasse matrices,
-and records every row operation in an (ell+1) x (ell+1) transform over F[x],
-held as its list of rows. A binary tree over the points keeps every
-intermediate basis reduced mod the subtree modulus; transforms compose by
-polynomial matrix multiplication, which is where the fast univariate
-arithmetic pays off. Started from {1, y, ..., y^ell}, the final transform's
-rows are the y-power rows of the basis elements.
+A binary tree over the points keeps every intermediate basis reduced mod the
+subtree modulus. A run of at most LEAF_MAX points is eliminated point by
+point on that reduced basis: per point it takes the Hasse matrices and runs
+the shared elimination step, recording every row operation in an
+(ell+1) x (ell+1) transform over F[x], held as its list of rows. Hasse values
+of order < s at x_i depend only on the residue mod (x - x_i)^s, so the
+reduced basis picks the same pivots and ratios as the full one. Transforms
+compose by polynomial matrix multiplication, which packs each entry into one
+integer so that CPython's big-integer multiply carries the degree. Started
+from {1, y, ..., y^ell}, the final transform's rows are the y-power rows of
+the basis elements.
 """
 
 from __future__ import annotations
@@ -16,30 +19,45 @@ from .bipoly import BiPoly
 from .field import PrimeField
 from .classic import TrackedBasis, eliminate_point
 from .problem import InterpolationInstance
-from .unipoly import NEWTON_REM_MIN, UniPoly, _newton_divmod, _series_inv
+from .unipoly import (
+    NEWTON_REM_MIN, UniPoly, _newton_divmod, _pack, _series_inv, _slot_width, _unpack,
+)
+
+LEAF_MAX = 8  # runs of at most this many points are eliminated without recursing
 
 
 # ---------------------------------------------------------------------------
-# polynomial matrix product (classical cubic schedule; the list size is tiny,
-# so entry degree is what matters and the fast scalar multiply carries it)
+# polynomial matrix product: ell + 1 is tiny, so the entry degree is what
+# matters; each entry is packed once and CPython's big-integer multiply
+# does the convolutions
 # ---------------------------------------------------------------------------
 
 
 def _poly_matmul(
     field: PrimeField, A: list[list[UniPoly]], B: list[list[UniPoly]]
 ) -> list[list[UniPoly]]:
-    m, k, r = len(A), len(B), len(B[0])
+    """A * B over F[x]. Each entry of A and of B is packed into one integer
+    once, with slots wide enough for a k-term sum of products; each output
+    entry is the sum of the packed products, unpacked and reduced once."""
+    p, k = field.p, len(B)
+    la = max(len(e.coeffs) for row in A for e in row)
+    lb = max(len(e.coeffs) for row in B for e in row)
+    width = _slot_width(k * max(1, min(la, lb)), p)
+    PA = [[(_pack(e.coeffs, width), len(e.coeffs)) for e in row] for row in A]
+    PB = [[(_pack(e.coeffs, width), len(e.coeffs)) for e in row] for row in B]
+    cols = list(zip(*PB))
     out = []
-    for i in range(m):
+    for arow in PA:
         orow = []
-        for j in range(r):
-            acc = UniPoly.zero(field)
-            for l in range(k):
-                e = A[i][l]
-                f = B[l][j]
-                if e.coeffs and f.coeffs:
-                    acc = acc + e * f
-            orow.append(acc)
+        for col in cols:
+            acc = nterms = 0
+            for (x, nx), (y, ny) in zip(arow, col):
+                if x and y:
+                    acc += x * y
+                    if nx + ny > nterms:
+                        nterms = nx + ny
+            coeffs = _unpack(acc, nterms - 1, width, p) if nterms else []
+            orow.append(UniPoly(field, coeffs, normalized=True))
         out.append(orow)
     return out
 
@@ -100,31 +118,27 @@ def build_modulus_tree(field: PrimeField, points, mults, lo=0, hi=None) -> _ModN
 
 
 # ---------------------------------------------------------------------------
-# the two interpolation routines
+# interpolation: runs of points at the bottom, the tree above them
 # ---------------------------------------------------------------------------
 
 
-def interpolate_point(
-    point: tuple[int, int],
-    s: int,
-    basis: TrackedBasis,
-    pivot_log: list | None = None,
-    point_index: int = 0,
+def _interpolate_run(
+    points, mults, basis: TrackedBasis, pivot_log: list | None, first_index: int
 ) -> tuple[list[list[UniPoly]], list[int]]:
-    """Process one point on a reduced basis; returns the recorded transform
-    and the updated deltas. The basis itself is not touched."""
-    if not basis.elems:
-        raise ValueError("empty basis")
-    field = basis.elems[0].field
-    ell = basis.elems[0].ell
-    if not (len(basis.elems) == len(basis.deltas) == ell + 1):
-        raise ValueError("basis bookkeeping has inconsistent dimensions")
-    xi, yi = point
-    matrices = [e.hasse_matrix(xi, yi, s) for e in basis.elems]
-    T = _identity(field, ell)
+    """Process a run of points in order on the basis reduced mod the run's
+    modulus; returns the recorded transform and the updated deltas."""
+    field, ell = basis.elems[0].field, basis.elems[0].ell
+    # row j is transform row j followed by the y-power rows of element j, so
+    # each row operation updates the transform and the explicit basis together
+    rows = [t + e.rows for t, e in zip(_identity(field, ell), basis.elems)]
     deltas = list(basis.deltas)
-    eliminate_point(T, matrices, deltas, xi, s, pivot_log, point_index)
-    return T, deltas
+    last = len(points) - 1
+    for i, ((xi, yi), s) in enumerate(zip(points, mults)):
+        matrices = [BiPoly(field, ell, r[ell + 1 :]).hasse_matrix(xi, yi, s) for r in rows]
+        if i == last:  # the explicit basis is not needed past the last point
+            rows = [r[: ell + 1] for r in rows]
+        eliminate_point(rows, matrices, deltas, xi, s, pivot_log, first_index + i)
+    return rows, deltas
 
 
 def _apply_reduced(
@@ -149,19 +163,22 @@ def interpolate_tree(
     _node: _ModNode | None = None,
 ) -> tuple[list[list[UniPoly]], list[int]]:
     """Recursively interpolate a run of points given the basis reduced mod the
-    run's modulus. Returns the composed transform and the final deltas."""
+    run's modulus; a run of at most LEAF_MAX points is eliminated directly.
+    Returns the composed transform and the final deltas."""
     if not points:
         raise ValueError("empty point range")
     if len(points) != len(mults):
         raise ValueError("points and multiplicities differ in length")
-    field = basis.elems[0].field
+    if not basis.elems:
+        raise ValueError("empty basis")
+    field, ell = basis.elems[0].field, basis.elems[0].ell
+    if not (len(basis.elems) == len(basis.deltas) == ell + 1):
+        raise ValueError("basis bookkeeping has inconsistent dimensions")
     if _node is None:
         _node = build_modulus_tree(field, points, mults)
     lo, hi = _node.lo, _node.hi
-    if lo == hi:
-        return interpolate_point(
-            points[0], mults[0], basis, pivot_log=pivot_log, point_index=lo
-        )
+    if hi - lo < LEAF_MAX:
+        return _interpolate_run(points, mults, basis, pivot_log, lo)
     left, right = _node.left, _node.right
     cut = left.hi - lo + 1
     b1 = TrackedBasis(

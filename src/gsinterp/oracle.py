@@ -4,7 +4,8 @@ Monomial columns are appended one at a time in increasing weighted order
 while a column echelon factorization is maintained; the first column that
 is linearly dependent on its predecessors closes a kernel vector whose
 leading monomial is that column, so the returned solution has provably
-minimal weighted degree. Desk scale only.
+minimal weighted degree. Desk scale only: the work grows with the cube of
+the constraint count, so instances above MAX_CONSTRAINTS are refused.
 """
 
 from __future__ import annotations
@@ -13,6 +14,10 @@ from typing import Iterator
 
 from .bipoly import BiPoly, derivative_orders
 from .problem import InterpolationInstance
+
+# Largest linear system (rows = constraints) the oracle takes on; 200 rows
+# solve in about a second, and every doubling costs about eight times more.
+MAX_CONSTRAINTS = 200
 
 
 def _monomials_ascending(ell: int, w: int) -> Iterator[tuple[int, int]]:
@@ -45,6 +50,11 @@ def minimal_solution(inst: InterpolationInstance) -> tuple[BiPoly, int]:
     field, p = inst.field, inst.field.p
     pivots: list[tuple[int, list[int], dict]] = []  # (pivot_row, column, combination)
     nrows = inst.constraint_count()
+    if nrows > MAX_CONSTRAINTS:
+        raise ValueError(
+            f"instance has {nrows} constraints; the brute-force oracle takes at most "
+            f"{MAX_CONSTRAINTS}"
+        )
     for a, j in _monomials_ascending(inst.ell, inst.w):
         col = _constraint_column(inst, a, j)
         combo = {(a, j): 1}

@@ -24,8 +24,9 @@ NEWTON_REM_MIN = 48  # modulus/quotient degree where Newton division takes over
 
 class ScalarMultCounter:
     """Tallies the per-coefficient work of the executed kernels: products for
-    schoolbook multiply and synthetic division, unpacked result slots for the
-    packed-integer (Kronecker) multiply."""
+    schoolbook multiply, synthetic division, Taylor coefficients and the
+    solvers' row operations (sub_scaled, mul_linear); unpacked result slots
+    for the packed-integer (Kronecker) products."""
 
     __slots__ = ("mults",)
 
@@ -83,22 +84,33 @@ def _add_raw(a: list[int], b: list[int], p: int) -> list[int]:
     return out
 
 
-def _mul_kron(a: list[int], b: list[int], p: int) -> list[int]:
-    """Convolution by packing into machine integers: each coefficient gets a
-    byte-aligned slot wide enough for the largest column sum, the two packed
-    integers are multiplied once, and the slots are read back out."""
-    nterms = len(a) + len(b) - 1
-    width = ((min(len(a), len(b)) * (p - 1) * (p - 1)).bit_length() + 7) >> 3
-    packed_a = int.from_bytes(b"".join(v.to_bytes(width, "little") for v in a), "little")
-    packed_b = int.from_bytes(b"".join(v.to_bytes(width, "little") for v in b), "little")
-    raw = (packed_a * packed_b).to_bytes(width * (len(a) + len(b)), "little")
-    mv = memoryview(raw)
+def _slot_width(terms: int, p: int) -> int:
+    """Bytes per packed slot that hold a sum of `terms` products of residues."""
+    return ((terms * (p - 1) * (p - 1)).bit_length() + 7) >> 3
+
+
+def _pack(a: list[int], width: int) -> int:
+    """Coefficients as one integer, one byte-aligned slot each, low slot first."""
+    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in a), "little")
+
+
+def _unpack(packed: int, nterms: int, width: int, p: int) -> list[int]:
+    """The first nterms slots of a packed convolution, each reduced mod p."""
+    mv = memoryview(packed.to_bytes(width * nterms, "little"))
     from_bytes = int.from_bytes
     if _COUNTER is not None:
         _COUNTER.mults += nterms
     return _trim(
         [from_bytes(mv[i : i + width], "little") % p for i in range(0, nterms * width, width)]
     )
+
+
+def _mul_kron(a: list[int], b: list[int], p: int) -> list[int]:
+    """Convolution by packing into machine integers: each coefficient gets a
+    slot wide enough for the largest column sum, the two packed integers are
+    multiplied once, and the slots are read back out."""
+    width = _slot_width(min(len(a), len(b)), p)
+    return _unpack(_pack(a, width) * _pack(b, width), len(a) + len(b) - 1, width, p)
 
 
 def _mul_raw(a: list[int], b: list[int], field: PrimeField) -> list[int]:
@@ -248,6 +260,8 @@ class UniPoly:
             return self
         p = self.field.p
         a, b = self.coeffs, other.coeffs
+        if _COUNTER is not None:
+            _COUNTER.mults += len(b)
         if len(a) >= len(b):
             out = list(a)
             for i, v in enumerate(b):
@@ -264,6 +278,8 @@ class UniPoly:
             return self
         p = self.field.p
         a = self.coeffs
+        if _COUNTER is not None:
+            _COUNTER.mults += len(a)
         out = [0] * (len(a) + 1)
         for i, v in enumerate(a):
             out[i] = (out[i] - x0 * v) % p
@@ -350,6 +366,8 @@ class UniPoly:
         work = list(self.coeffs)
         out = [0] * s
         top = len(work) - 1
+        if _COUNTER is not None:
+            _COUNTER.mults += sum(top - k + 1 for k in range(min(s, len(work))))
         for k in range(min(s, len(work))):
             acc = 0
             for i in range(top, k - 1, -1):

@@ -17,7 +17,7 @@ from gsinterp.decoder import GSParams, RSCode, decode_list, hamming
 from gsinterp.field import PrimeField
 from gsinterp.oracle import minimal_solution
 from gsinterp.problem import random_instance
-from gsinterp.unipoly import UniPoly
+from gsinterp.unipoly import UniPoly, count_scalar_mults
 from util import rand_bipoly
 
 F101 = PrimeField(101)
@@ -198,6 +198,22 @@ def test_criterion_7_scaling_trend(bench_table):
         and by_n[512][2] < by_n[512][1]
     )
     _report(7, "quasi-linear vs quadratic scaling trend", ok)
+
+
+def test_criterion_7_op_count_companion():
+    # deterministic companion to the wall-clock gate above: the counted
+    # scalar work of fast.solve on the bench grid (s = 2, ell = 2) must grow
+    # quasi-linearly. n log^2 n doubles by 2 * (10/9)^2 = 2.47 at n = 512,
+    # n^1.5 by 2.83 and a quadratic solver (classic cached counts 4.00) by 4;
+    # fast.solve measures 2.25
+    field = PrimeField(BENCH_PRIME)
+    counts = {}
+    for n in (256, 512):
+        inst = random_instance(field, random.Random(7), n, 2, 1, uniform_s=2)
+        with count_scalar_mults() as ctr:
+            fast.solve(inst)
+        counts[n] = ctr.mults
+    assert counts[512] / counts[256] <= 2.6
 
 
 def test_criterion_8_hasse_cache_equivalence(uniform_runs, bench_table):

@@ -1,5 +1,7 @@
 import glob
 import os
+import random
+import time
 
 import pytest
 
@@ -14,6 +16,7 @@ from gsinterp.cli import (
     parse_monomials,
 )
 from gsinterp.field import PrimeField
+from util import bundled_instances
 
 HERE = os.path.dirname(__file__)
 INSTANCES = sorted(glob.glob(os.path.join(HERE, "..", "instances", "*.txt")))
@@ -90,6 +93,29 @@ def test_verify_exit_zero_iff_all_pass(capsys):
     rc = main(["verify", COLLINEAR])
     capsys.readouterr()
     assert rc == 0
+
+
+def test_verify_refuses_instance_too_large_for_oracle(tmp_path, capsys):
+    # 40 points of multiplicity 3 give 240 constraints, above the oracle's
+    # limit: verify must stop at once with a usage error, not run for minutes
+    from gsinterp.oracle import MAX_CONSTRAINTS
+
+    rng = random.Random(16)
+    xs = rng.sample(range(754974721), 40)
+    lines = ["p=754974721", "w=2", "ell=3"] + [f"{x},{rng.randrange(754974721)},3" for x in xs]
+    path = tmp_path / "large.txt"
+    path.write_text("\n".join(lines) + "\n")
+    assert 40 * 6 > MAX_CONSTRAINTS
+    t0 = time.perf_counter()
+    rc = main(["verify", str(path)])
+    elapsed = time.perf_counter() - t0
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith("error:") and str(MAX_CONSTRAINTS) in captured.err
+    assert "PASS" not in captured.out
+    assert elapsed < 3.0
+    # every bundled instance stays within the limit
+    assert all(inst.constraint_count() <= MAX_CONSTRAINTS for inst in bundled_instances())
 
 
 def test_interpolate_over_mersenne_61(capsys):

@@ -4,11 +4,11 @@ import pytest
 
 from gsinterp.bipoly import BiPoly
 from gsinterp.fast import (
+    LEAF_MAX,
     _identity,
     _ModNode,
     _poly_matmul,
     build_modulus_tree,
-    interpolate_point,
     interpolate_tree,
     solve,
     solve_basis,
@@ -17,8 +17,11 @@ from gsinterp.field import PrimeField
 from gsinterp.classic import TrackedBasis, eliminate_point, interpolate
 from gsinterp.oracle import minimal_solution
 from gsinterp.problem import InterpolationInstance, random_instance
-from gsinterp.unipoly import NEWTON_REM_MIN, UniPoly
-from util import bundled_instances, build_update_matrix, proportional, rand_bipoly, rand_unipoly
+from gsinterp.unipoly import NEWTON_REM_MIN, UniPoly, count_scalar_mults
+from util import (
+    bundled_instances, build_update_matrix, proportional, rand_bipoly, rand_unipoly,
+    schoolbook_product,
+)
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -29,6 +32,16 @@ def apply(T, elems):
     """Matrix action over F[x]: result_j = sum_k T[j][k] * elems_k."""
     field, ell = elems[0].field, elems[0].ell
     return [BiPoly(field, ell, row) for row in _poly_matmul(field, T, [e.rows for e in elems])]
+
+
+def one_point(point, s, basis):
+    """Reference for one point: the shared elimination step on an identity
+    transform, with the Hasse matrices of the given basis."""
+    xi, yi = point
+    T = _identity(basis.elems[0].field, basis.elems[0].ell)
+    deltas = list(basis.deltas)
+    eliminate_point(T, [e.hasse_matrix(xi, yi, s) for e in basis.elems], deltas, xi, s)
+    return T, deltas
 
 
 def reduced_standard(field, ell, w, modulus):
@@ -108,11 +121,11 @@ def test_eliminate_point_row_update_equals_matrix_product():
         assert log == [(7, 0, 0, t)]
 
 
-# -- interpolate_point ---------------------------------------------------------------
+# -- one-point runs ----------------------------------------------------------------------
 
 
-def test_interpolate_point_hand_trace():
-    T, deltas = interpolate_point((0, 0), 1, TrackedBasis.standard(F5, 1, 1))
+def test_single_point_hand_trace():
+    T, deltas = interpolate_tree([(0, 0)], [1], TrackedBasis.standard(F5, 1, 1))
     assert T[0][0] == UniPoly(F5, [0, 1])  # x
     assert T[0][1].is_zero()
     assert T[1][0].is_zero()
@@ -120,7 +133,7 @@ def test_interpolate_point_hand_trace():
     assert deltas == [1, 1]
 
 
-def test_interpolate_point_noop_when_satisfied():
+def test_single_point_noop_when_satisfied():
     # basis elements already vanishing at the point reduce to zero mod (x-a),
     # so every Hasse value is zero and the transform must stay the identity
     a = 2
@@ -128,12 +141,12 @@ def test_interpolate_point_noop_when_satisfied():
         BiPoly(F5, 1, [UniPoly.zero(F5), UniPoly.zero(F5)]),
         BiPoly(F5, 1, [UniPoly.zero(F5), UniPoly.zero(F5)]),
     ]
-    T, deltas = interpolate_point((a, 3), 1, TrackedBasis(elems, [1, 2]))
+    T, deltas = interpolate_tree([(a, 3)], [1], TrackedBasis(elems, [1, 2]))
     assert T == _identity(F5, 1)
     assert deltas == [1, 2]
 
 
-def test_interpolate_point_random_postconditions():
+def test_single_point_random_postconditions():
     rng = random.Random(2)
     for _ in range(30):
         ell = rng.randint(0, 3)
@@ -142,7 +155,7 @@ def test_interpolate_point_random_postconditions():
         xi, yi = F101.rand(rng), F101.rand(rng)
         full = TrackedBasis.standard(F101, ell, w).elems
         reduced = reduced_standard(F101, ell, w, UniPoly.x_minus(F101, xi).pow(s))
-        T, deltas = interpolate_point((xi, yi), s, reduced)
+        T, deltas = interpolate_tree([(xi, yi)], [s], reduced)
         updated = apply(T, full)
         assert max(e.x_degree for e in updated) <= s
         for j, (e, d) in enumerate(zip(updated, deltas)):
@@ -151,16 +164,16 @@ def test_interpolate_point_random_postconditions():
             assert e.leading_position(w) == j
 
 
-def test_interpolate_point_dimension_check():
+def test_basis_dimension_check():
     basis = TrackedBasis([BiPoly.y_power(F5, 1, 0)], [0])
     with pytest.raises(ValueError):
-        interpolate_point((0, 0), 1, basis)
+        interpolate_tree([(0, 0)], [1], basis)
 
 
 # -- interpolate_tree -----------------------------------------------------------------
 
 
-def test_tree_single_point_equals_point():
+def test_tree_single_point_is_one_elimination_step():
     rng = random.Random(3)
     for _ in range(10):
         ell = rng.randint(0, 3)
@@ -169,7 +182,7 @@ def test_tree_single_point_equals_point():
         point = (F101.rand(rng), F101.rand(rng))
         reduced = reduced_standard(F101, ell, w, UniPoly.x_minus(F101, point[0]).pow(s))
         T1, d1 = interpolate_tree([point], [s], reduced)
-        T2, d2 = interpolate_point(point, s, reduced)
+        T2, d2 = one_point(point, s, reduced)
         assert T1 == T2 and d1 == d2
 
 
@@ -191,12 +204,12 @@ def test_tree_two_points_matches_sequential_reference():
         pts = [(x1, F101.rand(rng)), (x2, F101.rand(rng))]
         base = TrackedBasis.standard(F101, ell, w)
 
-        # reference: two explicit point calls with the intermediate reduction
+        # reference: two explicit point steps with the intermediate reduction
         m1 = UniPoly.x_minus(F101, x1).pow(s1)
-        T1, d1 = interpolate_point(pts[0], s1, reduced_standard(F101, ell, w, m1))
+        T1, d1 = one_point(pts[0], s1, reduced_standard(F101, ell, w, m1))
         m2 = UniPoly.x_minus(F101, x2).pow(s2)
         applied = [e.reduce_mod(m2) for e in apply(T1, base.elems)]
-        T2, d2 = interpolate_point(pts[1], s2, TrackedBasis(applied, d1))
+        T2, d2 = one_point(pts[1], s2, TrackedBasis(applied, d1))
         want = _poly_matmul(F101, T2, T1)
 
         T, d = interpolate_tree(pts, [s1, s2], reduced_standard(F101, ell, w, m1 * m2))
@@ -246,6 +259,45 @@ def test_modnode_rem_matches_divmod():
             f = rand_unipoly(FN, rng, dm + qlen - 1)
             assert node.rem(f) == f % m
         assert node._inv_prec == (200 if dm >= NEWTON_REM_MIN else 0)
+
+
+# -- polynomial matrix product ------------------------------------------------------------
+
+
+def _entry(field, rng):
+    """Zero, all coefficients p - 1 (the widest slot sums), or random, with
+    lengths from 1 to 41 so the packed entries differ in size."""
+    kind = rng.random()
+    if kind < 0.25:
+        return UniPoly.zero(field)
+    length = rng.choice((1, 2, 3, 9, 17, 41))
+    if kind < 0.5:
+        return UniPoly(field, [field.p - 1] * length)
+    return rand_unipoly(field, rng, length - 1)
+
+
+@pytest.mark.parametrize("p", [2, 101, 754974721, 2**61 - 1])
+def test_poly_matmul_matches_entrywise_products(p):
+    field = PrimeField(p)
+    rng = random.Random(p % 997)
+    for _ in range(25):
+        m, k, r = rng.randint(1, 4), rng.randint(1, 5), rng.randint(1, 4)
+        A = [[_entry(field, rng) for _ in range(k)] for _ in range(m)]
+        B = [[_entry(field, rng) for _ in range(r)] for _ in range(k)]
+        want = [[UniPoly.zero(field) for _ in range(r)] for _ in range(m)]
+        slots = 0
+        for i in range(m):
+            for j in range(r):
+                for l in range(k):
+                    want[i][j] = want[i][j] + schoolbook_product(A[i][l], B[l][j])
+                lens = [len(A[i][l].coeffs) + len(B[l][j].coeffs) - 1
+                        for l in range(k) if A[i][l] and B[l][j]]
+                slots += max(lens, default=0)
+        with count_scalar_mults() as ctr:
+            got = _poly_matmul(field, A, B)
+        assert got == want
+        # one count per unpacked output slot
+        assert ctr.mults == slots
 
 
 # -- transform action --------------------------------------------------------------------
@@ -339,16 +391,20 @@ def test_tree_subrange_bookkeeping_exact():
 
 
 def _pivot_logs(inst):
-    logs = []
+    """Pivot logs of classic naive, classic cached and fast, after checking
+    that all three give the same elements and deltas."""
+    logs, bases = [], []
     for mode in ("naive", "cached"):
         log = []
         _, basis = interpolate(inst, mode, pivot_log=log)
         logs.append(log)
+        bases.append(basis)
     log = []
-    fast_basis = solve_basis(inst, pivot_log=log)
+    bases.append(solve_basis(inst, pivot_log=log))
     logs.append(log)
-    assert fast_basis.elems == basis.elems
-    assert fast_basis.deltas == basis.deltas
+    naive, cached, fast_basis = bases
+    assert fast_basis.elems == cached.elems == naive.elems
+    assert fast_basis.deltas == cached.deltas == naive.deltas
     return logs
 
 
@@ -370,3 +426,49 @@ def test_pivot_logs_agree_on_edge_instances():
             inst = random_instance(field, rng, n, ell, rng.randint(1, 4), smin=1, smax=4)
             naive, cached, fast = _pivot_logs(inst)
             assert naive == cached == fast
+
+
+# -- runs of points at the bottom of the tree --------------------------------------------
+
+
+def _leaf_edge_instances():
+    """Every run length from 1 to 2 * LEAF_MAX + 1 over GF(101), plus the
+    small fields: p in {2, 3} (so s >= p), ell = 0, w > n, a single point and
+    mixed multiplicities 1..4."""
+    rng = random.Random(14)
+    out = []
+    for p in (2, 3):
+        field = PrimeField(p)
+        for n in range(1, p + 1):
+            for ell in (0, 1, 3):
+                out.append(random_instance(field, rng, n, ell, rng.randint(1, 4), smin=1, smax=4))
+    for n in range(1, 2 * LEAF_MAX + 2):
+        for ell, w in ((0, rng.randint(1, 3)), (rng.randint(1, 3), n + rng.randint(1, 3)),
+                       (rng.randint(1, 4), rng.randint(1, 4))):
+            out.append(random_instance(F101, rng, n, ell, w, smin=1, smax=4))
+    return out
+
+
+def test_leaf_runs_agree_with_classic_and_oracle():
+    for inst in _leaf_edge_instances():
+        naive, cached, fast = _pivot_logs(inst)
+        assert naive == cached == fast
+        assert min(solve(inst)[1]) == minimal_solution(inst)[1]
+
+
+@pytest.mark.parametrize("leaf_max", [1, 2, 3, 64])
+def test_leaf_cutoff_leaves_output_unchanged(monkeypatch, leaf_max):
+    # the recorded transform is the same product of elementary matrices
+    # whatever the run length, so every cutoff gives the same basis and log
+    rng = random.Random(15)
+    insts = [rand_inst(rng, nmax=40) for _ in range(12)]
+    want = []
+    for inst in insts:
+        log = []
+        want.append((solve_basis(inst, pivot_log=log), log))
+    monkeypatch.setattr("gsinterp.fast.LEAF_MAX", leaf_max)
+    for inst, (basis, log) in zip(insts, want):
+        got_log = []
+        got = solve_basis(inst, pivot_log=got_log)
+        assert got.elems == basis.elems and got.deltas == basis.deltas
+        assert got_log == log

@@ -1,8 +1,10 @@
 import random
 
+import pytest
+
 from gsinterp.bipoly import BiPoly
 from gsinterp.field import PrimeField
-from gsinterp.oracle import minimal_solution
+from gsinterp.oracle import MAX_CONSTRAINTS, minimal_solution
 from gsinterp.problem import InterpolationInstance, random_instance
 from util import proportional
 
@@ -65,3 +67,13 @@ def test_minimality_against_exhaustive_search():
         assert not all(
             cand.has_multiplicity(x, y, s) for (x, y), s in zip(inst.points, inst.mults)
         )
+
+
+def test_refuses_systems_above_the_limit():
+    F = PrimeField(754974721)
+    rng = random.Random(3)
+    # a point of multiplicity 2 gives 3 constraints
+    inst = random_instance(F, rng, MAX_CONSTRAINTS // 2 + 1, 2, 1, uniform_s=2)
+    assert inst.constraint_count() > MAX_CONSTRAINTS
+    with pytest.raises(ValueError, match="constraints"):
+        minimal_solution(inst)
