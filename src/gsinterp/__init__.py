@@ -6,7 +6,7 @@ from .bipoly import BiPoly, Monomial, compare_monomials, derivative_orders
 from .decoder import GSParams, InfeasibleParameters, RSCode, decode_list, gs_params, y_roots
 from .field import PrimeField
 from .classic import TrackedBasis, interpolate
-from .fast import interpolate_tree, solve
+from .fast import interpolate_point, interpolate_tree, solve
 from .oracle import minimal_solution
 from .problem import InterpolationInstance, random_instance
 from .unipoly import NEG_INF, UniPoly
@@ -27,6 +27,7 @@ __all__ = [
     "derivative_orders",
     "gs_params",
     "interpolate",
+    "interpolate_point",
     "interpolate_tree",
     "minimal_solution",
     "random_instance",

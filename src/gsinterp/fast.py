@@ -122,6 +122,14 @@ def build_modulus_tree(field: PrimeField, points, mults, lo=0, hi=None) -> _ModN
 # ---------------------------------------------------------------------------
 
 
+def _check_basis(basis: TrackedBasis) -> None:
+    if not basis.elems:
+        raise ValueError("empty basis")
+    ell = basis.elems[0].ell
+    if not (len(basis.elems) == len(basis.deltas) == ell + 1):
+        raise ValueError("basis bookkeeping has inconsistent dimensions")
+
+
 def _interpolate_run(
     points, mults, basis: TrackedBasis, pivot_log: list | None, first_index: int
 ) -> tuple[list[list[UniPoly]], list[int]]:
@@ -139,6 +147,19 @@ def _interpolate_run(
             rows = [r[: ell + 1] for r in rows]
         eliminate_point(rows, matrices, deltas, xi, s, pivot_log, first_index + i)
     return rows, deltas
+
+
+def interpolate_point(
+    point: tuple[int, int],
+    s: int,
+    basis: TrackedBasis,
+    pivot_log: list | None = None,
+    point_index: int = 0,
+) -> tuple[list[list[UniPoly]], list[int]]:
+    """The one-point run: process one point on the basis reduced mod
+    (x - x_i)^s; returns the recorded transform and the updated deltas."""
+    _check_basis(basis)
+    return _interpolate_run([point], [s], basis, pivot_log, point_index)
 
 
 def _apply_reduced(
@@ -169,11 +190,8 @@ def interpolate_tree(
         raise ValueError("empty point range")
     if len(points) != len(mults):
         raise ValueError("points and multiplicities differ in length")
-    if not basis.elems:
-        raise ValueError("empty basis")
-    field, ell = basis.elems[0].field, basis.elems[0].ell
-    if not (len(basis.elems) == len(basis.deltas) == ell + 1):
-        raise ValueError("basis bookkeeping has inconsistent dimensions")
+    _check_basis(basis)
+    field = basis.elems[0].field
     if _node is None:
         _node = build_modulus_tree(field, points, mults)
     lo, hi = _node.lo, _node.hi

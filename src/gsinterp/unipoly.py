@@ -6,12 +6,15 @@ the zero polynomial has an empty coefficient list and degree NEG_INF.
 Multiplication is schoolbook for tiny operands and Kronecker substitution
 above SCHOOLBOOK_MAX (coefficients packed into one big integer so CPython's
 C-level integer multiply does the convolution). Remainders use synthetic
-division for small quotients and, above NEWTON_REM_MIN, the Newton quotient
-from a series inverse of the reversed modulus.
+division on the same packed integers for small quotients and, above
+NEWTON_REM_MIN, the Newton quotient from a series inverse of the reversed
+modulus.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from contextlib import contextmanager
 
 from .field import PrimeField
@@ -24,9 +27,10 @@ NEWTON_REM_MIN = 48  # modulus/quotient degree where Newton division takes over
 
 class ScalarMultCounter:
     """Tallies the per-coefficient work of the executed kernels: products for
-    schoolbook multiply, synthetic division, Taylor coefficients and the
-    solvers' row operations (sub_scaled, mul_linear); unpacked result slots
-    for the packed-integer (Kronecker) products."""
+    schoolbook multiply, Taylor coefficients and the solvers' row operations
+    (sub_scaled, mul_linear); unpacked result slots for the packed-integer
+    (Kronecker) products; quotient slots read plus remainder slots unpacked
+    for the packed synthetic division."""
 
     __slots__ = ("mults",)
 
@@ -89,36 +93,73 @@ def _slot_width(terms: int, p: int) -> int:
     return ((terms * (p - 1) * (p - 1)).bit_length() + 7) >> 3
 
 
+def _words(raw: bytes | bytearray) -> array:
+    """Little-endian bytes as an array of unsigned 64-bit words."""
+    words = array("Q", raw)
+    if sys.byteorder != "little":
+        words.byteswap()
+    return words
+
+
 def _pack(a: list[int], width: int) -> int:
-    """Coefficients as one integer, one byte-aligned slot each, low slot first."""
-    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in a), "little")
+    """Coefficients as one integer, one byte-aligned slot each, low slot first.
+    Residues are below 2^64 (PrimeField's bound), so they go through a word
+    array and strided byte copies with no Python-level work per coefficient."""
+    words = array("Q", a)
+    if sys.byteorder != "little":
+        words.byteswap()
+    raw = words.tobytes()
+    buf = bytearray(width * len(a))
+    for j in range(min(width, 8)):  # a residue fits its slot, so its high bytes are 0
+        buf[j::width] = raw[j::8]
+    return int.from_bytes(buf, "little")
 
 
 def _unpack(packed: int, nterms: int, width: int, p: int) -> list[int]:
-    """The first nterms slots of a packed convolution, each reduced mod p."""
-    mv = memoryview(packed.to_bytes(width * nterms, "little"))
-    from_bytes = int.from_bytes
+    """The first nterms slots of a packed convolution, each reduced mod p.
+    Slots of up to 16 bytes are split into word arrays by strided copies."""
+    raw = packed.to_bytes(width * nterms, "little")
     if _COUNTER is not None:
         _COUNTER.mults += nterms
-    return _trim(
-        [from_bytes(mv[i : i + width], "little") % p for i in range(0, nterms * width, width)]
-    )
+    if width > 16:
+        mv = memoryview(raw)
+        from_bytes = int.from_bytes
+        return _trim(
+            [from_bytes(mv[i : i + width], "little") % p for i in range(0, nterms * width, width)]
+        )
+    lo = bytearray(8 * nterms)
+    for j in range(min(width, 8)):
+        lo[j::8] = raw[j::width]
+    if width <= 8:
+        return _trim([v % p for v in _words(lo)])
+    hi = bytearray(8 * nterms)
+    for j in range(8, width):
+        hi[j - 8 :: 8] = raw[j::width]
+    return _trim([(h << 64 | v) % p for v, h in zip(_words(lo), _words(hi))])
 
 
-def _mul_kron(a: list[int], b: list[int], p: int) -> list[int]:
+def _mul_kron(a: list[int], b: list[int], p: int, nterms: int | None = None) -> list[int]:
     """Convolution by packing into machine integers: each coefficient gets a
     slot wide enough for the largest column sum, the two packed integers are
-    multiplied once, and the slots are read back out."""
+    multiplied once, and the slots are read back out (only the low nterms
+    of them when nterms is given)."""
     width = _slot_width(min(len(a), len(b)), p)
-    return _unpack(_pack(a, width) * _pack(b, width), len(a) + len(b) - 1, width, p)
+    prod = _pack(a, width) * _pack(b, width)
+    full = len(a) + len(b) - 1
+    if nterms is None or nterms >= full:
+        return _unpack(prod, full, width, p)
+    return _unpack(prod & ((1 << (8 * width * nterms)) - 1), nterms, width, p)
 
 
-def _mul_raw(a: list[int], b: list[int], field: PrimeField) -> list[int]:
+def _mul_raw(
+    a: list[int], b: list[int], field: PrimeField, nterms: int | None = None
+) -> list[int]:
+    """a * b, or its low nterms coefficients when nterms is given."""
     if not a or not b:
         return []
     if min(len(a), len(b)) <= SCHOOLBOOK_MAX:
-        return _mul_school(a, b, field.p)
-    return _mul_kron(a, b, field.p)
+        return _trim(_mul_school(a, b, field.p)[:nterms])
+    return _mul_kron(a, b, field.p, nterms)
 
 
 def _series_inv(f: list[int], n: int, field: PrimeField) -> list[int]:
@@ -128,11 +169,11 @@ def _series_inv(f: list[int], n: int, field: PrimeField) -> list[int]:
     prec = 1
     while prec < n:
         prec = min(2 * prec, n)
-        fg = _mul_raw(f[:prec], g, field)[:prec]
+        fg = _mul_raw(f[:prec], g, field, prec)
         # g <- g*(2 - f*g) mod x^prec
         two_minus = [(-v) % p for v in fg] + [0] * (prec - len(fg))
         two_minus[0] = (two_minus[0] + 2) % p
-        g = _mul_raw(g, _trim(two_minus), field)[:prec]
+        g = _mul_raw(g, _trim(two_minus), field, prec)
     return _trim(g)
 
 
@@ -143,10 +184,10 @@ def _newton_divmod(
     the inverse of reversed m modulo at least x^(len(a) - len(m) + 1)."""
     dm = len(m) - 1
     qlen = len(a) - dm
-    rev_q = _mul_raw(a[::-1][:qlen], inv[:qlen], field)[:qlen]
+    rev_q = _mul_raw(a[::-1][:qlen], inv[:qlen], field, qlen)
     rev_q += [0] * (qlen - len(rev_q))
     q = _trim(rev_q[::-1])
-    qm = _mul_raw(q, m, field)
+    qm = _mul_raw(q, m, field, dm)
     p = field.p
     r = [(a[i] - (qm[i] if i < len(qm) else 0)) % p for i in range(dm)]
     return q, _trim(r)
@@ -319,27 +360,27 @@ class UniPoly:
             inv = _series_inv(m.coeffs[::-1], qlen, field)
             q, r = _newton_divmod(self.coeffs, m.coeffs, inv, field)
             return UniPoly(field, q, normalized=True), UniPoly(field, r, normalized=True)
-        # synthetic long division
+        # synthetic long division on packed slots: each quotient coefficient
+        # is read off the top slot and one shifted multiple of -m is added, so
+        # the per-coefficient work runs in the big-integer kernels. A slot
+        # collects at most min(qlen, dm) products, and no slot is reduced
+        # until the remainder is unpacked
         lead_inv = field.inv(m.coeffs[-1])
-        rem = list(self.coeffs)
+        width = _slot_width(min(qlen, dm) + 1, p)
+        bits = 8 * width
+        slot = (1 << bits) - 1
+        neg_m = _pack([-v % p for v in m.coeffs[:dm]], width)
+        acc = _pack(self.coeffs, width)
         q = [0] * qlen
-        mc = m.coeffs
-        for i in range(da, dm - 1, -1):
-            c = rem[i]
-            if c == 0:
-                continue
-            c = c * lead_inv % p
-            q[i - dm] = c
-            base = i - dm
-            for j in range(dm):
-                rem[base + j] = (rem[base + j] - c * mc[j]) % p
-            rem[i] = 0
+        for i in range(qlen - 1, -1, -1):
+            c = ((acc >> (bits * (i + dm))) & slot) % p * lead_inv % p
+            if c:
+                q[i] = c
+                acc += (c * neg_m) << (bits * i)
         if _COUNTER is not None:
-            _COUNTER.mults += qlen * (dm + 1)
-        return (
-            UniPoly(field, _trim(q), normalized=True),
-            UniPoly(field, _trim(rem[:dm]), normalized=True),
-        )
+            _COUNTER.mults += qlen
+        rem = _unpack(acc & ((1 << (bits * dm)) - 1), dm, width, p)
+        return UniPoly(field, _trim(q), normalized=True), UniPoly(field, rem, normalized=True)
 
     def __mod__(self, m: "UniPoly") -> "UniPoly":
         return self.divmod(m)[1]

@@ -205,7 +205,7 @@ def test_criterion_7_op_count_companion():
     # scalar work of fast.solve on the bench grid (s = 2, ell = 2) must grow
     # quasi-linearly. n log^2 n doubles by 2 * (10/9)^2 = 2.47 at n = 512,
     # n^1.5 by 2.83 and a quadratic solver (classic cached counts 4.00) by 4;
-    # fast.solve measures 2.25
+    # fast.solve measures 2.20
     field = PrimeField(BENCH_PRIME)
     counts = {}
     for n in (256, 512):

@@ -9,6 +9,7 @@ from gsinterp.fast import (
     _ModNode,
     _poly_matmul,
     build_modulus_tree,
+    interpolate_point,
     interpolate_tree,
     solve,
     solve_basis,
@@ -121,11 +122,11 @@ def test_eliminate_point_row_update_equals_matrix_product():
         assert log == [(7, 0, 0, t)]
 
 
-# -- one-point runs ----------------------------------------------------------------------
+# -- interpolate_point (the one-point run) ----------------------------------------------
 
 
-def test_single_point_hand_trace():
-    T, deltas = interpolate_tree([(0, 0)], [1], TrackedBasis.standard(F5, 1, 1))
+def test_interpolate_point_hand_trace():
+    T, deltas = interpolate_point((0, 0), 1, TrackedBasis.standard(F5, 1, 1))
     assert T[0][0] == UniPoly(F5, [0, 1])  # x
     assert T[0][1].is_zero()
     assert T[1][0].is_zero()
@@ -133,7 +134,7 @@ def test_single_point_hand_trace():
     assert deltas == [1, 1]
 
 
-def test_single_point_noop_when_satisfied():
+def test_interpolate_point_noop_when_satisfied():
     # basis elements already vanishing at the point reduce to zero mod (x-a),
     # so every Hasse value is zero and the transform must stay the identity
     a = 2
@@ -141,12 +142,12 @@ def test_single_point_noop_when_satisfied():
         BiPoly(F5, 1, [UniPoly.zero(F5), UniPoly.zero(F5)]),
         BiPoly(F5, 1, [UniPoly.zero(F5), UniPoly.zero(F5)]),
     ]
-    T, deltas = interpolate_tree([(a, 3)], [1], TrackedBasis(elems, [1, 2]))
+    T, deltas = interpolate_point((a, 3), 1, TrackedBasis(elems, [1, 2]))
     assert T == _identity(F5, 1)
     assert deltas == [1, 2]
 
 
-def test_single_point_random_postconditions():
+def test_interpolate_point_random_postconditions():
     rng = random.Random(2)
     for _ in range(30):
         ell = rng.randint(0, 3)
@@ -155,7 +156,7 @@ def test_single_point_random_postconditions():
         xi, yi = F101.rand(rng), F101.rand(rng)
         full = TrackedBasis.standard(F101, ell, w).elems
         reduced = reduced_standard(F101, ell, w, UniPoly.x_minus(F101, xi).pow(s))
-        T, deltas = interpolate_tree([(xi, yi)], [s], reduced)
+        T, deltas = interpolate_point((xi, yi), s, reduced)
         updated = apply(T, full)
         assert max(e.x_degree for e in updated) <= s
         for j, (e, d) in enumerate(zip(updated, deltas)):
@@ -164,8 +165,10 @@ def test_single_point_random_postconditions():
             assert e.leading_position(w) == j
 
 
-def test_basis_dimension_check():
+def test_interpolate_point_dimension_check():
     basis = TrackedBasis([BiPoly.y_power(F5, 1, 0)], [0])
+    with pytest.raises(ValueError):
+        interpolate_point((0, 0), 1, basis)
     with pytest.raises(ValueError):
         interpolate_tree([(0, 0)], [1], basis)
 
@@ -173,7 +176,7 @@ def test_basis_dimension_check():
 # -- interpolate_tree -----------------------------------------------------------------
 
 
-def test_tree_single_point_is_one_elimination_step():
+def test_tree_single_point_equals_point():
     rng = random.Random(3)
     for _ in range(10):
         ell = rng.randint(0, 3)
@@ -182,8 +185,9 @@ def test_tree_single_point_is_one_elimination_step():
         point = (F101.rand(rng), F101.rand(rng))
         reduced = reduced_standard(F101, ell, w, UniPoly.x_minus(F101, point[0]).pow(s))
         T1, d1 = interpolate_tree([point], [s], reduced)
-        T2, d2 = one_point(point, s, reduced)
-        assert T1 == T2 and d1 == d2
+        T2, d2 = interpolate_point(point, s, reduced)
+        T3, d3 = one_point(point, s, reduced)
+        assert T1 == T2 == T3 and d1 == d2 == d3
 
 
 def test_tree_collinear_example():

@@ -4,11 +4,16 @@ import pytest
 
 from gsinterp.field import PrimeField
 import gsinterp.unipoly as up
-from gsinterp.unipoly import NEG_INF, UniPoly, _mul_kron, _mul_school, count_scalar_mults
+from gsinterp.unipoly import (
+    NEG_INF, UniPoly, _mul_kron, _mul_raw, _mul_school, _pack, _slot_width, _unpack,
+    count_scalar_mults,
+)
 from util import rand_unipoly, schoolbook_product, taylor_shift
 
 F5 = PrimeField(5)
 F101 = PrimeField(101)
+# packed slot widths below, at and above one and two 64-bit words
+PACK_PRIMES = (2, 3, 101, 65521, 754974721, 2**61 - 1)
 
 
 def P(field, *coeffs):
@@ -54,6 +59,35 @@ def test_kernels_agree():
             a = [field.rand(rng) for _ in range(da)] + [1]
             b = [field.rand(rng) for _ in range(db)] + [1]
             assert _mul_kron(a, b, p) == _mul_school(a, b, p)
+
+
+@pytest.mark.parametrize("p", PACK_PRIMES)
+def test_pack_unpack_roundtrip(p):
+    rng = random.Random(p % 1009)
+    for terms in (1, 3, 17, 300):
+        width = _slot_width(terms, p)
+        for n in (1, 2, 9, 40):
+            a = [rng.randrange(p) for _ in range(n - 1)] + [rng.randrange(1, p)]
+            want = int.from_bytes(b"".join(v.to_bytes(width, "little") for v in a), "little")
+            assert _pack(a, width) == want
+            assert _unpack(want, n, width, p) == a
+            # slots hold unreduced sums; unpacking reduces each one
+            big = [rng.randrange(terms * (p - 1) ** 2 + 1) for _ in range(n)]
+            packed = sum(v << (8 * width * i) for i, v in enumerate(big))
+            got = _unpack(packed, n, width, p)
+            assert got == up._trim([v % p for v in big])
+
+
+@pytest.mark.parametrize("p", PACK_PRIMES)
+def test_short_product_is_truncated_product(p):
+    field = PrimeField(p)
+    rng = random.Random(p % 1013)
+    for da, db in ((3, 5), (20, 30), (70, 40)):
+        a = [field.rand(rng) for _ in range(da)] + [1]
+        b = [field.rand(rng) for _ in range(db)] + [1]
+        full = _mul_school(a, b, p)
+        for nterms in (1, da, da + db, da + db + 1, da + db + 5):
+            assert _mul_raw(a, b, field, nterms) == up._trim(full[:nterms])
 
 
 def test_scalar_op_counts_subquadratic():
@@ -117,6 +151,21 @@ def test_divmod_reconstructs():
         q, r = a.divmod(m)
         assert q * m + r == a
         assert r.degree < m.degree
+
+
+@pytest.mark.parametrize("p", PACK_PRIMES)
+def test_divmod_reconstructs_over_all_slot_widths(p):
+    # long division packs its slots at a width set by min(qlen, dm), so
+    # sweep short and long quotients, constant and non-monic moduli
+    field = PrimeField(p)
+    rng = random.Random(p % 1019)
+    for da, dm in ((0, 0), (5, 0), (7, 3), (30, 29), (40, 8), (60, 45), (90, 20)):
+        a = UniPoly(field, [field.rand(rng) for _ in range(da)] + [field.rand_nonzero(rng)])
+        m = UniPoly(field, [field.rand(rng) for _ in range(dm)] + [field.rand_nonzero(rng)])
+        q, r = a.divmod(m)
+        assert schoolbook_product(q, m) + r == a
+        assert r.degree < m.degree
+        assert q.degree == da - dm
 
 
 def test_newton_and_synthetic_division_agree():
