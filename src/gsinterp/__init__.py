@@ -2,11 +2,11 @@
 (brute force, classic iterative, divide-and-conquer with recorded transforms),
 plus Reed-Solomon list decoding built on top of it."""
 
-from .bipoly import BiPoly, Monomial, compare_monomials, derivative_orders
+from .bipoly import BiPoly, Monomial, derivative_orders
 from .decoder import GSParams, InfeasibleParameters, RSCode, decode_list, gs_params, y_roots
 from .field import PrimeField
 from .classic import TrackedBasis, interpolate
-from .fast import interpolate_point, interpolate_tree, solve
+from .fast import interpolate_tree, solve
 from .oracle import minimal_solution
 from .problem import InterpolationInstance, random_instance
 from .unipoly import NEG_INF, UniPoly
@@ -22,12 +22,10 @@ __all__ = [
     "RSCode",
     "TrackedBasis",
     "UniPoly",
-    "compare_monomials",
     "decode_list",
     "derivative_orders",
     "gs_params",
     "interpolate",
-    "interpolate_point",
     "interpolate_tree",
     "minimal_solution",
     "random_instance",

@@ -14,30 +14,31 @@ from .problem import random_instance
 BENCH_PRIME = 754974721
 
 
-def _median_ms(fn, runs: int) -> float:
-    times = []
-    for _ in range(runs):
-        t0 = time.perf_counter()
-        fn()
-        times.append((time.perf_counter() - t0) * 1000.0)
-    return statistics.median(times)
-
-
 def run_bench(
     p: int, s: int, ell: int, sizes, seed: int = 0, runs: int = 3, w: int = 1
 ) -> list[tuple[int, float, float, float]]:
     """One row (n, classic_ms, classic_hasse_ms, fast_ms) per requested size;
-    each cell is the median of `runs` wall-clock timings on one fixed instance."""
+    each cell is the median of `runs` wall-clock timings on one fixed instance.
+    All instances are built first, then each repetition times every
+    (n, solver) cell once. The timings of one cell lie a whole pass apart, so
+    a slow spell of the host shorter than a pass spoils at most one of them,
+    which the median drops."""
     field = PrimeField(p)
     rng = random.Random(seed)
-    rows = []
-    for n in sizes:
-        inst = random_instance(field, rng, n, ell, w, uniform_s=s)
-        t_classic = _median_ms(lambda: classic.interpolate(inst, "naive"), runs)
-        t_cached = _median_ms(lambda: classic.interpolate(inst, "cached"), runs)
-        t_fast = _median_ms(lambda: fast.solve(inst), runs)
-        rows.append((n, t_classic, t_cached, t_fast))
-    return rows
+    insts = [random_instance(field, rng, n, ell, w, uniform_s=s) for n in sizes]
+    solvers = (
+        lambda inst: classic.interpolate(inst, "naive"),
+        lambda inst: classic.interpolate(inst, "cached"),
+        lambda inst: fast.solve(inst),
+    )
+    times = [[[] for _ in solvers] for _ in insts]
+    for _ in range(runs):
+        for inst, cells in zip(insts, times):
+            for solver, cell in zip(solvers, cells):
+                t0 = time.perf_counter()
+                solver(inst)
+                cell.append((time.perf_counter() - t0) * 1000.0)
+    return [(n, *map(statistics.median, cells)) for n, cells in zip(sizes, times)]
 
 
 def format_csv(rows) -> str:

@@ -34,14 +34,6 @@ class Monomial:
         return (self.wdeg, self.xdeg)
 
 
-def compare_monomials(m1: Monomial, m2: Monomial) -> int:
-    """-1/0/1 for m1 </=/> m2; ties in weighted degree go to the larger x power."""
-    if m1.w != m2.w:
-        raise ValueError("monomials carry different weights")
-    k1, k2 = m1.key(), m2.key()
-    return (k1 > k2) - (k1 < k2)
-
-
 def derivative_orders(s: int) -> list[tuple[int, int]]:
     """All (dx, dy) with dx+dy < s, in lexicographic order."""
     if s < 1:
@@ -63,10 +55,6 @@ class BiPoly:
         self.rows = rows
 
     # -- constructors ----------------------------------------------------------
-
-    @classmethod
-    def zero(cls, field: PrimeField, ell: int) -> "BiPoly":
-        return cls(field, ell, [UniPoly.zero(field) for _ in range(ell + 1)])
 
     @classmethod
     def y_power(cls, field: PrimeField, ell: int, j: int) -> "BiPoly":
@@ -104,10 +92,6 @@ class BiPoly:
 
     def is_zero(self) -> bool:
         return all(r.is_zero() for r in self.rows)
-
-    @property
-    def x_degree(self):
-        return max((r.degree for r in self.rows), default=NEG_INF)
 
     def weighted_degree(self, w: int):
         """Max of xdeg + w*ydeg over nonzero monomials; NEG_INF for zero."""
@@ -147,17 +131,6 @@ class BiPoly:
         if self.field != other.field or self.ell != other.ell:
             raise ValueError("bivariate operands are incompatible")
 
-    def __add__(self, other: "BiPoly") -> "BiPoly":
-        self._check(other)
-        return BiPoly(self.field, self.ell, [a + b for a, b in zip(self.rows, other.rows)])
-
-    def __sub__(self, other: "BiPoly") -> "BiPoly":
-        self._check(other)
-        return BiPoly(self.field, self.ell, [a - b for a, b in zip(self.rows, other.rows)])
-
-    def scale(self, c: int) -> "BiPoly":
-        return BiPoly(self.field, self.ell, [r.scale(c) for r in self.rows])
-
     def sub_scaled(self, c: int, other: "BiPoly") -> "BiPoly":
         self._check(other)
         return BiPoly(
@@ -165,31 +138,15 @@ class BiPoly:
             [a.sub_scaled(c, b) for a, b in zip(self.rows, other.rows)],
         )
 
-    def mul_uni(self, a: UniPoly) -> "BiPoly":
-        return BiPoly(self.field, self.ell, [r * a for r in self.rows])
-
     def mul_linear(self, x0: int) -> "BiPoly":
         """(x - x0) * self."""
         return BiPoly(self.field, self.ell, [r.mul_linear(x0) for r in self.rows])
-
-    def reduce_mod(self, m: UniPoly) -> "BiPoly":
-        """Each row replaced by its remainder mod m."""
-        if m.is_zero():
-            raise ZeroDivisionError("reduction modulo zero")
-        return BiPoly(self.field, self.ell, [r % m for r in self.rows])
 
     def eval_y(self, f: UniPoly) -> UniPoly:
         """self(x, f(x)) as a univariate polynomial."""
         acc = UniPoly.zero(self.field)
         for row in reversed(self.rows):
             acc = acc * f + row
-        return acc
-
-    def eval_point(self, x0: int, y0: int) -> int:
-        p = self.field.p
-        acc = 0
-        for row in reversed(self.rows):
-            acc = (acc * y0 + row.eval(x0)) % p
         return acc
 
     # -- Hasse derivatives ---------------------------------------------------------

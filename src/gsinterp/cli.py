@@ -81,15 +81,6 @@ def format_monomials(q: BiPoly) -> str:
     return ";".join(f"{a},{j},{c}" for a, j, c in q.monomials())
 
 
-def parse_monomials(field: PrimeField, ell: int, text: str) -> BiPoly:
-    terms = []
-    if text:
-        for chunk in text.split(";"):
-            a, j, c = (int(v) for v in chunk.split(","))
-            terms.append((a, j, c))
-    return BiPoly.from_monomials(field, ell, terms)
-
-
 def format_rows(q: BiPoly) -> str:
     parts = []
     for j, row in enumerate(q.rows):

@@ -19,11 +19,10 @@ from .bipoly import BiPoly
 from .field import PrimeField
 from .classic import TrackedBasis, eliminate_point
 from .problem import InterpolationInstance
-from .unipoly import (
-    NEWTON_REM_MIN, UniPoly, _newton_divmod, _pack, _series_inv, _slot_width, _unpack,
-)
+from .unipoly import UniPoly, _newton_divmod, _pack, _series_inv, _slot_width, _unpack
 
 LEAF_MAX = 8  # runs of at most this many points are eliminated without recursing
+NEWTON_REM_MIN = 48  # from this modulus degree, _ModNode.rem divides by a cached inverse
 
 
 # ---------------------------------------------------------------------------
@@ -122,14 +121,6 @@ def build_modulus_tree(field: PrimeField, points, mults, lo=0, hi=None) -> _ModN
 # ---------------------------------------------------------------------------
 
 
-def _check_basis(basis: TrackedBasis) -> None:
-    if not basis.elems:
-        raise ValueError("empty basis")
-    ell = basis.elems[0].ell
-    if not (len(basis.elems) == len(basis.deltas) == ell + 1):
-        raise ValueError("basis bookkeeping has inconsistent dimensions")
-
-
 def _interpolate_run(
     points, mults, basis: TrackedBasis, pivot_log: list | None, first_index: int
 ) -> tuple[list[list[UniPoly]], list[int]]:
@@ -147,19 +138,6 @@ def _interpolate_run(
             rows = [r[: ell + 1] for r in rows]
         eliminate_point(rows, matrices, deltas, xi, s, pivot_log, first_index + i)
     return rows, deltas
-
-
-def interpolate_point(
-    point: tuple[int, int],
-    s: int,
-    basis: TrackedBasis,
-    pivot_log: list | None = None,
-    point_index: int = 0,
-) -> tuple[list[list[UniPoly]], list[int]]:
-    """The one-point run: process one point on the basis reduced mod
-    (x - x_i)^s; returns the recorded transform and the updated deltas."""
-    _check_basis(basis)
-    return _interpolate_run([point], [s], basis, pivot_log, point_index)
 
 
 def _apply_reduced(
@@ -190,7 +168,10 @@ def interpolate_tree(
         raise ValueError("empty point range")
     if len(points) != len(mults):
         raise ValueError("points and multiplicities differ in length")
-    _check_basis(basis)
+    if not basis.elems:
+        raise ValueError("empty basis")
+    if not (len(basis.elems) == len(basis.deltas) == basis.elems[0].ell + 1):
+        raise ValueError("basis bookkeeping has inconsistent dimensions")
     field = basis.elems[0].field
     if _node is None:
         _node = build_modulus_tree(field, points, mults)

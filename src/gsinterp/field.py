@@ -62,18 +62,7 @@ class PrimeField:
     def rand(self, rng) -> int:
         return rng.randrange(self.p)
 
-    def rand_nonzero(self, rng) -> int:
-        if self.p == 2:
-            return 1
-        return rng.randrange(1, self.p)
-
     # -- arithmetic ----------------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:

@@ -40,9 +40,6 @@ class InterpolationInstance:
     def n(self) -> int:
         return len(self.points)
 
-    def total_multiplicity(self) -> int:
-        return sum(self.mults)
-
     def constraint_count(self) -> int:
         return sum(s * (s + 1) // 2 for s in self.mults)
 

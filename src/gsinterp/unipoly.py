@@ -5,10 +5,10 @@ the zero polynomial has an empty coefficient list and degree NEG_INF.
 
 Multiplication is schoolbook for tiny operands and Kronecker substitution
 above SCHOOLBOOK_MAX (coefficients packed into one big integer so CPython's
-C-level integer multiply does the convolution). Remainders use synthetic
-division on the same packed integers for small quotients and, above
-NEWTON_REM_MIN, the Newton quotient from a series inverse of the reversed
-modulus.
+C-level integer multiply does the convolution). `divmod` is synthetic
+division on the same packed integers. Newton division (a series inverse of
+the reversed modulus) is provided for the modulus tree in fast.py, which
+caches that inverse per node.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .field import PrimeField
 NEG_INF = float("-inf")
 
 SCHOOLBOOK_MAX = 8  # below this, packing overhead beats the double loop
-NEWTON_REM_MIN = 48  # modulus/quotient degree where Newton division takes over
 
 
 class ScalarMultCounter:
@@ -223,11 +222,6 @@ class UniPoly:
         return cls(field, [1], normalized=True)
 
     @classmethod
-    def constant(cls, field: PrimeField, c: int) -> "UniPoly":
-        c %= field.p
-        return cls(field, [c] if c else [], normalized=True)
-
-    @classmethod
     def monomial(cls, field: PrimeField, k: int, c: int = 1) -> "UniPoly":
         c %= field.p
         if c == 0:
@@ -277,10 +271,6 @@ class UniPoly:
         n = max(len(a), len(b))
         out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)]
         return UniPoly(self.field, _trim(out), normalized=True)
-
-    def __neg__(self) -> "UniPoly":
-        p = self.field.p
-        return UniPoly(self.field, [-v % p for v in self.coeffs], normalized=True)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         self._check(other)
@@ -356,10 +346,6 @@ class UniPoly:
             return UniPoly.zero(self.field), self
         field, p = self.field, self.field.p
         qlen = da - dm + 1
-        if dm >= NEWTON_REM_MIN and qlen >= NEWTON_REM_MIN:
-            inv = _series_inv(m.coeffs[::-1], qlen, field)
-            q, r = _newton_divmod(self.coeffs, m.coeffs, inv, field)
-            return UniPoly(field, q, normalized=True), UniPoly(field, r, normalized=True)
         # synthetic long division on packed slots: each quotient coefficient
         # is read off the top slot and one shifted multiple of -m is added, so
         # the per-coefficient work runs in the big-integer kernels. A slot
@@ -397,9 +383,6 @@ class UniPoly:
             acc = (acc * c + v) % p
         return acc
 
-    def __call__(self, c: int) -> int:
-        return self.eval(c)
-
     def taylor_coeffs(self, x0: int, s: int) -> list[int]:
         """First s coefficients of self(x + x0): s synthetic-division passes
         by (x - x0), i.e. reduce mod (x - x0)^s and shift, fused. O(s*d)."""
@@ -435,17 +418,3 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly(GF({self.field.p}), {self.coeffs})"
-
-    def pretty(self, var: str = "x") -> str:
-        if self.is_zero():
-            return "0"
-        terms = []
-        for i, v in enumerate(self.coeffs):
-            if v == 0:
-                continue
-            if i == 0:
-                terms.append(str(v))
-            else:
-                head = "" if v == 1 else f"{v}*"
-                terms.append(f"{head}{var}" + (f"^{i}" if i > 1 else ""))
-        return " + ".join(reversed(terms))

@@ -18,7 +18,7 @@ from gsinterp.field import PrimeField
 from gsinterp.oracle import minimal_solution
 from gsinterp.problem import random_instance
 from gsinterp.unipoly import UniPoly, count_scalar_mults
-from util import rand_bipoly
+from util import rand_bipoly, reduce_mod, x_degree
 
 F101 = PrimeField(101)
 
@@ -94,9 +94,9 @@ def _check_degree_bound(runs) -> bool:
     # total multiplicity bounds every basis row's x-degree; the bound is
     # inclusive (a single simple point already yields a row of that degree)
     for inst, _, basis, _, _, fast_basis, _ in runs:
-        bound = inst.total_multiplicity()
+        bound = sum(inst.mults)
         for e in basis.elems + fast_basis.elems:
-            if not e.x_degree <= bound:
+            if not x_degree(e) <= bound:
                 return False
     return True
 
@@ -124,7 +124,7 @@ def test_criterion_2_reduction_preserves_derivatives():
         q = rand_bipoly(F101, rng, rng.randint(0, 4), 12)
         x0, y0 = F101.rand(rng), F101.rand(rng)
         s = rng.randint(1, 4)
-        reduced = q.reduce_mod(UniPoly.x_minus(F101, x0).pow(s))
+        reduced = reduce_mod(q, UniPoly.x_minus(F101, x0).pow(s))
         H_full = q.hasse_matrix(x0, y0, s)
         H_red = reduced.hasse_matrix(x0, y0, s)
         if H_full != H_red:

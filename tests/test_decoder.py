@@ -19,7 +19,7 @@ from gsinterp.decoder import (
 from gsinterp.field import PrimeField
 from gsinterp.unipoly import UniPoly
 
-from util import scan_roots
+from util import rand_nonzero, scan_roots
 
 F13 = PrimeField(13)
 F5 = PrimeField(5)
@@ -123,9 +123,9 @@ def _root_cases(field, rng):
     root-free quadratic; plus bare constants."""
     p = field.p
     cofactor = _root_free_quadratic(field, rng)
-    cases = [(UniPoly.constant(field, field.rand_nonzero(rng)), set()) for _ in range(3)]
+    cases = [(UniPoly(field, [rand_nonzero(field, rng)]), set()) for _ in range(3)]
     for trial in range(8):
-        f = UniPoly.constant(field, field.rand_nonzero(rng))
+        f = UniPoly(field, [rand_nonzero(field, rng)])
         roots = set()
         for _ in range(rng.randint(1, 5)):
             r = field.rand(rng)
@@ -185,7 +185,7 @@ def test_poly_roots_zero_rejected():
 
 def test_y_roots_linear_factor():
     f = UniPoly(F13, [3, 5, 1])
-    q = BiPoly(F13, 1, [-f, UniPoly.one(F13)])  # y - f
+    q = BiPoly(F13, 1, [f.scale(-1), UniPoly.one(F13)])  # y - f
     roots = y_roots(q, 3)
     assert roots == [f]
 
@@ -197,7 +197,7 @@ def test_y_roots_constructed_factors():
     # (y - f)(y - g) * u(x)
     q = BiPoly(
         F13, 2,
-        [f * g * u, (-(f + g)) * u, u],
+        [f * g * u, (f + g).scale(-1) * u, u],
     )
     roots = y_roots(q, 3)
     assert f in roots and g in roots
@@ -226,7 +226,7 @@ def test_y_roots_equals_exhaustive_enumeration():
 
 def test_y_roots_zero_rejected():
     with pytest.raises(ValueError):
-        y_roots(BiPoly.zero(F13, 1), 2)
+        y_roots(BiPoly.from_monomials(F13, 1, []), 2)
 
 
 # -- end-to-end decoding ---------------------------------------------------------------
@@ -303,7 +303,7 @@ def test_decode_over_bench_prime():
     msg = [field.rand(rng) for _ in range(16)]
     recv = code.encode(msg)
     for pos in rng.sample(range(64), 27):
-        recv[pos] = (recv[pos] + field.rand_nonzero(rng)) % field.p
+        recv[pos] = (recv[pos] + rand_nonzero(field, rng)) % field.p
     assert msg in decode_list(code, recv, gs_params(code, 27))
 
 
@@ -316,5 +316,5 @@ def test_decode_long_message_over_bench_prime():
     msg = [field.rand(rng) for _ in range(1000)]
     recv = code.encode(msg)
     for pos in rng.sample(range(1100), 10):
-        recv[pos] = (recv[pos] + field.rand_nonzero(rng)) % field.p
+        recv[pos] = (recv[pos] + rand_nonzero(field, rng)) % field.p
     assert decode_list(code, recv, gs_params(code, 10)) == [msg]

@@ -5,11 +5,11 @@ import pytest
 from gsinterp.bipoly import BiPoly
 from gsinterp.fast import (
     LEAF_MAX,
+    NEWTON_REM_MIN,
     _identity,
     _ModNode,
     _poly_matmul,
     build_modulus_tree,
-    interpolate_point,
     interpolate_tree,
     solve,
     solve_basis,
@@ -18,10 +18,10 @@ from gsinterp.field import PrimeField
 from gsinterp.classic import TrackedBasis, eliminate_point, interpolate
 from gsinterp.oracle import minimal_solution
 from gsinterp.problem import InterpolationInstance, random_instance
-from gsinterp.unipoly import NEWTON_REM_MIN, UniPoly, count_scalar_mults
+from gsinterp.unipoly import UniPoly, count_scalar_mults
 from util import (
-    bundled_instances, build_update_matrix, proportional, rand_bipoly, rand_unipoly,
-    schoolbook_product,
+    bundled_instances, build_update_matrix, proportional, rand_bipoly, rand_nonzero,
+    rand_unipoly, reduce_mod, schoolbook_product, x_degree,
 )
 
 F3 = PrimeField(3)
@@ -47,7 +47,7 @@ def one_point(point, s, basis):
 
 def reduced_standard(field, ell, w, modulus):
     base = TrackedBasis.standard(field, ell, w)
-    return TrackedBasis([e.reduce_mod(modulus) for e in base.elems], base.deltas)
+    return TrackedBasis([reduce_mod(e, modulus) for e in base.elems], base.deltas)
 
 
 def rand_inst(rng, field=F101, nmax=8, smax=3):
@@ -65,7 +65,7 @@ def test_update_matrix_shape():
     U = build_update_matrix(F5, 1, 0, [1, c], 2)
     assert U[0][0] == UniPoly.x_minus(F5, 2)
     assert U[0][1].is_zero()
-    assert U[1][0] == UniPoly.constant(F5, -c)
+    assert U[1][0] == UniPoly(F5, [-c])
     assert U[1][1] == UniPoly.one(F5)
 
 
@@ -108,7 +108,7 @@ def test_eliminate_point_row_update_equals_matrix_product():
               for _ in range(ell + 1)] for _ in range(ell + 1)]
         before = [list(row) for row in T]
         values = [F101.rand(rng) for _ in range(ell + 1)]
-        values[rng.randint(0, ell)] = F101.rand_nonzero(rng)
+        values[rng.randint(0, ell)] = rand_nonzero(F101, rng)
         deltas = [rng.randint(0, 5) for _ in range(ell + 1)]
         xi = F101.rand(rng)
         t = min((j for j in range(ell + 1) if values[j]), key=lambda j: (deltas[j], -j))
@@ -122,11 +122,11 @@ def test_eliminate_point_row_update_equals_matrix_product():
         assert log == [(7, 0, 0, t)]
 
 
-# -- interpolate_point (the one-point run) ----------------------------------------------
+# -- the one-point run ---------------------------------------------------------------
 
 
 def test_interpolate_point_hand_trace():
-    T, deltas = interpolate_point((0, 0), 1, TrackedBasis.standard(F5, 1, 1))
+    T, deltas = interpolate_tree([(0, 0)], [1], TrackedBasis.standard(F5, 1, 1))
     assert T[0][0] == UniPoly(F5, [0, 1])  # x
     assert T[0][1].is_zero()
     assert T[1][0].is_zero()
@@ -142,7 +142,7 @@ def test_interpolate_point_noop_when_satisfied():
         BiPoly(F5, 1, [UniPoly.zero(F5), UniPoly.zero(F5)]),
         BiPoly(F5, 1, [UniPoly.zero(F5), UniPoly.zero(F5)]),
     ]
-    T, deltas = interpolate_point((a, 3), 1, TrackedBasis(elems, [1, 2]))
+    T, deltas = interpolate_tree([(a, 3)], [1], TrackedBasis(elems, [1, 2]))
     assert T == _identity(F5, 1)
     assert deltas == [1, 2]
 
@@ -156,9 +156,9 @@ def test_interpolate_point_random_postconditions():
         xi, yi = F101.rand(rng), F101.rand(rng)
         full = TrackedBasis.standard(F101, ell, w).elems
         reduced = reduced_standard(F101, ell, w, UniPoly.x_minus(F101, xi).pow(s))
-        T, deltas = interpolate_point((xi, yi), s, reduced)
+        T, deltas = interpolate_tree([(xi, yi)], [s], reduced)
         updated = apply(T, full)
-        assert max(e.x_degree for e in updated) <= s
+        assert max(x_degree(e) for e in updated) <= s
         for j, (e, d) in enumerate(zip(updated, deltas)):
             assert e.has_multiplicity(xi, yi, s)
             assert e.weighted_degree(w) == d
@@ -168,9 +168,9 @@ def test_interpolate_point_random_postconditions():
 def test_interpolate_point_dimension_check():
     basis = TrackedBasis([BiPoly.y_power(F5, 1, 0)], [0])
     with pytest.raises(ValueError):
-        interpolate_point((0, 0), 1, basis)
-    with pytest.raises(ValueError):
         interpolate_tree([(0, 0)], [1], basis)
+    with pytest.raises(ValueError):
+        interpolate_tree([(0, 0)], [1], TrackedBasis([], []))
 
 
 # -- interpolate_tree -----------------------------------------------------------------
@@ -185,9 +185,8 @@ def test_tree_single_point_equals_point():
         point = (F101.rand(rng), F101.rand(rng))
         reduced = reduced_standard(F101, ell, w, UniPoly.x_minus(F101, point[0]).pow(s))
         T1, d1 = interpolate_tree([point], [s], reduced)
-        T2, d2 = interpolate_point(point, s, reduced)
-        T3, d3 = one_point(point, s, reduced)
-        assert T1 == T2 == T3 and d1 == d2 == d3
+        T2, d2 = one_point(point, s, reduced)
+        assert T1 == T2 and d1 == d2
 
 
 def test_tree_collinear_example():
@@ -212,7 +211,7 @@ def test_tree_two_points_matches_sequential_reference():
         m1 = UniPoly.x_minus(F101, x1).pow(s1)
         T1, d1 = one_point(pts[0], s1, reduced_standard(F101, ell, w, m1))
         m2 = UniPoly.x_minus(F101, x2).pow(s2)
-        applied = [e.reduce_mod(m2) for e in apply(T1, base.elems)]
+        applied = [reduce_mod(e, m2) for e in apply(T1, base.elems)]
         T2, d2 = one_point(pts[1], s2, TrackedBasis(applied, d1))
         want = _poly_matmul(F101, T2, T1)
 
@@ -249,9 +248,10 @@ def test_modulus_tree_structure():
 
 
 def test_modnode_rem_matches_divmod():
-    # quotient lengths straddle rem's Newton threshold (32) and divmod's (48),
-    # modulus degrees straddle NEWTON_REM_MIN; quotients grow call by call,
-    # so later calls must refresh the cached inverse
+    # quotient lengths straddle rem's Newton threshold (32) and modulus
+    # degrees straddle NEWTON_REM_MIN, so Newton division with the node's
+    # cached inverse is checked against divmod's synthetic division;
+    # quotients grow call by call, so later calls must refresh the inverse
     rng = random.Random(12)
     FN = PrimeField(754974721)
     for dm in (NEWTON_REM_MIN - 1, NEWTON_REM_MIN, 70):
@@ -263,6 +263,12 @@ def test_modnode_rem_matches_divmod():
             f = rand_unipoly(FN, rng, dm + qlen - 1)
             assert node.rem(f) == f % m
         assert node._inv_prec == (200 if dm >= NEWTON_REM_MIN else 0)
+    # a small field and a long quotient (dm = 120, qlen = 181)
+    rng = random.Random(10)
+    a = rand_unipoly(F101, rng, 300)
+    node = _ModNode(0, 0, rand_unipoly(F101, rng, 120))
+    assert node.rem(a) == a % node.modulus
+    assert node._inv_prec == 181
 
 
 # -- polynomial matrix product ------------------------------------------------------------
@@ -341,7 +347,7 @@ def test_solve_basis_bookkeeping_exact():
     for _ in range(25):
         inst = rand_inst(rng, nmax=6)
         basis = solve_basis(inst)
-        assert max(e.x_degree for e in basis.elems) <= inst.total_multiplicity()
+        assert max(x_degree(e) for e in basis.elems) <= sum(inst.mults)
         for j, (e, d) in enumerate(zip(basis.elems, basis.deltas)):
             assert e.weighted_degree(inst.w) == d
             assert e.leading_position(inst.w) == j
@@ -364,7 +370,7 @@ def test_transform_composition_degrees():
     inst = rand_inst(rng, nmax=8)
     log = []
     basis = solve_basis(inst, pivot_log=log)
-    assert max(e.x_degree for e in basis.elems) <= inst.total_multiplicity()
+    assert max(x_degree(e) for e in basis.elems) <= sum(inst.mults)
 
 
 def test_tree_subrange_bookkeeping_exact():
@@ -383,7 +389,7 @@ def test_tree_subrange_bookkeeping_exact():
                 modulus = modulus * UniPoly.x_minus(F101, x).pow(s)
             T, deltas = interpolate_tree(pts, mults, reduced_standard(F101, inst.ell, w, modulus))
             updated = apply(T, base.elems)
-            assert max(e.x_degree for e in updated) <= sum(mults)
+            assert max(x_degree(e) for e in updated) <= sum(mults)
             for j, (e, d) in enumerate(zip(updated, deltas)):
                 assert e.weighted_degree(w) == d
                 assert e.leading_position(w) == j

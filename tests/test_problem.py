@@ -11,7 +11,7 @@ F13 = PrimeField(13)
 def test_basic_construction():
     inst = InterpolationInstance(F13, [(0, 5), (1, 7)], [1, 2], ell=2, w=3)
     assert inst.n == 2
-    assert inst.total_multiplicity() == 3
+    assert inst.mults == [1, 2]
     assert inst.constraint_count() == 1 + 3
 
 

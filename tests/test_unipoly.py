@@ -8,7 +8,7 @@ from gsinterp.unipoly import (
     NEG_INF, UniPoly, _mul_kron, _mul_raw, _mul_school, _pack, _slot_width, _unpack,
     count_scalar_mults,
 )
-from util import rand_unipoly, schoolbook_product, taylor_shift
+from util import rand_nonzero, rand_unipoly, schoolbook_product, taylor_shift
 
 F5 = PrimeField(5)
 F101 = PrimeField(101)
@@ -156,30 +156,18 @@ def test_divmod_reconstructs():
 @pytest.mark.parametrize("p", PACK_PRIMES)
 def test_divmod_reconstructs_over_all_slot_widths(p):
     # long division packs its slots at a width set by min(qlen, dm), so
-    # sweep short and long quotients, constant and non-monic moduli
+    # sweep short and long quotients, constant and non-monic moduli, and
+    # large ones (dm and qlen >= 48) that no other remainder path handles
     field = PrimeField(p)
     rng = random.Random(p % 1019)
-    for da, dm in ((0, 0), (5, 0), (7, 3), (30, 29), (40, 8), (60, 45), (90, 20)):
-        a = UniPoly(field, [field.rand(rng) for _ in range(da)] + [field.rand_nonzero(rng)])
-        m = UniPoly(field, [field.rand(rng) for _ in range(dm)] + [field.rand_nonzero(rng)])
+    for da, dm in ((0, 0), (5, 0), (7, 3), (30, 29), (40, 8), (60, 45), (90, 20),
+                   (300, 120), (200, 100)):
+        a = UniPoly(field, [field.rand(rng) for _ in range(da)] + [rand_nonzero(field, rng)])
+        m = UniPoly(field, [field.rand(rng) for _ in range(dm)] + [rand_nonzero(field, rng)])
         q, r = a.divmod(m)
         assert schoolbook_product(q, m) + r == a
         assert r.degree < m.degree
         assert q.degree == da - dm
-
-
-def test_newton_and_synthetic_division_agree():
-    rng = random.Random(10)
-    old = up.NEWTON_REM_MIN
-    a = rand_unipoly(F101, rng, 300)
-    m = rand_unipoly(F101, rng, 120)
-    fast = a.divmod(m)
-    try:
-        up.NEWTON_REM_MIN = 10**9
-        slow = a.divmod(m)
-    finally:
-        up.NEWTON_REM_MIN = old
-    assert fast == slow
 
 
 # -- taylor shift and evaluation ----------------------------------------------
@@ -199,7 +187,7 @@ def test_taylor_shift_by_zero_is_identity():
 def test_taylor_shift_coefficient_formula():
     rng = random.Random(12)
     a = rand_unipoly(F101, rng, 50)
-    c = F101.rand_nonzero(rng)
+    c = rand_nonzero(F101, rng)
     shifted = taylor_shift(a, c)
     p = F101.p
     for k in range(len(a.coeffs)):

@@ -26,8 +26,12 @@ def bundled_instances() -> list[InterpolationInstance]:
     return out
 
 
+def rand_nonzero(field: PrimeField, rng: random.Random) -> int:
+    return 1 if field.p == 2 else rng.randrange(1, field.p)
+
+
 def rand_unipoly(field: PrimeField, rng: random.Random, deg: int) -> UniPoly:
-    coeffs = [field.rand(rng) for _ in range(deg)] + [field.rand_nonzero(rng)]
+    coeffs = [field.rand(rng) for _ in range(deg)] + [rand_nonzero(field, rng)]
     return UniPoly(field, coeffs)
 
 
@@ -43,6 +47,22 @@ def rand_bipoly(field: PrimeField, rng: random.Random, ell: int, xdeg: int) -> B
         rows[0] = UniPoly.one(field)
         q = BiPoly(field, ell, rows)
     return q
+
+
+def x_degree(q: BiPoly):
+    """Largest x-degree over the rows of q; NEG_INF for zero."""
+    return max(r.degree for r in q.rows)
+
+
+def reduce_mod(q: BiPoly, m: UniPoly) -> BiPoly:
+    """Each row of q replaced by its remainder mod m."""
+    return BiPoly(q.field, q.ell, [r % m for r in q.rows])
+
+
+def parse_monomials(field: PrimeField, ell: int, text: str) -> BiPoly:
+    """The inverse of cli.format_monomials: "a,j,c;..." triples as a BiPoly."""
+    terms = [tuple(int(v) for v in chunk.split(",")) for chunk in text.split(";")] if text else []
+    return BiPoly.from_monomials(field, ell, terms)
 
 
 def proportional(q1: BiPoly, q2: BiPoly) -> bool:
@@ -92,7 +112,7 @@ def build_update_matrix(
         if j == t:
             U[t][t] = UniPoly.x_minus(field, xi)
         elif ratios[j] % field.p:
-            U[j][t] = UniPoly.constant(field, -ratios[j])
+            U[j][t] = UniPoly(field, [-ratios[j]])
     return U
 
 
