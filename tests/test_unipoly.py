@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from gsinterp.fast import _ModNode
 from gsinterp.field import PrimeField
 import gsinterp.unipoly as up
 from gsinterp.unipoly import (
@@ -168,6 +169,19 @@ def test_divmod_reconstructs_over_all_slot_widths(p):
         assert schoolbook_product(q, m) + r == a
         assert r.degree < m.degree
         assert q.degree == da - dm
+
+
+def test_newton_and_synthetic_division_agree():
+    # a small field and a long quotient (dm = 120, qlen = 181): the Newton
+    # remainder with _ModNode's cached inverse against divmod's synthetic division
+    rng = random.Random(10)
+    a = rand_unipoly(F101, rng, 300)
+    m = rand_unipoly(F101, rng, 120)
+    node = _ModNode(0, 0, m)
+    q, r = a.divmod(m)
+    assert node.rem(a) == r
+    assert node._inv_prec == 181
+    assert schoolbook_product(q, m) + r == a
 
 
 # -- taylor shift and evaluation ----------------------------------------------
