@@ -5,7 +5,11 @@ x-polynomial multiplying y^j. The (1,w)-weighted order compares monomials
 by x_deg + w*y_deg, ties going to the larger x power.
 
 Two evaluation routes for Hasse derivatives exist on purpose:
-  * hasse_matrix — reduce mod (x-x0)^s first, then shift; the production path.
+  * hasse_matrices — the production path, on plain coefficient lists. Per
+    point it builds the s Taylor vectors v_k[i] = C(i,k) x0^(i-k) once, takes
+    every row's first s Taylor coefficients as dot products with them, and
+    combines the rows across y with the same vectors in y0. BiPoly.hasse_matrix
+    and has_multiplicity run it on one element.
   * hasse_derivative — the direct binomial-sum formula on the full
     coefficients; slower, used as the independent cross-check.
 """
@@ -13,7 +17,10 @@ Two evaluation routes for Hasse derivatives exist on purpose:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import mul
 
+from . import unipoly
 from .field import PrimeField
 from .unipoly import NEG_INF, UniPoly
 
@@ -39,6 +46,51 @@ def derivative_orders(s: int) -> list[tuple[int, int]]:
     if s < 1:
         raise ValueError("multiplicity must be positive")
     return [(dx, dy) for dx in range(s) for dy in range(s - dx)]
+
+
+def taylor_vectors(x0: int, s: int, n: int, p: int) -> list[list[int]]:
+    """v_k[i] = C(i, k) * x0^(i-k) mod p for k < s and i < n, so that the dot
+    product of v_k with a polynomial's coefficients is the coefficient of x^k
+    in its shift by x0. Built by the additive Pascal recurrence
+    v_k[i] = v_k[i-1]*x0 + v_{k-1}[i-1], which holds in every characteristic."""
+    vecs = []
+    prev = [0] * n
+    for k in range(s):
+        v = [0] * n
+        acc = 1 if k == 0 else 0
+        for i in range(n):
+            v[i] = acc
+            acc = (acc * x0 + prev[i]) % p
+        vecs.append(v)
+        prev = v
+    return vecs
+
+
+def hasse_matrices(
+    field: PrimeField, ell: int, elems: list[list[list[int]]], x0: int, y0: int, s: int
+) -> list[list[list[int]]]:
+    """The s x s Hasse matrix H[dx][dy] at (x0, y0), dx+dy < s, of each element,
+    an element being its ell+1 rows as trimmed coefficient lists. Entries outside
+    the anti-triangle are stored as zeros. The Taylor vectors are built once for
+    all rows; the full shifted polynomial is never expanded."""
+    p = field.p
+    vecs = taylor_vectors(x0, s, max(map(len, chain.from_iterable(elems)), default=0), p)
+    # the y-side binomial weights C(j, dy) * y0^(j-dy) are the same vectors in y
+    weights = taylor_vectors(y0, s, ell + 1, p)
+    out = []
+    for rows in elems:
+        # taylor[dx][j] = coeff of x^dx in row_j(x + x0)
+        taylor = [[sum(map(mul, r, v)) % p for r in rows] for v in vecs]
+        out.append([
+            [sum(map(mul, w, t)) % p if dx + dy < s else 0 for dy, w in enumerate(weights)]
+            for dx, t in enumerate(taylor)
+        ])
+    if unipoly._COUNTER is not None:
+        for rows in elems:
+            for r in rows:
+                k = min(s, len(r))
+                unipoly._COUNTER.mults += k * len(r) - k * (k - 1) // 2
+    return out
 
 
 class BiPoly:
@@ -152,32 +204,9 @@ class BiPoly:
     # -- Hasse derivatives ---------------------------------------------------------
 
     def hasse_matrix(self, x0: int, y0: int, s: int) -> list[list[int]]:
-        """s x s matrix H[dx][dy] of Hasse derivatives at (x0, y0), dx+dy < s.
-
-        Entries outside the anti-triangle are stored as zeros. Each row is
-        reduced mod (x-x0)^s and Taylor-shifted by x0 in one fused pass
-        (repeated synthetic division), then the rows are recombined across y
-        with binomial weights; the full shifted polynomial is never expanded.
-        """
-        field, p = self.field, self.field.p
-        # shifted[j][dx] = coeff of x^dx in row_j(x + x0), dx < s
-        shifted = [row.taylor_coeffs(x0, s) for row in self.rows]
-        H = [[0] * s for _ in range(s)]
-        ypow = [1] * (self.ell + 1)
-        for t in range(1, self.ell + 1):
-            ypow[t] = ypow[t - 1] * y0 % p
-        for dy in range(s):
-            for j in range(dy, self.ell + 1):
-                b = field.binom(j, dy)
-                if b == 0:
-                    continue
-                c = b * ypow[j - dy] % p
-                if c == 0:
-                    continue
-                srow = shifted[j]
-                for dx in range(s - dy):
-                    H[dx][dy] = (H[dx][dy] + c * srow[dx]) % p
-        return H
+        """s x s matrix H[dx][dy] of Hasse derivatives at (x0, y0), dx+dy < s,
+        with zeros outside the anti-triangle (see hasse_matrices)."""
+        return hasse_matrices(self.field, self.ell, [[r.coeffs for r in self.rows]], x0, y0, s)[0]
 
     def hasse_derivative(self, x0: int, y0: int, dx: int, dy: int) -> int:
         """One Hasse derivative by the direct binomial-sum formula (no reduction)."""

@@ -8,20 +8,23 @@ its leading y-position at j throughout, so the index is the position.
 
 Two modes produce bit-identical output:
   * "naive"  — every Hasse value is recomputed from the full-degree element
-               via the direct formula.
-  * "cached" — per point, elements are reduced mod (x - x_i)^{s_i} once, all
-               Hasse matrices are computed from the reductions, and
-               eliminate_point maintains them through the inner loop by the
-               same linear combinations / row shifts it applies to the basis.
-               The fast solver runs the same eliminate_point on short runs of
-               points, over its transform rows joined to the reduced basis.
+               via the direct formula, and the row operations run on BiPoly.
+  * "cached" — the basis is unwrapped once per solve into rows of plain
+               coefficient lists. Per point, bipoly.hasse_matrices takes all
+               Hasse matrices in one batched pass, and eliminate_point keeps
+               them current through the inner loop by the same linear
+               combinations / row shifts it applies to the rows, each a list
+               comprehension over coefficients. The fast solver runs the same
+               eliminate_point on short runs of points, over its transform
+               rows joined to the reduced basis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bipoly import BiPoly, derivative_orders
+from . import unipoly
+from .bipoly import BiPoly, derivative_orders, hasse_matrices
 from .field import PrimeField
 from .problem import InterpolationInstance
 from .unipoly import UniPoly
@@ -80,8 +83,43 @@ def _pick_pivot(values: list[int], deltas: list[int]) -> int | None:
     return best
 
 
+def _add_multiple(
+    row_a: list[list[int]], c: int, row_b: list[list[int]], p: int
+) -> list[list[int]]:
+    """Entrywise a + c*b over two rows of trimmed coefficient lists, c != 0.
+    Only entries of equal length can cancel at the top, so only they are trimmed."""
+    out = []
+    for a, b in zip(row_a, row_b):
+        if b:
+            e = [(u + c * v) % p for u, v in zip(a, b)]
+            if len(a) > len(b):
+                e += a[len(b):]
+            elif len(a) < len(b):
+                e += [c * v % p for v in b[len(a):]]
+            else:
+                while e and e[-1] == 0:
+                    e.pop()
+            a = e
+        out.append(a)
+    return out
+
+
+def _mul_linear(row: list[list[int]], m: int, p: int) -> list[list[int]]:
+    """Entrywise (x + m)*b over a row of trimmed coefficient lists; each
+    product keeps b's top coefficient, so none needs trimming."""
+    out = []
+    for b in row:
+        if b:
+            e = [(u + m * v) % p for u, v in zip([0] + b, b)]
+            e.append(b[-1])
+            b = e
+        out.append(b)
+    return out
+
+
 def eliminate_point(
-    rows: list[list[UniPoly]],
+    field: PrimeField,
+    rows: list[list[list[int]]],
     matrices: list[list[list[int]]],
     deltas: list[int],
     xi: int,
@@ -96,10 +134,12 @@ def eliminate_point(
     other element j, applying row_j -= ratio_j * row_t to rows[j] and
     matrices[j], then multiplies row t by (x - xi) and bumps deltas[t]. Row j
     of `rows` holds the coefficients of whatever element j is expressed in:
-    the y-power rows of the element itself, or a transform's row over F[x].
+    the y-power rows of the element itself, or a transform's row over F[x],
+    each entry a trimmed coefficient list. Entries are never mutated, only
+    replaced, so rows may share them with their caller.
     """
-    field = rows[0][0].field
     p = field.p
+    m = -xi % p
     for dx, dy in derivative_orders(s):
         values = [H[dx][dy] for H in matrices]
         t = _pick_pivot(values, deltas)
@@ -109,15 +149,19 @@ def eliminate_point(
             pivot_log.append((point_index, dx, dy, t))
         inv_vt = field.inv(values[t])
         pivot_row = rows[t]
+        nops = 1
         for j, v in enumerate(values):
             if j == t or v == 0:
                 continue
             c = v * inv_vt % p
-            rows[j] = [a.sub_scaled(c, b) for a, b in zip(rows[j], pivot_row)]
+            rows[j] = _add_multiple(rows[j], p - c, pivot_row, p)
             matrices[j] = hasse_combine(matrices[j], matrices[t], c, p)
-        rows[t] = [e.mul_linear(xi) for e in pivot_row]
+            nops += 1
+        rows[t] = _mul_linear(pivot_row, m, p)
         matrices[t] = hasse_shift_down(matrices[t], s)
         deltas[t] += 1
+        if unipoly._COUNTER is not None:  # one unit per pivot-row coefficient per operation
+            unipoly._COUNTER.mults += nops * sum(map(len, pivot_row))
 
 
 def interpolate(
@@ -139,13 +183,14 @@ def interpolate(
     elems, deltas = basis.elems, basis.deltas
 
     if mode == "cached":
-        rows = [e.rows for e in elems]
+        rows = [[r.coeffs for r in e.rows] for e in elems]
         for i, ((xi, yi), s) in enumerate(zip(inst.points, inst.mults)):
-            # hasse_matrix folds the mod-(x - x_i)^s reduction into its
-            # synthetic-division pass, so this is the once-per-point cost
-            matrices = [BiPoly(field, ell, r).hasse_matrix(xi, yi, s) for r in rows]
-            eliminate_point(rows, matrices, deltas, xi, s, pivot_log, i)
-        basis.elems = [BiPoly(field, ell, r) for r in rows]
+            # one batched Taylor pass over every row: the once-per-point cost
+            matrices = hasse_matrices(field, ell, rows, xi, yi, s)
+            eliminate_point(field, rows, matrices, deltas, xi, s, pivot_log, i)
+        basis.elems = [
+            BiPoly(field, ell, [UniPoly(field, c, normalized=True) for c in r]) for r in rows
+        ]
     else:
         for i, ((xi, yi), s) in enumerate(zip(inst.points, inst.mults)):
             for dx, dy in derivative_orders(s):

@@ -2,20 +2,23 @@
 
 A binary tree over the points keeps every intermediate basis reduced mod the
 subtree modulus. A run of at most LEAF_MAX points is eliminated point by
-point on that reduced basis: per point it takes the Hasse matrices and runs
-the shared elimination step, recording every row operation in an
-(ell+1) x (ell+1) transform over F[x], held as its list of rows. Hasse values
-of order < s at x_i depend only on the residue mod (x - x_i)^s, so the
-reduced basis picks the same pivots and ratios as the full one. Transforms
-compose by polynomial matrix multiplication, which packs each entry into one
-integer so that CPython's big-integer multiply carries the degree. Started
-from {1, y, ..., y^ell}, the final transform's rows are the y-power rows of
-the basis elements.
+point on that reduced basis. The run unwraps its rows into plain coefficient
+lists once: each row is an identity transform row ([1] or [] entries) joined
+to the y-power rows of the reduced element. Per point it takes the Hasse
+matrices of the element parts in one batched pass and runs the shared
+elimination step, so the transform records every row operation; at the end
+of the run the (ell+1) x (ell+1) transform over F[x] is wrapped back into
+UniPoly entries. Hasse values of order < s at x_i depend only on the residue
+mod (x - x_i)^s, so the reduced basis picks the same pivots and ratios as the
+full one. Transforms compose by polynomial matrix multiplication, which packs
+each entry into one integer so that CPython's big-integer multiply carries
+the degree. Started from {1, y, ..., y^ell}, the final transform's rows are
+the y-power rows of the basis elements.
 """
 
 from __future__ import annotations
 
-from .bipoly import BiPoly
+from .bipoly import BiPoly, hasse_matrices
 from .field import PrimeField
 from .classic import TrackedBasis, eliminate_point
 from .problem import InterpolationInstance
@@ -59,14 +62,6 @@ def _poly_matmul(
             orow.append(UniPoly(field, coeffs, normalized=True))
         out.append(orow)
     return out
-
-
-def _identity(field: PrimeField, ell: int) -> list[list[UniPoly]]:
-    n = ell + 1
-    return [
-        [UniPoly.one(field) if i == j else UniPoly.zero(field) for j in range(n)]
-        for i in range(n)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -127,17 +122,22 @@ def _interpolate_run(
     """Process a run of points in order on the basis reduced mod the run's
     modulus; returns the recorded transform and the updated deltas."""
     field, ell = basis.elems[0].field, basis.elems[0].ell
-    # row j is transform row j followed by the y-power rows of element j, so
-    # each row operation updates the transform and the explicit basis together
-    rows = [t + e.rows for t, e in zip(_identity(field, ell), basis.elems)]
+    n = ell + 1
+    # row j is identity transform row j followed by the y-power rows of
+    # element j, so each row operation updates the transform and the explicit
+    # basis together
+    rows = [
+        [[1] if k == j else [] for k in range(n)] + [r.coeffs for r in e.rows]
+        for j, e in enumerate(basis.elems)
+    ]
     deltas = list(basis.deltas)
     last = len(points) - 1
     for i, ((xi, yi), s) in enumerate(zip(points, mults)):
-        matrices = [BiPoly(field, ell, r[ell + 1 :]).hasse_matrix(xi, yi, s) for r in rows]
+        matrices = hasse_matrices(field, ell, [r[n:] for r in rows], xi, yi, s)
         if i == last:  # the explicit basis is not needed past the last point
-            rows = [r[: ell + 1] for r in rows]
-        eliminate_point(rows, matrices, deltas, xi, s, pivot_log, first_index + i)
-    return rows, deltas
+            rows = [r[:n] for r in rows]
+        eliminate_point(field, rows, matrices, deltas, xi, s, pivot_log, first_index + i)
+    return [[UniPoly(field, c, normalized=True) for c in r] for r in rows], deltas
 
 
 def _apply_reduced(

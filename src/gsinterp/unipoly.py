@@ -9,6 +9,10 @@ C-level integer multiply does the convolution). `divmod` is synthetic
 division on the same packed integers. Newton division (a series inverse of
 the reversed modulus) is provided for the modulus tree in fast.py, which
 caches that inverse per node.
+
+The solvers' per-point step does not go through this type: bipoly's Hasse
+kernel and classic's row operations work on the plain coefficient lists
+(the `coeffs` of a UniPoly), and report their work to the same counter.
 """
 
 from __future__ import annotations
@@ -26,10 +30,13 @@ SCHOOLBOOK_MAX = 8  # below this, packing overhead beats the double loop
 
 class ScalarMultCounter:
     """Tallies the per-coefficient work of the executed kernels: products for
-    schoolbook multiply, Taylor coefficients and the solvers' row operations
-    (sub_scaled, mul_linear); unpacked result slots for the packed-integer
-    (Kronecker) products; quotient slots read plus remainder slots unpacked
-    for the packed synthetic division."""
+    schoolbook multiply; per row, sum over k < s of (len - k) for the Taylor
+    coefficients of bipoly.hasse_matrices; the pivot row's length per row
+    operation for the solvers' row operations (UniPoly.sub_scaled and
+    mul_linear, and their coefficient-list forms in classic.eliminate_point);
+    unpacked result slots for the packed-integer (Kronecker) products;
+    quotient slots read plus remainder slots unpacked for the packed
+    synthetic division."""
 
     __slots__ = ("mults",)
 
@@ -382,23 +389,6 @@ class UniPoly:
         for v in reversed(self.coeffs):
             acc = (acc * c + v) % p
         return acc
-
-    def taylor_coeffs(self, x0: int, s: int) -> list[int]:
-        """First s coefficients of self(x + x0): s synthetic-division passes
-        by (x - x0), i.e. reduce mod (x - x0)^s and shift, fused. O(s*d)."""
-        p = self.field.p
-        work = list(self.coeffs)
-        out = [0] * s
-        top = len(work) - 1
-        if _COUNTER is not None:
-            _COUNTER.mults += sum(top - k + 1 for k in range(min(s, len(work))))
-        for k in range(min(s, len(work))):
-            acc = 0
-            for i in range(top, k - 1, -1):
-                acc = (acc * x0 + work[i]) % p
-                work[i] = acc
-            out[k] = acc
-        return out
 
     def hasse_deriv(self, k: int, x0: int) -> int:
         """Coefficient of x^k in self(x + x0), via the explicit binomial sum."""

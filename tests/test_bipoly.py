@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gsinterp.bipoly import BiPoly, Monomial, derivative_orders
+from gsinterp.bipoly import BiPoly, Monomial, derivative_orders, hasse_matrices
 from gsinterp.field import PrimeField
 from gsinterp.unipoly import NEG_INF, UniPoly
 from util import rand_bipoly, rand_unipoly, reduce_mod
@@ -10,6 +10,8 @@ from util import rand_bipoly, rand_unipoly, reduce_mod
 F5 = PrimeField(5)
 F7 = PrimeField(7)
 F101 = PrimeField(101)
+# one and two 64-bit words per product, and characteristics below s
+KERNEL_PRIMES = (2, 3, 101, 65521, 754974721, 2**61 - 1)
 
 
 def B(field, ell, terms):
@@ -145,6 +147,40 @@ def test_hasse_matrix_agrees_with_formula_oracle():
         H = q.hasse_matrix(x0, y0, s)
         for dx, dy in derivative_orders(s):
             assert H[dx][dy] == q.hasse_derivative(x0, y0, dx, dy)
+
+
+def test_hasse_matrices_match_hasse_derivative():
+    # the batched kernel against the direct binomial sum, element by element:
+    # s up to 5 (so s >= p in GF(2) and GF(3)), x0 = 0 half the time, empty
+    # rows and rows of unequal length within one element and across elements
+    rng = random.Random(41)
+    for p in KERNEL_PRIMES:
+        field = PrimeField(p)
+        for _ in range(12):
+            ell = rng.randint(0, 4)
+            s = rng.randint(1, 5)
+            x0 = 0 if rng.random() < 0.5 else field.rand(rng)
+            y0 = field.rand(rng)
+            elems = []
+            for _ in range(rng.randint(1, 4)):
+                rows = []
+                for _ in range(ell + 1):
+                    n = rng.choice((0, 0, 1, s, rng.randint(2, 12)))
+                    rows.append(rand_unipoly(field, rng, n - 1) if n else UniPoly.zero(field))
+                elems.append(BiPoly(field, ell, rows))
+            got = hasse_matrices(field, ell, [[r.coeffs for r in e.rows] for e in elems], x0, y0, s)
+            assert len(got) == len(elems)
+            for H, e in zip(got, elems):
+                want = [[0] * s for _ in range(s)]
+                for dx, dy in derivative_orders(s):
+                    want[dx][dy] = e.hasse_derivative(x0, y0, dx, dy)
+                assert H == want
+
+
+def test_hasse_matrices_of_no_elements_and_zero_element():
+    assert hasse_matrices(F5, 2, [], 1, 2, 3) == []
+    zero = [[], [], []]
+    assert hasse_matrices(F5, 2, [zero], 1, 2, 3) == [[[0] * 3 for _ in range(3)]]
 
 
 def test_reduction_preserves_hasse_derivatives():

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from gsinterp.bipoly import BiPoly
+from gsinterp.bipoly import BiPoly, derivative_orders, hasse_matrices
 from gsinterp.field import PrimeField
-from gsinterp.classic import hasse_combine, hasse_shift_down, interpolate
+from gsinterp.classic import eliminate_point, hasse_combine, hasse_shift_down, interpolate
 from gsinterp.fast import solve_basis
 from gsinterp.oracle import minimal_solution
 from gsinterp.problem import InterpolationInstance, random_instance
-from util import proportional, x_degree
+from gsinterp.unipoly import UniPoly
+from util import proportional, rand_bipoly, rand_unipoly, x_degree
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -168,8 +169,6 @@ def test_hasse_shift_down_edge_cases():
 
 def test_hasse_shift_down_matches_multiplication():
     rng = random.Random(8)
-    from util import rand_bipoly
-
     for _ in range(25):
         q = rand_bipoly(F101, rng, rng.randint(0, 3), 6)
         x0, y0 = F101.rand(rng), F101.rand(rng)
@@ -189,3 +188,67 @@ def test_hasse_combine():
     for r in range(3):
         for col in range(3):
             assert got[r][col] == (Hj[r][col] - c * Ht[r][col]) % 101
+
+
+# -- the shared elimination step ----------------------------------------------------
+
+
+def _sequential_point(field, elems, extra, deltas, xi, yi, s, log, index):
+    """Reference for eliminate_point: every round recomputes its Hasse values
+    from the current elements by the direct formula, and applies the row
+    operations through UniPoly.sub_scaled / mul_linear to the elements and
+    to the extra rows riding along (as a transform does in the fast solver)."""
+    p = field.p
+    for dx, dy in derivative_orders(s):
+        values = [e.hasse_derivative(xi, yi, dx, dy) for e in elems]
+        live = [j for j, v in enumerate(values) if v]
+        if not live:
+            continue
+        t = min(live, key=lambda j: (deltas[j], -j))
+        log.append((index, dx, dy, t))
+        inv = field.inv(values[t])
+        for j in live:
+            if j != t:
+                c = values[j] * inv % p
+                elems[j] = elems[j].sub_scaled(c, elems[t])
+                extra[j] = [a.sub_scaled(c, b) for a, b in zip(extra[j], extra[t])]
+        elems[t] = elems[t].mul_linear(xi)
+        extra[t] = [r.mul_linear(xi) for r in extra[t]]
+        deltas[t] += 1
+
+
+def _joined_rows(extra, elems):
+    """Row j: the extra entries of row j, then the y-power rows of element j."""
+    return [[u.coeffs for u in x] + [u.coeffs for u in e.rows] for x, e in zip(extra, elems)]
+
+
+def test_eliminate_point_multi_round_matches_sequential_reference():
+    rng = random.Random(42)
+    for p in (2, 3, 101, 754974721):
+        field = PrimeField(p)
+        for _ in range(12):
+            ell = rng.randint(0, 5)
+            s = rng.randint(1, 4)
+            xi, yi = field.rand(rng), field.rand(rng)
+            elems = [rand_bipoly(field, rng, ell, 6) for _ in range(ell + 1)]
+            extra = [
+                [rand_unipoly(field, rng, rng.randint(0, 5)) if rng.random() < 0.7
+                 else UniPoly.zero(field) for _ in range(ell + 1)]
+                for _ in range(ell + 1)
+            ]
+            deltas = [rng.randint(0, 6) for _ in range(ell + 1)]
+            rows = _joined_rows(extra, elems)
+            handed_in = [list(r) for r in rows]
+            snapshot = [[list(c) for c in r] for r in rows]
+            matrices = hasse_matrices(field, ell, [r[ell + 1:] for r in rows], xi, yi, s)
+            got_deltas, got_log = list(deltas), []
+            eliminate_point(field, rows, matrices, got_deltas, xi, s, got_log, 5)
+
+            want_log = []
+            _sequential_point(field, elems, extra, deltas, xi, yi, s, want_log, 5)
+            assert got_log == want_log and got_deltas == deltas
+            assert rows == _joined_rows(extra, elems)
+            # the cached matrices are those of the final elements, and the
+            # entries the caller handed in were replaced, never mutated
+            assert matrices == hasse_matrices(field, ell, [r[ell + 1:] for r in rows], xi, yi, s)
+            assert handed_in == snapshot

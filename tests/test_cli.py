@@ -45,6 +45,66 @@ def test_parse_errors_carry_line_numbers():
         parse_instance_text("p=13\nw=1\nell=2\n")
 
 
+def _instance_text(rng, p, w, ell, points):
+    """An instance file for the given data, with comments, blank lines and
+    spacing drawn from rng."""
+    def junk():
+        return rng.choice(("", "", "  ", "# note", "  # x,y,s"))
+
+    lines = [junk()]
+    for key, value in (("p", p), ("w", w), ("ell", ell)):
+        lines.append(f"{key}={value}" + rng.choice(("", " ", "  # header")))
+        lines.append(junk())
+    for x, y, s in points:
+        sep = rng.choice((",", ", "))
+        fields = [x, y] if s is None else [x, y, s]
+        lines.append(rng.choice(("", " ")) + sep.join(map(str, fields)) + junk())
+    return "\n".join(lines) + rng.choice(("", "\n"))
+
+
+def test_parse_instance_text_fuzz_round_trip():
+    rng = random.Random(61)
+    for _ in range(200):
+        p = rng.choice((2, 3, 13, 101, 65521, 754974721, 2**61 - 1))
+        w, ell = rng.randint(1, 9), rng.randint(0, 6)
+        points = [
+            (rng.randrange(p), rng.randrange(p), rng.choice((None, rng.randint(1, 4))))
+            for _ in range(rng.randint(1, 12))
+        ]
+        assert parse_instance_text(_instance_text(rng, p, w, ell, points)) == (p, w, ell, points)
+
+
+def test_parse_instance_text_fuzz_malformed():
+    # each case breaks one line of a valid file: a header with a wrong or
+    # misspelt key, a point line of the wrong arity or with a non-integer, a
+    # missing header, or no point lines at all
+    rng = random.Random(62)
+    for _ in range(200):
+        p, w, ell = 101, rng.randint(1, 9), rng.randint(0, 6)
+        lines = [f"p={p}", f"w={w}", f"ell={ell}"] + [
+            f"{rng.randrange(p)},{rng.randrange(p)}" for _ in range(rng.randint(1, 6))
+        ]
+        kind = rng.choice(("key", "arity", "integer", "missing", "no_points"))
+        if kind == "key":
+            h = rng.randrange(3)
+            key, value = lines[h].split("=")
+            bad = rng.choice([k for k in ("q", "P", "p", "w", "ell", "p ", "") if k != key])
+            lines[h] = f"{bad}={value}"
+        elif kind == "arity":
+            i = rng.randrange(3, len(lines))
+            lines[i] = ",".join(str(rng.randrange(p)) for _ in range(rng.choice((1, 4, 5))))
+        elif kind == "integer":
+            i = rng.randrange(len(lines))
+            head, sep, tail = lines[i].rpartition("," if i >= 3 else "=")
+            lines[i] = head + sep + rng.choice(("x", "1.5", "", "0x1f", "--1"))
+        elif kind == "missing":
+            del lines[rng.randrange(3)]
+        else:
+            lines = lines[:3]
+        with pytest.raises(ValueError):
+            parse_instance_text("\n".join(lines) + "\n")
+
+
 def test_interpolate_collinear(capsys):
     for algorithm in ("classic", "classic-hasse", "fast"):
         rc = main(["interpolate", "--algorithm", algorithm, COLLINEAR])

@@ -6,7 +6,6 @@ from gsinterp.bipoly import BiPoly
 from gsinterp.fast import (
     LEAF_MAX,
     NEWTON_REM_MIN,
-    _identity,
     _ModNode,
     _poly_matmul,
     build_modulus_tree,
@@ -20,8 +19,8 @@ from gsinterp.oracle import minimal_solution
 from gsinterp.problem import InterpolationInstance, random_instance
 from gsinterp.unipoly import UniPoly, count_scalar_mults
 from util import (
-    bundled_instances, build_update_matrix, proportional, rand_bipoly, rand_nonzero,
-    rand_unipoly, reduce_mod, schoolbook_product, x_degree,
+    bundled_instances, build_update_matrix, coeff_rows, identity, poly_rows, proportional,
+    rand_bipoly, rand_nonzero, rand_unipoly, reduce_mod, schoolbook_product, x_degree,
 )
 
 F3 = PrimeField(3)
@@ -37,12 +36,14 @@ def apply(T, elems):
 
 def one_point(point, s, basis):
     """Reference for one point: the shared elimination step on an identity
-    transform, with the Hasse matrices of the given basis."""
+    transform in the row format, with the Hasse matrices of the given basis
+    taken one element at a time."""
     xi, yi = point
-    T = _identity(basis.elems[0].field, basis.elems[0].ell)
+    field = basis.elems[0].field
+    T = coeff_rows(identity(field, basis.elems[0].ell))
     deltas = list(basis.deltas)
-    eliminate_point(T, [e.hasse_matrix(xi, yi, s) for e in basis.elems], deltas, xi, s)
-    return T, deltas
+    eliminate_point(field, T, [e.hasse_matrix(xi, yi, s) for e in basis.elems], deltas, xi, s)
+    return poly_rows(field, T), deltas
 
 
 def reduced_standard(field, ell, w, modulus):
@@ -71,7 +72,7 @@ def test_update_matrix_shape():
 
 def test_update_matrix_zero_ratios():
     U = build_update_matrix(F5, 2, 1, [0, 1, 0], 3)
-    I = _identity(F5, 2)
+    I = identity(F5, 2)
     for i in range(3):
         for j in range(3):
             if (i, j) == (1, 1):
@@ -106,7 +107,6 @@ def test_eliminate_point_row_update_equals_matrix_product():
         ell = rng.randint(0, 3)
         T = [[UniPoly(F101, [F101.rand(rng) for _ in range(rng.randint(0, 4))])
               for _ in range(ell + 1)] for _ in range(ell + 1)]
-        before = [list(row) for row in T]
         values = [F101.rand(rng) for _ in range(ell + 1)]
         values[rng.randint(0, ell)] = rand_nonzero(F101, rng)
         deltas = [rng.randint(0, 5) for _ in range(ell + 1)]
@@ -116,8 +116,10 @@ def test_eliminate_point_row_update_equals_matrix_product():
         want_deltas = list(deltas)
         want_deltas[t] += 1
         log = []
-        eliminate_point(T, [[[v]] for v in values], deltas, xi, 1, log, 7)
-        assert T == _poly_matmul(F101, build_update_matrix(F101, ell, t, ratios, xi), before)
+        rows = coeff_rows(T)
+        eliminate_point(F101, rows, [[[v]] for v in values], deltas, xi, 1, log, 7)
+        want = _poly_matmul(F101, build_update_matrix(F101, ell, t, ratios, xi), T)
+        assert rows == coeff_rows(want)
         assert deltas == want_deltas
         assert log == [(7, 0, 0, t)]
 
@@ -143,7 +145,7 @@ def test_interpolate_point_noop_when_satisfied():
         BiPoly(F5, 1, [UniPoly.zero(F5), UniPoly.zero(F5)]),
     ]
     T, deltas = interpolate_tree([(a, 3)], [1], TrackedBasis(elems, [1, 2]))
-    assert T == _identity(F5, 1)
+    assert T == identity(F5, 1)
     assert deltas == [1, 2]
 
 
@@ -310,7 +312,7 @@ def test_poly_matmul_matches_entrywise_products(p):
 def test_apply_identity():
     rng = random.Random(5)
     basis = [rand_bipoly(F101, rng, 2, 5) for _ in range(3)]
-    assert apply(_identity(F101, 2), basis) == basis
+    assert apply(identity(F101, 2), basis) == basis
 
 
 # -- solve -------------------------------------------------------------------------------

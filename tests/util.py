@@ -100,15 +100,31 @@ def taylor_shift(a: UniPoly, c: int) -> UniPoly:
     return UniPoly(a.field, b)
 
 
+def identity(field: PrimeField, ell: int) -> list[list[UniPoly]]:
+    """The (ell+1) x (ell+1) identity over F[x], as its list of rows."""
+    n = ell + 1
+    return [[UniPoly.one(field) if i == j else UniPoly.zero(field) for j in range(n)] for i in range(n)]
+
+
+def coeff_rows(T: list[list[UniPoly]]) -> list[list[list[int]]]:
+    """A matrix over F[x] in the elimination step's row format: each entry as
+    its trimmed coefficient list."""
+    return [[list(e.coeffs) for e in row] for row in T]
+
+
+def poly_rows(field: PrimeField, R: list[list[list[int]]]) -> list[list[UniPoly]]:
+    """The inverse of coeff_rows."""
+    return [[UniPoly(field, c) for c in row] for row in R]
+
+
 def build_update_matrix(
     field: PrimeField, ell: int, t: int, ratios: list[int], xi: int
 ) -> list[list[UniPoly]]:
     """One inner round as an explicit matrix over F[x], as its list of rows:
     identity except column t, which holds -ratios[j] off the diagonal and
     (x - xi) on it."""
-    n = ell + 1
-    U = [[UniPoly.one(field) if i == j else UniPoly.zero(field) for j in range(n)] for i in range(n)]
-    for j in range(n):
+    U = identity(field, ell)
+    for j in range(ell + 1):
         if j == t:
             U[t][t] = UniPoly.x_minus(field, xi)
         elif ratios[j] % field.p:
