@@ -6,7 +6,7 @@ from .bipoly import BiPoly, Monomial, derivative_orders
 from .decoder import GSParams, InfeasibleParameters, RSCode, decode_list, gs_params, y_roots
 from .field import PrimeField
 from .classic import TrackedBasis, interpolate
-from .fast import interpolate_tree, solve
+from .fast import solve
 from .oracle import minimal_solution
 from .problem import InterpolationInstance, random_instance
 from .unipoly import NEG_INF, UniPoly
@@ -26,7 +26,6 @@ __all__ = [
     "derivative_orders",
     "gs_params",
     "interpolate",
-    "interpolate_tree",
     "minimal_solution",
     "random_instance",
     "solve",

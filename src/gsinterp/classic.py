@@ -33,9 +33,7 @@ from .unipoly import UniPoly
 @dataclass
 class TrackedBasis:
     """Basis elements with their weighted degrees: deltas[j] is the (1, w)-weighted
-    degree of elems[j], whose leading y-position is j. The fast solver also holds
-    bases reduced mod a subtree modulus in it; the deltas (and the leading
-    y-position j) then describe the unreduced elements."""
+    degree of elems[j], whose leading y-position is j."""
 
     elems: list[BiPoly]
     deltas: list[int]

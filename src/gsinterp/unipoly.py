@@ -5,14 +5,12 @@ the zero polynomial has an empty coefficient list and degree NEG_INF.
 
 Multiplication is schoolbook for tiny operands and Kronecker substitution
 above SCHOOLBOOK_MAX (coefficients packed into one big integer so CPython's
-C-level integer multiply does the convolution). `divmod` is synthetic
-division on the same packed integers. Newton division (a series inverse of
-the reversed modulus) is provided for the modulus tree in fast.py, which
-caches that inverse per node.
-
-The solvers' per-point step does not go through this type: bipoly's Hasse
-kernel and classic's row operations work on the plain coefficient lists
-(the `coeffs` of a UniPoly), and report their work to the same counter.
+C-level integer multiply does the convolution). `_divmod_raw` is synthetic
+division on the same packed integers; Newton division (a series inverse of
+the reversed modulus) serves the modulus tree in fast.py, which caches that
+inverse per node. Every kernel works on plain coefficient lists: UniPoly
+wraps them as a value type, and the solvers call the kernels directly,
+reporting their work to the same counter.
 """
 
 from __future__ import annotations
@@ -199,6 +197,46 @@ def _newton_divmod(
     return q, _trim(r)
 
 
+def _divmod_raw(a: list[int], m: list[int], field: PrimeField) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by a nonzero m, by synthetic long division
+    on packed slots: each quotient coefficient is read off the top slot and
+    one shifted multiple of -m is added, so the per-coefficient work runs in
+    the big-integer kernels. A slot collects at most min(qlen, dm) products,
+    and no slot is reduced until the remainder is unpacked."""
+    dm = len(m) - 1
+    qlen = len(a) - dm
+    if qlen <= 0:
+        return [], a
+    p = field.p
+    lead_inv = field.inv(m[-1])
+    width = _slot_width(min(qlen, dm) + 1, p)
+    bits = 8 * width
+    slot = (1 << bits) - 1
+    neg_m = _pack([-v % p for v in m[:dm]], width)
+    acc = _pack(a, width)
+    q = [0] * qlen
+    for i in range(qlen - 1, -1, -1):
+        c = ((acc >> (bits * (i + dm))) & slot) % p * lead_inv % p
+        if c:
+            q[i] = c
+            acc += (c * neg_m) << (bits * i)
+    if _COUNTER is not None:
+        _COUNTER.mults += qlen
+    return _trim(q), _unpack(acc & ((1 << (bits * dm)) - 1), dm, width, p)
+
+
+def _pow_raw(a: list[int], e: int, field: PrimeField) -> list[int]:
+    """a^e for e >= 0 by repeated squaring."""
+    out = [1]
+    while e:
+        if e & 1:
+            out = _mul_raw(out, a, field)
+        if e > 1:
+            a = _mul_raw(a, a, field)
+        e >>= 1
+    return out
+
+
 # ---------------------------------------------------------------------------
 # the polynomial value type
 # ---------------------------------------------------------------------------
@@ -333,14 +371,7 @@ class UniPoly:
     def pow(self, e: int) -> "UniPoly":
         if e < 0:
             raise ValueError("negative exponent")
-        out = UniPoly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return out
+        return UniPoly(self.field, _pow_raw(self.coeffs, e, self.field), normalized=True)
 
     # -- division --------------------------------------------------------------
 
@@ -348,32 +379,8 @@ class UniPoly:
         self._check(m)
         if m.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        da, dm = len(self.coeffs) - 1, len(m.coeffs) - 1
-        if da < dm:
-            return UniPoly.zero(self.field), self
-        field, p = self.field, self.field.p
-        qlen = da - dm + 1
-        # synthetic long division on packed slots: each quotient coefficient
-        # is read off the top slot and one shifted multiple of -m is added, so
-        # the per-coefficient work runs in the big-integer kernels. A slot
-        # collects at most min(qlen, dm) products, and no slot is reduced
-        # until the remainder is unpacked
-        lead_inv = field.inv(m.coeffs[-1])
-        width = _slot_width(min(qlen, dm) + 1, p)
-        bits = 8 * width
-        slot = (1 << bits) - 1
-        neg_m = _pack([-v % p for v in m.coeffs[:dm]], width)
-        acc = _pack(self.coeffs, width)
-        q = [0] * qlen
-        for i in range(qlen - 1, -1, -1):
-            c = ((acc >> (bits * (i + dm))) & slot) % p * lead_inv % p
-            if c:
-                q[i] = c
-                acc += (c * neg_m) << (bits * i)
-        if _COUNTER is not None:
-            _COUNTER.mults += qlen
-        rem = _unpack(acc & ((1 << (bits * dm)) - 1), dm, width, p)
-        return UniPoly(field, _trim(q), normalized=True), UniPoly(field, rem, normalized=True)
+        q, r = _divmod_raw(self.coeffs, m.coeffs, self.field)
+        return UniPoly(self.field, q, normalized=True), UniPoly(self.field, r, normalized=True)
 
     def __mod__(self, m: "UniPoly") -> "UniPoly":
         return self.divmod(m)[1]

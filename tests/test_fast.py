@@ -29,9 +29,16 @@ F101 = PrimeField(101)
 
 
 def apply(T, elems):
-    """Matrix action over F[x]: result_j = sum_k T[j][k] * elems_k."""
+    """Matrix action over F[x]: result_j = sum_k T[j][k] * elems_k, for T in
+    the row format of coefficient lists."""
     field, ell = elems[0].field, elems[0].ell
-    return [BiPoly(field, ell, row) for row in _poly_matmul(field, T, [e.rows for e in elems])]
+    C = _poly_matmul(field, T, coeff_rows([e.rows for e in elems]))
+    return [BiPoly(field, ell, row) for row in poly_rows(field, C)]
+
+
+def tree_args(basis):
+    """A TrackedBasis as interpolate_tree's field, elems and deltas arguments."""
+    return basis.elems[0].field, coeff_rows([e.rows for e in basis.elems]), list(basis.deltas)
 
 
 def one_point(point, s, basis):
@@ -43,7 +50,7 @@ def one_point(point, s, basis):
     T = coeff_rows(identity(field, basis.elems[0].ell))
     deltas = list(basis.deltas)
     eliminate_point(field, T, [e.hasse_matrix(xi, yi, s) for e in basis.elems], deltas, xi, s)
-    return poly_rows(field, T), deltas
+    return T, deltas
 
 
 def reduced_standard(field, ell, w, modulus):
@@ -91,7 +98,7 @@ def test_update_matrix_action_is_row_operation():
         ratios[t] = 1
         U = build_update_matrix(F101, ell, t, ratios, xi)
         basis = [rand_bipoly(F101, rng, ell, 5) for _ in range(ell + 1)]
-        got = apply(U, basis)
+        got = apply(coeff_rows(U), basis)
         for j in range(ell + 1):
             if j == t:
                 assert got[j] == basis[j].mul_linear(xi)
@@ -118,8 +125,9 @@ def test_eliminate_point_row_update_equals_matrix_product():
         log = []
         rows = coeff_rows(T)
         eliminate_point(F101, rows, [[[v]] for v in values], deltas, xi, 1, log, 7)
-        want = _poly_matmul(F101, build_update_matrix(F101, ell, t, ratios, xi), T)
-        assert rows == coeff_rows(want)
+        want = _poly_matmul(F101, coeff_rows(build_update_matrix(F101, ell, t, ratios, xi)),
+                            coeff_rows(T))
+        assert rows == want
         assert deltas == want_deltas
         assert log == [(7, 0, 0, t)]
 
@@ -128,11 +136,11 @@ def test_eliminate_point_row_update_equals_matrix_product():
 
 
 def test_interpolate_point_hand_trace():
-    T, deltas = interpolate_tree([(0, 0)], [1], TrackedBasis.standard(F5, 1, 1))
-    assert T[0][0] == UniPoly(F5, [0, 1])  # x
-    assert T[0][1].is_zero()
-    assert T[1][0].is_zero()
-    assert T[1][1] == UniPoly.one(F5)
+    T, deltas = interpolate_tree([(0, 0)], [1], *tree_args(TrackedBasis.standard(F5, 1, 1)))
+    assert T[0][0] == [0, 1]  # x
+    assert T[0][1] == []
+    assert T[1][0] == []
+    assert T[1][1] == [1]
     assert deltas == [1, 1]
 
 
@@ -140,12 +148,8 @@ def test_interpolate_point_noop_when_satisfied():
     # basis elements already vanishing at the point reduce to zero mod (x-a),
     # so every Hasse value is zero and the transform must stay the identity
     a = 2
-    elems = [
-        BiPoly(F5, 1, [UniPoly.zero(F5), UniPoly.zero(F5)]),
-        BiPoly(F5, 1, [UniPoly.zero(F5), UniPoly.zero(F5)]),
-    ]
-    T, deltas = interpolate_tree([(a, 3)], [1], TrackedBasis(elems, [1, 2]))
-    assert T == identity(F5, 1)
+    T, deltas = interpolate_tree([(a, 3)], [1], F5, [[[], []], [[], []]], [1, 2])
+    assert T == coeff_rows(identity(F5, 1))
     assert deltas == [1, 2]
 
 
@@ -158,7 +162,7 @@ def test_interpolate_point_random_postconditions():
         xi, yi = F101.rand(rng), F101.rand(rng)
         full = TrackedBasis.standard(F101, ell, w).elems
         reduced = reduced_standard(F101, ell, w, UniPoly.x_minus(F101, xi).pow(s))
-        T, deltas = interpolate_tree([(xi, yi)], [s], reduced)
+        T, deltas = interpolate_tree([(xi, yi)], [s], *tree_args(reduced))
         updated = apply(T, full)
         assert max(x_degree(e) for e in updated) <= s
         for j, (e, d) in enumerate(zip(updated, deltas)):
@@ -168,11 +172,13 @@ def test_interpolate_point_random_postconditions():
 
 
 def test_interpolate_point_dimension_check():
-    basis = TrackedBasis([BiPoly.y_power(F5, 1, 0)], [0])
+    # one element of two rows against one delta, then two elements against one
     with pytest.raises(ValueError):
-        interpolate_tree([(0, 0)], [1], basis)
+        interpolate_tree([(0, 0)], [1], F5, [[[1], []]], [0])
     with pytest.raises(ValueError):
-        interpolate_tree([(0, 0)], [1], TrackedBasis([], []))
+        interpolate_tree([(0, 0)], [1], F5, [[[1]], [[]]], [0])
+    with pytest.raises(ValueError):
+        interpolate_tree([(0, 0)], [1], F5, [], [])
 
 
 # -- interpolate_tree -----------------------------------------------------------------
@@ -186,7 +192,7 @@ def test_tree_single_point_equals_point():
         s = rng.randint(1, 3)
         point = (F101.rand(rng), F101.rand(rng))
         reduced = reduced_standard(F101, ell, w, UniPoly.x_minus(F101, point[0]).pow(s))
-        T1, d1 = interpolate_tree([point], [s], reduced)
+        T1, d1 = interpolate_tree([point], [s], *tree_args(reduced))
         T2, d2 = one_point(point, s, reduced)
         assert T1 == T2 and d1 == d2
 
@@ -217,16 +223,16 @@ def test_tree_two_points_matches_sequential_reference():
         T2, d2 = one_point(pts[1], s2, TrackedBasis(applied, d1))
         want = _poly_matmul(F101, T2, T1)
 
-        T, d = interpolate_tree(pts, [s1, s2], reduced_standard(F101, ell, w, m1 * m2))
+        T, d = interpolate_tree(pts, [s1, s2], *tree_args(reduced_standard(F101, ell, w, m1 * m2)))
         assert T == want and d == d2
 
 
 def test_tree_usage_errors():
-    base = TrackedBasis.standard(F5, 1, 1)
+    base = tree_args(TrackedBasis.standard(F5, 1, 1))
     with pytest.raises(ValueError):
-        interpolate_tree([], [], base)
+        interpolate_tree([], [], *base)
     with pytest.raises(ValueError):
-        interpolate_tree([(0, 0)], [1, 2], base)
+        interpolate_tree([(0, 0)], [1, 2], *base)
 
 
 def test_modulus_tree_structure():
@@ -234,14 +240,15 @@ def test_modulus_tree_structure():
     mults = [1, 2, 1, 3, 1]
     root = build_modulus_tree(F101, pts, mults)
     assert root.lo == 0 and root.hi == 4
-    assert root.modulus.degree == sum(mults)
+    assert len(root.modulus) - 1 == sum(mults)
 
     def walk(node):
         if node.left is None:
             want = UniPoly.x_minus(F101, pts[node.lo][0]).pow(mults[node.lo])
-            assert node.modulus == want
+            assert node.modulus == want.coeffs
             return
-        assert node.modulus == node.left.modulus * node.right.modulus
+        left, right = UniPoly(F101, node.left.modulus), UniPoly(F101, node.right.modulus)
+        assert node.modulus == schoolbook_product(left, right).coeffs
         assert node.left.hi + 1 == node.right.lo
         walk(node.left)
         walk(node.right)
@@ -250,20 +257,22 @@ def test_modulus_tree_structure():
 
 
 def test_modnode_rem_matches_divmod():
-    # quotient lengths straddle rem's Newton threshold (32) and modulus
+    # quotient lengths straddle reduce's Newton threshold (32) and modulus
     # degrees straddle NEWTON_REM_MIN, so Newton division with the node's
     # cached inverse is checked against divmod's synthetic division;
-    # quotients grow call by call, so later calls must refresh the inverse
+    # quotients grow call by call, so later calls must refresh the inverse.
+    # Constant moduli and p = 2 cover the edges of the synthetic division
     rng = random.Random(12)
-    FN = PrimeField(754974721)
-    for dm in (NEWTON_REM_MIN - 1, NEWTON_REM_MIN, 70):
-        node = _ModNode(0, 0, rand_unipoly(FN, rng, dm))
-        m = node.modulus
-        f = rand_unipoly(FN, rng, dm - 1)
-        assert node.rem(f) == f
+    FN, F2 = PrimeField(754974721), PrimeField(2)
+    for field, dm in ((FN, NEWTON_REM_MIN - 1), (FN, NEWTON_REM_MIN), (FN, 70), (FN, 0),
+                      (F2, 0), (F2, 5), (F2, NEWTON_REM_MIN)):
+        m = rand_unipoly(field, rng, dm)
+        node = _ModNode(0, 0, m.coeffs)
+        f = rand_unipoly(field, rng, dm - 1) if dm else UniPoly.zero(field)
+        assert node.reduce(f.coeffs, field) == f.coeffs
         for qlen in (1, 31, 32, 47, 48, 90, 200):
-            f = rand_unipoly(FN, rng, dm + qlen - 1)
-            assert node.rem(f) == f % m
+            f = rand_unipoly(field, rng, dm + qlen - 1)
+            assert node.reduce(f.coeffs, field) == (f % m).coeffs
         assert node._inv_prec == (200 if dm >= NEWTON_REM_MIN else 0)
 
 
@@ -300,8 +309,8 @@ def test_poly_matmul_matches_entrywise_products(p):
                         for l in range(k) if A[i][l] and B[l][j]]
                 slots += max(lens, default=0)
         with count_scalar_mults() as ctr:
-            got = _poly_matmul(field, A, B)
-        assert got == want
+            got = _poly_matmul(field, coeff_rows(A), coeff_rows(B))
+        assert got == coeff_rows(want)
         # one count per unpacked output slot
         assert ctr.mults == slots
 
@@ -312,7 +321,7 @@ def test_poly_matmul_matches_entrywise_products(p):
 def test_apply_identity():
     rng = random.Random(5)
     basis = [rand_bipoly(F101, rng, 2, 5) for _ in range(3)]
-    assert apply(identity(F101, 2), basis) == basis
+    assert apply(coeff_rows(identity(F101, 2)), basis) == basis
 
 
 # -- solve -------------------------------------------------------------------------------
@@ -383,7 +392,9 @@ def test_tree_subrange_bookkeeping_exact():
             modulus = UniPoly.one(F101)
             for (x, _), s in zip(pts, mults):
                 modulus = modulus * UniPoly.x_minus(F101, x).pow(s)
-            T, deltas = interpolate_tree(pts, mults, reduced_standard(F101, inst.ell, w, modulus))
+            T, deltas = interpolate_tree(
+                pts, mults, *tree_args(reduced_standard(F101, inst.ell, w, modulus))
+            )
             updated = apply(T, base.elems)
             assert max(x_degree(e) for e in updated) <= sum(mults)
             for j, (e, d) in enumerate(zip(updated, deltas)):

@@ -159,18 +159,18 @@ def test_divmod_reconstructs():
 @pytest.mark.parametrize("p", PACK_PRIMES)
 def test_divmod_reconstructs_over_all_slot_widths(p):
     # long division packs its slots at a width set by min(qlen, dm), so
-    # sweep short and long quotients, constant and non-monic moduli, and
-    # large ones (dm and qlen >= 48) that no other remainder path handles
+    # sweep short and long quotients, constant and non-monic moduli, large
+    # ones (dm and qlen >= 48) and dividends shorter than the divisor
     field = PrimeField(p)
     rng = random.Random(p % 1019)
     for da, dm in ((0, 0), (5, 0), (7, 3), (30, 29), (40, 8), (60, 45), (90, 20),
-                   (300, 120), (200, 100)):
+                   (300, 120), (200, 100), (2, 3), (3, 60)):
         a = UniPoly(field, [field.rand(rng) for _ in range(da)] + [rand_nonzero(field, rng)])
         m = UniPoly(field, [field.rand(rng) for _ in range(dm)] + [rand_nonzero(field, rng)])
         q, r = a.divmod(m)
         assert schoolbook_product(q, m) + r == a
         assert r.degree < m.degree
-        assert q.degree == da - dm
+        assert q.degree == (da - dm if da >= dm else NEG_INF)
 
 
 def test_newton_and_synthetic_division_agree():
@@ -179,9 +179,9 @@ def test_newton_and_synthetic_division_agree():
     rng = random.Random(10)
     a = rand_unipoly(F101, rng, 300)
     m = rand_unipoly(F101, rng, 120)
-    node = _ModNode(0, 0, m)
+    node = _ModNode(0, 0, m.coeffs)
     q, r = a.divmod(m)
-    assert node.rem(a) == r
+    assert node.reduce(a.coeffs, F101) == r.coeffs
     assert node._inv_prec == 181
     assert schoolbook_product(q, m) + r == a
 
