@@ -15,17 +15,18 @@ BENCH_PRIME = 754974721
 
 
 def run_bench(
-    p: int, s: int, ell: int, sizes, seed: int = 0, runs: int = 3, w: int = 1
+    p: int, s: int, ell: int, sizes, seed: int = 0, runs: int = 3
 ) -> list[tuple[int, float, float, float]]:
     """One row (n, classic_ms, classic_hasse_ms, fast_ms) per requested size;
-    each cell is the median of `runs` wall-clock timings on one fixed instance.
+    each cell is the median of `runs` wall-clock timings on one fixed instance
+    with weight w = 1.
     All instances are built first, then each repetition times every
     (n, solver) cell once. The timings of one cell lie a whole pass apart, so
     a slow spell of the host shorter than a pass spoils at most one of them,
     which the median drops."""
     field = PrimeField(p)
     rng = random.Random(seed)
-    insts = [random_instance(field, rng, n, ell, w, uniform_s=s) for n in sizes]
+    insts = [random_instance(field, rng, n, ell, 1, uniform_s=s) for n in sizes]
     solvers = (
         lambda inst: classic.interpolate(inst, "naive"),
         lambda inst: classic.interpolate(inst, "cached"),

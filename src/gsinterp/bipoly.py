@@ -11,13 +11,15 @@ Two evaluation routes for Hasse derivatives exist on purpose:
     combines the rows across y with the same vectors in y0. BiPoly.hasse_matrix
     and has_multiplicity run it on one element.
   * hasse_derivative — the direct binomial-sum formula on the full
-    coefficients; slower, used as the independent cross-check.
+    coefficients, its binomials taken as integers (math.comb) mod p rather
+    than from the Taylor vectors; slower, used as the independent cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from math import comb
 from operator import mul
 
 from . import unipoly
@@ -210,12 +212,11 @@ class BiPoly:
 
     def hasse_derivative(self, x0: int, y0: int, dx: int, dy: int) -> int:
         """One Hasse derivative by the direct binomial-sum formula (no reduction)."""
-        field, p = self.field, self.field.p
+        p = self.field.p
         acc = 0
         ypow = 1
-        ybin = field.binom_column(dy, self.ell) if self.ell >= dy else []
         for j in range(dy, self.ell + 1):
-            cy = ybin[j] * ypow % p
+            cy = comb(j, dy) * ypow % p
             if cy:
                 acc = (acc + cy * self.rows[j].hasse_deriv(dx, x0)) % p
             ypow = ypow * y0 % p

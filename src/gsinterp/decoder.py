@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 
 from . import fast
-from .bipoly import BiPoly
+from .bipoly import BiPoly, taylor_vectors
 from .field import PrimeField
 from .problem import InterpolationInstance
 from .unipoly import UniPoly
@@ -21,6 +21,10 @@ from .unipoly import UniPoly
 # root splitting draws its shifts from a generator of its own with this seed,
 # so the global RNG is untouched and a decode repeats its work exactly
 _SPLIT_SEED = 0x5EED
+
+# gs_params searches multiplicities s <= S_CAP and list sizes ell <= ELL_CAP
+S_CAP = 8
+ELL_CAP = 32
 
 
 class InfeasibleParameters(ValueError):
@@ -73,21 +77,21 @@ def is_feasible(n: int, w: int, s: int, ell: int, tau: int) -> bool:
     return lhs > rhs
 
 
-def gs_params(code: RSCode, tau: int, s_cap: int = 8, ell_cap: int = 32) -> GSParams:
+def gs_params(code: RSCode, tau: int) -> GSParams:
     """Smallest multiplicity, then smallest list size, passing the counting bound."""
     if not 0 <= tau < code.n:
         raise ValueError("error target must satisfy 0 <= tau < n")
     if code.k < 2:
         raise ValueError("list decoding here needs k >= 2 (weight w = k-1 must be positive)")
     w = code.k - 1
-    for s in range(1, s_cap + 1):
-        for ell in range(1, ell_cap + 1):
+    for s in range(1, S_CAP + 1):
+        for ell in range(1, ELL_CAP + 1):
             if is_feasible(code.n, w, s, ell, tau):
                 return GSParams(s=s, ell=ell, tau=tau, w=w)
-    lhs, rhs = monomial_budget(code.n, w, s_cap, ell_cap, tau)
+    lhs, rhs = monomial_budget(code.n, w, S_CAP, ELL_CAP, tau)
     raise InfeasibleParameters(
-        f"tau={tau} infeasible for [n={code.n}, k={code.k}] within s<={s_cap}, "
-        f"ell<={ell_cap}: monomial count {lhs} must exceed constraint count {rhs}"
+        f"tau={tau} infeasible for [n={code.n}, k={code.k}] within s<={S_CAP}, "
+        f"ell<={ELL_CAP}: monomial count {lhs} must exceed constraint count {rhs}"
     )
 
 
@@ -168,20 +172,18 @@ def _strip_x(q: BiPoly) -> BiPoly:
 
 
 def _shift_root(q: BiPoly, gamma: int) -> BiPoly:
-    """q(x, x*y + gamma): recenter y at gamma, then scale row j by x^j."""
-    field, p = q.field, q.field.p
-    ell = q.ell
+    """q(x, x*y + gamma): recenter y at gamma, then scale row j by x^j. Row i
+    enters row j with weight C(i, j) * gamma^(i-j), the Taylor vector v_j in y
+    (zero for i < j)."""
+    field = q.field
     rows = []
-    for j in range(ell + 1):
+    for j, v in enumerate(taylor_vectors(gamma, q.ell + 1, q.ell + 1, field.p)):
         acc = UniPoly.zero(field)
-        gpow = 1
-        for i in range(j, ell + 1):
-            c = field.binom(i, j) * gpow % p
+        for c, row in zip(v, q.rows):
             if c:
-                acc = acc + q.rows[i].scale(c)
-            gpow = gpow * gamma % p
+                acc = acc + row.scale(c)
         rows.append(acc.shift_up(j))
-    return BiPoly(field, ell, rows)
+    return BiPoly(field, q.ell, rows)
 
 
 def y_roots(q: BiPoly, k: int) -> list[UniPoly]:
@@ -191,6 +193,8 @@ def y_roots(q: BiPoly, k: int) -> list[UniPoly]:
     interpreter's recursion limit."""
     if q.is_zero():
         raise ValueError("root extraction needs a nonzero polynomial")
+    if k < 1:
+        raise ValueError(f"root extraction needs a degree bound k >= 1, got {k}")
     field = q.field
     candidates: set[tuple[int, ...]] = set()
     work: list[tuple[BiPoly, tuple[int, ...]]] = [(q, ())]

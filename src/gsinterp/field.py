@@ -1,7 +1,8 @@
 """Prime field GF(p) arithmetic.
 
-Elements are plain ints in [0, p); the modulus and its binomial cache live
-on a shared PrimeField context object. Moduli are word-sized: p < 2^64.
+Elements are plain ints in [0, p); the modulus lives on a shared PrimeField
+context object. Moduli are word-sized: p < 2^64. Binomial shift weights
+come from bipoly.taylor_vectors, not from the field.
 """
 
 from __future__ import annotations
@@ -37,15 +38,10 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-# Pascal rows are cached only for small upper index; larger arguments go
-# through Lucas digits, so the cache never grows with the modulus.
-_PASCAL_CACHE_MAX = 256
-
-
 class PrimeField:
-    """Context for GF(p); immutable after construction."""
+    """Context for GF(p): modulus, inverses, random elements; immutable."""
 
-    __slots__ = ("p", "_pascal")
+    __slots__ = ("p",)
 
     def __init__(self, p: int):
         if not isinstance(p, int):
@@ -55,7 +51,6 @@ class PrimeField:
         if not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
-        self._pascal = [[1]]
 
     # -- random elements -----------------------------------------------------
 
@@ -68,61 +63,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero in GF(p)")
         return pow(a, self.p - 2, self.p)
-
-    # -- binomial coefficients -----------------------------------------------
-
-    def _pascal_row(self, i: int) -> list[int]:
-        rows = self._pascal
-        p = self.p
-        while len(rows) <= i:
-            prev = rows[-1]
-            row = [1] * (len(prev) + 1)
-            for k in range(1, len(prev)):
-                row[k] = (prev[k - 1] + prev[k]) % p
-            rows.append(row)
-        return rows[i]
-
-    def _binom_digit(self, a: int, b: int) -> int:
-        # both digits < p, so every factor below is invertible
-        if b > a:
-            return 0
-        if b > a - b:
-            b = a - b
-        if a <= _PASCAL_CACHE_MAX:
-            return self._pascal_row(a)[b]
-        p = self.p
-        num, den = 1, 1
-        for t in range(1, b + 1):
-            num = num * ((a - b + t) % p) % p
-            den = den * t % p
-        return num * pow(den, p - 2, p) % p
-
-    def binom(self, i: int, k: int) -> int:
-        """C(i, k) mod p via Lucas' theorem; 0 when k > i or k < 0."""
-        if i < 0:
-            raise ValueError("binomial upper index must be nonnegative")
-        if k < 0 or k > i:
-            return 0
-        p = self.p
-        out = 1
-        while i > 0 or k > 0:
-            out = out * self._binom_digit(i % p, k % p) % p
-            if out == 0:
-                return 0
-            i //= p
-            k //= p
-        return out
-
-    def binom_column(self, k: int, top: int) -> list[int]:
-        """[C(0,k), ..., C(top,k)] mod p, built additively (safe in any characteristic)."""
-        col = [1] * (top + 1)
-        p = self.p
-        for _ in range(k):
-            nxt = [0] * (top + 1)
-            for i in range(1, top + 1):
-                nxt[i] = (nxt[i - 1] + col[i - 1]) % p
-            col = nxt
-        return col
 
     # -- identity ------------------------------------------------------------
 

@@ -10,6 +10,7 @@ the constraint count, so instances above MAX_CONSTRAINTS are refused.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Iterator
 
 from .bipoly import BiPoly, derivative_orders
@@ -31,14 +32,14 @@ def _monomials_ascending(ell: int, w: int) -> Iterator[tuple[int, int]]:
 
 def _constraint_column(inst: InterpolationInstance, a: int, j: int) -> list[int]:
     """Column of Hasse-derivative coefficients of the monomial x^a y^j."""
-    field, p = inst.field, inst.field.p
+    p = inst.field.p
     col = []
     for (x, y), s in zip(inst.points, inst.mults):
         for dx, dy in derivative_orders(s):
             if a < dx or j < dy:
                 col.append(0)
                 continue
-            v = field.binom(a, dx) * field.binom(j, dy) % p
+            v = comb(a, dx) * comb(j, dy) % p
             v = v * pow(x, a - dx, p) % p
             v = v * pow(y, j - dy, p) % p
             col.append(v)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import sys
 from array import array
 from contextlib import contextmanager
+from math import comb
 
 from .field import PrimeField
 
@@ -398,16 +399,16 @@ class UniPoly:
         return acc
 
     def hasse_deriv(self, k: int, x0: int) -> int:
-        """Coefficient of x^k in self(x + x0), via the explicit binomial sum."""
+        """Coefficient of x^k in self(x + x0), via the explicit binomial sum
+        with integer binomials, independent of bipoly.taylor_vectors."""
         a = self.coeffs
         if k >= len(a):
             return 0
         p = self.field.p
-        col = self.field.binom_column(k, len(a) - 1)
         acc = 0
         xpow = 1
         for i in range(k, len(a)):
-            acc = (acc + col[i] * a[i] % p * xpow) % p
+            acc = (acc + comb(i, k) * a[i] % p * xpow) % p
             xpow = xpow * x0 % p
         return acc
 

@@ -208,12 +208,15 @@ def test_criterion_7_op_count_companion():
     # fast.solve measures 2.20
     field = PrimeField(BENCH_PRIME)
     counts = {}
-    for n in (256, 512):
+    for n in (64, 256, 512):
         inst = random_instance(field, random.Random(7), n, 2, 1, uniform_s=2)
         with count_scalar_mults() as ctr:
             fast.solve(inst)
         counts[n] = ctr.mults
     assert counts[512] / counts[256] <= 2.6
+    # the exact counts: work added without changing the output, which the
+    # golden digest alone would not see, shows here
+    assert counts == {64: 47042, 256: 245072, 512: 539835}
 
 
 def test_criterion_8_hasse_cache_equivalence(uniform_runs, bench_table):

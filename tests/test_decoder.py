@@ -1,5 +1,6 @@
 import itertools
 import random
+import signal
 
 import pytest
 
@@ -14,15 +15,17 @@ from gsinterp.decoder import (
     is_feasible,
     monomial_budget,
     _poly_roots,
+    _shift_root,
     y_roots,
 )
 from gsinterp.field import PrimeField
 from gsinterp.unipoly import UniPoly
 
-from util import rand_nonzero, scan_roots
+from util import rand_bipoly, rand_nonzero, scan_roots
 
 F13 = PrimeField(13)
 F5 = PrimeField(5)
+F3 = PrimeField(3)
 
 
 def all_messages(field, k):
@@ -205,28 +208,72 @@ def test_y_roots_constructed_factors():
 
 def test_y_roots_equals_exhaustive_enumeration():
     rng = random.Random(1)
-    code = RSCode(F5, 5, 2)
     from gsinterp import fast
     from gsinterp.problem import InterpolationInstance
 
-    for _ in range(10):
-        received = [F5.rand(rng) for _ in range(5)]
-        inst = InterpolationInstance(
-            F5, list(zip(code.evalpoints, received)), [1] * 5, ell=2, w=1
-        )
-        q, _ = fast.solve(inst)
-        got = {tuple(f.coeffs + [0] * (2 - len(f.coeffs))) for f in y_roots(q, 2)}
-        want = {
-            tuple(msg)
-            for msg in all_messages(F5, 2)
-            if q.eval_y(UniPoly(F5, msg)).is_zero()
-        }
-        assert got == want
+    # (field, n, k, ell, s); in GF(3) with ell = 3 the shift weights
+    # C(3, 1) and C(3, 2) vanish mod p
+    for field, n, k, ell, s in ((F5, 5, 2, 2, 1), (F3, 3, 3, 3, 2)):
+        code = RSCode(field, n, k)
+        for _ in range(10):
+            received = [field.rand(rng) for _ in range(n)]
+            inst = InterpolationInstance(
+                field, list(zip(code.evalpoints, received)), [s] * n, ell=ell, w=1
+            )
+            q, _ = fast.solve(inst)
+            got = {tuple(f.coeffs + [0] * (k - len(f.coeffs))) for f in y_roots(q, k)}
+            want = {
+                tuple(msg)
+                for msg in all_messages(field, k)
+                if q.eval_y(UniPoly(field, msg)).is_zero()
+            }
+            assert got == want
+
+
+def test_shift_root_matches_direct_substitution():
+    # q(x, x*y + gamma) = sum_i row_i * (x*y + gamma)^i, the powers built by
+    # repeated multiplication, so no binomial is computed; ell >= p makes
+    # some binomials vanish mod p
+    rng = random.Random(3)
+    for p in (2, 3, 5):
+        field = PrimeField(p)
+        x = UniPoly.monomial(field, 1)
+        for ell in (p, p + 1, 2 * p + 1):
+            for gamma in range(p):
+                q = rand_bipoly(field, rng, ell, 4)
+                want = [UniPoly.zero(field) for _ in range(ell + 1)]
+                power = [UniPoly.one(field)]  # y-rows of (x*y + gamma)^i
+                for i, row in enumerate(q.rows):
+                    for j, c in enumerate(power):
+                        want[j] = want[j] + row * c
+                    shifted = [c.scale(gamma) for c in power] + [UniPoly.zero(field)]
+                    for j, c in enumerate(power):
+                        shifted[j + 1] = shifted[j + 1] + x * c
+                    power = shifted
+                assert _shift_root(q, gamma).rows == want
 
 
 def test_y_roots_zero_rejected():
     with pytest.raises(ValueError):
         y_roots(BiPoly.from_monomials(F13, 1, []), 2)
+
+
+def test_y_roots_degree_bound_below_one_rejected():
+    # a prefix never shortens, so without the check k < 1 branches forever;
+    # the alarm turns such a hang into a failure
+    def hang(signum, frame):
+        raise TimeoutError("y_roots did not return")
+
+    q = BiPoly.from_monomials(F13, 1, [(0, 1, 1)])  # q = y
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        for k in (0, -1):
+            with pytest.raises(ValueError, match="k >= 1"):
+                y_roots(q, k)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # -- end-to-end decoding ---------------------------------------------------------------

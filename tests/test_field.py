@@ -1,5 +1,4 @@
 import math
-import random
 import time
 
 import pytest
@@ -29,48 +28,6 @@ def test_nonprime_modulus_rejected():
     for bad in (0, 1, 4, 9, 91, 2**20):
         with pytest.raises(ValueError):
             PrimeField(bad)
-
-
-def test_binom_examples():
-    assert PrimeField(7).binom(2, 1) == 2
-    assert PrimeField(2).binom(4, 2) == 0  # C(4,2) = 6
-    assert PrimeField(5).binom(5, 2) == 0  # C(5,2) = 10
-    assert PrimeField(7).binom(3, 5) == 0  # k > i
-
-
-def test_binom_pascal_identity():
-    rng = random.Random(0)
-    for p in (2, 5, 101):
-        F = PrimeField(p)
-        for _ in range(200):
-            i = rng.randint(1, 300)
-            k = rng.randint(0, i)
-            assert F.binom(i, k) == (F.binom(i - 1, k - 1) + F.binom(i - 1, k)) % p
-
-
-def test_binom_lucas_matches_integer_binomial():
-    for p in (2, 3, 5):
-        F = PrimeField(p)
-        for i in range(65):
-            for k in range(i + 1):
-                assert F.binom(i, k) == math.comb(i, k) % p
-
-
-def test_binom_column():
-    F = PrimeField(13)
-    for k in range(5):
-        col = F.binom_column(k, 40)
-        assert col == [math.comb(i, k) % 13 for i in range(41)]
-
-
-def test_binom_large_arguments_take_lucas_path():
-    p = 754974721
-    F = PrimeField(p)
-    # single-digit case exercised by big row indices
-    assert F.binom(1024, 2) == 1024 * 1023 // 2 % p
-    # and genuinely multi-digit arguments
-    i = 3 * p + 5
-    assert F.binom(i, p) == math.comb(3, 1) * math.comb(5, 0) % p
 
 
 def _trial_division(n: int) -> bool:
