@@ -5,6 +5,14 @@ their evaluations at n distinct points. Decoding interpolates a bivariate
 polynomial through the received points with uniform multiplicity, extracts
 its y-roots of degree < k, and keeps the candidates within the target
 Hamming radius.
+
+Root extraction (y_roots) is Roth-Ruckenstein branching on trimmed
+coefficient lists from the interpolated rows down to the candidates. Slice
+roots come from _poly_roots: one inversion for a linear slice, a gcd with
+x^p - x and Cantor-Zassenhaus splitting otherwise. Each level's substitution
+y -> x*y + gamma packs the rows once. Below a simple root a branch keeps only
+as many x-coefficients as it has levels left. Only the exact check of each
+candidate goes through BiPoly and UniPoly.
 """
 
 from __future__ import annotations
@@ -16,7 +24,7 @@ from . import fast
 from .bipoly import BiPoly, taylor_vectors
 from .field import PrimeField
 from .problem import InterpolationInstance
-from .unipoly import UniPoly
+from .unipoly import UniPoly, _add_raw, _divmod_raw, _mul_raw, _pack, _slot_width, _trim, _unpack
 
 # root splitting draws its shifts from a generator of its own with this seed,
 # so the global RNG is untouched and a decode repeats its work exactly
@@ -100,114 +108,122 @@ def gs_params(code: RSCode, tau: int) -> GSParams:
 # ---------------------------------------------------------------------------
 
 
-def _gcd(a: UniPoly, b: UniPoly) -> UniPoly:
+def _gcd(a: list[int], b: list[int], field: PrimeField) -> list[int]:
     """Monic gcd of a and b, not both zero."""
     while b:
-        a, b = b, a % b
-    return a.scale(a.field.inv(a.coeffs[-1]))
+        a, b = b, _divmod_raw(a, b, field)[1]
+    c, p = field.inv(a[-1]), field.p
+    return [v * c % p for v in a]
 
 
-def _pow_mod(base: UniPoly, e: int, m: UniPoly) -> UniPoly:
+def _pow_mod(base: list[int], e: int, m: list[int], field: PrimeField) -> list[int]:
     """base^e mod m by left-to-right square-and-multiply."""
-    base = base % m
-    out = UniPoly.one(base.field) % m
+    base = _divmod_raw(base, m, field)[1]
+    out = _divmod_raw([1], m, field)[1]
     for bit in bin(e)[2:]:
-        out = out * out % m
+        out = _divmod_raw(_mul_raw(out, out, field), m, field)[1]
         if bit == "1":
-            out = out * base % m
+            out = _divmod_raw(_mul_raw(out, base, field), m, field)[1]
     return out
 
 
-def _split_linear(h: UniPoly, rng: random.Random, out: list[int]) -> None:
+def _split_linear(h: list[int], field: PrimeField, rng: random.Random, out: list[int]) -> None:
     """Append the roots of h, monic and a product of distinct linear factors
     over GF(p) with p odd, by equal-degree splitting: for a random shift
     delta, gcd(h, (x + delta)^((p-1)/2) - 1) keeps the roots r whose r + delta
     is a nonzero square, about half of them."""
-    field, p = h.field, h.field.p
-    one = UniPoly.one(field)
-    while h.degree > 1:
-        shift = UniPoly(field, [rng.randrange(p), 1], normalized=True)
-        d = _gcd(h, _pow_mod(shift, (p - 1) // 2, h) - one)
-        if 0 < d.degree < h.degree:
-            _split_linear(d, rng, out)
-            h = h // d
-    if h.degree == 1:
-        out.append(-h.coeffs[0] % p)
+    p = field.p
+    while len(h) > 2:
+        shifted = _pow_mod([rng.randrange(p), 1], (p - 1) // 2, h, field)
+        d = _gcd(h, _trim(_add_raw(shifted, [p - 1], p)), field)
+        if 2 <= len(d) < len(h):
+            _split_linear(d, field, rng, out)
+            h = _divmod_raw(h, d, field)[0]
+    if len(h) == 2:
+        out.append(-h[0] % p)
 
 
-def _poly_roots(f: UniPoly) -> list[int]:
-    """Sorted distinct roots of a nonzero f in GF(p): g = gcd(f, x^p - x) is
-    the product of the distinct linear factors of f, and Cantor-Zassenhaus
-    splitting breaks g into them. Expected O(d^2 log d log p) field operations
-    for d = deg f."""
-    if f.is_zero():
+def _poly_roots(f: list[int], field: PrimeField) -> list[int]:
+    """Sorted distinct roots in GF(p) of f, a nonzero trimmed coefficient
+    list. A linear f = c0 + c1*x has the one root -c0/c1, for one inversion;
+    every slice below a simple root is linear (see y_roots), so most calls
+    end there. Otherwise g = gcd(f, x^p - x) is the product of the distinct
+    linear factors of f, and Cantor-Zassenhaus splitting breaks g into them:
+    expected O(d^2 log d log p) field operations for d = deg f."""
+    if not f:
         raise ValueError("every field element is a root of the zero polynomial")
-    p = f.field.p
+    p = field.p
+    if len(f) <= 2:
+        return [-f[0] * field.inv(f[1]) % p] if len(f) == 2 else []
     if p == 2:
-        c = f.coeffs
-        return [v for v, val in ((0, c[0]), (1, sum(c) % 2)) if val == 0]
-    x = UniPoly.monomial(f.field, 1)
-    g = _gcd(f, _pow_mod(x, p, f) - x)
+        return [v for v, val in ((0, f[0]), (1, sum(f) % 2)) if val == 0]
+    g = _gcd(f, _trim(_add_raw(_pow_mod([0, 1], p, f, field), [0, p - 1], p)), field)
     out: list[int] = []
-    _split_linear(g, random.Random(_SPLIT_SEED), out)
+    _split_linear(g, field, random.Random(_SPLIT_SEED), out)
     return sorted(out)
 
 
-def _strip_x(q: BiPoly) -> BiPoly:
-    """Divide out the largest power of x dividing every row."""
-    vals = []
-    for row in q.rows:
-        if row.coeffs:
-            vals.append(next(i for i, c in enumerate(row.coeffs) if c))
-    if not vals:
-        return q
-    v = min(vals)
-    if v == 0:
-        return q
-    field = q.field
-    return BiPoly(
-        field, q.ell,
-        [UniPoly(field, row.coeffs[v:], normalized=True) if row.coeffs else row for row in q.rows],
-    )
-
-
-def _shift_root(q: BiPoly, gamma: int) -> BiPoly:
-    """q(x, x*y + gamma): recenter y at gamma, then scale row j by x^j. Row i
-    enters row j with weight C(i, j) * gamma^(i-j), the Taylor vector v_j in y
-    (zero for i < j)."""
-    field = q.field
-    rows = []
-    for j, v in enumerate(taylor_vectors(gamma, q.ell + 1, q.ell + 1, field.p)):
-        acc = UniPoly.zero(field)
-        for c, row in zip(v, q.rows):
-            if c:
-                acc = acc + row.scale(c)
-        rows.append(acc.shift_up(j))
-    return BiPoly(field, q.ell, rows)
+def _shift_root(rows: list[list[int]], gamma: int, p: int) -> list[list[int]]:
+    """q(x, x*y + gamma) divided by the largest power of x dividing it, for a
+    nonzero q given by its y-power rows. Row j is x^j * sum_i C(i, j) *
+    gamma^(i-j) * row_i, the Taylor vector v_j in y: each row is packed once,
+    each output row is one sum of scalar multiples of the packed rows,
+    unpacked once. The stripped power is read from the unpacked rows, since
+    a packed sum can be a nonzero integer whose slots are all multiples of p."""
+    n = len(rows)
+    width = _slot_width(n, p)
+    packed = [_pack(r, width) for r in rows]
+    size = max(map(len, rows))
+    out = [
+        _unpack(sum(c * r for c, r in zip(v, packed) if c), size, width, p)
+        for v in taylor_vectors(gamma, n, n, p)
+    ]
+    val = min(j + next(i for i, c in enumerate(r) if c) for j, r in enumerate(out) if r)
+    return [r and ([0] * (j - val) + r if j >= val else r[val - j :]) for j, r in enumerate(out)]
 
 
 def y_roots(q: BiPoly, k: int) -> list[UniPoly]:
-    """All f with deg f < k and q(x, f(x)) = 0, by branching on the roots of
-    the constant-x slice level by level, verifying each full candidate. The
-    branches wait on an explicit worklist, so k is not bounded by the
-    interpreter's recursion limit."""
+    """All f with deg f < k and q(x, f(x)) = 0, by Roth-Ruckenstein branching:
+    each root gamma of the slice S(y) = q(0, y) extends the prefix, and its
+    branch continues on q(x, x*y + gamma) / x^v. Every candidate of length k
+    is checked exactly with q.eval_y. The branches wait on an explicit
+    worklist, so k is not bounded by the interpreter's recursion limit.
+
+    Precision. Below a simple root gamma (S'(gamma) != 0, which says gamma is
+    simple in any characteristic), a branch with prefix length L keeps only
+    the first k - L coefficients of each row. Row j of q(x, x*y + gamma) is
+    x^j times the order-j Hasse derivative in y at gamma. Row 0 has
+    x-valuation >= 1 (its constant term is S(gamma) = 0), row 1 has
+    valuation exactly 1 (its x^1 coefficient is S'(gamma)), row t has
+    valuation >= t. So exactly one x is stripped, and the next slice is
+    linear with nonzero leading coefficient S'(gamma): its one root is again
+    simple, and by induction the whole branch stays linear. Coefficient e of
+    the stripped output depends only on input coefficients <= e + 1, and the
+    k - L slices the branch still reads are coefficients 0 to k - L - 1 of
+    its rows. So truncation leaves every slice, and every candidate,
+    unchanged. Below a root that is not simple the rows stay at full
+    precision."""
     if q.is_zero():
         raise ValueError("root extraction needs a nonzero polynomial")
     if k < 1:
         raise ValueError(f"root extraction needs a degree bound k >= 1, got {k}")
-    field = q.field
+    field, p = q.field, q.field.p
+    rows = [r.coeffs for r in q.rows]
+    val = min(next(i for i, c in enumerate(r) if c) for r in rows if r)
     candidates: set[tuple[int, ...]] = set()
-    work: list[tuple[BiPoly, tuple[int, ...]]] = [(q, ())]
+    work: list[tuple[list[list[int]], tuple[int, ...]]] = [([r[val:] for r in rows], ())]
     while work:
-        cur, prefix = work.pop()
-        cur = _strip_x(cur)
-        slice_poly = UniPoly(field, [row.eval(0) for row in cur.rows])
-        for gamma in _poly_roots(slice_poly):
+        rows, prefix = work.pop()
+        slice_poly = _trim([r[0] if r else 0 for r in rows])
+        for gamma in _poly_roots(slice_poly, field):
             nxt = prefix + (gamma,)
             if len(nxt) == k:
                 candidates.add(nxt)
+            elif sum(i * c * pow(gamma, i - 1, p) for i, c in enumerate(slice_poly) if i) % p:
+                keep = k - len(nxt)
+                work.append(([_trim(r[:keep]) for r in _shift_root(rows, gamma, p)], nxt))
             else:
-                work.append((_shift_root(cur, gamma), nxt))
+                work.append((_shift_root(rows, gamma, p), nxt))
     out = []
     for coeffs in sorted(candidates):
         f = UniPoly(field, list(coeffs))

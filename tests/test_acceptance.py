@@ -71,8 +71,8 @@ def mixed_runs():
 
 @pytest.fixture(scope="module")
 def bench_table():
-    """Criterion 7/8 workload: the scaling table, medians of 3."""
-    rows = run_bench(BENCH_PRIME, 2, 2, [64, 128, 256, 512], seed=0, runs=3)
+    """Criterion 7/8 workload: the scaling table, medians of 5."""
+    rows = run_bench(BENCH_PRIME, 2, 2, [64, 128, 256, 512], seed=0, runs=5)
     print("\n" + format_csv(rows))
     return rows
 

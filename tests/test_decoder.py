@@ -21,7 +21,7 @@ from gsinterp.decoder import (
 from gsinterp.field import PrimeField
 from gsinterp.unipoly import UniPoly
 
-from util import rand_bipoly, rand_nonzero, scan_roots
+from util import rand_bipoly, rand_nonzero, ref_shift, ref_y_roots, scan_roots, strip_x
 
 F13 = PrimeField(13)
 F5 = PrimeField(5)
@@ -158,12 +158,12 @@ def test_poly_roots_match_scan(p):
     rng = random.Random(1000 + p)
     for f, roots in _root_cases(field, rng):
         rng_state = random.getstate()
-        got = _poly_roots(f)
+        got = _poly_roots(f.coeffs, field)
         assert random.getstate() == rng_state
         assert got == scan_roots(f)
         if roots is not None:
             assert got == sorted(roots)
-        assert _poly_roots(f) == got
+        assert _poly_roots(f.coeffs, field) == got
 
 
 def test_poly_roots_bench_prime():
@@ -175,12 +175,12 @@ def test_poly_roots_bench_prime():
     f = UniPoly(field, [-non_residue, 0, 1])  # root-free
     for r in roots:
         f = f * UniPoly.x_minus(field, r) * UniPoly.x_minus(field, r)
-    assert _poly_roots(f) == roots
+    assert _poly_roots(f.coeffs, field) == roots
 
 
 def test_poly_roots_zero_rejected():
     with pytest.raises(ValueError):
-        _poly_roots(UniPoly.zero(F13))
+        _poly_roots([], F13)
 
 
 # -- y-roots ------------------------------------------------------------------------
@@ -233,7 +233,8 @@ def test_y_roots_equals_exhaustive_enumeration():
 def test_shift_root_matches_direct_substitution():
     # q(x, x*y + gamma) = sum_i row_i * (x*y + gamma)^i, the powers built by
     # repeated multiplication, so no binomial is computed; ell >= p makes
-    # some binomials vanish mod p
+    # some binomials vanish mod p, and then a packed sum can be a nonzero
+    # integer whose slots are all multiples of p
     rng = random.Random(3)
     for p in (2, 3, 5):
         field = PrimeField(p)
@@ -250,7 +251,71 @@ def test_shift_root_matches_direct_substitution():
                     for j, c in enumerate(power):
                         shifted[j + 1] = shifted[j + 1] + x * c
                     power = shifted
-                assert _shift_root(q, gamma).rows == want
+                got = _shift_root([r.coeffs for r in q.rows], gamma, p)
+                assert got == [r.coeffs for r in strip_x(want)]
+
+
+def _ymul(a, b):
+    """Product of two polynomials in y over F[x], each as its list of rows."""
+    out = [UniPoly.zero(a[0].field) for _ in range(len(a) + len(b) - 1)]
+    for i, r in enumerate(a):
+        for j, t in enumerate(b):
+            out[i + j] = out[i + j] + r * t
+    return out
+
+
+def _planted_cases(field, rng):
+    """(q, k, planted roots) with q = R * prod (y - f)^m over the planted f:
+    a pair sharing a prefix, a double root, and both at once (y-degree up to
+    6, past p in GF(2), GF(3) and GF(5))."""
+    cases = []
+    for trial in range(12):
+        k = rng.randint(2, 6)
+        f, g = (UniPoly(field, [field.rand(rng) for _ in range(k)]) for _ in range(2))
+        # f and its sibling agree on their first j coefficients
+        sibling = f + UniPoly.monomial(field, rng.randrange(1, k), rand_nonzero(field, rng))
+        planted = ([(f, 1), (sibling, 1)], [(f, 2)], [(f, 1), (sibling, 1), (g, 2)])[trial % 3]
+        rows = rand_bipoly(field, rng, rng.randint(0, 2), 3).rows
+        for h, m in planted:
+            for _ in range(m):
+                rows = _ymul(rows, [h.scale(-1), UniPoly.one(field)])
+        cases.append((BiPoly(field, len(rows) - 1, rows), k, {h for h, _ in planted}))
+    return cases
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_y_roots_match_full_precision_reference(p):
+    field = PrimeField(p)
+    for q, k, planted in _planted_cases(field, random.Random(50 + p)):
+        got = y_roots(q, k)
+        assert got == ref_y_roots(q, k)
+        assert planted <= set(got)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 13])
+def test_simple_root_strips_one_x_and_leaves_a_linear_slice(p):
+    # the premise of y_roots's precision rule, on the reference's own walk
+    field = PrimeField(p)
+    seen = {True: 0, False: 0}
+    for q, k, _ in _planted_cases(field, random.Random(50 + p)):
+        work = [(q, 0)]
+        while work:
+            cur, depth = work.pop()
+            cur = BiPoly(field, cur.ell, strip_x(cur.rows))
+            s = UniPoly(field, [r.eval(0) for r in cur.rows])
+            ds = UniPoly(field, [i * c for i, c in enumerate(s.coeffs)][1:])
+            for gamma in scan_roots(s):
+                shifted = ref_shift(cur, gamma)
+                simple = ds.eval(gamma) != 0
+                seen[simple] += 1
+                if simple:
+                    val = min(next(i for i, c in enumerate(r.coeffs) if c) for r in shifted.rows if r)
+                    assert val == 1
+                    nxt = UniPoly(field, [r.eval(0) for r in strip_x(shifted.rows)])
+                    assert nxt.degree == 1
+                if depth + 1 < k:
+                    work.append((shifted, depth + 1))
+    assert seen[True] and seen[False]
 
 
 def test_y_roots_zero_rejected():

@@ -15,7 +15,7 @@ from gsinterp.fast import (
 )
 from gsinterp.field import PrimeField
 from gsinterp.classic import TrackedBasis, eliminate_point, interpolate
-from gsinterp.oracle import minimal_solution
+from gsinterp.oracle import MAX_CONSTRAINTS, minimal_solution
 from gsinterp.problem import InterpolationInstance, random_instance
 from gsinterp.unipoly import UniPoly, count_scalar_mults
 from util import (
@@ -471,6 +471,32 @@ def test_leaf_runs_agree_with_classic_and_oracle():
         naive, cached, fast = _pivot_logs(inst)
         assert naive == cached == fast
         assert min(solve(inst)[1]) == minimal_solution(inst)[1]
+
+
+def test_seeded_edge_instances_agree_across_solvers_and_oracle():
+    # random instances at the edges the bundled files cover only once each:
+    # p in {2, 3} with multiplicities up to p + 2 (s >= p, where Hasse
+    # binomials vanish), ell = 0 and w > n, all within the oracle's cap
+    rng = random.Random(16)
+    seen = set()
+    for trial in range(120):
+        field = PrimeField((2, 3)[trial % 2])
+        p = field.p
+        n = rng.randint(1, p)
+        ell = 0 if trial % 3 == 0 else rng.randint(1, 4)
+        w = n + rng.randint(1, 3) if trial % 4 < 2 else rng.randint(1, n)
+        inst = random_instance(field, rng, n, ell, w, smin=1, smax=p + 2)
+        assert inst.constraint_count() <= MAX_CONSTRAINTS
+        hits = {"s >= p": max(inst.mults) >= p, "ell = 0": ell == 0, "w > n": w > n}
+        seen.update(edge for edge, hit in hits.items() if hit)
+        naive, cached, fast = _pivot_logs(inst)  # equal elements and deltas
+        assert naive == cached == fast
+        q_oracle, mindeg = minimal_solution(inst)
+        q, deltas = solve(inst)
+        assert min(deltas) == mindeg == q.weighted_degree(w) == q_oracle.weighted_degree(w)
+        for (x, y), s in zip(inst.points, inst.mults):
+            assert q.has_multiplicity(x, y, s) and q_oracle.has_multiplicity(x, y, s)
+    assert seen == {"s >= p", "ell = 0", "w > n"}
 
 
 @pytest.mark.parametrize("leaf_max", [1, 2, 3, 64])

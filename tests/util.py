@@ -3,6 +3,7 @@
 import glob
 import os
 import random
+from math import comb
 
 from gsinterp.bipoly import BiPoly
 from gsinterp.cli import parse_instance_text
@@ -141,3 +142,43 @@ def scan_roots(f: UniPoly) -> list[int]:
     if p > SCAN_MAX_P:
         raise ValueError(f"scanning GF({p}) is too slow for a test oracle")
     return [v for v in range(p) if f.eval(v) == 0]
+
+
+def strip_x(rows: list[UniPoly]) -> list[UniPoly]:
+    """The rows divided by the largest power of x dividing all of them."""
+    v = min((next(i for i, c in enumerate(r.coeffs) if c) for r in rows if r), default=0)
+    return [UniPoly(r.field, r.coeffs[v:]) for r in rows]
+
+
+def ref_shift(q: BiPoly, gamma: int) -> BiPoly:
+    """Independent reference for q(x, x*y + gamma), no power of x stripped:
+    row j is x^j * sum_i C(i, j) * gamma^(i-j) * row_i, with integer
+    binomials."""
+    field, p = q.field, q.field.p
+    rows = []
+    for j in range(q.ell + 1):
+        acc = UniPoly.zero(field)
+        for i in range(j, q.ell + 1):
+            acc = acc + q.rows[i].scale(comb(i, j) * pow(gamma, i - j, p))
+        rows.append(acc.shift_up(j))
+    return BiPoly(field, q.ell, rows)
+
+
+def ref_y_roots(q: BiPoly, k: int) -> list[UniPoly]:
+    """Independent reference for decoder.y_roots: Roth-Ruckenstein branching
+    on BiPoly rows at full precision, with every slice's roots found by
+    scan_roots and every candidate checked with q.eval_y."""
+    field = q.field
+    candidates = set()
+    work = [(q, ())]
+    while work:
+        cur, prefix = work.pop()
+        cur = BiPoly(field, cur.ell, strip_x(cur.rows))
+        for gamma in scan_roots(UniPoly(field, [r.eval(0) for r in cur.rows])):
+            nxt = prefix + (gamma,)
+            if len(nxt) == k:
+                candidates.add(nxt)
+            else:
+                work.append((ref_shift(cur, gamma), nxt))
+    roots = (UniPoly(field, list(c)) for c in sorted(candidates))
+    return [f for f in roots if q.eval_y(f).is_zero()]
