@@ -8,8 +8,11 @@ Two evaluation routes for Hasse derivatives exist on purpose:
   * hasse_matrices — the production path, on plain coefficient lists. Per
     point it builds the s Taylor vectors v_k[i] = C(i,k) x0^(i-k) once, takes
     every row's first s Taylor coefficients as dot products with them, and
-    combines the rows across y with the same vectors in y0. BiPoly.hasse_matrix
-    and has_multiplicity run it on one element.
+    combines the rows across y with the same vectors in y0. Each element's
+    values come back as one flat list, the anti-triangle dx + dy < s in
+    derivative_orders order: the layout the elimination step carries and
+    shifts (see classic). BiPoly.hasse_matrix reshapes it into the s x s
+    matrix, and has_multiplicity scans it.
   * hasse_derivative — the direct binomial-sum formula on the full
     coefficients, its binomials taken as integers (math.comb) mod p rather
     than from the Taylor vectors; slower, used as the independent cross-check.
@@ -70,11 +73,12 @@ def taylor_vectors(x0: int, s: int, n: int, p: int) -> list[list[int]]:
 
 def hasse_matrices(
     field: PrimeField, ell: int, elems: list[list[list[int]]], x0: int, y0: int, s: int
-) -> list[list[list[int]]]:
-    """The s x s Hasse matrix H[dx][dy] at (x0, y0), dx+dy < s, of each element,
-    an element being its ell+1 rows as trimmed coefficient lists. Entries outside
-    the anti-triangle are stored as zeros. The Taylor vectors are built once for
-    all rows; the full shifted polynomial is never expanded."""
+) -> list[list[int]]:
+    """The Hasse values H[dx][dy] at (x0, y0), dx+dy < s, of each element as one
+    flat list in derivative_orders(s) order (the anti-triangle of the Hasse
+    matrix, row by row), an element being its ell+1 rows as trimmed coefficient
+    lists. The Taylor vectors are built once for all rows; the full shifted
+    polynomial is never expanded."""
     p = field.p
     vecs = taylor_vectors(x0, s, max(map(len, chain.from_iterable(elems)), default=0), p)
     # the y-side binomial weights C(j, dy) * y0^(j-dy) are the same vectors in y
@@ -84,8 +88,7 @@ def hasse_matrices(
         # taylor[dx][j] = coeff of x^dx in row_j(x + x0)
         taylor = [[sum(map(mul, r, v)) % p for r in rows] for v in vecs]
         out.append([
-            [sum(map(mul, w, t)) % p if dx + dy < s else 0 for dy, w in enumerate(weights)]
-            for dx, t in enumerate(taylor)
+            sum(map(mul, w, t)) % p for dx, t in enumerate(taylor) for w in weights[: s - dx]
         ])
     if unipoly._COUNTER is not None:
         for rows in elems:
@@ -208,7 +211,9 @@ class BiPoly:
     def hasse_matrix(self, x0: int, y0: int, s: int) -> list[list[int]]:
         """s x s matrix H[dx][dy] of Hasse derivatives at (x0, y0), dx+dy < s,
         with zeros outside the anti-triangle (see hasse_matrices)."""
-        return hasse_matrices(self.field, self.ell, [[r.coeffs for r in self.rows]], x0, y0, s)[0]
+        rows = [r.coeffs for r in self.rows]
+        flat = iter(hasse_matrices(self.field, self.ell, [rows], x0, y0, s)[0])
+        return [[next(flat) if dx + dy < s else 0 for dy in range(s)] for dx in range(s)]
 
     def hasse_derivative(self, x0: int, y0: int, dx: int, dy: int) -> int:
         """One Hasse derivative by the direct binomial-sum formula (no reduction)."""
@@ -224,8 +229,8 @@ class BiPoly:
 
     def has_multiplicity(self, x0: int, y0: int, s: int) -> bool:
         """True iff all Hasse derivatives with dx+dy < s vanish at (x0, y0)."""
-        H = self.hasse_matrix(x0, y0, s)
-        return all(H[dx][dy] == 0 for dx, dy in derivative_orders(s))
+        rows = [r.coeffs for r in self.rows]
+        return not any(hasse_matrices(self.field, self.ell, [rows], x0, y0, s)[0])
 
     # -- display -----------------------------------------------------------------
 

@@ -10,13 +10,20 @@ Two modes produce bit-identical output:
   * "naive"  — every Hasse value is recomputed from the full-degree element
                via the direct formula, and the row operations run on BiPoly.
   * "cached" — the basis is unwrapped once per solve into rows of plain
-               coefficient lists. Per point, bipoly.hasse_matrices takes all
-               Hasse matrices in one batched pass, and eliminate_point keeps
-               them current through the inner loop by the same linear
-               combinations / row shifts it applies to the rows, each a list
-               comprehension over coefficients. The fast solver runs the same
-               eliminate_point on short runs of points, over its transform
-               rows joined to the reduced basis.
+               coefficient lists; per point, bipoly.hasse_matrices takes
+               every element's Hasse values in one batched pass.
+
+eliminate_point is the one elimination step of cached classic and of the
+fast solver's leaf runs. Beside each row it carries one flat vector of its
+element's Hasse values: for each point still to do, its s(s+1)/2 values in
+derivative_orders order, the current point's block first. The values are
+linear in the element, so row_j -= c*row_t is vec_j -= c*vec_t entrywise.
+For the pivot's (x - x_i), write x - x_i = (x - x_k) + (x_k - x_i): the
+coefficient of (x - x_k)^dx (y - y_k)^dy in (x - x_i)*b is then
+H[dx-1][dy] + (x_k - x_i)*H[dx][dy] of b at (x_k, y_k), with H[-1][dy] = 0;
+at x_k = x_i every dx row moves down one. shift_plan turns that rule into
+one gather per point. Cached classic is the one-point case: its plan has
+x_k = x_i, depends on s alone and is kept per s.
 """
 
 from __future__ import annotations
@@ -49,23 +56,6 @@ class TrackedBasis:
     def minimal(self) -> BiPoly:
         """The element of least weighted degree, ties to the larger y-position."""
         return self.elems[min(range(len(self.deltas)), key=lambda j: (self.deltas[j], -j))]
-
-
-def hasse_shift_down(H: list[list[int]], s: int) -> list[list[int]]:
-    """Hasse matrix of (x - x0)*b from the one of b: rows move down one,
-    new top row zero, entries outside the anti-triangle zeroed."""
-    out = [[0] * s for _ in range(s)]
-    for dx in range(1, s):
-        src = H[dx - 1]
-        dst = out[dx]
-        for dy in range(s - dx):
-            dst[dy] = src[dy]
-    return out
-
-
-def hasse_combine(Hj: list[list[int]], Ht: list[list[int]], c: int, p: int) -> list[list[int]]:
-    """Entrywise Hj - c*Ht."""
-    return [[(a - c * b) % p for a, b in zip(ra, rb)] for ra, rb in zip(Hj, Ht)]
 
 
 def _pick_pivot(values: list[int], deltas: list[int]) -> int | None:
@@ -115,51 +105,78 @@ def _mul_linear(row: list[list[int]], m: int, p: int) -> list[list[int]]:
     return out
 
 
+Plan = tuple[list[int], list[int]]  # shift_plan's (src, d)
+
+
+def shift_plan(xs: list[int], mults: list[int], xi: int, p: int) -> Plan:
+    """Gather plan of the pivot shift by (x - xi) over the flat values at the
+    points xs: src holds the index of entry (dx-1, dy) of the same point, or
+    -1 (an appended 0) for dx = 0, and d holds x_k - xi."""
+    src, d = [], []
+    for xk, s in zip(xs, mults):
+        above = -1  # where row dx - 1 of this point starts in the vector
+        for dx in range(s):
+            row = len(src)
+            src += [above + dy if dx else -1 for dy in range(s - dx)]
+            above = row
+        d += [(xk - xi) % p] * (len(src) - len(d))
+    return src, d
+
+
+def shift_values(vec: list[int], plan: Plan, p: int) -> list[int]:
+    """The flat Hasse values of (x - xi)*b from those of b, by shift_plan."""
+    src, d = plan
+    ext = vec + [0]
+    return [(ext[a] + k * b) % p for a, k, b in zip(src, d, vec)]
+
+
 def eliminate_point(
     field: PrimeField,
     rows: list[list[list[int]]],
-    matrices: list[list[list[int]]],
+    vecs: list[list[int]],
     deltas: list[int],
     xi: int,
     s: int,
+    plan: Plan,
     pivot_log: list | None = None,
     point_index: int = 0,
 ) -> None:
-    """Run the inner rounds of one point in place on the cached Hasse matrices.
+    """Run the inner rounds of one point in place on the flat Hasse values.
 
-    matrices[j] is the s x s Hasse matrix of basis element j at the point.
-    Each round that finds a pivot t cancels the (dx, dy) derivative from every
-    other element j, applying row_j -= ratio_j * row_t to rows[j] and
-    matrices[j], then multiplies row t by (x - xi) and bumps deltas[t]. Row j
-    of `rows` holds the coefficients of whatever element j is expressed in:
-    the y-power rows of the element itself, or a transform's row over F[x],
-    each entry a trimmed coefficient list. Entries are never mutated, only
-    replaced, so rows may share them with their caller.
+    vecs[j] holds element j's values at this point, then at any later
+    points, and plan is shift_plan over the same points. Each round that
+    finds a pivot t applies row_j -= ratio_j * row_t to rows[j] and vecs[j]
+    for every other j with a nonzero value, then multiplies row t by
+    (x - xi), shifts vecs[t] and bumps deltas[t]. Row j holds element j's
+    y-power rows or its transform row over F[x], each entry a trimmed
+    coefficient list; entries are replaced, never mutated, so rows may
+    share them with their caller.
     """
     p = field.p
     m = -xi % p
-    for dx, dy in derivative_orders(s):
-        values = [H[dx][dy] for H in matrices]
+    for r, (dx, dy) in enumerate(derivative_orders(s)):
+        values = [v[r] for v in vecs]
         t = _pick_pivot(values, deltas)
         if t is None:
             continue  # constraint already satisfied by every element
         if pivot_log is not None:
             pivot_log.append((point_index, dx, dy, t))
         inv_vt = field.inv(values[t])
-        pivot_row = rows[t]
+        pivot_row, pivot_vec = rows[t], vecs[t]
         nops = 1
         for j, v in enumerate(values):
             if j == t or v == 0:
                 continue
             c = v * inv_vt % p
             rows[j] = _add_multiple(rows[j], p - c, pivot_row, p)
-            matrices[j] = hasse_combine(matrices[j], matrices[t], c, p)
+            vecs[j] = [(a - c * b) % p for a, b in zip(vecs[j], pivot_vec)]
             nops += 1
         rows[t] = _mul_linear(pivot_row, m, p)
-        matrices[t] = hasse_shift_down(matrices[t], s)
+        vecs[t] = shift_values(pivot_vec, plan, p)
         deltas[t] += 1
-        if unipoly._COUNTER is not None:  # one unit per pivot-row coefficient per operation
-            unipoly._COUNTER.mults += nops * sum(map(len, pivot_row))
+        if unipoly._COUNTER is not None:
+            # one unit per pivot-row coefficient and per vector entry, per operation
+            unipoly._COUNTER.mults += nops * (sum(map(len, pivot_row)) + len(pivot_vec))
 
 
 def interpolate(
@@ -182,10 +199,12 @@ def interpolate(
 
     if mode == "cached":
         rows = [[r.coeffs for r in e.rows] for e in elems]
+        # the one-point plan has x_k = x_i, so it depends on s alone
+        plans = {s: shift_plan([0], [s], 0, p) for s in set(inst.mults)}
         for i, ((xi, yi), s) in enumerate(zip(inst.points, inst.mults)):
             # one batched Taylor pass over every row: the once-per-point cost
-            matrices = hasse_matrices(field, ell, rows, xi, yi, s)
-            eliminate_point(field, rows, matrices, deltas, xi, s, pivot_log, i)
+            vecs = hasse_matrices(field, ell, rows, xi, yi, s)
+            eliminate_point(field, rows, vecs, deltas, xi, s, plans[s], pivot_log, i)
         basis.elems = [
             BiPoly(field, ell, [UniPoly(field, c, normalized=True) for c in r]) for r in rows
         ]

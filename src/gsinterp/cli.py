@@ -8,6 +8,11 @@ refuses instances above oracle.MAX_CONSTRAINTS constraints), decode
 Exit codes: 0 success, 2 usage or parse error, 3 infeasible decode
 parameters, 4 empty decode list.
 
+Input caps, refused with exit 2 before any solver runs: an instance file
+over MAX_FILE_BYTES bytes, a multiplicity s over MAX_S or a list size ell
+over MAX_ELL, also as bench's --s and --ell. They sit far above the bundled
+instances, the benchmark workloads and decoder.S_CAP and decoder.ELL_CAP.
+
 Instance file grammar: '#' starts a comment; the first three non-comment
 lines are 'p=<int>', 'w=<int>', 'ell=<int>'; every following line is a
 point 'x,y' or 'x,y,s'.
@@ -25,8 +30,18 @@ from .field import PrimeField
 from .problem import InterpolationInstance
 
 
+MAX_FILE_BYTES = 1 << 24
+MAX_S = 64
+MAX_ELL = 256
+
+
 class InstanceFileError(ValueError):
     pass
+
+
+def check_caps(s: int, ell: int) -> None:
+    if s > MAX_S or ell > MAX_ELL:
+        raise ValueError(f"s={s}, ell={ell} exceed the caps s <= {MAX_S}, ell <= {MAX_ELL}")
 
 
 def parse_instance_text(text: str):
@@ -63,8 +78,11 @@ def parse_instance_text(text: str):
 
 
 def load_instance(path: str, args) -> InterpolationInstance:
-    with open(path, "r", encoding="utf-8") as fh:
-        p, w, ell, points = parse_instance_text(fh.read())
+    with open(path, "rb") as fh:
+        raw = fh.read(MAX_FILE_BYTES + 1)
+    if len(raw) > MAX_FILE_BYTES:
+        raise InstanceFileError(f"{path}: instance file exceeds the cap of {MAX_FILE_BYTES} bytes")
+    p, w, ell, points = parse_instance_text(raw.decode("utf-8"))
     # flags, when present, override the file header
     if args.modulus is not None:
         p = args.modulus
@@ -72,8 +90,9 @@ def load_instance(path: str, args) -> InterpolationInstance:
         w = args.w
     if args.ell is not None:
         ell = args.ell
-    field = PrimeField(p)
     mults = [s if s is not None else args.s for _, _, s in points]
+    check_caps(max(mults), ell)
+    field = PrimeField(p)
     return InterpolationInstance(field, [(x, y) for x, y, _ in points], mults, ell, w)
 
 
@@ -185,6 +204,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    check_caps(args.s, args.ell)
     sizes = [int(v) for v in args.sizes.split(",")]
     rows = bench.run_bench(args.modulus, args.s, args.ell, sizes, seed=args.seed)
     print(bench.format_csv(rows))

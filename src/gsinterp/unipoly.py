@@ -31,11 +31,11 @@ class ScalarMultCounter:
     """Tallies the per-coefficient work of the executed kernels: products for
     schoolbook multiply; per row, sum over k < s of (len - k) for the Taylor
     coefficients of bipoly.hasse_matrices; the pivot row's length per row
-    operation for the solvers' row operations (UniPoly.sub_scaled and
-    mul_linear, and their coefficient-list forms in classic.eliminate_point);
-    unpacked result slots for the packed-integer (Kronecker) products;
-    quotient slots read plus remainder slots unpacked for the packed
-    synthetic division."""
+    operation for UniPoly.sub_scaled and mul_linear; per row operation and
+    per pivot shift of classic.eliminate_point, the pivot row's coefficients
+    plus the entries of its flat Hasse-value vector; unpacked result slots
+    for the packed-integer (Kronecker) products; quotient slots read plus
+    remainder slots unpacked for the packed synthetic division."""
 
     __slots__ = ("mults",)
 
@@ -267,17 +267,6 @@ class UniPoly:
     def one(cls, field: PrimeField) -> "UniPoly":
         return cls(field, [1], normalized=True)
 
-    @classmethod
-    def monomial(cls, field: PrimeField, k: int, c: int = 1) -> "UniPoly":
-        c %= field.p
-        if c == 0:
-            return cls.zero(field)
-        return cls(field, [0] * k + [c], normalized=True)
-
-    @classmethod
-    def x_minus(cls, field: PrimeField, x0: int) -> "UniPoly":
-        return cls(field, [-x0 % field.p, 1], normalized=True)
-
     # -- basic queries ---------------------------------------------------------
 
     @property
@@ -310,24 +299,9 @@ class UniPoly:
         self._check(other)
         return UniPoly(self.field, _trim(_add_raw(self.coeffs, other.coeffs, self.field.p)), normalized=True)
 
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        self._check(other)
-        p = self.field.p
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        out = [((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p for i in range(n)]
-        return UniPoly(self.field, _trim(out), normalized=True)
-
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         self._check(other)
         return UniPoly(self.field, _mul_raw(self.coeffs, other.coeffs, self.field), normalized=True)
-
-    def scale(self, c: int) -> "UniPoly":
-        c %= self.field.p
-        if c == 0:
-            return UniPoly.zero(self.field)
-        p = self.field.p
-        return UniPoly(self.field, [v * c % p for v in self.coeffs], normalized=True)
 
     def sub_scaled(self, c: int, other: "UniPoly") -> "UniPoly":
         """self - c*other in one pass (the row operation of the solvers)."""
@@ -362,32 +336,6 @@ class UniPoly:
             out[i] = (out[i] - x0 * v) % p
             out[i + 1] = v
         return UniPoly(self.field, _trim(out), normalized=True)
-
-    def shift_up(self, k: int) -> "UniPoly":
-        """x^k * self."""
-        if self.is_zero() or k == 0:
-            return self
-        return UniPoly(self.field, [0] * k + self.coeffs, normalized=True)
-
-    def pow(self, e: int) -> "UniPoly":
-        if e < 0:
-            raise ValueError("negative exponent")
-        return UniPoly(self.field, _pow_raw(self.coeffs, e, self.field), normalized=True)
-
-    # -- division --------------------------------------------------------------
-
-    def divmod(self, m: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        self._check(m)
-        if m.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q, r = _divmod_raw(self.coeffs, m.coeffs, self.field)
-        return UniPoly(self.field, q, normalized=True), UniPoly(self.field, r, normalized=True)
-
-    def __mod__(self, m: "UniPoly") -> "UniPoly":
-        return self.divmod(m)[1]
-
-    def __floordiv__(self, m: "UniPoly") -> "UniPoly":
-        return self.divmod(m)[0]
 
     # -- evaluation and shifts ---------------------------------------------------
 

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
+from gsinterp.bench import BENCH_PRIME
 from gsinterp.bipoly import BiPoly, derivative_orders, hasse_matrices
 from gsinterp.field import PrimeField
-from gsinterp.classic import eliminate_point, hasse_combine, hasse_shift_down, interpolate
+from gsinterp.classic import eliminate_point, interpolate, shift_plan, shift_values
 from gsinterp.fast import solve_basis
 from gsinterp.oracle import minimal_solution
 from gsinterp.problem import InterpolationInstance, random_instance
@@ -154,40 +155,68 @@ def test_usage_errors():
         InterpolationInstance(F5, [], [], 1, 1)
 
 
-# -- Hasse matrix helpers -----------------------------------------------------------
+# -- flat Hasse values: the pivot shift and the row combination ----------------------
+
+
+def _values(field, elems, points, mults):
+    """Each element's flat Hasse values at the points, concatenated in order."""
+    rows = [[r.coeffs for r in e.rows] for e in elems]
+    ell = elems[0].ell
+    out = [[] for _ in elems]
+    for (x, y), s in zip(points, mults):
+        for v, h in zip(out, hasse_matrices(field, ell, rows, x, y, s)):
+            v += h
+    return out
 
 
 def test_hasse_shift_down_example():
-    H = [[7, 9], [3, 0]]
-    assert hasse_shift_down(H, 2) == [[0, 0], [7, 0]]
+    # at the pivot's own point the shift moves every dx row down one: the
+    # values (0,0), (0,1), (1,0) of [[7, 9], [3, -]] become those of [[0, 0], [7, -]]
+    assert shift_values([7, 9, 3], shift_plan([4], [2], 4, 101), 101) == [0, 0, 7]
 
 
 def test_hasse_shift_down_edge_cases():
-    assert hasse_shift_down([[0, 0], [0, 0]], 2) == [[0, 0], [0, 0]]
-    assert hasse_shift_down([[5]], 1) == [[0]]
+    assert shift_values([0, 0, 0], shift_plan([4], [2], 4, 101), 101) == [0, 0, 0]
+    assert shift_values([5], shift_plan([4], [1], 4, 101), 101) == [0]
+    assert shift_plan([], [], 3, 101) == ([], [])
+
+
+def _edge_points(field, rng, n):
+    """n points with distinct x; s up to p + 2, so s >= p in GF(2) and GF(3)."""
+    xs = rng.sample(range(field.p), n)
+    return [(x, field.rand(rng)) for x in xs], [rng.randint(1, min(field.p, 4) + 2) for _ in xs]
 
 
 def test_hasse_shift_down_matches_multiplication():
+    # the planned shift of an element's flat values at several points equals
+    # the values of (x - xi) * element at those points, whether or not xi is
+    # one of them (it is the first point when it is, as in a run)
     rng = random.Random(8)
-    for _ in range(25):
-        q = rand_bipoly(F101, rng, rng.randint(0, 3), 6)
-        x0, y0 = F101.rand(rng), F101.rand(rng)
-        s = rng.randint(1, 4)
-        H = q.hasse_matrix(x0, y0, s)
-        assert hasse_shift_down(H, s) == q.mul_linear(x0).hasse_matrix(x0, y0, s)
+    for p in (2, 3, 101, BENCH_PRIME):
+        field = PrimeField(p)
+        for trial in range(20):
+            q = rand_bipoly(field, rng, rng.randint(0, 3), rng.randint(0, 9))
+            points, mults = _edge_points(field, rng, rng.randint(1, min(p, 4)))
+            xi = points[0][0] if trial % 3 else field.rand(rng)
+            xs = [x for x, _ in points]
+            [vec] = _values(field, [q], points, mults)
+            [want] = _values(field, [q.mul_linear(xi)], points, mults)
+            assert shift_values(vec, shift_plan(xs, mults, xi, p), p) == want
 
 
 def test_hasse_combine():
+    # the row combination of flat values equals the values of the combined element
     rng = random.Random(9)
-    Hj = [[F101.rand(rng) for _ in range(3)] for _ in range(3)]
-    Ht = [[F101.rand(rng) for _ in range(3)] for _ in range(3)]
-    assert hasse_combine(Hj, Ht, 0, 101) == Hj
-    assert hasse_combine(Hj, Hj, 1, 101) == [[0] * 3 for _ in range(3)]
-    c = F101.rand(rng)
-    got = hasse_combine(Hj, Ht, c, 101)
-    for r in range(3):
-        for col in range(3):
-            assert got[r][col] == (Hj[r][col] - c * Ht[r][col]) % 101
+    for p in (2, 3, 101, BENCH_PRIME):
+        field = PrimeField(p)
+        for _ in range(20):
+            ell = rng.randint(0, 3)
+            a, b = (rand_bipoly(field, rng, ell, rng.randint(0, 9)) for _ in range(2))
+            points, mults = _edge_points(field, rng, rng.randint(1, min(p, 4)))
+            c = field.rand(rng)
+            va, vb = _values(field, [a, b], points, mults)
+            [want] = _values(field, [a.sub_scaled(c, b)], points, mults)
+            assert [(u - c * v) % p for u, v in zip(va, vb)] == want
 
 
 # -- the shared elimination step ----------------------------------------------------
@@ -223,13 +252,20 @@ def _joined_rows(extra, elems):
 
 
 def test_eliminate_point_multi_round_matches_sequential_reference():
+    # the step runs on values at the point followed by those at later points,
+    # as in a run of the fast solver; at the end every vector must hold the
+    # values of its final element at all of them
     rng = random.Random(42)
-    for p in (2, 3, 101, 754974721):
+    for p in (2, 3, 101, BENCH_PRIME):
         field = PrimeField(p)
         for _ in range(12):
             ell = rng.randint(0, 5)
             s = rng.randint(1, 4)
             xi, yi = field.rand(rng), field.rand(rng)
+            later = [x for x in dict.fromkeys(field.rand(rng) for _ in range(rng.randint(0, 3)))
+                     if x != xi]
+            points = [(xi, yi)] + [(x, field.rand(rng)) for x in later]
+            mults = [s] + [rng.randint(1, 4) for _ in later]
             elems = [rand_bipoly(field, rng, ell, 6) for _ in range(ell + 1)]
             extra = [
                 [rand_unipoly(field, rng, rng.randint(0, 5)) if rng.random() < 0.7
@@ -240,15 +276,16 @@ def test_eliminate_point_multi_round_matches_sequential_reference():
             rows = _joined_rows(extra, elems)
             handed_in = [list(r) for r in rows]
             snapshot = [[list(c) for c in r] for r in rows]
-            matrices = hasse_matrices(field, ell, [r[ell + 1:] for r in rows], xi, yi, s)
+            vecs = _values(field, elems, points, mults)
+            plan = shift_plan([x for x, _ in points], mults, xi, p)
             got_deltas, got_log = list(deltas), []
-            eliminate_point(field, rows, matrices, got_deltas, xi, s, got_log, 5)
+            eliminate_point(field, rows, vecs, got_deltas, xi, s, plan, got_log, 5)
 
             want_log = []
             _sequential_point(field, elems, extra, deltas, xi, yi, s, want_log, 5)
             assert got_log == want_log and got_deltas == deltas
             assert rows == _joined_rows(extra, elems)
-            # the cached matrices are those of the final elements, and the
+            # the carried values are those of the final elements, and the
             # entries the caller handed in were replaced, never mutated
-            assert matrices == hasse_matrices(field, ell, [r[ell + 1:] for r in rows], xi, yi, s)
+            assert vecs == _values(field, elems, points, mults)
             assert handed_in == snapshot

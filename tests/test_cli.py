@@ -6,7 +6,11 @@ import time
 import pytest
 
 from gsinterp.bipoly import BiPoly
+from gsinterp import cli
 from gsinterp.cli import (
+    MAX_ELL,
+    MAX_FILE_BYTES,
+    MAX_S,
     InstanceFileError,
     build_parser,
     format_monomials,
@@ -175,6 +179,73 @@ def test_verify_refuses_instance_too_large_for_oracle(tmp_path, capsys):
     assert elapsed < 3.0
     # every bundled instance stays within the limit
     assert all(inst.constraint_count() <= MAX_CONSTRAINTS for inst in bundled_instances())
+
+
+@pytest.fixture
+def no_solvers(monkeypatch):
+    """Make every solver and the bench harness fail the test if reached, so
+    a refusal is seen to come before any large allocation."""
+    def reached(*args, **kwargs):
+        raise AssertionError("an over-cap input reached a solver")
+
+    for target in ("gsinterp.fast.solve", "gsinterp.fast.solve_basis",
+                   "gsinterp.classic.interpolate", "gsinterp.oracle.minimal_solution",
+                   "gsinterp.bench.run_bench"):
+        monkeypatch.setattr(target, reached)
+
+
+@pytest.mark.parametrize("command", ["interpolate", "verify"])
+def test_multiplicity_above_cap_refused(tmp_path, capsys, no_solvers, command):
+    path = tmp_path / "big_s.txt"
+    path.write_text(f"p=101\nw=1\nell=1\n1,2\n3,4,{10**9}\n")
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(MAX_S) in err
+    # the default multiplicity of --s is capped alike
+    path.write_text("p=101\nw=1\nell=1\n1,2\n")
+    assert main([command, "--s", str(MAX_S + 1), str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["interpolate", "verify"])
+def test_list_size_above_cap_refused(tmp_path, capsys, no_solvers, command):
+    path = tmp_path / "big_ell.txt"
+    path.write_text(f"p=101\nw=1\nell={10**7}\n1,2\n")
+    assert main([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(MAX_ELL) in err
+    path.write_text("p=101\nw=1\nell=1\n1,2\n")
+    assert main([command, "--ell", str(MAX_ELL + 1), str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_bench_caps_refused(capsys, no_solvers):
+    assert main(["bench", "--s", str(MAX_S + 1), "--sizes", "4"]) == 2
+    assert main(["bench", "--ell", str(MAX_ELL + 1), "--sizes", "4"]) == 2
+    assert capsys.readouterr().err.count("error:") == 2
+
+
+def test_instance_file_above_cap_refused(tmp_path, capsys, monkeypatch, no_solvers):
+    # a sparse file one byte over the cap: the parser must never see it
+    def parsed(text):
+        raise AssertionError("an over-cap file reached the parser")
+
+    monkeypatch.setattr(cli, "parse_instance_text", parsed)
+    path = tmp_path / "huge.txt"
+    with open(path, "wb") as fh:
+        fh.truncate(MAX_FILE_BYTES + 1)
+    assert main(["interpolate", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(MAX_FILE_BYTES) in err
+
+
+def test_input_caps_admit_bundled_instances_and_decoder_search():
+    from gsinterp.decoder import ELL_CAP, S_CAP
+
+    assert S_CAP <= MAX_S and ELL_CAP <= MAX_ELL
+    for path, inst in zip(INSTANCES, bundled_instances()):
+        assert os.path.getsize(path) <= MAX_FILE_BYTES
+        assert max(inst.mults) <= MAX_S and inst.ell <= MAX_ELL
 
 
 def test_interpolate_over_mersenne_61(capsys):

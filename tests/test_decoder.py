@@ -21,7 +21,10 @@ from gsinterp.decoder import (
 from gsinterp.field import PrimeField
 from gsinterp.unipoly import UniPoly
 
-from util import rand_bipoly, rand_nonzero, ref_shift, ref_y_roots, scan_roots, strip_x
+from util import (
+    monomial, poly_pow, rand_bipoly, rand_nonzero, ref_shift, ref_y_roots, scale, scan_roots,
+    strip_x, x_minus,
+)
 
 F13 = PrimeField(13)
 F5 = PrimeField(5)
@@ -41,9 +44,9 @@ def lagrange_poly(field, xs, ys):
         den = 1
         for j, xj in enumerate(xs):
             if j != i:
-                num = num * UniPoly.x_minus(field, xj)
+                num = num * x_minus(field, xj)
                 den = den * (xi - xj) % p
-        acc = acc + num.scale(yi * field.inv(den) % p)
+        acc = acc + scale(num, yi * field.inv(den) % p)
     return acc
 
 
@@ -134,7 +137,7 @@ def _root_cases(field, rng):
             r = field.rand(rng)
             roots.add(r)
             for _ in range(rng.randint(1, 3)):
-                f = f * UniPoly.x_minus(field, r)
+                f = f * x_minus(field, r)
         if trial % 2:
             f = f * cofactor
         cases.append((f, roots))
@@ -143,9 +146,9 @@ def _root_cases(field, rng):
         # covered in the first, none in the second
         full = UniPoly.one(field)
         for r in range(p):
-            full = full * UniPoly.x_minus(field, r)
-        cases.append((full * UniPoly.x_minus(field, 0) * cofactor, set(range(p))))
-        cases.append((cofactor.pow(p // 2 + 1), set()))
+            full = full * x_minus(field, r)
+        cases.append((full * x_minus(field, 0) * cofactor, set(range(p))))
+        cases.append((poly_pow(cofactor, p // 2 + 1), set()))
         for _ in range(6):
             f = UniPoly(field, [field.rand(rng) for _ in range(p + 1 + rng.randint(0, 2 * p))] + [1])
             cases.append((f, None))
@@ -174,7 +177,7 @@ def test_poly_roots_bench_prime():
     non_residue = next(a for a in range(2, p) if pow(a, (p - 1) // 2, p) == p - 1)
     f = UniPoly(field, [-non_residue, 0, 1])  # root-free
     for r in roots:
-        f = f * UniPoly.x_minus(field, r) * UniPoly.x_minus(field, r)
+        f = f * x_minus(field, r) * x_minus(field, r)
     assert _poly_roots(f.coeffs, field) == roots
 
 
@@ -188,7 +191,7 @@ def test_poly_roots_zero_rejected():
 
 def test_y_roots_linear_factor():
     f = UniPoly(F13, [3, 5, 1])
-    q = BiPoly(F13, 1, [f.scale(-1), UniPoly.one(F13)])  # y - f
+    q = BiPoly(F13, 1, [scale(f, -1), UniPoly.one(F13)])  # y - f
     roots = y_roots(q, 3)
     assert roots == [f]
 
@@ -200,7 +203,7 @@ def test_y_roots_constructed_factors():
     # (y - f)(y - g) * u(x)
     q = BiPoly(
         F13, 2,
-        [f * g * u, (f + g).scale(-1) * u, u],
+        [f * g * u, scale(f + g, -1) * u, u],
     )
     roots = y_roots(q, 3)
     assert f in roots and g in roots
@@ -238,7 +241,7 @@ def test_shift_root_matches_direct_substitution():
     rng = random.Random(3)
     for p in (2, 3, 5):
         field = PrimeField(p)
-        x = UniPoly.monomial(field, 1)
+        x = monomial(field, 1)
         for ell in (p, p + 1, 2 * p + 1):
             for gamma in range(p):
                 q = rand_bipoly(field, rng, ell, 4)
@@ -247,7 +250,7 @@ def test_shift_root_matches_direct_substitution():
                 for i, row in enumerate(q.rows):
                     for j, c in enumerate(power):
                         want[j] = want[j] + row * c
-                    shifted = [c.scale(gamma) for c in power] + [UniPoly.zero(field)]
+                    shifted = [scale(c, gamma) for c in power] + [UniPoly.zero(field)]
                     for j, c in enumerate(power):
                         shifted[j + 1] = shifted[j + 1] + x * c
                     power = shifted
@@ -273,12 +276,12 @@ def _planted_cases(field, rng):
         k = rng.randint(2, 6)
         f, g = (UniPoly(field, [field.rand(rng) for _ in range(k)]) for _ in range(2))
         # f and its sibling agree on their first j coefficients
-        sibling = f + UniPoly.monomial(field, rng.randrange(1, k), rand_nonzero(field, rng))
+        sibling = f + monomial(field, rng.randrange(1, k), rand_nonzero(field, rng))
         planted = ([(f, 1), (sibling, 1)], [(f, 2)], [(f, 1), (sibling, 1), (g, 2)])[trial % 3]
         rows = rand_bipoly(field, rng, rng.randint(0, 2), 3).rows
         for h, m in planted:
             for _ in range(m):
-                rows = _ymul(rows, [h.scale(-1), UniPoly.one(field)])
+                rows = _ymul(rows, [scale(h, -1), UniPoly.one(field)])
         cases.append((BiPoly(field, len(rows) - 1, rows), k, {h for h, _ in planted}))
     return cases
 

@@ -9,7 +9,7 @@ from gsinterp.bipoly import BiPoly
 from gsinterp.cli import parse_instance_text
 from gsinterp.field import PrimeField
 from gsinterp.problem import InterpolationInstance
-from gsinterp.unipoly import UniPoly
+from gsinterp.unipoly import UniPoly, _divmod_raw, _pow_raw
 
 INSTANCE_DIR = os.path.join(os.path.dirname(__file__), "..", "instances")
 
@@ -25,6 +25,48 @@ def bundled_instances() -> list[InterpolationInstance]:
             InterpolationInstance(PrimeField(p), [(x, y) for x, y, _ in points], mults, ell, w)
         )
     return out
+
+
+# -- UniPoly operations only the tests use, each on the library's list kernels --
+
+
+def monomial(field: PrimeField, k: int, c: int = 1) -> UniPoly:
+    """c * x^k."""
+    return UniPoly(field, [0] * k + [c])
+
+
+def x_minus(field: PrimeField, x0: int) -> UniPoly:
+    return UniPoly(field, [-x0, 1])
+
+
+def scale(a: UniPoly, c: int) -> UniPoly:
+    return UniPoly(a.field, [v * c for v in a.coeffs])
+
+
+def sub(a: UniPoly, b: UniPoly) -> UniPoly:
+    return a + scale(b, -1)
+
+
+def shift_up(a: UniPoly, k: int) -> UniPoly:
+    """x^k * a."""
+    return UniPoly(a.field, [0] * k + a.coeffs) if a else a
+
+
+def poly_pow(a: UniPoly, e: int) -> UniPoly:
+    return UniPoly(a.field, _pow_raw(a.coeffs, e, a.field), normalized=True)
+
+
+def poly_divmod(a: UniPoly, m: UniPoly) -> tuple[UniPoly, UniPoly]:
+    if a.field != m.field:
+        raise ValueError("polynomials from different fields")
+    if m.is_zero():
+        raise ZeroDivisionError("polynomial division by zero")
+    q, r = _divmod_raw(a.coeffs, m.coeffs, a.field)
+    return UniPoly(a.field, q, normalized=True), UniPoly(a.field, r, normalized=True)
+
+
+def poly_mod(a: UniPoly, m: UniPoly) -> UniPoly:
+    return poly_divmod(a, m)[1]
 
 
 def rand_nonzero(field: PrimeField, rng: random.Random) -> int:
@@ -57,7 +99,7 @@ def x_degree(q: BiPoly):
 
 def reduce_mod(q: BiPoly, m: UniPoly) -> BiPoly:
     """Each row of q replaced by its remainder mod m."""
-    return BiPoly(q.field, q.ell, [r % m for r in q.rows])
+    return BiPoly(q.field, q.ell, [poly_mod(r, m) for r in q.rows])
 
 
 def parse_monomials(field: PrimeField, ell: int, text: str) -> BiPoly:
@@ -127,7 +169,7 @@ def build_update_matrix(
     U = identity(field, ell)
     for j in range(ell + 1):
         if j == t:
-            U[t][t] = UniPoly.x_minus(field, xi)
+            U[t][t] = x_minus(field, xi)
         elif ratios[j] % field.p:
             U[j][t] = UniPoly(field, [-ratios[j]])
     return U
@@ -159,8 +201,8 @@ def ref_shift(q: BiPoly, gamma: int) -> BiPoly:
     for j in range(q.ell + 1):
         acc = UniPoly.zero(field)
         for i in range(j, q.ell + 1):
-            acc = acc + q.rows[i].scale(comb(i, j) * pow(gamma, i - j, p))
-        rows.append(acc.shift_up(j))
+            acc = acc + scale(q.rows[i], comb(i, j) * pow(gamma, i - j, p))
+        rows.append(shift_up(acc, j))
     return BiPoly(field, q.ell, rows)
 
 
