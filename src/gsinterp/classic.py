@@ -11,19 +11,30 @@ Two modes produce bit-identical output:
                via the direct formula, and the row operations run on BiPoly.
   * "cached" — the basis is unwrapped once per solve into rows of plain
                coefficient lists; per point, bipoly.hasse_matrices takes
-               every element's Hasse values in one batched pass.
+               every element's Hasse values in one batched pass, and the
+               point's rounds run as a one-point run of eliminate_run.
 
 eliminate_point is the one elimination step of cached classic and of the
-fast solver's leaf runs. Beside each row it carries one flat vector of its
-element's Hasse values: for each point still to do, its s(s+1)/2 values in
-derivative_orders order, the current point's block first. The values are
-linear in the element, so row_j -= c*row_t is vec_j -= c*vec_t entrywise.
-For the pivot's (x - x_i), write x - x_i = (x - x_k) + (x_k - x_i): the
-coefficient of (x - x_k)^dx (y - y_k)^dy in (x - x_i)*b is then
-H[dx-1][dy] + (x_k - x_i)*H[dx][dy] of b at (x_k, y_k), with H[-1][dy] = 0;
-at x_k = x_i every dx row moves down one. shift_plan turns that rule into
-one gather per point. Cached classic is the one-point case: its plan has
-x_k = x_i, depends on s alone and is kept per s.
+fast solver's leaf runs; eliminate_run drives it over a run of points. A
+row is one integer of W-byte lanes, W = 8 when p < 2^32 and 16 otherwise:
+first the element's flat Hasse values (for each point still to do, its
+s(s+1)/2 values in derivative_orders order, the current point's first),
+then its k entries interleaved by x-degree, the x^d coefficient of entry l
+in lane V + d*k + l after V value lanes. Every lane is below 2^(8W) and
+congruent to its value mod p, and lanes are not reduced between row
+operations. The values are linear in the element, so row_j -= c*row_t is
+one big-integer multiply-add, row_j += (p - c)*row_t. With row_t reduced
+it adds at most (p - 1)^2 to a lane, so a row is reduced (unpacked mod p,
+repacked) before its addition tmax + 1, tmax = (2^(8W) - p) // (p - 1)^2:
+31 at the 30-bit bench prime, 1 at 4294967291. The pivot is always reduced
+before it multiplies, or a lane times (p - c) could carry into the next
+one without any sign. The pivot's (x - x_i) turns its entry lanes T into
+(T << 8W*k) + (-x_i mod p)*T.
+For its values write x - x_i = (x - x_k) + (x_k - x_i): the coefficient of
+(x - x_k)^dx (y - y_k)^dy in (x - x_i)*b is H[dx-1][dy] + (x_k - x_i)*H[dx][dy]
+of b at (x_k, y_k), with H[-1][dy] = 0. shift_plan turns that rule into one
+gather, built once per run and re-based per point; a finished point's lanes
+are shifted out of every row.
 """
 
 from __future__ import annotations
@@ -34,7 +45,9 @@ from . import unipoly
 from .bipoly import BiPoly, derivative_orders, hasse_matrices
 from .field import PrimeField
 from .problem import InterpolationInstance
-from .unipoly import UniPoly
+from .unipoly import UniPoly, _pack, _trim, _unpack
+
+Rows = list[list[list[int]]]  # a transform, or a basis by elements: rows of coefficient lists
 
 
 @dataclass
@@ -60,49 +73,8 @@ class TrackedBasis:
 
 def _pick_pivot(values: list[int], deltas: list[int]) -> int | None:
     """Index j minimizing (delta, -j) among nonzero values; None if all zero."""
-    best = None
-    best_key = None
-    for j, v in enumerate(values):
-        if v == 0:
-            continue
-        key = (deltas[j], -j)
-        if best is None or key < best_key:
-            best, best_key = j, key
-    return best
-
-
-def _add_multiple(
-    row_a: list[list[int]], c: int, row_b: list[list[int]], p: int
-) -> list[list[int]]:
-    """Entrywise a + c*b over two rows of trimmed coefficient lists, c != 0.
-    Only entries of equal length can cancel at the top, so only they are trimmed."""
-    out = []
-    for a, b in zip(row_a, row_b):
-        if b:
-            e = [(u + c * v) % p for u, v in zip(a, b)]
-            if len(a) > len(b):
-                e += a[len(b):]
-            elif len(a) < len(b):
-                e += [c * v % p for v in b[len(a):]]
-            else:
-                while e and e[-1] == 0:
-                    e.pop()
-            a = e
-        out.append(a)
-    return out
-
-
-def _mul_linear(row: list[list[int]], m: int, p: int) -> list[list[int]]:
-    """Entrywise (x + m)*b over a row of trimmed coefficient lists; each
-    product keeps b's top coefficient, so none needs trimming."""
-    out = []
-    for b in row:
-        if b:
-            e = [(u + m * v) % p for u, v in zip([0] + b, b)]
-            e.append(b[-1])
-            b = e
-        out.append(b)
-    return out
+    live = [j for j, v in enumerate(values) if v]
+    return min(live, key=lambda j: (deltas[j], -j)) if live else None
 
 
 Plan = tuple[list[int], list[int]]  # shift_plan's (src, d)
@@ -123,60 +95,106 @@ def shift_plan(xs: list[int], mults: list[int], xi: int, p: int) -> Plan:
     return src, d
 
 
-def shift_values(vec: list[int], plan: Plan, p: int) -> list[int]:
-    """The flat Hasse values of (x - xi)*b from those of b, by shift_plan."""
-    src, d = plan
-    ext = vec + [0]
-    return [(ext[a] + k * b) % p for a, k, b in zip(src, d, vec)]
+def lane_width(p: int) -> int:
+    """Bytes W per lane of a packed row; a lane holds (p - 1) + (p - 1)^2."""
+    return 8 if p >> 32 == 0 else 16
+
+
+def pack_rows(p: int, vecs: list[list[int]], rows: Rows) -> list[int]:
+    """Row j as one integer of lanes: vecs[j], then the entries of rows[j]
+    interleaved by x-degree (the x^d coefficient of entry l in lane
+    len(vecs[j]) + d*k + l, for k entries)."""
+    width, k = lane_width(p), len(rows[0])
+    out = []
+    for vec, row in zip(vecs, rows):
+        nv = len(vec)
+        lanes = vec + [0] * (k * max(map(len, row)))
+        for l, e in enumerate(row):
+            lanes[nv + l : nv + l + k * len(e) : k] = e
+        out.append(_pack(lanes, width))
+    return out
+
+
+def _reduce(row: int, width: int, p: int) -> list[int]:
+    """Every lane of a packed row mod p, trimmed."""
+    return _unpack(row, -(-row.bit_length() // (8 * width)), width, p)
 
 
 def eliminate_point(
-    field: PrimeField,
-    rows: list[list[list[int]]],
-    vecs: list[list[int]],
-    deltas: list[int],
-    xi: int,
-    s: int,
-    plan: Plan,
-    pivot_log: list | None = None,
-    point_index: int = 0,
+    field: PrimeField, rows: list[int], adds: list[int], deltas: list[int], xi: int, s: int,
+    plan: Plan, k: int, pivot_log: list | None = None, point_index: int = 0,
 ) -> None:
-    """Run the inner rounds of one point in place on the flat Hasse values.
-
-    vecs[j] holds element j's values at this point, then at any later
-    points, and plan is shift_plan over the same points. Each round that
-    finds a pivot t applies row_j -= ratio_j * row_t to rows[j] and vecs[j]
-    for every other j with a nonzero value, then multiplies row t by
-    (x - xi), shifts vecs[t] and bumps deltas[t]. Row j holds element j's
-    y-power rows or its transform row over F[x], each entry a trimmed
-    coefficient list; entries are replaced, never mutated, so rows may
-    share them with their caller.
-    """
+    """Run the inner rounds of one point in place on rows packed by pack_rows,
+    with values at this point and any later ones; plan is shift_plan over
+    those points, and adds[j] counts the unreduced additions into rows[j].
+    Each round that finds a pivot t adds (p - ratio_j)*row_t to every other
+    row j with a nonzero value, multiplies row t by (x - xi) and bumps
+    deltas[t]. The point's values stay in the low lanes."""
     p = field.p
+    width = lane_width(p)
+    bits = 8 * width
+    mask = (1 << bits) - 1
+    tmax = ((1 << bits) - p) // (p - 1) ** 2  # additions a reduced row can take
+    src, d = plan
+    nv = len(src)
+    low = (1 << bits * nv) - 1
     m = -xi % p
     for r, (dx, dy) in enumerate(derivative_orders(s)):
-        values = [v[r] for v in vecs]
+        values = [(row >> bits * r & mask) % p for row in rows]
         t = _pick_pivot(values, deltas)
         if t is None:
             continue  # constraint already satisfied by every element
         if pivot_log is not None:
             pivot_log.append((point_index, dx, dy, t))
         inv_vt = field.inv(values[t])
-        pivot_row, pivot_vec = rows[t], vecs[t]
-        nops = 1
+        pivot = rows[t]
+        if adds[t]:  # unreduced lanes would carry into each other when multiplied
+            pivot = _pack(_reduce(pivot, width, p), width)
+        nops = 0
         for j, v in enumerate(values):
             if j == t or v == 0:
                 continue
-            c = v * inv_vt % p
-            rows[j] = _add_multiple(rows[j], p - c, pivot_row, p)
-            vecs[j] = [(a - c * b) % p for a, b in zip(vecs[j], pivot_vec)]
+            if adds[j] == tmax:
+                rows[j] = _pack(_reduce(rows[j], width, p), width)
+                adds[j] = 0
+            rows[j] += (p - v * inv_vt % p) * pivot
+            adds[j] += 1
             nops += 1
-        rows[t] = _mul_linear(pivot_row, m, p)
-        vecs[t] = shift_values(pivot_vec, plan, p)
+        ext = _reduce(pivot & low, width, p)
+        ext += [0] * (nv + 1 - len(ext))
+        T = pivot >> bits * nv
+        rows[t] = _pack([(ext[a] + c * b) % p for a, c, b in zip(src, d, ext)], width) + (
+            (T << bits * k) + m * T << bits * nv
+        )
+        adds[t] = 1  # the entries' lanes are below p + (p - 1)^2
         deltas[t] += 1
         if unipoly._COUNTER is not None:
-            # one unit per pivot-row coefficient and per vector entry, per operation
-            unipoly._COUNTER.mults += nops * (sum(map(len, pivot_row)) + len(pivot_vec))
+            # the pivot's lanes, once per row operation and once for the shift
+            unipoly._COUNTER.mults += (nops + 1) * -(-pivot.bit_length() // bits)
+
+
+def eliminate_run(
+    field: PrimeField, vecs: list[list[int]], rows: Rows, deltas: list[int], xs: list[int],
+    mults: list[int], pivot_log: list | None = None, first_index: int = 0,
+) -> Rows:
+    """Eliminate a run of points, in order, from rows of trimmed coefficient
+    lists; vecs[j] holds element j's flat values at every run point, in run
+    order. Returns the rows; deltas is updated in place and the arguments'
+    entries are never mutated."""
+    p, k = field.p, len(rows[0])
+    width = lane_width(p)
+    bits = 8 * width
+    packed = pack_rows(p, vecs, rows)
+    adds = [0] * len(packed)
+    src, d = shift_plan(xs, mults, xs[0], p)  # built once, then re-based per point
+    for i, (xi, s) in enumerate(zip(xs, mults)):
+        if i:
+            src = [a - done if a >= 0 else -1 for a in src[done:]]
+            d = [(xk - xi) % p for xk, sk in zip(xs[i:], mults[i:]) for _ in range(sk * (sk + 1) // 2)]
+        eliminate_point(field, packed, adds, deltas, xi, s, (src, d), k, pivot_log, first_index + i)
+        done = s * (s + 1) // 2  # this point's values leave the low lanes
+        packed = [row >> bits * done for row in packed]
+    return [[_trim(lanes[l::k]) for l in range(k)] for lanes in (_reduce(r, width, p) for r in packed)]
 
 
 def interpolate(
@@ -199,12 +217,10 @@ def interpolate(
 
     if mode == "cached":
         rows = [[r.coeffs for r in e.rows] for e in elems]
-        # the one-point plan has x_k = x_i, so it depends on s alone
-        plans = {s: shift_plan([0], [s], 0, p) for s in set(inst.mults)}
         for i, ((xi, yi), s) in enumerate(zip(inst.points, inst.mults)):
             # one batched Taylor pass over every row: the once-per-point cost
             vecs = hasse_matrices(field, ell, rows, xi, yi, s)
-            eliminate_point(field, rows, vecs, deltas, xi, s, plans[s], pivot_log, i)
+            rows = eliminate_run(field, vecs, rows, deltas, [xi], [s], pivot_log, i)
         basis.elems = [
             BiPoly(field, ell, [UniPoly(field, c, normalized=True) for c in r]) for r in rows
         ]

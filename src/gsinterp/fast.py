@@ -9,16 +9,17 @@ A binary tree over the points keeps every intermediate basis reduced mod the
 subtree modulus, by packed synthetic division for short quotients and by
 Newton division with a per-node cached inverse for long ones. A run of at
 most LEAF_MAX points is eliminated point by point by the shared step
-classic.eliminate_point. At the run's start each element's Hasse values at
+classic.eliminate_run. At the run's start each element's Hasse values at
 every run point are read off the reduced basis, one batched pass per point;
 from then on a row is only its transform row, starting from the identity,
-and the flat value vector beside it follows every row operation and pivot
-shift, so the reduced basis itself is never updated. Hasse values of order
+packed with those values into one integer of lanes, so a row operation is
+one big-integer multiply-add that carries the values along, and the
+reduced basis itself is never updated. Hasse values of order
 < s at x_i depend only on the residue mod (x - x_i)^s, so the reduced basis
 gives the same pivots and ratios as the full one. LEAF_MAX = 16: against
-runs of 8, fast.solve took 0.79x the time on many small instances (s <= 3)
-and 0.96x at n = 1024 (s = 2), but 1.08x at s = 4, ell = 8, where vectors
-and transform rows are longer; 32 won nowhere. Transforms compose by
+it, runs of 8 took 1.11x the time on many small instances (s <= 3), 1.06x
+at n = 1024 (s = 2), 1.08x when decoding and 1.00x at s = 4, ell = 8;
+runs of 32 took 0.94x, 1.03x, 1.03x and 1.20x. Transforms compose by
 polynomial matrix multiplication, which packs each entry into one integer
 so that CPython's big-integer multiply carries the degree. Started from
 {1, y, ..., y^ell}, the final transform's rows are the y-power rows of the
@@ -28,15 +29,13 @@ basis elements.
 from __future__ import annotations
 
 from .bipoly import BiPoly, hasse_matrices
-from .classic import TrackedBasis, eliminate_point, shift_plan
+from .classic import Rows, TrackedBasis, eliminate_run
 from .field import PrimeField
 from .problem import InterpolationInstance
 from .unipoly import (
     UniPoly, _divmod_raw, _mul_raw, _newton_divmod, _pack, _pow_raw, _series_inv, _slot_width,
     _unpack,
 )
-
-Rows = list[list[list[int]]]  # a transform, or a basis by elements: rows of coefficient lists
 
 LEAF_MAX = 16  # runs of at most this many points are eliminated without recursing
 NEWTON_REM_MIN = 48  # from this modulus degree, _ModNode.reduce divides by a cached inverse
@@ -133,22 +132,16 @@ def _interpolate_run(
 ) -> tuple[Rows, list[int]]:
     """Process a run of points in order on the basis reduced mod the run's
     modulus; returns the recorded transform and the updated deltas."""
-    p, n = field.p, len(elems)
+    n = len(elems)
     # every run point's Hasse values of every element, one batched pass per
     # point, concatenated in run order; the basis itself is not carried
     vecs = [[] for _ in elems]
     for (xk, yk), s in zip(points, mults):
         for v, h in zip(vecs, hasse_matrices(field, n - 1, elems, xk, yk, s)):
             v += h
-    rows = _identity(n)
     deltas = list(deltas)
     xs = [x for x, _ in points]
-    for i, ((xi, _), s) in enumerate(zip(points, mults)):
-        plan = shift_plan(xs[i:], mults[i:], xi, p)
-        eliminate_point(field, rows, vecs, deltas, xi, s, plan, pivot_log, first_index + i)
-        done = s * (s + 1) // 2  # this point's block leads every vector
-        vecs = [v[done:] for v in vecs]
-    return rows, deltas
+    return eliminate_run(field, vecs, _identity(n), deltas, xs, mults, pivot_log, first_index), deltas
 
 
 def interpolate_tree(

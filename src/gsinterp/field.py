@@ -62,7 +62,7 @@ class PrimeField:
     def inv(self, a: int) -> int:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero in GF(p)")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     # -- identity ------------------------------------------------------------
 

@@ -32,10 +32,11 @@ class ScalarMultCounter:
     schoolbook multiply; per row, sum over k < s of (len - k) for the Taylor
     coefficients of bipoly.hasse_matrices; the pivot row's length per row
     operation for UniPoly.sub_scaled and mul_linear; per row operation and
-    per pivot shift of classic.eliminate_point, the pivot row's coefficients
-    plus the entries of its flat Hasse-value vector; unpacked result slots
-    for the packed-integer (Kronecker) products; quotient slots read plus
-    remainder slots unpacked for the packed synthetic division."""
+    per pivot shift of classic.eliminate_point, the lanes of its reduced
+    pivot row; unpacked result slots for the packed-integer (Kronecker)
+    products and for every _unpack, the elimination step's lane reductions
+    included; quotient slots read plus remainder slots unpacked for the
+    packed synthetic division."""
 
     __slots__ = ("mults",)
 
@@ -109,10 +110,13 @@ def _words(raw: bytes | bytearray) -> array:
 def _pack(a: list[int], width: int) -> int:
     """Coefficients as one integer, one byte-aligned slot each, low slot first.
     Residues are below 2^64 (PrimeField's bound), so they go through a word
-    array and strided byte copies with no Python-level work per coefficient."""
+    array, which is the packed integer itself at width 8 and is spread by
+    strided byte copies otherwise; no Python-level work per coefficient."""
     words = array("Q", a)
     if sys.byteorder != "little":
         words.byteswap()
+    if width == 8:
+        return int.from_bytes(words, "little")
     raw = words.tobytes()
     buf = bytearray(width * len(a))
     for j in range(min(width, 8)):  # a residue fits its slot, so its high bytes are 0
@@ -122,10 +126,13 @@ def _pack(a: list[int], width: int) -> int:
 
 def _unpack(packed: int, nterms: int, width: int, p: int) -> list[int]:
     """The first nterms slots of a packed convolution, each reduced mod p.
-    Slots of up to 16 bytes are split into word arrays by strided copies."""
+    8-byte slots are read as one word array; slots of up to 16 bytes are
+    split into word arrays by strided copies."""
     raw = packed.to_bytes(width * nterms, "little")
     if _COUNTER is not None:
         _COUNTER.mults += nterms
+    if width == 8:
+        return _trim([v % p for v in _words(raw)])
     if width > 16:
         mv = memoryview(raw)
         from_bytes = int.from_bytes

@@ -5,12 +5,14 @@ import pytest
 from gsinterp.bench import BENCH_PRIME
 from gsinterp.bipoly import BiPoly, derivative_orders, hasse_matrices
 from gsinterp.field import PrimeField
-from gsinterp.classic import eliminate_point, interpolate, shift_plan, shift_values
+from gsinterp.classic import (
+    eliminate_point, eliminate_run, interpolate, lane_width, pack_rows, shift_plan,
+)
 from gsinterp.fast import solve_basis
 from gsinterp.oracle import minimal_solution
 from gsinterp.problem import InterpolationInstance, random_instance
-from gsinterp.unipoly import UniPoly
-from util import proportional, rand_bipoly, rand_unipoly, x_degree
+from gsinterp.unipoly import UniPoly, _trim, _unpack
+from util import proportional, rand_bipoly, rand_unipoly, shift_values, x_degree
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -251,6 +253,18 @@ def _joined_rows(extra, elems):
     return [[u.coeffs for u in x] + [u.coeffs for u in e.rows] for x, e in zip(extra, elems)]
 
 
+def _unpacked(p, packed, nv, k):
+    """pack_rows undone: each row's nv values, and its k entries."""
+    width = lane_width(p)
+    vecs, rows = [], []
+    for r in packed:
+        lanes = _unpack(r, -(-r.bit_length() // (8 * width)), width, p)
+        lanes += [0] * (nv - len(lanes))
+        vecs.append(lanes[:nv])
+        rows.append([_trim(lanes[nv + l :: k]) for l in range(k)])
+    return vecs, rows
+
+
 def test_eliminate_point_multi_round_matches_sequential_reference():
     # the step runs on values at the point followed by those at later points,
     # as in a run of the fast solver; at the end every vector must hold the
@@ -279,13 +293,51 @@ def test_eliminate_point_multi_round_matches_sequential_reference():
             vecs = _values(field, elems, points, mults)
             plan = shift_plan([x for x, _ in points], mults, xi, p)
             got_deltas, got_log = list(deltas), []
-            eliminate_point(field, rows, vecs, got_deltas, xi, s, plan, got_log, 5)
+            packed = pack_rows(p, vecs, rows)
+            k = len(rows[0])
+            eliminate_point(field, packed, [0] * len(packed), got_deltas, xi, s, plan, k, got_log, 5)
+            got_vecs, got_rows = _unpacked(p, packed, len(vecs[0]), k)
 
             want_log = []
             _sequential_point(field, elems, extra, deltas, xi, yi, s, want_log, 5)
             assert got_log == want_log and got_deltas == deltas
-            assert rows == _joined_rows(extra, elems)
+            assert got_rows == _joined_rows(extra, elems)
             # the carried values are those of the final elements, and the
-            # entries the caller handed in were replaced, never mutated
-            assert vecs == _values(field, elems, points, mults)
+            # entries the caller handed in were never mutated
+            assert got_vecs == _values(field, elems, points, mults)
             assert handed_in == snapshot
+
+
+@pytest.mark.parametrize("p", [2, 3, 101, 65521, BENCH_PRIME, 4294967291, 4294967311, 2**61 - 1])
+def test_eliminate_run_matches_sequential_reference(p):
+    # whole runs against the point-by-point reference. In trial 1 a leaf
+    # run of 16 points of s = 4 makes 160 rounds. With 11 elements, the ten
+    # of small delta can take every round's pivot, so the last one, whose
+    # delta is out of reach, takes a row operation in nearly every round:
+    # more unreduced additions than a lane holds at the bench prime (31) or
+    # at 4294967291 (1), so rows must be reduced on the way
+    field = PrimeField(p)
+    rng = random.Random(p % 10007)
+    for trial in range(6):
+        long_run = trial == 1
+        ell = 10 if long_run else rng.randint(1, 3)
+        npts = min(p, 16 if long_run else rng.randint(1, 5))
+        xs = rng.sample(range(p), npts)
+        points = [(x, field.rand(rng)) for x in xs]
+        mults = [4 if long_run else rng.randint(1, 4) for _ in xs]
+        elems = [rand_bipoly(field, rng, ell, 6) for _ in range(ell + 1)]
+        extra = [[rand_unipoly(field, rng, rng.randint(0, 5)) for _ in range(ell + 1)]
+                 for _ in range(ell + 1)]
+        deltas = [rng.randint(0, 6) for _ in range(ell + 1)]
+        if long_run:
+            deltas[-1] = 10**6
+        rows = _joined_rows(extra, elems)
+        got_deltas, got_log = list(deltas), []
+        got = eliminate_run(field, _values(field, elems, points, mults), rows, got_deltas, xs,
+                            mults, got_log, 3)
+
+        want_log = []
+        for i, ((x, y), s) in enumerate(zip(points, mults)):
+            _sequential_point(field, elems, extra, deltas, x, y, s, want_log, 3 + i)
+        assert got_log == want_log and got_deltas == deltas
+        assert got == _joined_rows(extra, elems)

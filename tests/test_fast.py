@@ -14,7 +14,7 @@ from gsinterp.fast import (
     solve_basis,
 )
 from gsinterp.field import PrimeField
-from gsinterp.classic import TrackedBasis, eliminate_point, interpolate, shift_plan
+from gsinterp.classic import TrackedBasis, eliminate_run, interpolate
 from gsinterp.oracle import MAX_CONSTRAINTS, minimal_solution
 from gsinterp.problem import InterpolationInstance, random_instance
 from gsinterp.unipoly import UniPoly, count_scalar_mults
@@ -43,16 +43,16 @@ def tree_args(basis):
 
 
 def one_point(point, s, basis):
-    """Reference for one point: the shared elimination step on an identity
-    transform in the row format, with the Hasse values of the given basis
-    read off each element's Hasse matrix one element at a time."""
+    """Reference for one point: the shared elimination step, as a one-point
+    run, on an identity transform in the row format, with the Hasse values of
+    the given basis read off each element's Hasse matrix one element at a time."""
     xi, yi = point
     field = basis.elems[0].field
     T = coeff_rows(identity(field, basis.elems[0].ell))
     deltas = list(basis.deltas)
     vecs = [[H[dx][dy] for dx, dy in derivative_orders(s)]
             for H in (e.hasse_matrix(xi, yi, s) for e in basis.elems)]
-    eliminate_point(field, T, vecs, deltas, xi, s, shift_plan([xi], [s], xi, field.p))
+    T = eliminate_run(field, vecs, T, deltas, [xi], [s])
     return T, deltas
 
 
@@ -110,8 +110,8 @@ def test_update_matrix_action_is_row_operation():
 
 
 def test_eliminate_point_row_update_equals_matrix_product():
-    # with s = 1 there is one round, so the in-place row update on a random
-    # transform must equal one explicit update matrix applied on the left
+    # with s = 1 there is one round, so the row update of a one-point run on
+    # a random transform must equal one explicit update matrix applied on the left
     rng = random.Random(1)
     for _ in range(20):
         ell = rng.randint(0, 3)
@@ -126,9 +126,7 @@ def test_eliminate_point_row_update_equals_matrix_product():
         want_deltas = list(deltas)
         want_deltas[t] += 1
         log = []
-        rows = coeff_rows(T)
-        plan = shift_plan([xi], [1], xi, 101)
-        eliminate_point(F101, rows, [[v] for v in values], deltas, xi, 1, plan, log, 7)
+        rows = eliminate_run(F101, [[v] for v in values], coeff_rows(T), deltas, [xi], [1], log, 7)
         want = _poly_matmul(F101, coeff_rows(build_update_matrix(F101, ell, t, ratios, xi)),
                             coeff_rows(T))
         assert rows == want

@@ -160,6 +160,14 @@ def poly_rows(field: PrimeField, R: list[list[list[int]]]) -> list[list[UniPoly]
     return [[UniPoly(field, c) for c in row] for row in R]
 
 
+def shift_values(vec: list[int], plan: tuple[list[int], list[int]], p: int) -> list[int]:
+    """Reference gather of the pivot shift: the flat Hasse values of
+    (x - xi)*b from those of b, by classic.shift_plan's (src, d)."""
+    src, d = plan
+    ext = vec + [0]
+    return [(ext[a] + k * b) % p for a, k, b in zip(src, d, vec)]
+
+
 def build_update_matrix(
     field: PrimeField, ell: int, t: int, ratios: list[int], xi: int
 ) -> list[list[UniPoly]]:
