@@ -14,16 +14,14 @@ from .problem import random_instance
 BENCH_PRIME = 754974721
 
 
-def run_bench(
+def time_passes(
     p: int, s: int, ell: int, sizes, seed: int = 0, runs: int = 3
-) -> list[tuple[int, float, float, float]]:
-    """One row (n, classic_ms, classic_hasse_ms, fast_ms) per requested size;
-    each cell is the median of `runs` wall-clock timings on one fixed instance
-    with weight w = 1.
-    All instances are built first, then each repetition times every
-    (n, solver) cell once. The timings of one cell lie a whole pass apart, so
-    a slow spell of the host shorter than a pass spoils at most one of them,
-    which the median drops."""
+) -> list[list[tuple[int, float, float, float]]]:
+    """`runs` passes, each one row (n, classic_ms, classic_hasse_ms, fast_ms)
+    per requested size, timed on one fixed instance per size with weight w = 1.
+    All instances are built first, then each pass times every cell once, one
+    solver's sizes back to back: a cell's timings lie a whole pass apart, and
+    two sizes of one solver in one pass meet nearly the same host speed."""
     field = PrimeField(p)
     rng = random.Random(seed)
     insts = [random_instance(field, rng, n, ell, 1, uniform_s=s) for n in sizes]
@@ -32,14 +30,22 @@ def run_bench(
         lambda inst: classic.interpolate(inst, "cached"),
         lambda inst: fast.solve(inst),
     )
-    times = [[[] for _ in solvers] for _ in insts]
+    passes = []
     for _ in range(runs):
-        for inst, cells in zip(insts, times):
-            for solver, cell in zip(solvers, cells):
+        cols = [[] for _ in solvers]
+        for solver, col in zip(solvers, cols):
+            for inst in insts:
                 t0 = time.perf_counter()
                 solver(inst)
-                cell.append((time.perf_counter() - t0) * 1000.0)
-    return [(n, *map(statistics.median, cells)) for n, cells in zip(sizes, times)]
+                col.append((time.perf_counter() - t0) * 1000.0)
+        passes.append([(n, *cells) for n, cells in zip(sizes, zip(*cols))])
+    return passes
+
+
+def run_bench(p: int, s: int, ell: int, sizes, seed: int = 0, runs: int = 3) -> list[tuple]:
+    """time_passes' rows with each cell the median over the passes."""
+    by_size = zip(*time_passes(p, s, ell, sizes, seed, runs))
+    return [(n, *map(statistics.median, list(zip(*rows))[1:])) for n, rows in zip(sizes, by_size)]
 
 
 def format_csv(rows) -> str:

@@ -114,12 +114,6 @@ class BiPoly:
     # -- constructors ----------------------------------------------------------
 
     @classmethod
-    def y_power(cls, field: PrimeField, ell: int, j: int) -> "BiPoly":
-        rows = [UniPoly.zero(field) for _ in range(ell + 1)]
-        rows[j] = UniPoly.one(field)
-        return cls(field, ell, rows)
-
-    @classmethod
     def from_monomials(cls, field: PrimeField, ell: int, terms) -> "BiPoly":
         """terms: iterable of (xdeg, ydeg, coeff)."""
         acc: list[dict[int, int]] = [dict() for _ in range(ell + 1)]

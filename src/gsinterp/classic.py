@@ -9,32 +9,41 @@ its leading y-position at j throughout, so the index is the position.
 Two modes produce bit-identical output:
   * "naive"  — every Hasse value is recomputed from the full-degree element
                via the direct formula, and the row operations run on BiPoly.
-  * "cached" — the basis is unwrapped once per solve into rows of plain
-               coefficient lists; per point, bipoly.hasse_matrices takes
-               every element's Hasse values in one batched pass, and the
-               point's rounds run as a one-point run of eliminate_run.
+  * "cached" — the basis, as rows of plain coefficient lists, goes through
+               eliminate_run one run of LEAF_MAX points after another. This
+               is the fast solver's leaf without the tree: fast runs the
+               same driver at its leaves, runs of at most LEAF_MAX points,
+               on the basis reduced mod the run's modulus and with
+               transform rows riding along.
 
-eliminate_point is the one elimination step of cached classic and of the
-fast solver's leaf runs; eliminate_run drives it over a run of points. A
-row is one integer of W-byte lanes, W = 8 when p < 2^32 and 16 otherwise:
-first the element's flat Hasse values (for each point still to do, its
-s(s+1)/2 values in derivative_orders order, the current point's first),
-then its k entries interleaved by x-degree, the x^d coefficient of entry l
-in lane V + d*k + l after V value lanes. Every lane is below 2^(8W) and
-congruent to its value mod p, and lanes are not reduced between row
-operations. The values are linear in the element, so row_j -= c*row_t is
-one big-integer multiply-add, row_j += (p - c)*row_t. With row_t reduced
-it adds at most (p - 1)^2 to a lane, so a row is reduced (unpacked mod p,
-repacked) before its addition tmax + 1, tmax = (2^(8W) - p) // (p - 1)^2:
-31 at the 30-bit bench prime, 1 at 4294967291. The pivot is always reduced
-before it multiplies, or a lane times (p - c) could carry into the next
-one without any sign. The pivot's (x - x_i) turns its entry lanes T into
-(T << 8W*k) + (-x_i mod p)*T.
+eliminate_run is the one run driver of both solvers. It reads each element's
+Hasse values at every run point off its elements, one bipoly.hasse_matrices
+pass per point, packs them with the rows once, eliminates the points in
+order through eliminate_point and unpacks once. A row is one integer of
+W-byte lanes, W = 8 when p < 2^32 and 16 otherwise: first the element's flat
+Hasse values (for each point still to do, its s(s+1)/2 values in
+derivative_orders order, the current point's first), then its k entries
+interleaved by x-degree, the x^d coefficient of entry l in lane V + d*k + l
+after V value lanes. Every lane is below 2^(8W) and congruent to its value
+mod p, and lanes are not reduced between row operations. The values are
+linear in the element, so row_j -= c*row_t is one big-integer multiply-add,
+row_j += (p - c)*row_t. With row_t reduced it adds at most (p - 1)^2 to a
+lane, so a row is reduced (unpacked mod p, repacked) before its addition
+tmax + 1, tmax = (2^(8W) - p) // (p - 1)^2: 31 at the 30-bit bench prime, 1
+at 4294967291. The pivot is always reduced before it multiplies, or a lane
+times (p - c) could carry into the next one without any sign. The pivot's
+(x - x_i) turns its entry lanes T into (T << 8W*k) + (-x_i mod p)*T.
 For its values write x - x_i = (x - x_k) + (x_k - x_i): the coefficient of
 (x - x_k)^dx (y - y_k)^dy in (x - x_i)*b is H[dx-1][dy] + (x_k - x_i)*H[dx][dy]
 of b at (x_k, y_k), with H[-1][dy] = 0. shift_plan turns that rule into one
-gather, built once per run and re-based per point; a finished point's lanes
-are shifted out of every row.
+gather over the points still to do, one plan per point; a finished point's
+lanes are shifted out of every row.
+
+LEAF_MAX = 16, set by fast.solve: against it, runs of 8 took 1.11x the time
+on many small instances (s <= 3), 1.06x at n = 1024 (s = 2), 1.08x when
+decoding and 1.00x at s = 4, ell = 8; runs of 32 took 0.94x, 1.03x, 1.03x
+and 1.20x. Classic cached took 0.93-0.97x with runs of 8 and 1.02-1.11x
+with runs of 32 (small instances, n = 512 at s = 2, n = 128 at s = 4).
 """
 
 from __future__ import annotations
@@ -49,6 +58,13 @@ from .unipoly import UniPoly, _pack, _trim, _unpack
 
 Rows = list[list[list[int]]]  # a transform, or a basis by elements: rows of coefficient lists
 
+LEAF_MAX = 16  # points per run of eliminate_run, in both solvers
+
+
+def identity(n: int) -> Rows:
+    """The n x n identity transform; also the rows of {1, y, ..., y^(n-1)}."""
+    return [[[1] if k == j else [] for k in range(n)] for j in range(n)]
+
 
 @dataclass
 class TrackedBasis:
@@ -59,12 +75,18 @@ class TrackedBasis:
     deltas: list[int]
 
     @classmethod
+    def from_rows(cls, field: PrimeField, rows: Rows, deltas: list[int]) -> "TrackedBasis":
+        """The elements whose y-power rows are rows, as trimmed coefficient lists."""
+        ell = len(rows[0]) - 1
+        return cls(
+            [BiPoly(field, ell, [UniPoly(field, c, normalized=True) for c in r]) for r in rows],
+            deltas,
+        )
+
+    @classmethod
     def standard(cls, field: PrimeField, ell: int, w: int) -> "TrackedBasis":
         """The starting basis {1, y, ..., y^ell}."""
-        return cls(
-            [BiPoly.y_power(field, ell, j) for j in range(ell + 1)],
-            [w * j for j in range(ell + 1)],
-        )
+        return cls.from_rows(field, identity(ell + 1), [w * j for j in range(ell + 1)])
 
     def minimal(self) -> BiPoly:
         """The element of least weighted degree, ties to the larger y-position."""
@@ -89,7 +111,7 @@ def shift_plan(xs: list[int], mults: list[int], xi: int, p: int) -> Plan:
         above = -1  # where row dx - 1 of this point starts in the vector
         for dx in range(s):
             row = len(src)
-            src += [above + dy if dx else -1 for dy in range(s - dx)]
+            src += range(above, above + s - dx) if dx else [-1] * s
             above = row
         d += [(xk - xi) % p] * (len(src) - len(d))
     return src, d
@@ -148,8 +170,10 @@ def eliminate_point(
             pivot_log.append((point_index, dx, dy, t))
         inv_vt = field.inv(values[t])
         pivot = rows[t]
+        lanes = _reduce(pivot if adds[t] else pivot & low, width, p)
         if adds[t]:  # unreduced lanes would carry into each other when multiplied
-            pivot = _pack(_reduce(pivot, width, p), width)
+            pivot = _pack(lanes, width)
+        ext = lanes[:nv]
         nops = 0
         for j, v in enumerate(values):
             if j == t or v == 0:
@@ -160,7 +184,6 @@ def eliminate_point(
             rows[j] += (p - v * inv_vt % p) * pivot
             adds[j] += 1
             nops += 1
-        ext = _reduce(pivot & low, width, p)
         ext += [0] * (nv + 1 - len(ext))
         T = pivot >> bits * nv
         rows[t] = _pack([(ext[a] + c * b) % p for a, c, b in zip(src, d, ext)], width) + (
@@ -174,26 +197,27 @@ def eliminate_point(
 
 
 def eliminate_run(
-    field: PrimeField, vecs: list[list[int]], rows: Rows, deltas: list[int], xs: list[int],
-    mults: list[int], pivot_log: list | None = None, first_index: int = 0,
+    field: PrimeField, points, mults: list[int], elems: Rows, rows: Rows, deltas: list[int],
+    pivot_log: list | None = None, first_index: int = 0,
 ) -> Rows:
     """Eliminate a run of points, in order, from rows of trimmed coefficient
-    lists; vecs[j] holds element j's flat values at every run point, in run
-    order. Returns the rows; deltas is updated in place and the arguments'
-    entries are never mutated."""
+    lists; row j carries the Hasse values of elems[j] (its y-power rows) at
+    every run point. Returns the rows; deltas is updated in place, pivot_log
+    numbers the points from first_index, and no argument's entry is mutated."""
     p, k = field.p, len(rows[0])
     width = lane_width(p)
     bits = 8 * width
+    vecs = [[] for _ in elems]
+    for (xk, yk), s in zip(points, mults):
+        for v, h in zip(vecs, hasse_matrices(field, len(elems[0]) - 1, elems, xk, yk, s)):
+            v += h
     packed = pack_rows(p, vecs, rows)
     adds = [0] * len(packed)
-    src, d = shift_plan(xs, mults, xs[0], p)  # built once, then re-based per point
+    xs = [x for x, _ in points]
     for i, (xi, s) in enumerate(zip(xs, mults)):
-        if i:
-            src = [a - done if a >= 0 else -1 for a in src[done:]]
-            d = [(xk - xi) % p for xk, sk in zip(xs[i:], mults[i:]) for _ in range(sk * (sk + 1) // 2)]
-        eliminate_point(field, packed, adds, deltas, xi, s, (src, d), k, pivot_log, first_index + i)
-        done = s * (s + 1) // 2  # this point's values leave the low lanes
-        packed = [row >> bits * done for row in packed]
+        plan = shift_plan(xs[i:], mults[i:], xi, p)
+        eliminate_point(field, packed, adds, deltas, xi, s, plan, k, pivot_log, first_index + i)
+        packed = [row >> bits * (s * (s + 1) // 2) for row in packed]  # the point is done
     return [[_trim(lanes[l::k]) for l in range(k)] for lanes in (_reduce(r, width, p) for r in packed)]
 
 
@@ -216,14 +240,12 @@ def interpolate(
     elems, deltas = basis.elems, basis.deltas
 
     if mode == "cached":
-        rows = [[r.coeffs for r in e.rows] for e in elems]
-        for i, ((xi, yi), s) in enumerate(zip(inst.points, inst.mults)):
-            # one batched Taylor pass over every row: the once-per-point cost
-            vecs = hasse_matrices(field, ell, rows, xi, yi, s)
-            rows = eliminate_run(field, vecs, rows, deltas, [xi], [s], pivot_log, i)
-        basis.elems = [
-            BiPoly(field, ell, [UniPoly(field, c, normalized=True) for c in r]) for r in rows
-        ]
+        rows = identity(ell + 1)
+        for i in range(0, inst.n, LEAF_MAX):
+            run = slice(i, i + LEAF_MAX)
+            rows = eliminate_run(field, inst.points[run], inst.mults[run], rows, rows, deltas,
+                                 pivot_log, i)
+        basis = TrackedBasis.from_rows(field, rows, deltas)
     else:
         for i, ((xi, yi), s) in enumerate(zip(inst.points, inst.mults)):
             for dx, dy in derivative_orders(s):

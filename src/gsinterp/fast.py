@@ -1,43 +1,40 @@
-"""Divide-and-conquer interpolation with recorded transforms.
+"""Divide-and-conquer interpolation with recorded transforms: classic cached's
+run driver at the leaves of a tree.
+
+Classic cached eliminates the points one run of classic.LEAF_MAX after
+another on the full basis. This solver eliminates runs of at most LEAF_MAX
+points through the same driver, classic.eliminate_run, at the leaves of a
+binary tree over the points (its splits set the run boundaries): every
+intermediate basis is kept reduced mod the subtree modulus, by packed
+synthetic division for short quotients and by Newton division with a
+per-node cached inverse for long ones. At a leaf the driver reads the Hasse
+values off the reduced basis, and its rows are an (ell+1) x (ell+1)
+transform over F[x] from the identity, which records every row operation;
+the reduced basis itself is never updated. Hasse values of order < s at x_i
+depend only on the residue mod (x - x_i)^s, so the reduced basis gives the
+same pivots and ratios as the full one. Transforms compose up the tree by
+polynomial matrix multiplication, which packs each entry into one integer so
+that CPython's big-integer multiply carries the degree. Started from
+{1, y, ..., y^ell}, the final transform's rows are the y-power rows of the
+basis elements.
 
 One format runs from the root to the leaves, trimmed list[int] coefficient
 lists: a node's modulus is one, a basis element is its ell + 1 y-power rows,
-and an (ell+1) x (ell+1) transform over F[x] is its rows of entries.
-solve_basis wraps the final transform into BiPoly elements once, at exit.
-
-A binary tree over the points keeps every intermediate basis reduced mod the
-subtree modulus, by packed synthetic division for short quotients and by
-Newton division with a per-node cached inverse for long ones. A run of at
-most LEAF_MAX points is eliminated point by point by the shared step
-classic.eliminate_run. At the run's start each element's Hasse values at
-every run point are read off the reduced basis, one batched pass per point;
-from then on a row is only its transform row, starting from the identity,
-packed with those values into one integer of lanes, so a row operation is
-one big-integer multiply-add that carries the values along, and the
-reduced basis itself is never updated. Hasse values of order
-< s at x_i depend only on the residue mod (x - x_i)^s, so the reduced basis
-gives the same pivots and ratios as the full one. LEAF_MAX = 16: against
-it, runs of 8 took 1.11x the time on many small instances (s <= 3), 1.06x
-at n = 1024 (s = 2), 1.08x when decoding and 1.00x at s = 4, ell = 8;
-runs of 32 took 0.94x, 1.03x, 1.03x and 1.20x. Transforms compose by
-polynomial matrix multiplication, which packs each entry into one integer
-so that CPython's big-integer multiply carries the degree. Started from
-{1, y, ..., y^ell}, the final transform's rows are the y-power rows of the
-basis elements.
+and a transform is its rows of entries. solve_basis wraps the final
+transform into BiPoly elements once, at exit.
 """
 
 from __future__ import annotations
 
-from .bipoly import BiPoly, hasse_matrices
-from .classic import Rows, TrackedBasis, eliminate_run
+from . import classic
+from .bipoly import BiPoly
+from .classic import Rows, TrackedBasis, eliminate_run, identity
 from .field import PrimeField
 from .problem import InterpolationInstance
 from .unipoly import (
-    UniPoly, _divmod_raw, _mul_raw, _newton_divmod, _pack, _pow_raw, _series_inv, _slot_width,
-    _unpack,
+    _divmod_raw, _mul_raw, _newton_divmod, _pack, _pow_raw, _series_inv, _slot_width, _unpack,
 )
 
-LEAF_MAX = 16  # runs of at most this many points are eliminated without recursing
 NEWTON_REM_MIN = 48  # from this modulus degree, _ModNode.reduce divides by a cached inverse
 
 
@@ -123,27 +120,6 @@ def build_modulus_tree(field: PrimeField, points, mults, lo=0, hi=None) -> _ModN
 # ---------------------------------------------------------------------------
 
 
-def _identity(n: int) -> Rows:
-    return [[[1] if k == j else [] for k in range(n)] for j in range(n)]
-
-
-def _interpolate_run(
-    field: PrimeField, points, mults, elems: Rows, deltas, pivot_log, first_index: int
-) -> tuple[Rows, list[int]]:
-    """Process a run of points in order on the basis reduced mod the run's
-    modulus; returns the recorded transform and the updated deltas."""
-    n = len(elems)
-    # every run point's Hasse values of every element, one batched pass per
-    # point, concatenated in run order; the basis itself is not carried
-    vecs = [[] for _ in elems]
-    for (xk, yk), s in zip(points, mults):
-        for v, h in zip(vecs, hasse_matrices(field, n - 1, elems, xk, yk, s)):
-            v += h
-    deltas = list(deltas)
-    xs = [x for x, _ in points]
-    return eliminate_run(field, vecs, _identity(n), deltas, xs, mults, pivot_log, first_index), deltas
-
-
 def interpolate_tree(
     points, mults, field: PrimeField, elems: Rows, deltas: list[int],
     pivot_log: list | None = None, _node: _ModNode | None = None,
@@ -151,8 +127,8 @@ def interpolate_tree(
     """Recursively interpolate a run of points given the basis reduced mod the
     run's modulus, each element as its y-power rows of coefficient lists and
     deltas[j] the weighted degree of the unreduced element j. A run of at most
-    LEAF_MAX points is eliminated directly. Returns the composed transform and
-    the final deltas."""
+    classic.LEAF_MAX points is a leaf, eliminated by classic.eliminate_run.
+    Returns the composed transform and the final deltas."""
     if not points:
         raise ValueError("empty point range")
     if len(points) != len(mults):
@@ -164,8 +140,10 @@ def interpolate_tree(
     if _node is None:
         _node = build_modulus_tree(field, points, mults)
     lo, hi = _node.lo, _node.hi
-    if hi - lo < LEAF_MAX:
-        return _interpolate_run(field, points, mults, elems, deltas, pivot_log, lo)
+    if hi - lo < classic.LEAF_MAX:
+        deltas = list(deltas)
+        return eliminate_run(field, points, mults, elems, identity(len(elems)), deltas,
+                             pivot_log, lo), deltas
     left, right = _node.left, _node.right
     cut = left.hi - lo + 1
     b1 = [[left.reduce(r, field) for r in e] for e in elems]
@@ -191,13 +169,10 @@ def solve_basis(inst: InterpolationInstance, pivot_log: list | None = None) -> T
     # the standard basis {1, y, ..., y^ell} has x-degree 0, so it is already
     # reduced, and its rows are those of the identity
     T, deltas = interpolate_tree(
-        inst.points, inst.mults, field, _identity(ell + 1), [inst.w * j for j in range(ell + 1)],
+        inst.points, inst.mults, field, identity(ell + 1), [inst.w * j for j in range(ell + 1)],
         pivot_log=pivot_log, _node=tree,
     )
-    return TrackedBasis(
-        [BiPoly(field, ell, [UniPoly(field, c, normalized=True) for c in row]) for row in T],
-        deltas,
-    )
+    return TrackedBasis.from_rows(field, T, deltas)
 
 
 def solve(inst: InterpolationInstance) -> tuple[BiPoly, list[int]]:

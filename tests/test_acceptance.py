@@ -7,11 +7,12 @@ benchmark table.
 
 import itertools
 import random
+import statistics
 
 import pytest
 
 from gsinterp import classic, fast
-from gsinterp.bench import BENCH_PRIME, run_bench, format_csv
+from gsinterp.bench import BENCH_PRIME, format_csv, time_passes
 from gsinterp.bipoly import derivative_orders
 from gsinterp.decoder import GSParams, RSCode, decode_list, hamming
 from gsinterp.field import PrimeField
@@ -70,11 +71,17 @@ def mixed_runs():
 
 
 @pytest.fixture(scope="module")
-def bench_table():
-    """Criterion 7/8 workload: the scaling table, medians of 5."""
-    rows = run_bench(BENCH_PRIME, 2, 2, [64, 128, 256, 512], seed=0, runs=5)
-    print("\n" + format_csv(rows))
-    return rows
+def bench_passes():
+    """Criterion 7/8 workload: the scaling table, timed in 5 passes."""
+    passes = time_passes(BENCH_PRIME, 2, 2, [64, 128, 256, 512], seed=0, runs=5)
+    print("\n" + "\n".join(map(format_csv, passes)))
+    return passes
+
+
+def _median_ratio(passes, ratio) -> float:
+    """Median over passes of ratio(t), t[n] being one pass's (classic,
+    classic_hasse, fast) times at n, so both cells of a ratio share a pass."""
+    return statistics.median(ratio({n: cells for n, *cells in rows}) for rows in passes)
 
 
 def _check_equivalence(runs) -> bool:
@@ -181,11 +188,11 @@ def test_criterion_6_decoding_beyond_half_distance():
     _report(6, "list decoding 5 errors in [12,3] over GF(13)", ok)
 
 
-def test_criterion_7_scaling_trend(bench_table):
-    by_n = {n: (classic, cached, fast) for n, classic, cached, fast in bench_table}
-    fast_ratio_256 = by_n[256][2] / by_n[128][2]
-    fast_ratio_512 = by_n[512][2] / by_n[256][2]
-    classic_ratio_512 = by_n[512][0] / by_n[256][0]
+def test_criterion_7_scaling_trend(bench_passes):
+    # every ratio is taken within a pass, then the median over the passes
+    fast_ratio_256 = _median_ratio(bench_passes, lambda t: t[256][2] / t[128][2])
+    fast_ratio_512 = _median_ratio(bench_passes, lambda t: t[512][2] / t[256][2])
+    classic_ratio_512 = _median_ratio(bench_passes, lambda t: t[512][0] / t[256][0])
     print(
         f"\nfast ratios: 128->256 x{fast_ratio_256:.2f}, 256->512 x{fast_ratio_512:.2f}; "
         f"classic 256->512 x{classic_ratio_512:.2f}"
@@ -194,8 +201,8 @@ def test_criterion_7_scaling_trend(bench_table):
         fast_ratio_256 <= 3.0
         and fast_ratio_512 <= 3.0
         and classic_ratio_512 >= 3.4
-        and by_n[512][2] < by_n[512][0]
-        and by_n[512][2] < by_n[512][1]
+        and _median_ratio(bench_passes, lambda t: t[512][2] / t[512][0]) < 1
+        and _median_ratio(bench_passes, lambda t: t[512][2] / t[512][1]) < 1
     )
     _report(7, "quasi-linear vs quadratic scaling trend", ok)
 
@@ -205,7 +212,7 @@ def test_criterion_7_op_count_companion():
     # scalar work of fast.solve on the bench grid (s = 2, ell = 2) must grow
     # quasi-linearly. n log^2 n doubles by 2 * (10/9)^2 = 2.47 at n = 512,
     # n^1.5 by 2.83 and a quadratic solver (classic cached counts 3.99) by 4;
-    # fast.solve measures 2.17
+    # fast.solve measures 2.19
     field = PrimeField(BENCH_PRIME)
     counts = {}
     for n in (64, 256, 512):
@@ -216,10 +223,10 @@ def test_criterion_7_op_count_companion():
     assert counts[512] / counts[256] <= 2.6
     # the exact counts: work added without changing the output, which the
     # golden digest alone would not see, shows here
-    assert counts == {64: 61218, 256: 319704, 512: 695075}
+    assert counts == {64: 56516, 256: 300890, 512: 657445}
 
 
-def test_criterion_8_hasse_cache_equivalence(uniform_runs, bench_table):
+def test_criterion_8_hasse_cache_equivalence(uniform_runs, bench_passes):
     ok = True
     for _, _, basis, basis_cached, _, _, _ in uniform_runs:
         if basis.deltas != basis_cached.deltas:
@@ -228,7 +235,6 @@ def test_criterion_8_hasse_cache_equivalence(uniform_runs, bench_table):
         if any(a != b for a, b in zip(basis.elems, basis_cached.elems)):
             ok = False
             break
-    by_n = {n: (classic, cached) for n, classic, cached, _ in bench_table}
-    if not by_n[256][1] <= by_n[256][0]:
+    if not _median_ratio(bench_passes, lambda t: t[256][1] / t[256][0]) <= 1:
         ok = False
     _report(8, "cached mode identical and not slower", ok)

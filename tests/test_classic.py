@@ -333,8 +333,8 @@ def test_eliminate_run_matches_sequential_reference(p):
             deltas[-1] = 10**6
         rows = _joined_rows(extra, elems)
         got_deltas, got_log = list(deltas), []
-        got = eliminate_run(field, _values(field, elems, points, mults), rows, got_deltas, xs,
-                            mults, got_log, 3)
+        got = eliminate_run(field, points, mults, [[r.coeffs for r in e.rows] for e in elems],
+                            rows, got_deltas, got_log, 3)
 
         want_log = []
         for i, ((x, y), s) in enumerate(zip(points, mults)):

@@ -2,9 +2,8 @@ import random
 
 import pytest
 
-from gsinterp.bipoly import BiPoly, derivative_orders
+from gsinterp.bipoly import BiPoly
 from gsinterp.fast import (
-    LEAF_MAX,
     NEWTON_REM_MIN,
     _ModNode,
     _poly_matmul,
@@ -14,7 +13,7 @@ from gsinterp.fast import (
     solve_basis,
 )
 from gsinterp.field import PrimeField
-from gsinterp.classic import TrackedBasis, eliminate_run, interpolate
+from gsinterp.classic import LEAF_MAX, TrackedBasis, eliminate_run, interpolate
 from gsinterp.oracle import MAX_CONSTRAINTS, minimal_solution
 from gsinterp.problem import InterpolationInstance, random_instance
 from gsinterp.unipoly import UniPoly, count_scalar_mults
@@ -43,16 +42,12 @@ def tree_args(basis):
 
 
 def one_point(point, s, basis):
-    """Reference for one point: the shared elimination step, as a one-point
-    run, on an identity transform in the row format, with the Hasse values of
-    the given basis read off each element's Hasse matrix one element at a time."""
-    xi, yi = point
+    """Reference for one point: the shared run driver on a one-point run, with
+    an identity transform in the row format riding along the given basis."""
     field = basis.elems[0].field
     T = coeff_rows(identity(field, basis.elems[0].ell))
     deltas = list(basis.deltas)
-    vecs = [[H[dx][dy] for dx, dy in derivative_orders(s)]
-            for H in (e.hasse_matrix(xi, yi, s) for e in basis.elems)]
-    T = eliminate_run(field, vecs, T, deltas, [xi], [s])
+    T = eliminate_run(field, [point], [s], coeff_rows([e.rows for e in basis.elems]), T, deltas)
     return T, deltas
 
 
@@ -111,7 +106,8 @@ def test_update_matrix_action_is_row_operation():
 
 def test_eliminate_point_row_update_equals_matrix_product():
     # with s = 1 there is one round, so the row update of a one-point run on
-    # a random transform must equal one explicit update matrix applied on the left
+    # a random transform must equal one explicit update matrix applied on the
+    # left; element j is the constant values[j], its one Hasse value
     rng = random.Random(1)
     for _ in range(20):
         ell = rng.randint(0, 3)
@@ -126,7 +122,9 @@ def test_eliminate_point_row_update_equals_matrix_product():
         want_deltas = list(deltas)
         want_deltas[t] += 1
         log = []
-        rows = eliminate_run(F101, [[v] for v in values], coeff_rows(T), deltas, [xi], [1], log, 7)
+        elems = [[[v] if v else []] + [[] for _ in range(ell)] for v in values]
+        rows = eliminate_run(F101, [(xi, F101.rand(rng))], [1], elems, coeff_rows(T), deltas,
+                             log, 7)
         want = _poly_matmul(F101, coeff_rows(build_update_matrix(F101, ell, t, ratios, xi)),
                             coeff_rows(T))
         assert rows == want
@@ -513,16 +511,19 @@ def test_seeded_edge_instances_agree_across_solvers_and_oracle():
 @pytest.mark.parametrize("leaf_max", [1, 2, 3, 64])
 def test_leaf_cutoff_leaves_output_unchanged(monkeypatch, leaf_max):
     # the recorded transform is the same product of elementary matrices
-    # whatever the run length, so every cutoff gives the same basis and log
+    # whatever the run length, so every cutoff gives the same basis and log,
+    # in the fast solver and in classic cached (point by point at 1)
     rng = random.Random(15)
     insts = [rand_inst(rng, nmax=40) for _ in range(12)]
-    want = []
-    for inst in insts:
-        log = []
-        want.append((solve_basis(inst, pivot_log=log), log))
-    monkeypatch.setattr("gsinterp.fast.LEAF_MAX", leaf_max)
-    for inst, (basis, log) in zip(insts, want):
-        got_log = []
-        got = solve_basis(inst, pivot_log=got_log)
-        assert got.elems == basis.elems and got.deltas == basis.deltas
-        assert got_log == log
+    solvers = (solve_basis, lambda inst, pivot_log: interpolate(inst, "cached", pivot_log)[1])
+
+    def outputs(inst):
+        logs = [[] for _ in solvers]
+        return [(solver(inst, pivot_log=log), log) for solver, log in zip(solvers, logs)]
+
+    want = [outputs(inst) for inst in insts]
+    monkeypatch.setattr("gsinterp.classic.LEAF_MAX", leaf_max)
+    for inst, runs in zip(insts, want):
+        for (got, got_log), (basis, log) in zip(outputs(inst), runs):
+            assert got.elems == basis.elems and got.deltas == basis.deltas
+            assert got_log == log
