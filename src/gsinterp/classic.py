@@ -20,7 +20,7 @@ eliminate_run is the one run driver of both solvers. It reads each element's
 Hasse values at every run point off its elements, one bipoly.hasse_matrices
 pass per point, packs them with the rows once, eliminates the points in
 order through eliminate_point and unpacks once. A row is one integer of
-W-byte lanes, W = 8 when p < 2^32 and 16 otherwise: first the element's flat
+W-byte lanes, W = _slot_width(1, p), at least 8: first the element's flat
 Hasse values (for each point still to do, its s(s+1)/2 values in
 derivative_orders order, the current point's first), then its k entries
 interleaved by x-degree, the x^d coefficient of entry l in lane V + d*k + l
@@ -29,8 +29,9 @@ mod p, and lanes are not reduced between row operations. The values are
 linear in the element, so row_j -= c*row_t is one big-integer multiply-add,
 row_j += (p - c)*row_t. With row_t reduced it adds at most (p - 1)^2 to a
 lane, so a row is reduced (unpacked mod p, repacked) before its addition
-tmax + 1, tmax = (2^(8W) - p) // (p - 1)^2: 31 at the 30-bit bench prime, 1
-at 4294967291. The pivot is always reduced before it multiplies, or a lane
+tmax + 1, tmax = (2^(8W) - p) // (p - 1)^2: 32 at the 30-bit bench prime, 1
+at 4294967291 and 2^64 - 59, and never 0: 2^(8W) is a square above (p - 1)^2,
+so at least p^2. The pivot is always reduced before it multiplies, or a lane
 times (p - c) could carry into the next one without any sign. The pivot's
 (x - x_i) turns its entry lanes T into (T << 8W*k) + (-x_i mod p)*T.
 For its values write x - x_i = (x - x_k) + (x_k - x_i): the coefficient of
@@ -54,7 +55,7 @@ from . import unipoly
 from .bipoly import BiPoly, derivative_orders, hasse_matrices
 from .field import PrimeField
 from .problem import InterpolationInstance
-from .unipoly import UniPoly, _pack, _trim, _unpack
+from .unipoly import UniPoly, _pack, _slot_width, _trim, _unpack
 
 Rows = list[list[list[int]]]  # a transform, or a basis by elements: rows of coefficient lists
 
@@ -117,16 +118,11 @@ def shift_plan(xs: list[int], mults: list[int], xi: int, p: int) -> Plan:
     return src, d
 
 
-def lane_width(p: int) -> int:
-    """Bytes W per lane of a packed row; a lane holds (p - 1) + (p - 1)^2."""
-    return 8 if p >> 32 == 0 else 16
-
-
 def pack_rows(p: int, vecs: list[list[int]], rows: Rows) -> list[int]:
     """Row j as one integer of lanes: vecs[j], then the entries of rows[j]
     interleaved by x-degree (the x^d coefficient of entry l in lane
     len(vecs[j]) + d*k + l, for k entries)."""
-    width, k = lane_width(p), len(rows[0])
+    width, k = _slot_width(1, p), len(rows[0])
     out = []
     for vec, row in zip(vecs, rows):
         nv = len(vec)
@@ -153,7 +149,7 @@ def eliminate_point(
     row j with a nonzero value, multiplies row t by (x - xi) and bumps
     deltas[t]. The point's values stay in the low lanes."""
     p = field.p
-    width = lane_width(p)
+    width = _slot_width(1, p)
     bits = 8 * width
     mask = (1 << bits) - 1
     tmax = ((1 << bits) - p) // (p - 1) ** 2  # additions a reduced row can take
@@ -205,7 +201,7 @@ def eliminate_run(
     every run point. Returns the rows; deltas is updated in place, pivot_log
     numbers the points from first_index, and no argument's entry is mutated."""
     p, k = field.p, len(rows[0])
-    width = lane_width(p)
+    width = _slot_width(1, p)
     bits = 8 * width
     vecs = [[] for _ in elems]
     for (xk, yk), s in zip(points, mults):

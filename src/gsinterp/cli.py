@@ -189,13 +189,15 @@ def cmd_verify(args) -> int:
 
 def cmd_decode(args) -> int:
     field = PrimeField(args.modulus)
+    received = [int(v) for v in args.received.split(",")]
+    if len(received) != args.n:
+        raise ValueError(f"--received has {len(received)} symbols, not --n {args.n}")
     code = RSCode(field, args.n, args.k)
     try:
         params = gs_params(code, args.tau)
     except InfeasibleParameters as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    received = [int(v) for v in args.received.split(",")]
     messages = decode_list(code, received, params)
     print(f"params: s={params.s} ell={params.ell} tau={params.tau}")
     for msg in messages:

@@ -53,7 +53,7 @@ def _poly_matmul(field: PrimeField, A: Rows, B: Rows) -> Rows:
     p, k = field.p, len(B)
     la = max(len(e) for row in A for e in row)
     lb = max(len(e) for row in B for e in row)
-    width = _slot_width(k * max(1, min(la, lb)), p)
+    width = _slot_width(k * min(la, lb), p)
     PA = [[(_pack(e, width), len(e)) for e in row] for row in A]
     PB = [[(_pack(e, width), len(e)) for e in row] for row in B]
     cols = list(zip(*PB))
@@ -148,13 +148,10 @@ def interpolate_tree(
     cut = left.hi - lo + 1
     b1 = [[left.reduce(r, field) for r in e] for e in elems]
     T1, deltas = interpolate_tree(points[:cut], mults[:cut], field, b1, deltas, pivot_log, left)
-    # the left transform applied to the basis mod the right modulus, with both
-    # factors pre-reduced first: same value, smaller multiplications
-    dm = len(right.modulus) - 1
+    # T1 times the basis pre-reduced mod the right modulus (T1 is seldom longer)
     B = [[right.reduce(r, field) for r in e] for e in elems]
-    A = [[right.reduce(e, field) if len(e) - 1 >= dm + 16 else e for e in row] for row in T1]
-    b2 = [[right.reduce(e, field) for e in row] for row in _poly_matmul(field, A, B)]
-    del A, B  # peak memory is reached inside the recursion below
+    b2 = [[right.reduce(e, field) for e in row] for row in _poly_matmul(field, T1, B)]
+    del B  # peak memory is reached inside the recursion below
     T2, deltas = interpolate_tree(points[cut:], mults[cut:], field, b2, deltas, pivot_log, right)
     return _poly_matmul(field, T2, T1), deltas
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 from .field import PrimeField
 
@@ -64,7 +65,12 @@ def random_instance(
     per-point multiplicities drawn from [smin, smax]."""
     if n > field.p:
         raise ValueError("cannot pick that many distinct x coordinates")
-    xs = rng.sample(range(field.p), n)
+    if field.p <= sys.maxsize:
+        xs = rng.sample(range(field.p), n)
+    else:  # range(p) has no len: draw, skipping repeats
+        xs = {}
+        while len(xs) < n:
+            xs[rng.randrange(field.p)] = None
     points = [(x, field.rand(rng)) for x in xs]
     if uniform_s is not None:
         mults = [uniform_s] * n

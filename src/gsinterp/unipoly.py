@@ -95,8 +95,8 @@ def _add_raw(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _slot_width(terms: int, p: int) -> int:
-    """Bytes per packed slot that hold a sum of `terms` products of residues."""
-    return ((terms * (p - 1) * (p - 1)).bit_length() + 7) >> 3
+    """Bytes per slot of every packed integer, lanes too: a sum of `terms` products, at least 8."""
+    return max(8, ((terms * (p - 1) * (p - 1)).bit_length() + 7) >> 3)
 
 
 def _words(raw: bytes | bytearray) -> array:
@@ -108,10 +108,9 @@ def _words(raw: bytes | bytearray) -> array:
 
 
 def _pack(a: list[int], width: int) -> int:
-    """Coefficients as one integer, one byte-aligned slot each, low slot first.
-    Residues are below 2^64 (PrimeField's bound), so they go through a word
-    array, which is the packed integer itself at width 8 and is spread by
-    strided byte copies otherwise; no Python-level work per coefficient."""
+    """Coefficients as one integer, one slot of width >= 8 bytes each, low slot
+    first, through a word array (residues are below 2^64): the packed integer
+    itself at width 8, spread by strided byte copies otherwise."""
     words = array("Q", a)
     if sys.byteorder != "little":
         words.byteswap()
@@ -119,15 +118,15 @@ def _pack(a: list[int], width: int) -> int:
         return int.from_bytes(words, "little")
     raw = words.tobytes()
     buf = bytearray(width * len(a))
-    for j in range(min(width, 8)):  # a residue fits its slot, so its high bytes are 0
+    for j in range(8):  # a residue fits a word; the slot's other bytes stay 0
         buf[j::width] = raw[j::8]
     return int.from_bytes(buf, "little")
 
 
 def _unpack(packed: int, nterms: int, width: int, p: int) -> list[int]:
     """The first nterms slots of a packed convolution, each reduced mod p.
-    8-byte slots are read as one word array; slots of up to 16 bytes are
-    split into word arrays by strided copies."""
+    8-byte slots are read as one word array, slots of 9 to 16 bytes are split
+    into low and high word arrays by strided copies, wider ones one by one."""
     raw = packed.to_bytes(width * nterms, "little")
     if _COUNTER is not None:
         _COUNTER.mults += nterms
@@ -140,10 +139,8 @@ def _unpack(packed: int, nterms: int, width: int, p: int) -> list[int]:
             [from_bytes(mv[i : i + width], "little") % p for i in range(0, nterms * width, width)]
         )
     lo = bytearray(8 * nterms)
-    for j in range(min(width, 8)):
+    for j in range(8):
         lo[j::8] = raw[j::width]
-    if width <= 8:
-        return _trim([v % p for v in _words(lo)])
     hi = bytearray(8 * nterms)
     for j in range(8, width):
         hi[j - 8 :: 8] = raw[j::width]

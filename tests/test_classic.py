@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -6,12 +7,12 @@ from gsinterp.bench import BENCH_PRIME
 from gsinterp.bipoly import BiPoly, derivative_orders, hasse_matrices
 from gsinterp.field import PrimeField
 from gsinterp.classic import (
-    eliminate_point, eliminate_run, interpolate, lane_width, pack_rows, shift_plan,
+    eliminate_point, eliminate_run, interpolate, pack_rows, shift_plan,
 )
 from gsinterp.fast import solve_basis
 from gsinterp.oracle import minimal_solution
 from gsinterp.problem import InterpolationInstance, random_instance
-from gsinterp.unipoly import UniPoly, _trim, _unpack
+from gsinterp.unipoly import UniPoly, _slot_width, _trim, _unpack
 from util import proportional, rand_bipoly, rand_unipoly, shift_values, x_degree
 
 F3 = PrimeField(3)
@@ -255,7 +256,7 @@ def _joined_rows(extra, elems):
 
 def _unpacked(p, packed, nv, k):
     """pack_rows undone: each row's nv values, and its k entries."""
-    width = lane_width(p)
+    width = _slot_width(1, p)
     vecs, rows = [], []
     for r in packed:
         lanes = _unpack(r, -(-r.bit_length() // (8 * width)), width, p)
@@ -308,21 +309,25 @@ def test_eliminate_point_multi_round_matches_sequential_reference():
             assert handed_in == snapshot
 
 
-@pytest.mark.parametrize("p", [2, 3, 101, 65521, BENCH_PRIME, 4294967291, 4294967311, 2**61 - 1])
+@pytest.mark.parametrize(
+    "p", [2, 3, 101, 65521, BENCH_PRIME, 4294967291, 4294967311, 2**61 - 1, 2**64 - 59]
+)
 def test_eliminate_run_matches_sequential_reference(p):
     # whole runs against the point-by-point reference. In trial 1 a leaf
     # run of 16 points of s = 4 makes 160 rounds. With 11 elements, the ten
     # of small delta can take every round's pivot, so the last one, whose
     # delta is out of reach, takes a row operation in nearly every round:
-    # more unreduced additions than a lane holds at the bench prime (31) or
-    # at 4294967291 (1), so rows must be reduced on the way
+    # more unreduced additions than a lane holds at the bench prime (32) or
+    # at 4294967291 and 2^64 - 59 (1), so rows must be reduced on the way;
+    # 2^64 - 59 runs the widest lane, 16 bytes
     field = PrimeField(p)
     rng = random.Random(p % 10007)
     for trial in range(6):
         long_run = trial == 1
         ell = 10 if long_run else rng.randint(1, 3)
         npts = min(p, 16 if long_run else rng.randint(1, 5))
-        xs = rng.sample(range(p), npts)
+        # range(p) has no len above sys.maxsize
+        xs = rng.sample(range(min(p, sys.maxsize)), npts)
         points = [(x, field.rand(rng)) for x in xs]
         mults = [4 if long_run else rng.randint(1, 4) for _ in xs]
         elems = [rand_bipoly(field, rng, ell, 6) for _ in range(ell + 1)]

@@ -239,6 +239,18 @@ def test_instance_file_above_cap_refused(tmp_path, capsys, monkeypatch, no_solve
     assert err.startswith("error:") and str(MAX_FILE_BYTES) in err
 
 
+def test_decode_word_of_wrong_length_refused(capsys, monkeypatch):
+    # the length is checked before the code, whose size grows with n, is built
+    def built(*args, **kwargs):
+        raise AssertionError("a word of the wrong length reached RSCode")
+
+    monkeypatch.setattr(cli, "RSCode", built)
+    rc = main(["decode", "--modulus", "13", "--n", "1000000000", "--k", "3", "--tau", "1",
+               "--received", "1,2"])
+    err = capsys.readouterr().err
+    assert rc == 2 and err.startswith("error:") and "1000000000" in err
+
+
 def test_input_caps_admit_bundled_instances_and_decoder_search():
     from gsinterp.decoder import ELL_CAP, S_CAP
 
@@ -396,6 +408,14 @@ def test_bench_csv_format(capsys):
     assert out[0] == "n,classic_ms,classic_hasse_ms,fast_ms"
     assert len(out) == 3
     assert out[1].startswith("4,") and out[2].startswith("8,")
+
+
+@pytest.mark.parametrize("p", [2**64 - 59, 9223372036854775837])
+def test_bench_above_sys_maxsize(capsys, p):
+    rc = main(["bench", "--modulus", str(p), "--sizes", "4", "--s", "1", "--ell", "1"])
+    out = capsys.readouterr().out.strip().splitlines()
+    assert rc == 0
+    assert out[0] == "n,classic_ms,classic_hasse_ms,fast_ms" and out[1].startswith("4,")
 
 
 def test_bench_seed_determinism(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -45,3 +46,20 @@ def test_random_instance_shapes():
     assert uni.mults == [2, 2, 2, 2]
     with pytest.raises(ValueError):
         random_instance(F13, rng, 14, ell=1, w=1)
+
+
+@pytest.mark.parametrize("p", [2**64 - 59, 9223372036854775837])
+def test_random_instance_above_sys_maxsize(p):
+    # range(p) has no length above sys.maxsize, so rng.sample cannot draw
+    # the x's there
+    assert p > sys.maxsize
+    inst = random_instance(PrimeField(p), random.Random(3), 40, ell=2, w=1)
+    xs = [x for x, _ in inst.points]
+    assert len(set(xs)) == 40 and all(0 <= x < p for x in xs)
+
+
+def test_random_instance_keeps_the_sample_stream_below_sys_maxsize():
+    # the golden and criterion instances draw their x's with rng.sample
+    for p in (13, 754974721, 2**61 - 1):
+        inst = random_instance(PrimeField(p), random.Random(p), 9, ell=1, w=1)
+        assert [x for x, _ in inst.points] == random.Random(p).sample(range(p), 9)

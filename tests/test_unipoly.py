@@ -19,8 +19,9 @@ from util import (
 
 F5 = PrimeField(5)
 F101 = PrimeField(101)
-# packed slot widths below, at and above one and two 64-bit words
-PACK_PRIMES = (2, 3, 101, 65521, 754974721, 2**61 - 1)
+# packed slot widths of one 64-bit word, between one and two words, two
+# words and wider
+PACK_PRIMES = (2, 3, 101, 65521, 754974721, 4294967311, 2**61 - 1, 2**64 - 59)
 
 
 def P(field, *coeffs):
@@ -66,6 +67,23 @@ def test_kernels_agree():
             a = [field.rand(rng) for _ in range(da)] + [1]
             b = [field.rand(rng) for _ in range(db)] + [1]
             assert _mul_kron(a, b, p) == _mul_school(a, b, p)
+
+
+@pytest.mark.parametrize(
+    "p", [2, 3, 101, 65521, 754974721, 4294967291, 4294967311, 2**61 - 1, 2**64 - 59]
+)
+def test_slot_width_rule(p):
+    # the one width rule of every packed integer: the narrowest whole number
+    # of bytes that holds a sum of t products, but never less than a word
+    for terms in (1, 2, 3, 16, 17, 300, 4096):
+        width = _slot_width(terms, p)
+        assert width >= 8 and terms * (p - 1) ** 2 < 1 << 8 * width
+        assert width == 8 or terms * (p - 1) ** 2 >= 1 << 8 * (width - 1)
+    # a lane of the elimination step's rows holds a reduced value plus one
+    # product, so the row can take at least one unreduced addition
+    lane = _slot_width(1, p)
+    assert (p - 1) + (p - 1) ** 2 < 1 << 8 * lane
+    assert ((1 << 8 * lane) - p) // (p - 1) ** 2 >= 1
 
 
 @pytest.mark.parametrize("p", PACK_PRIMES)
