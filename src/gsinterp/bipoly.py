@@ -5,14 +5,13 @@ x-polynomial multiplying y^j. The (1,w)-weighted order compares monomials
 by x_deg + w*y_deg, ties going to the larger x power.
 
 Two evaluation routes for Hasse derivatives exist on purpose:
-  * hasse_matrices — the production path, on plain coefficient lists. Per
-    point it builds the s Taylor vectors v_k[i] = C(i,k) x0^(i-k) once, takes
-    every row's first s Taylor coefficients as dot products with them, and
-    combines the rows across y with the same vectors in y0. Each element's
-    values come back as one flat list, the anti-triangle dx + dy < s in
-    derivative_orders order: the layout the elimination step carries and
-    shifts (see classic). BiPoly.hasse_matrix reshapes it into the s x s
-    matrix, and has_multiplicity scans it.
+  * hasse_matrices — the production path, one call per run of points on
+    plain coefficient lists: every element's values at every point, in the
+    flat layout the elimination step carries and shifts (see classic). The
+    coefficients are packed into lanes once per run, and each (point, dx) is
+    one big-integer dot product with the Taylor vector v_dx[i] =
+    C(i,dx) x0^(i-dx). BiPoly.hasse_matrix and has_multiplicity are its
+    one-point runs.
   * hasse_derivative — the direct binomial-sum formula on the full
     coefficients, its binomials taken as integers (math.comb) mod p rather
     than from the Taylor vectors; slower, used as the independent cross-check.
@@ -27,7 +26,7 @@ from operator import mul
 
 from . import unipoly
 from .field import PrimeField
-from .unipoly import NEG_INF, UniPoly
+from .unipoly import NEG_INF, UniPoly, _lanes, _pack, _slot_width
 
 
 @dataclass(frozen=True)
@@ -72,29 +71,43 @@ def taylor_vectors(x0: int, s: int, n: int, p: int) -> list[list[int]]:
 
 
 def hasse_matrices(
-    field: PrimeField, ell: int, elems: list[list[list[int]]], x0: int, y0: int, s: int
+    field: PrimeField, ell: int, elems: list[list[list[int]]], points, mults: list[int]
 ) -> list[list[int]]:
-    """The Hasse values H[dx][dy] at (x0, y0), dx+dy < s, of each element as one
-    flat list in derivative_orders(s) order (the anti-triangle of the Hasse
-    matrix, row by row), an element being its ell+1 rows as trimmed coefficient
-    lists. The Taylor vectors are built once for all rows; the full shifted
-    polynomial is never expanded."""
-    p = field.p
-    vecs = taylor_vectors(x0, s, max(map(len, chain.from_iterable(elems)), default=0), p)
-    # the y-side binomial weights C(j, dy) * y0^(j-dy) are the same vectors in y
-    weights = taylor_vectors(y0, s, ell + 1, p)
-    out = []
-    for rows in elems:
-        # taylor[dx][j] = coeff of x^dx in row_j(x + x0)
-        taylor = [[sum(map(mul, r, v)) % p for r in rows] for v in vecs]
-        out.append([
-            sum(map(mul, w, t)) % p for dx, t in enumerate(taylor) for w in weights[: s - dx]
-        ])
+    """Each element's Hasse values H[dx][dy], dx + dy < s, at every point (x0, y0)
+    of a run with its multiplicity s: per point the anti-triangle row by row in
+    derivative_orders(s) order, the points in run order. An element is its
+    ell+1 rows as trimmed coefficient lists. The x^i coefficients of all m
+    entries are packed once into cols[i], lanes of _slot_width(L, p) bytes for
+    the longest length L, so a lane holds L*(p-1)^2. Per point and dx, one
+    big-integer dot product of cols with the Taylor vector v_dx gives every
+    entry's coefficient of x^dx in its shift by x0; the rows are then combined
+    across y with the same vectors in y0."""
+    p, k = field.p, ell + 1
+    entries = list(chain.from_iterable(elems))
+    m, L = len(entries), max(map(len, entries), default=0)
+    width = _slot_width(L, p)
+    lanes = [0] * (m * L)
+    for l, e in enumerate(entries):
+        lanes[l : l + m * len(e) : m] = e
+    step = width * m
+    raw = _pack(lanes, width).to_bytes(step * L, "little")
+    cols = [int.from_bytes(raw[i * step : i * step + step], "little") for i in range(L)]
+    out = [[] for _ in elems]
+    for (x0, y0), s in zip(points, mults):
+        # the y-side binomial weights C(j, dy) * y0^(j-dy) are the same vectors in y
+        weights = taylor_vectors(y0, s, k, p)
+        values = []  # values[r][e]: value r of this point of element e
+        for dx, v in enumerate(taylor_vectors(x0, s, L, p)):
+            # every entry's coefficient of x^dx in its shift by x0, by element
+            t = _lanes(sum(map(mul, cols, v)), m, width, p)
+            rows = [t[b : b + k] for b in range(0, m, k)]
+            values += ([sum(map(mul, w, r)) % p for r in rows] for w in weights[: s - dx])
+        for vec, h in zip(out, zip(*values)):
+            vec += h
     if unipoly._COUNTER is not None:
-        for rows in elems:
-            for r in rows:
-                k = min(s, len(r))
-                unipoly._COUNTER.mults += k * len(r) - k * (k - 1) // 2
+        unipoly._COUNTER.mults += sum(
+            c * n - c * (c - 1) // 2 for s in mults for n in map(len, entries) for c in [min(s, n)]
+        )
     return out
 
 
@@ -206,7 +219,7 @@ class BiPoly:
         """s x s matrix H[dx][dy] of Hasse derivatives at (x0, y0), dx+dy < s,
         with zeros outside the anti-triangle (see hasse_matrices)."""
         rows = [r.coeffs for r in self.rows]
-        flat = iter(hasse_matrices(self.field, self.ell, [rows], x0, y0, s)[0])
+        flat = iter(hasse_matrices(self.field, self.ell, [rows], [(x0, y0)], [s])[0])
         return [[next(flat) if dx + dy < s else 0 for dy in range(s)] for dx in range(s)]
 
     def hasse_derivative(self, x0: int, y0: int, dx: int, dy: int) -> int:
@@ -224,7 +237,7 @@ class BiPoly:
     def has_multiplicity(self, x0: int, y0: int, s: int) -> bool:
         """True iff all Hasse derivatives with dx+dy < s vanish at (x0, y0)."""
         rows = [r.coeffs for r in self.rows]
-        return not any(hasse_matrices(self.field, self.ell, [rows], x0, y0, s)[0])
+        return not any(hasse_matrices(self.field, self.ell, [rows], [(x0, y0)], [s])[0])
 
     # -- display -----------------------------------------------------------------
 

@@ -18,8 +18,8 @@ Two modes produce bit-identical output:
 
 eliminate_run is the one run driver of both solvers. It reads each element's
 Hasse values at every run point off its elements, one bipoly.hasse_matrices
-pass per point, packs them with the rows once, eliminates the points in
-order through eliminate_point and unpacks once. A row is one integer of
+call per run, packs them with the rows once, eliminates the points in order
+through eliminate_point and unpacks once. A row is one integer of
 W-byte lanes, W = _slot_width(1, p), at least 8: first the element's flat
 Hasse values (for each point still to do, its s(s+1)/2 values in
 derivative_orders order, the current point's first), then its k entries
@@ -40,11 +40,11 @@ of b at (x_k, y_k), with H[-1][dy] = 0. shift_plan turns that rule into one
 gather over the points still to do, one plan per point; a finished point's
 lanes are shifted out of every row.
 
-LEAF_MAX = 16, set by fast.solve: against it, runs of 8 took 1.11x the time
-on many small instances (s <= 3), 1.06x at n = 1024 (s = 2), 1.08x when
-decoding and 1.00x at s = 4, ell = 8; runs of 32 took 0.94x, 1.03x, 1.03x
-and 1.20x. Classic cached took 0.93-0.97x with runs of 8 and 1.02-1.11x
-with runs of 32 (small instances, n = 512 at s = 2, n = 128 at s = 4).
+LEAF_MAX = 16: against it, fast.solve took 1.24x the time with runs of 8 on
+many small instances (s <= 3), 1.03x at n = 1024 (s = 2), 1.08x decoding and
+1.17x at n = 128, s = 4, ell = 8; with runs of 32, 0.98x, 0.99x, 1.13x, 0.88x.
+Classic cached took 1.00-1.02x with runs of 8 and 1.00-1.16x with runs of 32
+(small instances, n = 512 at s = 2, n = 128 at s = 4, ell = 8).
 """
 
 from __future__ import annotations
@@ -203,10 +203,7 @@ def eliminate_run(
     p, k = field.p, len(rows[0])
     width = _slot_width(1, p)
     bits = 8 * width
-    vecs = [[] for _ in elems]
-    for (xk, yk), s in zip(points, mults):
-        for v, h in zip(vecs, hasse_matrices(field, len(elems[0]) - 1, elems, xk, yk, s)):
-            v += h
+    vecs = hasse_matrices(field, len(elems[0]) - 1, elems, points, mults)
     packed = pack_rows(p, vecs, rows)
     adds = [0] * len(packed)
     xs = [x for x, _ in points]

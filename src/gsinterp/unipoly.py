@@ -29,14 +29,14 @@ SCHOOLBOOK_MAX = 8  # below this, packing overhead beats the double loop
 
 class ScalarMultCounter:
     """Tallies the per-coefficient work of the executed kernels: products for
-    schoolbook multiply; per row, sum over k < s of (len - k) for the Taylor
-    coefficients of bipoly.hasse_matrices; the pivot row's length per row
-    operation for UniPoly.sub_scaled and mul_linear; per row operation and
-    per pivot shift of classic.eliminate_point, the lanes of its reduced
-    pivot row; unpacked result slots for the packed-integer (Kronecker)
-    products and for every _unpack, the elimination step's lane reductions
-    included; quotient slots read plus remainder slots unpacked for the
-    packed synthetic division."""
+    schoolbook multiply; per point and entry, sum over k < s of (len - k) for
+    the Taylor coefficients of bipoly.hasse_matrices (its lane reads, by
+    _lanes, are not counted); the pivot row's length per row operation for
+    UniPoly.sub_scaled and mul_linear; per row operation and per pivot shift
+    of classic.eliminate_point, the lanes of its reduced pivot row; unpacked
+    result slots for the packed-integer (Kronecker) products and for every
+    _unpack, the elimination step's lane reductions included; quotient slots
+    read plus remainder slots unpacked for the packed synthetic division."""
 
     __slots__ = ("mults",)
 
@@ -123,28 +123,31 @@ def _pack(a: list[int], width: int) -> int:
     return int.from_bytes(buf, "little")
 
 
-def _unpack(packed: int, nterms: int, width: int, p: int) -> list[int]:
-    """The first nterms slots of a packed convolution, each reduced mod p.
-    8-byte slots are read as one word array, slots of 9 to 16 bytes are split
-    into low and high word arrays by strided copies, wider ones one by one."""
+def _lanes(packed: int, nterms: int, width: int, p: int) -> list[int]:
+    """The first nterms slots of a packed integer mod p, untrimmed and uncounted:
+    8-byte slots as one word array, 9 to 16 bytes split into low and high word
+    arrays by strided copies, wider ones one by one."""
     raw = packed.to_bytes(width * nterms, "little")
-    if _COUNTER is not None:
-        _COUNTER.mults += nterms
     if width == 8:
-        return _trim([v % p for v in _words(raw)])
+        return [v % p for v in _words(raw)]
     if width > 16:
         mv = memoryview(raw)
         from_bytes = int.from_bytes
-        return _trim(
-            [from_bytes(mv[i : i + width], "little") % p for i in range(0, nterms * width, width)]
-        )
+        return [from_bytes(mv[i : i + width], "little") % p for i in range(0, len(raw), width)]
     lo = bytearray(8 * nterms)
     for j in range(8):
         lo[j::8] = raw[j::width]
     hi = bytearray(8 * nterms)
     for j in range(8, width):
         hi[j - 8 :: 8] = raw[j::width]
-    return _trim([(h << 64 | v) % p for v, h in zip(_words(lo), _words(hi))])
+    return [(h << 64 | v) % p for v, h in zip(_words(lo), _words(hi))]
+
+
+def _unpack(packed: int, nterms: int, width: int, p: int) -> list[int]:
+    """The first nterms slots of a packed convolution (see _lanes), trimmed."""
+    if _COUNTER is not None:
+        _COUNTER.mults += nterms
+    return _trim(_lanes(packed, nterms, width, p))
 
 
 def _mul_kron(a: list[int], b: list[int], p: int, nterms: int | None = None) -> list[int]:

@@ -4,7 +4,7 @@ import pytest
 
 from gsinterp.bipoly import BiPoly, Monomial, derivative_orders, hasse_matrices
 from gsinterp.field import PrimeField
-from gsinterp.unipoly import NEG_INF, UniPoly
+from gsinterp.unipoly import NEG_INF, UniPoly, _slot_width
 from util import poly_pow, rand_bipoly, rand_unipoly, reduce_mod, x_minus
 
 F5 = PrimeField(5)
@@ -149,6 +149,15 @@ def test_hasse_matrix_agrees_with_formula_oracle():
             assert H[dx][dy] == q.hasse_derivative(x0, y0, dx, dy)
 
 
+def _reference_values(elem, points, mults):
+    """The run kernel's layout by the direct binomial sum: per point, the
+    values in derivative_orders order, the points concatenated."""
+    return [
+        elem.hasse_derivative(x0, y0, dx, dy)
+        for (x0, y0), s in zip(points, mults) for dx, dy in derivative_orders(s)
+    ]
+
+
 def test_hasse_matrices_match_hasse_derivative():
     # the batched kernel against the direct binomial sum, element by element:
     # s up to 5 (so s >= p in GF(2) and GF(3)), x0 = 0 half the time, empty
@@ -168,17 +177,60 @@ def test_hasse_matrices_match_hasse_derivative():
                     n = rng.choice((0, 0, 1, s, rng.randint(2, 12)))
                     rows.append(rand_unipoly(field, rng, n - 1) if n else UniPoly.zero(field))
                 elems.append(BiPoly(field, ell, rows))
-            got = hasse_matrices(field, ell, [[r.coeffs for r in e.rows] for e in elems], x0, y0, s)
+            got = hasse_matrices(
+                field, ell, [[r.coeffs for r in e.rows] for e in elems], [(x0, y0)], [s]
+            )
             assert len(got) == len(elems)
             for H, e in zip(got, elems):
                 want = [e.hasse_derivative(x0, y0, dx, dy) for dx, dy in derivative_orders(s)]
                 assert H == want
 
 
+@pytest.mark.parametrize("p", KERNEL_PRIMES + (2**64 - 59,))
+def test_hasse_matrices_of_a_run_match_hasse_derivative(p):
+    # runs of 1 to 16 points with mixed multiplicities (s >= p in GF(2) and
+    # GF(3)), repeated x's allowed; entries of unequal length, empty entries
+    # and zero elements; at 2^64 - 59 a lane is wider than 16 bytes
+    field = PrimeField(p)
+    rng = random.Random(p % 1000 + 43)
+    for trial in range(10):
+        n = 16 if trial == 0 else rng.randint(1, 16)
+        ell = rng.randint(0, 4)
+        points = [(0 if rng.random() < 0.2 else field.rand(rng), field.rand(rng)) for _ in range(n)]
+        mults = [rng.randint(1, 5) for _ in range(n)]
+        elems = []
+        for e in range(rng.randint(1, 5)):
+            rows = []
+            for _ in range(ell + 1):
+                length = 0 if e == 1 else rng.choice((0, 1, 3, rng.randint(2, 40)))
+                rows.append(rand_unipoly(field, rng, length - 1) if length else UniPoly.zero(field))
+            elems.append(BiPoly(field, ell, rows))
+        got = hasse_matrices(field, ell, [[r.coeffs for r in e.rows] for e in elems], points, mults)
+        assert got == [_reference_values(e, points, mults) for e in elems]
+
+
+@pytest.mark.parametrize("length, width", [(32, 8), (33, 9)])
+def test_hasse_matrices_lane_capacity(length, width):
+    # every coefficient p - 1 at the bench prime: a lane holds length*(p-1)^2,
+    # which needs one more byte from 33 coefficients on
+    p = 754974721
+    field = PrimeField(p)
+    assert _slot_width(length, p) == width
+    rng = random.Random(length)
+    full = [p - 1] * length
+    elems = [BiPoly(field, 2, [UniPoly(field, c) for c in (full, full[:5], full)])]
+    points = [(x, field.rand(rng)) for x in (1, p - 1, 2, field.rand(rng), field.rand(rng))]
+    mults = [4, 3, 2, 5, 1]
+    got = hasse_matrices(field, 2, [[r.coeffs for r in e.rows] for e in elems], points, mults)
+    assert got == [_reference_values(e, points, mults) for e in elems]
+
+
 def test_hasse_matrices_of_no_elements_and_zero_element():
-    assert hasse_matrices(F5, 2, [], 1, 2, 3) == []
+    assert hasse_matrices(F5, 2, [], [(1, 2)], [3]) == []
     zero = [[], [], []]
-    assert hasse_matrices(F5, 2, [zero], 1, 2, 3) == [[0] * 6]
+    assert hasse_matrices(F5, 2, [zero], [(1, 2)], [3]) == [[0] * 6]
+    assert hasse_matrices(F5, 2, [zero], [(1, 2), (3, 4)], [3, 1]) == [[0] * 7]
+    assert hasse_matrices(F5, 2, [zero], [], []) == [[]]
 
 
 def test_reduction_preserves_hasse_derivatives():

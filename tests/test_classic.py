@@ -164,12 +164,7 @@ def test_usage_errors():
 def _values(field, elems, points, mults):
     """Each element's flat Hasse values at the points, concatenated in order."""
     rows = [[r.coeffs for r in e.rows] for e in elems]
-    ell = elems[0].ell
-    out = [[] for _ in elems]
-    for (x, y), s in zip(points, mults):
-        for v, h in zip(out, hasse_matrices(field, ell, rows, x, y, s)):
-            v += h
-    return out
+    return hasse_matrices(field, elems[0].ell, rows, points, mults)
 
 
 def test_hasse_shift_down_example():

@@ -6,10 +6,12 @@ import time
 import pytest
 
 from gsinterp.bipoly import BiPoly
+from gsinterp.classic import TrackedBasis
 from gsinterp import cli
 from gsinterp.cli import (
     MAX_ELL,
     MAX_FILE_BYTES,
+    MAX_N,
     MAX_S,
     InstanceFileError,
     build_parser,
@@ -158,6 +160,19 @@ def test_verify_exit_zero_iff_all_pass(capsys):
     assert rc == 0
 
 
+def test_verify_reports_an_element_that_does_not_vanish(capsys, monkeypatch):
+    # the fast basis swapped for the starting basis {1, y}, which vanishes at
+    # no point: its multiplicity check must fail while classic's passes
+    def standard(inst, pivot_log=None):
+        return TrackedBasis.standard(inst.field, inst.ell, inst.w)
+
+    monkeypatch.setattr("gsinterp.fast.solve_basis", standard)
+    assert main(["verify", COLLINEAR]) == 1
+    out = capsys.readouterr().out
+    assert "multiplicity-fast: FAIL" in out and "multiplicity-classic: PASS" in out
+    assert "multiplicity-oracle: PASS" in out
+
+
 def test_verify_refuses_instance_too_large_for_oracle(tmp_path, capsys):
     # 40 points of multiplicity 3 give 240 constraints, above the oracle's
     # limit: verify must stop at once with a usage error, not run for minutes
@@ -223,6 +238,17 @@ def test_bench_caps_refused(capsys, no_solvers):
     assert main(["bench", "--s", str(MAX_S + 1), "--sizes", "4"]) == 2
     assert main(["bench", "--ell", str(MAX_ELL + 1), "--sizes", "4"]) == 2
     assert capsys.readouterr().err.count("error:") == 2
+
+
+@pytest.mark.parametrize("sizes", ["-3", "0", "4,0", f"8,{MAX_N + 1}", str(10**18)])
+def test_bench_sizes_outside_cap_refused(capsys, monkeypatch, no_solvers, sizes):
+    def built(*args, **kwargs):
+        raise AssertionError("a refused size reached random_instance")
+
+    monkeypatch.setattr("gsinterp.bench.random_instance", built)
+    assert main(["bench", "--sizes", sizes]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(MAX_N) in err
 
 
 def test_instance_file_above_cap_refused(tmp_path, capsys, monkeypatch, no_solvers):
