@@ -10,8 +10,9 @@ Two evaluation routes for Hasse derivatives exist on purpose:
     flat layout the elimination step carries and shifts (see classic). The
     coefficients are packed into lanes once per run, and each (point, dx) is
     one big-integer dot product with the Taylor vector v_dx[i] =
-    C(i,dx) x0^(i-dx). BiPoly.hasse_matrix and has_multiplicity are its
-    one-point runs.
+    C(i,dx) x0^(i-dx); the solvers hand in those vectors from a cached
+    classic.Run. BiPoly.hasse_matrix and has_multiplicity are its one-point
+    runs.
   * hasse_derivative — the direct binomial-sum formula on the full
     coefficients, its binomials taken as integers (math.comb) mod p rather
     than from the Taylor vectors; slower, used as the independent cross-check.
@@ -19,7 +20,6 @@ Two evaluation routes for Hasse derivatives exist on purpose:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from math import comb
 from operator import mul
@@ -29,13 +29,26 @@ from .field import PrimeField
 from .unipoly import NEG_INF, UniPoly, _lanes, _pack, _slot_width
 
 
-@dataclass(frozen=True)
 class Monomial:
-    """x^xdeg * y^ydeg under the weight w."""
+    """x^xdeg * y^ydeg under the weight w. Equal monomials have equal fields;
+    the weighted order is key()'s, so there is no < on monomials."""
 
-    xdeg: int
-    ydeg: int
-    w: int
+    __slots__ = ("xdeg", "ydeg", "w")
+
+    def __init__(self, xdeg: int, ydeg: int, w: int):
+        self.xdeg = xdeg
+        self.ydeg = ydeg
+        self.w = w
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Monomial) and (self.xdeg, self.ydeg, self.w) == (
+            other.xdeg, other.ydeg, other.w)
+
+    def __hash__(self) -> int:
+        return hash((self.xdeg, self.ydeg, self.w))
+
+    def __repr__(self) -> str:
+        return f"Monomial(xdeg={self.xdeg}, ydeg={self.ydeg}, w={self.w})"
 
     @property
     def wdeg(self) -> int:
@@ -71,7 +84,8 @@ def taylor_vectors(x0: int, s: int, n: int, p: int) -> list[list[int]]:
 
 
 def hasse_matrices(
-    field: PrimeField, ell: int, elems: list[list[list[int]]], points, mults: list[int]
+    field: PrimeField, ell: int, elems: list[list[list[int]]], points, mults: list[int],
+    xvecs: list[list[list[int]]] | None = None,
 ) -> list[list[int]]:
     """Each element's Hasse values H[dx][dy], dx + dy < s, at every point (x0, y0)
     of a run with its multiplicity s: per point the anti-triangle row by row in
@@ -81,7 +95,9 @@ def hasse_matrices(
     the longest length L, so a lane holds L*(p-1)^2. Per point and dx, one
     big-integer dot product of cols with the Taylor vector v_dx gives every
     entry's coefficient of x^dx in its shift by x0; the rows are then combined
-    across y with the same vectors in y0."""
+    across y with the same vectors in y0. xvecs[i] holds point i's vectors
+    v_dx in x0, at least L long (a run's cached ones, see classic.Run); they
+    are built here at length L when None."""
     p, k = field.p, ell + 1
     entries = list(chain.from_iterable(elems))
     m, L = len(entries), max(map(len, entries), default=0)
@@ -92,13 +108,16 @@ def hasse_matrices(
     step = width * m
     raw = _pack(lanes, width).to_bytes(step * L, "little")
     cols = [int.from_bytes(raw[i * step : i * step + step], "little") for i in range(L)]
+    if xvecs is None:
+        xvecs = [taylor_vectors(x0, s, L, p) for (x0, _), s in zip(points, mults)]
     out = [[] for _ in elems]
-    for (x0, y0), s in zip(points, mults):
+    for (_, y0), s, xv in zip(points, mults, xvecs):
         # the y-side binomial weights C(j, dy) * y0^(j-dy) are the same vectors in y
         weights = taylor_vectors(y0, s, k, p)
         values = []  # values[r][e]: value r of this point of element e
-        for dx, v in enumerate(taylor_vectors(x0, s, L, p)):
-            # every entry's coefficient of x^dx in its shift by x0, by element
+        for dx, v in enumerate(xv):
+            # every entry's coefficient of x^dx in its shift by x0, by element;
+            # the dot product stops at cols' end, however long v is
             t = _lanes(sum(map(mul, cols, v)), m, width, p)
             rows = [t[b : b + k] for b in range(0, m, k)]
             values += ([sum(map(mul, w, r)) % p for r in rows] for w in weights[: s - dx])

@@ -16,11 +16,16 @@ Two modes produce bit-identical output:
                on the basis reduced mod the run's modulus and with
                transform rows riding along.
 
-eliminate_run is the one run driver of both solvers. It reads each element's
-Hasse values at every run point off its elements, one bipoly.hasse_matrices
-call per run, packs them with the rows once, eliminates the points in order
-through eliminate_point and unpacks once. A row is one integer of
-W-byte lanes, W = _slot_width(1, p), at least 8: first the element's flat
+eliminate_run is the one run driver of both solvers. A Run holds the run's
+x-side, which no y depends on: each point's shift_plan and its Taylor
+vectors in x. Both solvers build one per run; a fast.Schedule keeps its
+leaves' Runs, so a decoder reuses them for every word it decodes, and a Run
+keeps what it builds from its second use on. The driver reads each
+element's Hasse values at every run point off its elements, one
+bipoly.hasse_matrices call per run on the Run's Taylor vectors, packs them
+with the rows once, eliminates the points in order through eliminate_point
+and unpacks once. A row is one integer of W-byte lanes,
+W = _slot_width(1, p), at least 8: first the element's flat
 Hasse values (for each point still to do, its s(s+1)/2 values in
 derivative_orders order, the current point's first), then its k entries
 interleaved by x-degree, the x^d coefficient of entry l in lane V + d*k + l
@@ -49,10 +54,8 @@ Classic cached took 1.00-1.02x with runs of 8 and 1.00-1.16x with runs of 32
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import unipoly
-from .bipoly import BiPoly, derivative_orders, hasse_matrices
+from .bipoly import BiPoly, derivative_orders, hasse_matrices, taylor_vectors
 from .field import PrimeField
 from .problem import InterpolationInstance
 from .unipoly import UniPoly, _pack, _slot_width, _trim, _unpack
@@ -67,13 +70,15 @@ def identity(n: int) -> Rows:
     return [[[1] if k == j else [] for k in range(n)] for j in range(n)]
 
 
-@dataclass
 class TrackedBasis:
     """Basis elements with their weighted degrees: deltas[j] is the (1, w)-weighted
     degree of elems[j], whose leading y-position is j."""
 
-    elems: list[BiPoly]
-    deltas: list[int]
+    __slots__ = ("elems", "deltas")
+
+    def __init__(self, elems: list[BiPoly], deltas: list[int]):
+        self.elems = elems
+        self.deltas = deltas
 
     @classmethod
     def from_rows(cls, field: PrimeField, rows: Rows, deltas: list[int]) -> "TrackedBasis":
@@ -116,6 +121,41 @@ def shift_plan(xs: list[int], mults: list[int], xi: int, p: int) -> Plan:
             above = row
         d += [(xk - xi) % p] * (len(src) - len(d))
     return src, d
+
+
+class Run:
+    """The x-side of a run of points, which no y depends on: each point's
+    shift_plan over the points from it on, and its Taylor vectors in x
+    (taylor_vectors, the x-side of hasse_matrices). A longer vector gives the
+    same values, since hasse_matrices' dot products stop at the
+    coefficients' length, so one Run serves every received word on the same
+    points (see fast.Schedule)."""
+
+    __slots__ = ("xs", "mults", "p", "_plans", "_xvecs", "_len", "_used")
+
+    def __init__(self, xs: list[int], mults: list[int], p: int):
+        self.xs, self.mults, self.p = xs, mults, p
+        self._plans: list[Plan] | None = None
+        self._xvecs: list[list[list[int]]] = []
+        self._len = -1  # the kept vectors' length; -1 while none are kept
+        self._used = False
+
+    def xside(self, n: int) -> tuple[list[Plan], list[list[list[int]]]]:
+        """Each point's shift plan and its Taylor vectors v_dx in its x, dx < s,
+        at least n long. The first use keeps nothing: a fresh solve uses each
+        run once, and keeping every run's x-side until the solve ends raised
+        its peak memory from 2.8 to 6.4 MB at n = 1024, s = 2. From the second
+        use on both are kept, the vectors rebuilt only for a longer n."""
+        xs, mults, p = self.xs, self.mults, self.p
+        plans, xvecs = self._plans, self._xvecs
+        if plans is None:
+            plans = [shift_plan(xs[i:], mults[i:], x, p) for i, x in enumerate(xs)]
+        if self._len < n:
+            xvecs = [taylor_vectors(x, s, n, p) for x, s in zip(xs, mults)]
+        if self._used:
+            self._plans, self._xvecs, self._len = plans, xvecs, max(n, self._len)
+        self._used = True
+        return plans, xvecs
 
 
 def pack_rows(p: int, vecs: list[list[int]], rows: Rows) -> list[int]:
@@ -193,22 +233,23 @@ def eliminate_point(
 
 
 def eliminate_run(
-    field: PrimeField, points, mults: list[int], elems: Rows, rows: Rows, deltas: list[int],
+    field: PrimeField, run: Run, ys: list[int], elems: Rows, rows: Rows, deltas: list[int],
     pivot_log: list | None = None, first_index: int = 0,
 ) -> Rows:
-    """Eliminate a run of points, in order, from rows of trimmed coefficient
-    lists; row j carries the Hasse values of elems[j] (its y-power rows) at
-    every run point. Returns the rows; deltas is updated in place, pivot_log
-    numbers the points from first_index, and no argument's entry is mutated."""
+    """Eliminate the points (run.xs[i], ys[i]) of a run, in order, from rows of
+    trimmed coefficient lists; row j carries the Hasse values of elems[j] (its
+    y-power rows) at every run point. Returns the rows; deltas is updated in
+    place, pivot_log numbers the points from first_index, and no argument's
+    entry is mutated."""
     p, k = field.p, len(rows[0])
     width = _slot_width(1, p)
     bits = 8 * width
-    vecs = hasse_matrices(field, len(elems[0]) - 1, elems, points, mults)
+    plans, xvecs = run.xside(max((len(e) for elem in elems for e in elem), default=0))
+    points = list(zip(run.xs, ys))
+    vecs = hasse_matrices(field, len(elems[0]) - 1, elems, points, run.mults, xvecs)
     packed = pack_rows(p, vecs, rows)
     adds = [0] * len(packed)
-    xs = [x for x, _ in points]
-    for i, (xi, s) in enumerate(zip(xs, mults)):
-        plan = shift_plan(xs[i:], mults[i:], xi, p)
+    for i, (xi, s, plan) in enumerate(zip(run.xs, run.mults, plans)):
         eliminate_point(field, packed, adds, deltas, xi, s, plan, k, pivot_log, first_index + i)
         packed = [row >> bits * (s * (s + 1) // 2) for row in packed]  # the point is done
     return [[_trim(lanes[l::k]) for l in range(k)] for lanes in (_reduce(r, width, p) for r in packed)]
@@ -234,10 +275,11 @@ def interpolate(
 
     if mode == "cached":
         rows = identity(ell + 1)
+        xs, ys = zip(*inst.points)
         for i in range(0, inst.n, LEAF_MAX):
             run = slice(i, i + LEAF_MAX)
-            rows = eliminate_run(field, inst.points[run], inst.mults[run], rows, rows, deltas,
-                                 pivot_log, i)
+            rows = eliminate_run(field, Run(list(xs[run]), inst.mults[run], p), list(ys[run]),
+                                 rows, rows, deltas, pivot_log, i)
         basis = TrackedBasis.from_rows(field, rows, deltas)
     else:
         for i, ((xi, yi), s) in enumerate(zip(inst.points, inst.mults)):

@@ -6,6 +6,14 @@ polynomial through the received points with uniform multiplicity, extracts
 its y-roots of degree < k, and keeps the candidates within the target
 Hamming radius.
 
+The x-side of the interpolation depends only on the evaluation points and
+the multiplicity s, never on the received word: a fast.Schedule holds it (the
+modulus tree with its Newton inverses, each leaf run's shift plans and Taylor
+vectors in x). decode_list keeps one per s in a private slot of the RSCode,
+so a decoder builds the x-side once per code and s (a run's part on the
+second word, see classic.Run), however many words it decodes; a schedule
+whose points or LEAF_MAX no longer fit is rebuilt.
+
 Root extraction (y_roots) is Roth-Ruckenstein branching on trimmed
 coefficient lists from the interpolated rows down to the candidates. Slice
 roots come from _poly_roots: one inversion for a linear slice, a gcd with
@@ -18,7 +26,7 @@ candidate goes through BiPoly and UniPoly.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import fast
 from .bipoly import BiPoly, taylor_vectors
@@ -40,7 +48,7 @@ class InfeasibleParameters(ValueError):
 
 
 class RSCode:
-    __slots__ = ("field", "n", "k", "evalpoints")
+    __slots__ = ("field", "n", "k", "evalpoints", "_schedules")
 
     def __init__(self, field: PrimeField, n: int, k: int, evalpoints=None):
         if not 1 <= k <= n <= field.p:
@@ -55,6 +63,7 @@ class RSCode:
         self.n = n
         self.k = k
         self.evalpoints = evalpoints
+        self._schedules: dict[int, fast.Schedule] = {}  # by s, filled by decode_list
 
     def encode(self, message) -> list[int]:
         """Evaluate the message polynomial (coefficients low-to-high, len <= k)."""
@@ -64,8 +73,7 @@ class RSCode:
         return [f.eval(a) for a in self.evalpoints]
 
 
-@dataclass(frozen=True)
-class GSParams:
+class GSParams(NamedTuple):
     s: int
     ell: int
     tau: int
@@ -241,13 +249,35 @@ def hamming(a, b) -> int:
     return sum(1 for x, y in zip(a, b) if x != y)
 
 
+def _check_params(code: RSCode, params: GSParams) -> None:
+    """Raise ValueError unless decoding with params can find every message
+    within tau: w = k - 1, s and ell within the caps gs_params searches,
+    0 <= tau < n, and the counting bound (InfeasibleParameters)."""
+    n, k = code.n, code.k
+    s, ell, tau, w = params.s, params.ell, params.tau, params.w
+    if w != k - 1:
+        raise ValueError(f"weight w={w} must be k - 1 = {k - 1}")
+    if not (1 <= s <= S_CAP and 1 <= ell <= ELL_CAP):
+        raise ValueError(f"need 1 <= s <= {S_CAP} and 1 <= ell <= {ELL_CAP}, got s={s}, ell={ell}")
+    if not 0 <= tau < n:
+        raise ValueError(f"error target must satisfy 0 <= tau < n={n}, got {tau}")
+    if not is_feasible(n, w, s, ell, tau):
+        lhs, rhs = monomial_budget(n, w, s, ell, tau)
+        raise InfeasibleParameters(
+            f"s={s}, ell={ell} cannot reach tau={tau} for [n={n}, k={k}]: "
+            f"monomial count {lhs} must exceed constraint count {rhs}"
+        )
+
+
 def decode_list(code: RSCode, received, params: GSParams) -> list[list[int]]:
     """All messages whose codewords lie within Hamming distance tau of the
-    received word (for feasible parameters; guarantee exercised by tests)."""
+    received word; parameters that cannot guarantee that are refused
+    (_check_params). The interpolation runs on the code's schedule for s."""
     field = code.field
     received = [v % field.p for v in received]
     if len(received) != code.n:
         raise ValueError(f"received word must have length n={code.n}")
+    _check_params(code, params)
     inst = InterpolationInstance(
         field,
         list(zip(code.evalpoints, received)),
@@ -255,7 +285,10 @@ def decode_list(code: RSCode, received, params: GSParams) -> list[list[int]]:
         params.ell,
         params.w,
     )
-    q, _ = fast.solve(inst)
+    schedule = code._schedules.get(params.s)
+    if schedule is None or not schedule.fits(inst):
+        schedule = code._schedules[params.s] = fast.Schedule(field, inst.points, inst.mults)
+    q, _ = fast.solve(inst, schedule)
     out = []
     for f in y_roots(q, code.k):
         msg = f.coeffs + [0] * (code.k - len(f.coeffs))

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gsinterp.bipoly import BiPoly, Monomial, derivative_orders, hasse_matrices
+from gsinterp.bipoly import BiPoly, Monomial, derivative_orders, hasse_matrices, taylor_vectors
 from gsinterp.field import PrimeField
 from gsinterp.unipoly import NEG_INF, UniPoly, _slot_width
 from util import poly_pow, rand_bipoly, rand_unipoly, reduce_mod, x_minus
@@ -186,11 +186,17 @@ def test_hasse_matrices_match_hasse_derivative():
                 assert H == want
 
 
-@pytest.mark.parametrize("p", KERNEL_PRIMES + (2**64 - 59,))
-def test_hasse_matrices_of_a_run_match_hasse_derivative(p):
+@pytest.mark.parametrize(
+    "p, longer",
+    [pytest.param(p, False, id=str(p)) for p in KERNEL_PRIMES + (2**64 - 59,)]
+    + [pytest.param(65521, True, id="65521-longer-x-vectors")],
+)
+def test_hasse_matrices_of_a_run_match_hasse_derivative(p, longer):
     # runs of 1 to 16 points with mixed multiplicities (s >= p in GF(2) and
     # GF(3)), repeated x's allowed; entries of unequal length, empty entries
-    # and zero elements; at 2^64 - 59 a lane is wider than 16 bytes
+    # and zero elements; at 2^64 - 59 a lane is wider than 16 bytes. With
+    # longer, each point's Taylor vectors in x are handed in, 1 to 30 past the
+    # longest entry, as a schedule built for an earlier, longer basis holds them
     field = PrimeField(p)
     rng = random.Random(p % 1000 + 43)
     for trial in range(10):
@@ -205,7 +211,12 @@ def test_hasse_matrices_of_a_run_match_hasse_derivative(p):
                 length = 0 if e == 1 else rng.choice((0, 1, 3, rng.randint(2, 40)))
                 rows.append(rand_unipoly(field, rng, length - 1) if length else UniPoly.zero(field))
             elems.append(BiPoly(field, ell, rows))
-        got = hasse_matrices(field, ell, [[r.coeffs for r in e.rows] for e in elems], points, mults)
+        rows = [[r.coeffs for r in e.rows] for e in elems]
+        xvecs = None
+        if longer:
+            size = max(len(c) for e in rows for c in e) + rng.randint(1, 30)
+            xvecs = [taylor_vectors(x, s, size, p) for (x, _), s in zip(points, mults)]
+        got = hasse_matrices(field, ell, rows, points, mults, xvecs)
         assert got == [_reference_values(e, points, mults) for e in elems]
 
 

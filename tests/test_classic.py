@@ -4,10 +4,10 @@ import sys
 import pytest
 
 from gsinterp.bench import BENCH_PRIME
-from gsinterp.bipoly import BiPoly, derivative_orders, hasse_matrices
+from gsinterp.bipoly import BiPoly, derivative_orders, hasse_matrices, taylor_vectors
 from gsinterp.field import PrimeField
 from gsinterp.classic import (
-    eliminate_point, eliminate_run, interpolate, pack_rows, shift_plan,
+    Run, eliminate_point, eliminate_run, interpolate, pack_rows, shift_plan,
 )
 from gsinterp.fast import solve_basis
 from gsinterp.oracle import minimal_solution
@@ -304,6 +304,21 @@ def test_eliminate_point_multi_round_matches_sequential_reference():
             assert handed_in == snapshot
 
 
+def test_run_keeps_its_x_side_from_the_second_use():
+    xs, mults = [3, 5, 7], [2, 1, 3]
+    run = Run(xs, mults, 101)
+    want = ([shift_plan(xs[i:], mults[i:], x, 101) for i, x in enumerate(xs)],
+            [taylor_vectors(x, s, 4, 101) for x, s in zip(xs, mults)])
+    first, second = run.xside(4), run.xside(4)
+    assert first == second == want
+    assert first[0] is not second[0] and first[1] is not second[1]  # the first kept nothing
+    assert run.xside(4)[0] is second[0] and run.xside(2)[1] is second[1]
+    plans, longer = run.xside(9)
+    assert plans is second[0]
+    assert longer == [taylor_vectors(x, s, 9, 101) for x, s in zip(xs, mults)]
+    assert run.xside(5)[1] is longer
+
+
 @pytest.mark.parametrize(
     "p", [2, 3, 101, 65521, BENCH_PRIME, 4294967291, 4294967311, 2**61 - 1, 2**64 - 59]
 )
@@ -333,8 +348,9 @@ def test_eliminate_run_matches_sequential_reference(p):
             deltas[-1] = 10**6
         rows = _joined_rows(extra, elems)
         got_deltas, got_log = list(deltas), []
-        got = eliminate_run(field, points, mults, [[r.coeffs for r in e.rows] for e in elems],
-                            rows, got_deltas, got_log, 3)
+        elem_rows = [[r.coeffs for r in e.rows] for e in elems]
+        got = eliminate_run(field, Run(xs, mults, p), [y for _, y in points], elem_rows, rows,
+                            got_deltas, got_log, 3)
 
         want_log = []
         for i, ((x, y), s) in enumerate(zip(points, mults)):

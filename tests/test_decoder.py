@@ -6,6 +6,8 @@ import pytest
 
 from gsinterp.bipoly import BiPoly
 from gsinterp.decoder import (
+    ELL_CAP,
+    S_CAP,
     GSParams,
     InfeasibleParameters,
     RSCode,
@@ -433,3 +435,78 @@ def test_decode_long_message_over_bench_prime():
     for pos in rng.sample(range(1100), 10):
         recv[pos] = (recv[pos] + rand_nonzero(field, rng)) % field.p
     assert decode_list(code, recv, gs_params(code, 10)) == [msg]
+
+
+@pytest.mark.parametrize("params", [
+    GSParams(s=2, ell=6, tau=5, w=1),  # w != k - 1
+    GSParams(s=2, ell=6, tau=5, w=5),
+    GSParams(s=1, ell=1, tau=5, w=2),  # fails the counting bound
+    GSParams(s=0, ell=6, tau=5, w=2),
+    GSParams(s=S_CAP + 1, ell=6, tau=5, w=2),
+    GSParams(s=2, ell=0, tau=5, w=2),
+    GSParams(s=2, ell=ELL_CAP + 1, tau=5, w=2),
+    GSParams(s=2, ell=6, tau=-1, w=2),
+    GSParams(s=2, ell=6, tau=12, w=2),
+])
+def test_decode_refuses_parameters_that_cannot_work(monkeypatch, params):
+    # each used to return a list, mostly without the sent message, and no
+    # error; now it is refused before any interpolation, and nothing is cached
+    code = RSCode(F13, 12, 3)
+
+    def reached(*args, **kwargs):
+        raise AssertionError("interpolation reached")
+
+    monkeypatch.setattr("gsinterp.fast.solve", reached)
+    with pytest.raises(ValueError):
+        decode_list(code, code.encode([1, 2, 3]), params)
+    assert code._schedules == {}
+
+
+def _params(code, s, tau):
+    """The smallest feasible list size for multiplicity s at radius tau."""
+    w = code.k - 1
+    ell = next(e for e in range(1, ELL_CAP + 1) if is_feasible(code.n, w, s, e, tau))
+    return GSParams(s=s, ell=ell, tau=tau, w=w)
+
+
+def _noisy(code, rng, msg, tau):
+    recv = code.encode(msg)
+    for pos in rng.sample(range(code.n), tau):
+        recv[pos] = (recv[pos] + rand_nonzero(code.field, rng)) % code.field.p
+    return recv
+
+
+def test_decode_through_one_code_matches_fresh_codes():
+    # one code decodes a seeded sequence of words while s cycles 1 -> 3 -> 2
+    # -> 1 (twice), so each of its per-s schedules is reused after the others;
+    # every list equals the one a fresh code gives
+    field = PrimeField(101)
+    rng = random.Random(19)
+    code = RSCode(field, 32, 8)
+    for s, tau in [(1, 12), (3, 15), (2, 15), (1, 13)] * 2:
+        params = _params(code, s, tau)
+        msg = [field.rand(rng) for _ in range(8)]
+        recv = _noisy(code, rng, msg, tau)
+        got = decode_list(code, recv, params)
+        assert msg in got
+        assert got == decode_list(RSCode(field, 32, 8), recv, params)
+    assert sorted(code._schedules) == [1, 2, 3]
+
+
+def test_decode_after_evaluation_points_change():
+    # the code's schedule was built on the old points; it must not be used
+    # once they change, in place or by a new list
+    field = PrimeField(101)
+    rng = random.Random(20)
+    code = RSCode(field, 32, 8)
+    params = _params(code, 2, 15)
+    msg = [field.rand(rng) for _ in range(8)]
+    assert msg in decode_list(code, _noisy(code, rng, msg, 15), params)
+    code.evalpoints[3] = next(x for x in range(101) if x not in code.evalpoints)
+    code.evalpoints.reverse()
+    for _ in range(2):
+        recv = _noisy(code, rng, msg, 15)
+        got = decode_list(code, recv, params)
+        assert msg in got
+        assert got == decode_list(RSCode(field, 32, 8, code.evalpoints), recv, params)
+        code.evalpoints = [(x + 50) % 101 for x in code.evalpoints]

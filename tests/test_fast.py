@@ -5,6 +5,7 @@ import pytest
 from gsinterp.bipoly import BiPoly
 from gsinterp.fast import (
     NEWTON_REM_MIN,
+    Schedule,
     _ModNode,
     _poly_matmul,
     build_modulus_tree,
@@ -13,7 +14,7 @@ from gsinterp.fast import (
     solve_basis,
 )
 from gsinterp.field import PrimeField
-from gsinterp.classic import LEAF_MAX, TrackedBasis, eliminate_run, interpolate
+from gsinterp.classic import LEAF_MAX, Run, TrackedBasis, eliminate_run, interpolate
 from gsinterp.oracle import MAX_CONSTRAINTS, minimal_solution
 from gsinterp.problem import InterpolationInstance, random_instance
 from gsinterp.unipoly import UniPoly, count_scalar_mults
@@ -47,7 +48,8 @@ def one_point(point, s, basis):
     field = basis.elems[0].field
     T = coeff_rows(identity(field, basis.elems[0].ell))
     deltas = list(basis.deltas)
-    T = eliminate_run(field, [point], [s], coeff_rows([e.rows for e in basis.elems]), T, deltas)
+    T = eliminate_run(field, Run([point[0]], [s], field.p), [point[1]],
+                      coeff_rows([e.rows for e in basis.elems]), T, deltas)
     return T, deltas
 
 
@@ -123,8 +125,8 @@ def test_eliminate_point_row_update_equals_matrix_product():
         want_deltas[t] += 1
         log = []
         elems = [[[v] if v else []] + [[] for _ in range(ell)] for v in values]
-        rows = eliminate_run(F101, [(xi, F101.rand(rng))], [1], elems, coeff_rows(T), deltas,
-                             log, 7)
+        rows = eliminate_run(F101, Run([xi], [1], 101), [F101.rand(rng)], elems, coeff_rows(T),
+                             deltas, log, 7)
         want = _poly_matmul(F101, coeff_rows(build_update_matrix(F101, ell, t, ratios, xi)),
                             coeff_rows(T))
         assert rows == want
@@ -522,8 +524,66 @@ def test_leaf_cutoff_leaves_output_unchanged(monkeypatch, leaf_max):
         return [(solver(inst, pivot_log=log), log) for solver, log in zip(solvers, logs)]
 
     want = [outputs(inst) for inst in insts]
+    # a schedule keeps the run boundaries it was built with, so one built
+    # under the old cutoff must be refused under the new one
+    stale = [Schedule(inst.field, inst.points, inst.mults) for inst in insts]
     monkeypatch.setattr("gsinterp.classic.LEAF_MAX", leaf_max)
-    for inst, runs in zip(insts, want):
+    for inst, runs, schedule in zip(insts, want, stale):
         for (got, got_log), (basis, log) in zip(outputs(inst), runs):
             assert got.elems == basis.elems and got.deltas == basis.deltas
             assert got_log == log
+        with pytest.raises(ValueError):
+            solve_basis(inst, schedule=schedule)
+
+
+# -- one schedule, many solves ---------------------------------------------------------
+
+
+def test_shared_schedule_gives_the_fresh_solves():
+    # instances on one set of x's and multiplicities, with their own y's, list
+    # sizes and weights: solved in a seeded order on one schedule, each must
+    # give the elements, deltas and pivot log of its solve on a fresh one. At
+    # n = 128, s = 2 the nodes of 32 points (moduli of degree 64) divide by
+    # Newton, so the cached inverses, like the cached Taylor vectors, are met
+    # at other lengths than the ones they were built at
+    rng = random.Random(17)
+    for field, n in ((PrimeField(65521), 128), (PrimeField(3), 3), (F101, 2 * LEAF_MAX + 5)):
+        base = random_instance(field, rng, n, 1, 1, smin=1, smax=3,
+                               uniform_s=2 if n == 128 else None)
+        xs = [x for x, _ in base.points]
+        insts = [
+            InterpolationInstance(field, [(x, field.rand(rng)) for x in xs], base.mults,
+                                  rng.randint(0, 5), rng.randint(1, 6))
+            for _ in range(8)
+        ]
+        schedule = Schedule(field, base.points, base.mults)
+        for inst in insts + insts[::-1]:
+            log, want_log = [], []
+            got = solve_basis(inst, pivot_log=log, schedule=schedule)
+            want = solve_basis(inst, pivot_log=want_log)
+            assert got.elems == want.elems and got.deltas == want.deltas and log == want_log
+            assert solve(inst, schedule) == solve(inst)
+
+
+def test_schedule_refuses_other_points():
+    rng = random.Random(18)
+    inst = random_instance(F101, rng, 20, 2, 3, smin=1, smax=3)
+    schedule = Schedule(F101, inst.points, inst.mults)
+    xs = [x for x, _ in inst.points]
+    moved = list(inst.points)
+    moved[7] = (next(x for x in range(101) if x not in xs), moved[7][1])
+    others = [
+        InterpolationInstance(F101, moved, inst.mults, 2, 3),  # one x moved
+        InterpolationInstance(F101, inst.points[::-1], inst.mults[::-1], 2, 3),  # reordered
+        InterpolationInstance(F101, inst.points, [s % 3 + 1 for s in inst.mults], 2, 3),
+        InterpolationInstance(F101, inst.points[:-1], inst.mults[:-1], 2, 3),  # one point fewer
+        InterpolationInstance(PrimeField(103), inst.points, inst.mults, 2, 3),  # another field
+    ]
+    for other in others:
+        with pytest.raises(ValueError, match="schedule"):
+            solve_basis(other, schedule=schedule)
+        with pytest.raises(ValueError, match="schedule"):
+            solve(other, schedule)
+    # y's, ell and w are the y-side: the same schedule serves them
+    same_x = InterpolationInstance(F101, [(x, F101.rand(rng)) for x in xs], inst.mults, 4, 1)
+    assert solve(same_x, schedule) == solve(same_x)
