@@ -17,16 +17,16 @@ Two modes produce bit-identical output:
                transform rows riding along.
 
 eliminate_run is the one run driver of both solvers. A Run holds the run's
-x-side, which no y depends on: each point's shift_plan and its Taylor
-vectors in x. Both solvers build one per run; a fast.Schedule keeps its
-leaves' Runs, so a decoder reuses them for every word it decodes, and a Run
-keeps what it builds from its second use on. The driver reads each
-element's Hasse values at every run point off its elements, one
-bipoly.hasse_matrices call per run on the Run's Taylor vectors, packs them
-with the rows once, eliminates the points in order through eliminate_point
-and unpacks once. A row is one integer of W-byte lanes,
-W = _slot_width(1, p), at least 8: first the element's flat
-Hasse values (for each point still to do, its s(s+1)/2 values in
+x-side, which no y depends on: its first point's index, and each point's
+shift_plan and Taylor vectors in x. Classic cached builds one per run; a
+fast.Schedule keeps its leaves' Runs, so a decoder reuses them for every
+word it decodes, and a Run keeps what it builds from its second use on.
+The driver reads each element's Hasse values at every run point off its
+elements, one bipoly.hasse_matrices call per run on the Run's Taylor
+vectors, packs them with the rows once, eliminates the points in order
+through eliminate_point and unpacks once. A row is one integer of W-byte
+lanes, W = _slot_width(1, p), at least 8: first the element's flat Hasse
+values (for each point still to do, its s(s+1)/2 values in
 derivative_orders order, the current point's first), then its k entries
 interleaved by x-degree, the x^d coefficient of entry l in lane V + d*k + l
 after V value lanes. Every lane is below 2^(8W) and congruent to its value
@@ -89,11 +89,6 @@ class TrackedBasis:
             deltas,
         )
 
-    @classmethod
-    def standard(cls, field: PrimeField, ell: int, w: int) -> "TrackedBasis":
-        """The starting basis {1, y, ..., y^ell}."""
-        return cls.from_rows(field, identity(ell + 1), [w * j for j in range(ell + 1)])
-
     def minimal(self) -> BiPoly:
         """The element of least weighted degree, ties to the larger y-position."""
         return self.elems[min(range(len(self.deltas)), key=lambda j: (self.deltas[j], -j))]
@@ -124,17 +119,17 @@ def shift_plan(xs: list[int], mults: list[int], xi: int, p: int) -> Plan:
 
 
 class Run:
-    """The x-side of a run of points, which no y depends on: each point's
-    shift_plan over the points from it on, and its Taylor vectors in x
-    (taylor_vectors, the x-side of hasse_matrices). A longer vector gives the
-    same values, since hasse_matrices' dot products stop at the
-    coefficients' length, so one Run serves every received word on the same
-    points (see fast.Schedule)."""
+    """The x-side of a run of points, which no y depends on: lo, the index of
+    its first point in the instance, each point's shift_plan over the points
+    from it on, and its Taylor vectors in x (taylor_vectors, the x-side of
+    hasse_matrices). A longer vector gives the same values, since
+    hasse_matrices' dot products stop at the coefficients' length, so one Run
+    serves every received word on the same points (see fast.Schedule)."""
 
-    __slots__ = ("xs", "mults", "p", "_plans", "_xvecs", "_len", "_used")
+    __slots__ = ("xs", "mults", "p", "lo", "_plans", "_xvecs", "_len", "_used")
 
-    def __init__(self, xs: list[int], mults: list[int], p: int):
-        self.xs, self.mults, self.p = xs, mults, p
+    def __init__(self, xs: list[int], mults: list[int], p: int, lo: int):
+        self.xs, self.mults, self.p, self.lo = xs, mults, p, lo
         self._plans: list[Plan] | None = None
         self._xvecs: list[list[list[int]]] = []
         self._len = -1  # the kept vectors' length; -1 while none are kept
@@ -180,15 +175,17 @@ def _reduce(row: int, width: int, p: int) -> list[int]:
 
 def eliminate_point(
     field: PrimeField, rows: list[int], adds: list[int], deltas: list[int], xi: int, s: int,
-    plan: Plan, k: int, pivot_log: list | None = None, point_index: int = 0,
+    plan: Plan, k: int, point_index: int,
 ) -> None:
     """Run the inner rounds of one point in place on rows packed by pack_rows,
     with values at this point and any later ones; plan is shift_plan over
     those points, and adds[j] counts the unreduced additions into rows[j].
     Each round that finds a pivot t adds (p - ratio_j)*row_t to every other
     row j with a nonzero value, multiplies row t by (x - xi) and bumps
-    deltas[t]. The point's values stay in the low lanes."""
+    deltas[t]; a counter logging pivots gets (point_index, dx, dy, t). The
+    point's values stay in the low lanes."""
     p = field.p
+    counter = unipoly._COUNTER
     width = _slot_width(1, p)
     bits = 8 * width
     mask = (1 << bits) - 1
@@ -202,8 +199,6 @@ def eliminate_point(
         t = _pick_pivot(values, deltas)
         if t is None:
             continue  # constraint already satisfied by every element
-        if pivot_log is not None:
-            pivot_log.append((point_index, dx, dy, t))
         inv_vt = field.inv(values[t])
         pivot = rows[t]
         lanes = _reduce(pivot if adds[t] else pivot & low, width, p)
@@ -227,20 +222,21 @@ def eliminate_point(
         )
         adds[t] = 1  # the entries' lanes are below p + (p - 1)^2
         deltas[t] += 1
-        if unipoly._COUNTER is not None:
+        if counter is not None:
             # the pivot's lanes, once per row operation and once for the shift
-            unipoly._COUNTER.mults += (nops + 1) * -(-pivot.bit_length() // bits)
+            counter.mults += (nops + 1) * -(-pivot.bit_length() // bits)
+            if counter.pivots is not None:
+                counter.pivots.append((point_index, dx, dy, t))
 
 
 def eliminate_run(
     field: PrimeField, run: Run, ys: list[int], elems: Rows, rows: Rows, deltas: list[int],
-    pivot_log: list | None = None, first_index: int = 0,
 ) -> Rows:
     """Eliminate the points (run.xs[i], ys[i]) of a run, in order, from rows of
     trimmed coefficient lists; row j carries the Hasse values of elems[j] (its
     y-power rows) at every run point. Returns the rows; deltas is updated in
-    place, pivot_log numbers the points from first_index, and no argument's
-    entry is mutated."""
+    place, point i of the run is point run.lo + i of a pivot log, and no
+    argument's entry is mutated."""
     p, k = field.p, len(rows[0])
     width = _slot_width(1, p)
     bits = 8 * width
@@ -250,46 +246,38 @@ def eliminate_run(
     packed = pack_rows(p, vecs, rows)
     adds = [0] * len(packed)
     for i, (xi, s, plan) in enumerate(zip(run.xs, run.mults, plans)):
-        eliminate_point(field, packed, adds, deltas, xi, s, plan, k, pivot_log, first_index + i)
+        eliminate_point(field, packed, adds, deltas, xi, s, plan, k, run.lo + i)
         packed = [row >> bits * (s * (s + 1) // 2) for row in packed]  # the point is done
     return [[_trim(lanes[l::k]) for l in range(k)] for lanes in (_reduce(r, width, p) for r in packed)]
 
 
-def interpolate(
-    inst: InterpolationInstance,
-    mode: str = "cached",
-    pivot_log: list | None = None,
-) -> tuple[BiPoly, TrackedBasis]:
+def interpolate(inst: InterpolationInstance, mode: str = "cached") -> tuple[BiPoly, TrackedBasis]:
     """Solve the instance; returns the minimal element and the full basis.
-
-    pivot_log, if given, receives one (point_index, dx, dy, pivot_index)
-    tuple per inner round that found a pivot.
-    """
+    Under count_scalar_mults(pivots=True) every inner round that found a
+    pivot is logged."""
     if mode not in ("naive", "cached"):
         raise ValueError(f"unknown mode {mode!r}")
     field, p = inst.field, inst.field.p
     ell = inst.ell
-
-    basis = TrackedBasis.standard(field, ell, inst.w)
-    elems, deltas = basis.elems, basis.deltas
-
+    rows, deltas = identity(ell + 1), [inst.w * j for j in range(ell + 1)]  # {1, y, ..., y^ell}
     if mode == "cached":
-        rows = identity(ell + 1)
         xs, ys = zip(*inst.points)
         for i in range(0, inst.n, LEAF_MAX):
             run = slice(i, i + LEAF_MAX)
-            rows = eliminate_run(field, Run(list(xs[run]), inst.mults[run], p), list(ys[run]),
-                                 rows, rows, deltas, pivot_log, i)
-        basis = TrackedBasis.from_rows(field, rows, deltas)
-    else:
+            rows = eliminate_run(field, Run(list(xs[run]), inst.mults[run], p, i), list(ys[run]),
+                                 rows, rows, deltas)
+    basis = TrackedBasis.from_rows(field, rows, deltas)
+    if mode == "naive":
+        elems = basis.elems
+        counter = unipoly._COUNTER
         for i, ((xi, yi), s) in enumerate(zip(inst.points, inst.mults)):
             for dx, dy in derivative_orders(s):
                 values = [e.hasse_derivative(xi, yi, dx, dy) for e in elems]
                 t = _pick_pivot(values, deltas)
                 if t is None:
                     continue  # constraint already satisfied by every element
-                if pivot_log is not None:
-                    pivot_log.append((i, dx, dy, t))
+                if counter is not None and counter.pivots is not None:
+                    counter.pivots.append((i, dx, dy, t))
                 inv_vt = field.inv(values[t])
                 pivot_elem = elems[t]
                 for j in range(ell + 1):
@@ -299,5 +287,4 @@ def interpolate(
                     elems[j] = elems[j].sub_scaled(c, pivot_elem)
                 elems[t] = pivot_elem.mul_linear(xi)
                 deltas[t] += 1
-
     return basis.minimal(), basis

@@ -25,11 +25,15 @@ transform into BiPoly elements once, at exit.
 
 The pass has an x-side and a y-side. The x-side depends only on the field,
 the x's, the multiplicities and LEAF_MAX: the modulus tree with its lazily
-cached Newton inverses, and at each leaf a classic.Run with the run's shift
-plans and each point's Taylor vectors in x. A Schedule holds all of it; the
-y-side (the received word) only ever reads it. solve_basis builds one per
-call unless it is handed one, and decoder.decode_list keeps one per code and
-multiplicity, so a decoder builds the x-side once per code and multiplicity.
+cached Newton inverses, built down to its runs and no further, and at each
+leaf a classic.Run with the run's first point index, shift plans and each
+point's Taylor vectors in x. A Schedule holds all of it and checks the
+points; the y-side (the received word) only ever reads it. solve_basis
+builds one per call unless it is handed one, and decoder.decode_list keeps
+one per code and multiplicity, so a decoder builds the x-side once per code
+and multiplicity. interpolate_tree walks a Schedule's node on the node's
+y's. Pivot rounds are logged by unipoly.count_scalar_mults(pivots=True),
+numbered by each run's first point index.
 """
 
 from __future__ import annotations
@@ -88,13 +92,13 @@ def _poly_matmul(field: PrimeField, A: Rows, B: Rows) -> Rows:
 class _ModNode:
     __slots__ = ("lo", "hi", "modulus", "left", "right", "run", "_inv", "_inv_prec")
 
-    def __init__(self, lo, hi, modulus, left=None, right=None):
+    def __init__(self, lo, hi, modulus, left=None, right=None, run=None):
         self.lo = lo
         self.hi = hi
         self.modulus = modulus
         self.left = left
         self.right = right
-        self.run: Run | None = None  # set by Schedule on the tree's leaves
+        self.run: Run | None = run  # set on the tree's leaves
         self._inv = None
         self._inv_prec = 0
 
@@ -113,42 +117,51 @@ class _ModNode:
         return _newton_divmod(f, m, self._inv, field)[1]
 
 
-def build_modulus_tree(field: PrimeField, points, mults, lo=0, hi=None) -> _ModNode:
-    if hi is None:
-        hi = len(points) - 1
+def _subproduct(field: PrimeField, xs, mults, lo, hi) -> list[int]:
+    """The product of (x - xs[i])^mults[i] over lo <= i <= hi, split at the
+    midpoint as build_modulus_tree splits."""
     if lo == hi:
-        return _ModNode(lo, hi, _pow_raw([-points[lo][0] % field.p, 1], mults[lo], field))
+        return _pow_raw([-xs[lo] % field.p, 1], mults[lo], field)
     mid = (lo + hi) // 2
-    left = build_modulus_tree(field, points, mults, lo, mid)
-    right = build_modulus_tree(field, points, mults, mid + 1, hi)
+    return _mul_raw(_subproduct(field, xs, mults, lo, mid),
+                    _subproduct(field, xs, mults, mid + 1, hi), field)
+
+
+def build_modulus_tree(field: PrimeField, xs, mults, lo, hi) -> _ModNode:
+    """The node of the modulus tree over points lo..hi and the nodes below it
+    down to the runs, the highest nodes of at most classic.LEAF_MAX points,
+    which carry a classic.Run and no children: a solve reads only a run's
+    modulus, formed from the same products in the same split order."""
+    if hi - lo < classic.LEAF_MAX:
+        run = Run(xs[lo : hi + 1], mults[lo : hi + 1], field.p, lo)
+        return _ModNode(lo, hi, _subproduct(field, xs, mults, lo, hi), run=run)
+    mid = (lo + hi) // 2
+    left = build_modulus_tree(field, xs, mults, lo, mid)
+    right = build_modulus_tree(field, xs, mults, mid + 1, hi)
     return _ModNode(lo, hi, _mul_raw(left.modulus, right.modulus, field), left, right)
 
 
 class Schedule:
-    """The x-side of a solve over the given points' x's: the modulus tree, and
-    a classic.Run on each of its leaves, the highest nodes of at most
-    classic.LEAF_MAX points. The nodes cache their Newton inverses as a solve
-    first needs them, the runs their plans and Taylor vectors from their
-    second use on (classic.Run.xside), and any later solve on the same x's
-    and multiplicities reuses them; only instances it fits may use it."""
+    """The x-side of a solve over the given points' x's: the modulus tree down
+    to its runs, each carrying a classic.Run. The nodes cache their Newton
+    inverses as a solve first needs them, the runs their plans and Taylor
+    vectors from their second use on (classic.Run.xside), and any later
+    solve on the same x's and multiplicities reuses them; only instances it
+    fits may use it. Refuses an empty point list and a multiplicity list of
+    another length."""
 
     __slots__ = ("p", "xs", "mults", "leaf_max", "tree")
 
     def __init__(self, field: PrimeField, points, mults):
+        if not points:
+            raise ValueError("empty point range")
+        if len(points) != len(mults):
+            raise ValueError("points and multiplicities differ in length")
         self.p = field.p
         self.xs = [x for x, _ in points]
         self.mults = list(mults)
         self.leaf_max = classic.LEAF_MAX
-        self.tree = build_modulus_tree(field, points, mults)
-        todo = [self.tree]
-        while todo:
-            node = todo.pop()
-            if node.hi - node.lo < self.leaf_max:
-                run = slice(node.lo, node.hi + 1)
-                node.run = Run(self.xs[run], self.mults[run], self.p)
-                node.left = node.right = None  # the run's modulus is all the solve reads of it
-            else:
-                todo += (node.left, node.right)
+        self.tree = build_modulus_tree(field, self.xs, self.mults, 0, len(points) - 1)
 
     def fits(self, inst: InterpolationInstance) -> bool:
         """True iff the schedule was built for the instance's field, x's and
@@ -165,51 +178,40 @@ class Schedule:
 
 
 def interpolate_tree(
-    points, mults, field: PrimeField, elems: Rows, deltas: list[int],
-    pivot_log: list | None = None, _node: _ModNode | None = None,
+    ys: list[int], node: _ModNode, field: PrimeField, elems: Rows, deltas: list[int],
 ) -> tuple[Rows, list[int]]:
-    """Recursively interpolate a run of points given the basis reduced mod the
-    run's modulus, each element as its y-power rows of coefficient lists and
-    deltas[j] the weighted degree of the unreduced element j. _node is the
-    run's node of a Schedule over the points, built here when None; a leaf,
-    a node carrying a classic.Run, is eliminated by classic.eliminate_run.
-    Returns the composed transform and the final deltas."""
-    if not points:
-        raise ValueError("empty point range")
-    if len(points) != len(mults):
-        raise ValueError("points and multiplicities differ in length")
+    """Recursively interpolate the points of a Schedule's node, whose y's are
+    ys, given the basis reduced mod the node's modulus, each element as its
+    y-power rows of coefficient lists and deltas[j] the weighted degree of
+    the unreduced element j. A leaf, a node carrying a classic.Run, is
+    eliminated by classic.eliminate_run. Returns the composed transform and
+    the final deltas."""
     if not elems:
         raise ValueError("empty basis")
     if len(elems) != len(deltas) or any(len(e) != len(deltas) for e in elems):
         raise ValueError("basis bookkeeping has inconsistent dimensions")
-    if _node is None:
-        _node = Schedule(field, points, mults).tree
-    if _node.run is not None:
+    if node.run is not None:
         deltas = list(deltas)
-        return eliminate_run(field, _node.run, [y for _, y in points], elems,
-                             identity(len(elems)), deltas, pivot_log, _node.lo), deltas
-    left, right = _node.left, _node.right
-    cut = left.hi - _node.lo + 1
+        return eliminate_run(field, node.run, ys, elems, identity(len(elems)), deltas), deltas
+    left, right = node.left, node.right
+    cut = left.hi - node.lo + 1
     b1 = [[left.reduce(r, field) for r in e] for e in elems]
-    T1, deltas = interpolate_tree(points[:cut], mults[:cut], field, b1, deltas, pivot_log, left)
+    T1, deltas = interpolate_tree(ys[:cut], left, field, b1, deltas)
     # T1 times the basis pre-reduced mod the right modulus (T1 is seldom longer)
     B = [[right.reduce(r, field) for r in e] for e in elems]
     b2 = [[right.reduce(e, field) for e in row] for row in _poly_matmul(field, T1, B)]
     del B  # peak memory is reached inside the recursion below
-    T2, deltas = interpolate_tree(points[cut:], mults[cut:], field, b2, deltas, pivot_log, right)
+    T2, deltas = interpolate_tree(ys[cut:], right, field, b2, deltas)
     return _poly_matmul(field, T2, T1), deltas
 
 
-def solve_basis(
-    inst: InterpolationInstance, pivot_log: list | None = None, schedule: Schedule | None = None,
-) -> TrackedBasis:
+def solve_basis(inst: InterpolationInstance, schedule: Schedule | None = None) -> TrackedBasis:
     """Run the full divide-and-conquer pass from the standard basis on the
     schedule's x-side, built here when None; returns the basis that the
     final transform encodes. A schedule that does not fit the instance is
-    refused."""
+    refused. Under count_scalar_mults(pivots=True) every inner round that
+    found a pivot is logged."""
     field, ell = inst.field, inst.ell
-    # built here rather than by interpolate_tree, so that timing the top-level
-    # interpolate_tree call measures interpolation alone
     if schedule is None:
         schedule = Schedule(field, inst.points, inst.mults)
     elif not schedule.fits(inst):
@@ -217,8 +219,8 @@ def solve_basis(
     # the standard basis {1, y, ..., y^ell} has x-degree 0, so it is already
     # reduced, and its rows are those of the identity
     T, deltas = interpolate_tree(
-        inst.points, inst.mults, field, identity(ell + 1), [inst.w * j for j in range(ell + 1)],
-        pivot_log=pivot_log, _node=schedule.tree,
+        [y for _, y in inst.points], schedule.tree, field, identity(ell + 1),
+        [inst.w * j for j in range(ell + 1)],
     )
     return TrackedBasis.from_rows(field, T, deltas)
 

@@ -10,7 +10,8 @@ division on the same packed integers; Newton division (a series inverse of
 the reversed modulus) serves the modulus tree in fast.py, which caches that
 inverse per node. Every kernel works on plain coefficient lists: UniPoly
 wraps them as a value type, and the solvers call the kernels directly,
-reporting their work to the same counter.
+reporting their work to the same counter, which also takes the solvers'
+pivot rounds when asked (count_scalar_mults).
 """
 
 from __future__ import annotations
@@ -36,22 +37,30 @@ class ScalarMultCounter:
     of classic.eliminate_point, the lanes of its reduced pivot row; unpacked
     result slots for the packed-integer (Kronecker) products and for every
     _unpack, the elimination step's lane reductions included; quotient slots
-    read plus remainder slots unpacked for the packed synthetic division."""
+    read plus remainder slots unpacked for the packed synthetic division.
 
-    __slots__ = ("mults",)
+    pivots, when asked for, logs each round of classic naive's loop and of
+    classic.eliminate_point (so of all three solvers) that found a pivot, as
+    (point_index, dx, dy, pivot_index); it is None otherwise, so that a
+    counter held open over many solves stays small."""
 
-    def __init__(self):
+    __slots__ = ("mults", "pivots")
+
+    def __init__(self, pivots: bool):
         self.mults = 0
+        self.pivots: list[tuple[int, int, int, int]] | None = [] if pivots else None
 
 
 _COUNTER: ScalarMultCounter | None = None
 
 
 @contextmanager
-def count_scalar_mults():
+def count_scalar_mults(pivots: bool = False):
+    """A fresh ScalarMultCounter for the work done inside the block; a nested
+    block counts on its own, and the outer counter resumes after it."""
     global _COUNTER
     prev = _COUNTER
-    _COUNTER = counter = ScalarMultCounter()
+    _COUNTER = counter = ScalarMultCounter(pivots)
     try:
         yield counter
     finally:

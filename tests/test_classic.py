@@ -13,7 +13,7 @@ from gsinterp.fast import solve_basis
 from gsinterp.oracle import minimal_solution
 from gsinterp.problem import InterpolationInstance, random_instance
 from gsinterp.unipoly import UniPoly, _slot_width, _trim, _unpack
-from util import proportional, rand_bipoly, rand_unipoly, shift_values, x_degree
+from util import logged, proportional, rand_bipoly, rand_unipoly, shift_values, x_degree
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -120,8 +120,7 @@ def test_pivot_chosen_once_per_derivative_row():
     rng = random.Random(5)
     for _ in range(15):
         inst = rand_inst(rng, nmax=5)
-        log = []
-        interpolate(inst, "cached", pivot_log=log)
+        _, log = logged(interpolate, inst, "cached")
         seen = set()
         per_point = {}
         for point, dx, dy, t in log:
@@ -288,10 +287,11 @@ def test_eliminate_point_multi_round_matches_sequential_reference():
             snapshot = [[list(c) for c in r] for r in rows]
             vecs = _values(field, elems, points, mults)
             plan = shift_plan([x for x, _ in points], mults, xi, p)
-            got_deltas, got_log = list(deltas), []
+            got_deltas = list(deltas)
             packed = pack_rows(p, vecs, rows)
             k = len(rows[0])
-            eliminate_point(field, packed, [0] * len(packed), got_deltas, xi, s, plan, k, got_log, 5)
+            _, got_log = logged(eliminate_point, field, packed, [0] * len(packed), got_deltas, xi, s,
+                                plan, k, 5)
             got_vecs, got_rows = _unpacked(p, packed, len(vecs[0]), k)
 
             want_log = []
@@ -306,7 +306,7 @@ def test_eliminate_point_multi_round_matches_sequential_reference():
 
 def test_run_keeps_its_x_side_from_the_second_use():
     xs, mults = [3, 5, 7], [2, 1, 3]
-    run = Run(xs, mults, 101)
+    run = Run(xs, mults, 101, 0)
     want = ([shift_plan(xs[i:], mults[i:], x, 101) for i, x in enumerate(xs)],
             [taylor_vectors(x, s, 4, 101) for x, s in zip(xs, mults)])
     first, second = run.xside(4), run.xside(4)
@@ -347,10 +347,10 @@ def test_eliminate_run_matches_sequential_reference(p):
         if long_run:
             deltas[-1] = 10**6
         rows = _joined_rows(extra, elems)
-        got_deltas, got_log = list(deltas), []
+        got_deltas = list(deltas)
         elem_rows = [[r.coeffs for r in e.rows] for e in elems]
-        got = eliminate_run(field, Run(xs, mults, p), [y for _, y in points], elem_rows, rows,
-                            got_deltas, got_log, 3)
+        got, got_log = logged(eliminate_run, field, Run(xs, mults, p, 3), [y for _, y in points],
+                              elem_rows, rows, got_deltas)
 
         want_log = []
         for i, ((x, y), s) in enumerate(zip(points, mults)):

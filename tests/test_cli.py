@@ -6,7 +6,6 @@ import time
 import pytest
 
 from gsinterp.bipoly import BiPoly
-from gsinterp.classic import TrackedBasis
 from gsinterp import cli
 from gsinterp.cli import (
     MAX_ELL,
@@ -21,7 +20,7 @@ from gsinterp.cli import (
     parse_instance_text,
 )
 from gsinterp.field import PrimeField
-from util import bundled_instances, parse_monomials, rand_nonzero
+from util import bundled_instances, parse_monomials, rand_nonzero, standard_basis
 
 HERE = os.path.dirname(__file__)
 INSTANCES = sorted(glob.glob(os.path.join(HERE, "..", "instances", "*.txt")))
@@ -163,8 +162,8 @@ def test_verify_exit_zero_iff_all_pass(capsys):
 def test_verify_reports_an_element_that_does_not_vanish(capsys, monkeypatch):
     # the fast basis swapped for the starting basis {1, y}, which vanishes at
     # no point: its multiplicity check must fail while classic's passes
-    def standard(inst, pivot_log=None):
-        return TrackedBasis.standard(inst.field, inst.ell, inst.w)
+    def standard(inst):
+        return standard_basis(inst.field, inst.ell, inst.w)
 
     monkeypatch.setattr("gsinterp.fast.solve_basis", standard)
     assert main(["verify", COLLINEAR]) == 1

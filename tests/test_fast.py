@@ -8,7 +8,6 @@ from gsinterp.fast import (
     Schedule,
     _ModNode,
     _poly_matmul,
-    build_modulus_tree,
     interpolate_tree,
     solve,
     solve_basis,
@@ -19,9 +18,9 @@ from gsinterp.oracle import MAX_CONSTRAINTS, minimal_solution
 from gsinterp.problem import InterpolationInstance, random_instance
 from gsinterp.unipoly import UniPoly, count_scalar_mults
 from util import (
-    bundled_instances, build_update_matrix, coeff_rows, identity, poly_rows, proportional,
+    bundled_instances, build_update_matrix, coeff_rows, identity, logged, poly_rows, proportional,
     poly_mod, poly_pow, rand_bipoly, rand_nonzero, rand_unipoly, reduce_mod, schoolbook_product,
-    x_degree, x_minus,
+    standard_basis, x_degree, x_minus,
 )
 
 F3 = PrimeField(3)
@@ -42,19 +41,25 @@ def tree_args(basis):
     return basis.elems[0].field, coeff_rows([e.rows for e in basis.elems]), list(basis.deltas)
 
 
+def tree(points, mults, field, elems, deltas):
+    """interpolate_tree over the root of a fresh Schedule of the points."""
+    node = Schedule(field, points, mults).tree
+    return interpolate_tree([y for _, y in points], node, field, elems, deltas)
+
+
 def one_point(point, s, basis):
     """Reference for one point: the shared run driver on a one-point run, with
     an identity transform in the row format riding along the given basis."""
     field = basis.elems[0].field
     T = coeff_rows(identity(field, basis.elems[0].ell))
     deltas = list(basis.deltas)
-    T = eliminate_run(field, Run([point[0]], [s], field.p), [point[1]],
+    T = eliminate_run(field, Run([point[0]], [s], field.p, 0), [point[1]],
                       coeff_rows([e.rows for e in basis.elems]), T, deltas)
     return T, deltas
 
 
 def reduced_standard(field, ell, w, modulus):
-    base = TrackedBasis.standard(field, ell, w)
+    base = standard_basis(field, ell, w)
     return TrackedBasis([reduce_mod(e, modulus) for e in base.elems], base.deltas)
 
 
@@ -123,10 +128,9 @@ def test_eliminate_point_row_update_equals_matrix_product():
         ratios = [v * F101.inv(values[t]) % 101 for v in values]
         want_deltas = list(deltas)
         want_deltas[t] += 1
-        log = []
         elems = [[[v] if v else []] + [[] for _ in range(ell)] for v in values]
-        rows = eliminate_run(F101, Run([xi], [1], 101), [F101.rand(rng)], elems, coeff_rows(T),
-                             deltas, log, 7)
+        rows, log = logged(eliminate_run, F101, Run([xi], [1], 101, 7), [F101.rand(rng)], elems,
+                           coeff_rows(T), deltas)
         want = _poly_matmul(F101, coeff_rows(build_update_matrix(F101, ell, t, ratios, xi)),
                             coeff_rows(T))
         assert rows == want
@@ -138,7 +142,7 @@ def test_eliminate_point_row_update_equals_matrix_product():
 
 
 def test_interpolate_point_hand_trace():
-    T, deltas = interpolate_tree([(0, 0)], [1], *tree_args(TrackedBasis.standard(F5, 1, 1)))
+    T, deltas = tree([(0, 0)], [1], *tree_args(standard_basis(F5, 1, 1)))
     assert T[0][0] == [0, 1]  # x
     assert T[0][1] == []
     assert T[1][0] == []
@@ -150,7 +154,7 @@ def test_interpolate_point_noop_when_satisfied():
     # basis elements already vanishing at the point reduce to zero mod (x-a),
     # so every Hasse value is zero and the transform must stay the identity
     a = 2
-    T, deltas = interpolate_tree([(a, 3)], [1], F5, [[[], []], [[], []]], [1, 2])
+    T, deltas = tree([(a, 3)], [1], F5, [[[], []], [[], []]], [1, 2])
     assert T == coeff_rows(identity(F5, 1))
     assert deltas == [1, 2]
 
@@ -162,9 +166,9 @@ def test_interpolate_point_random_postconditions():
         w = rng.randint(1, 3)
         s = rng.randint(1, 3)
         xi, yi = F101.rand(rng), F101.rand(rng)
-        full = TrackedBasis.standard(F101, ell, w).elems
+        full = standard_basis(F101, ell, w).elems
         reduced = reduced_standard(F101, ell, w, poly_pow(x_minus(F101, xi), s))
-        T, deltas = interpolate_tree([(xi, yi)], [s], *tree_args(reduced))
+        T, deltas = tree([(xi, yi)], [s], *tree_args(reduced))
         updated = apply(T, full)
         assert max(x_degree(e) for e in updated) <= s
         for j, (e, d) in enumerate(zip(updated, deltas)):
@@ -176,11 +180,11 @@ def test_interpolate_point_random_postconditions():
 def test_interpolate_point_dimension_check():
     # one element of two rows against one delta, then two elements against one
     with pytest.raises(ValueError):
-        interpolate_tree([(0, 0)], [1], F5, [[[1], []]], [0])
+        tree([(0, 0)], [1], F5, [[[1], []]], [0])
     with pytest.raises(ValueError):
-        interpolate_tree([(0, 0)], [1], F5, [[[1]], [[]]], [0])
+        tree([(0, 0)], [1], F5, [[[1]], [[]]], [0])
     with pytest.raises(ValueError):
-        interpolate_tree([(0, 0)], [1], F5, [], [])
+        tree([(0, 0)], [1], F5, [], [])
 
 
 # -- interpolate_tree -----------------------------------------------------------------
@@ -194,7 +198,7 @@ def test_tree_single_point_equals_point():
         s = rng.randint(1, 3)
         point = (F101.rand(rng), F101.rand(rng))
         reduced = reduced_standard(F101, ell, w, poly_pow(x_minus(F101, point[0]), s))
-        T1, d1 = interpolate_tree([point], [s], *tree_args(reduced))
+        T1, d1 = tree([point], [s], *tree_args(reduced))
         T2, d2 = one_point(point, s, reduced)
         assert T1 == T2 and d1 == d2
 
@@ -215,7 +219,7 @@ def test_tree_two_points_matches_sequential_reference():
         s1, s2 = rng.randint(1, 3), rng.randint(1, 3)
         x1, x2 = rng.sample(range(101), 2)
         pts = [(x1, F101.rand(rng)), (x2, F101.rand(rng))]
-        base = TrackedBasis.standard(F101, ell, w)
+        base = standard_basis(F101, ell, w)
 
         # reference: two explicit point steps with the intermediate reduction
         m1 = poly_pow(x_minus(F101, x1), s1)
@@ -225,22 +229,27 @@ def test_tree_two_points_matches_sequential_reference():
         T2, d2 = one_point(pts[1], s2, TrackedBasis(applied, d1))
         want = _poly_matmul(F101, T2, T1)
 
-        T, d = interpolate_tree(pts, [s1, s2], *tree_args(reduced_standard(F101, ell, w, m1 * m2)))
+        T, d = tree(pts, [s1, s2], *tree_args(reduced_standard(F101, ell, w, m1 * m2)))
         assert T == want and d == d2
 
 
 def test_tree_usage_errors():
-    base = tree_args(TrackedBasis.standard(F5, 1, 1))
+    # the points are checked where the x-side is built: no points, fewer
+    # multiplicities than points and more
     with pytest.raises(ValueError):
-        interpolate_tree([], [], *base)
+        Schedule(F5, [], [])
     with pytest.raises(ValueError):
-        interpolate_tree([(0, 0)], [1, 2], *base)
+        Schedule(F5, [(0, 0), (1, 1)], [1])
+    with pytest.raises(ValueError):
+        Schedule(F5, [(0, 0)], [1, 2])
 
 
-def test_modulus_tree_structure():
+def test_modulus_tree_structure(monkeypatch):
+    # runs of one point take the tree down to single points
+    monkeypatch.setattr("gsinterp.classic.LEAF_MAX", 1)
     pts = [(i, 0) for i in range(5)]
     mults = [1, 2, 1, 3, 1]
-    root = build_modulus_tree(F101, pts, mults)
+    root = Schedule(F101, pts, mults).tree
     assert root.lo == 0 and root.hi == 4
     assert len(root.modulus) - 1 == sum(mults)
 
@@ -248,7 +257,9 @@ def test_modulus_tree_structure():
         if node.left is None:
             want = poly_pow(x_minus(F101, pts[node.lo][0]), mults[node.lo])
             assert node.modulus == want.coeffs
+            assert node.run.lo == node.lo == node.hi
             return
+        assert node.run is None
         left, right = UniPoly(F101, node.left.modulus), UniPoly(F101, node.right.modulus)
         assert node.modulus == schoolbook_product(left, right).coeffs
         assert node.left.hi + 1 == node.right.lo
@@ -256,6 +267,59 @@ def test_modulus_tree_structure():
         walk(node.right)
 
     walk(root)
+
+
+@pytest.mark.parametrize("n", [1, LEAF_MAX, LEAF_MAX + 1, 100])
+def test_schedule_stops_at_runs(monkeypatch, n):
+    # the tree's leaves are the runs, the highest nodes of at most LEAF_MAX
+    # points, and no node below a run is built; a run's modulus is the
+    # product over its points, and its Run knows where it starts
+    rng = random.Random(n)
+    inst = random_instance(F101, rng, n, 1, 1, smin=1, smax=3)
+    built, leaves = [], []
+
+    class Counted(_ModNode):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr("gsinterp.fast._ModNode", Counted)
+    walked = []
+
+    def walk(node):
+        walked.append(node)
+        if node.run is None:
+            assert node.hi - node.lo + 1 > LEAF_MAX
+            assert node.left.hi + 1 == node.right.lo
+            walk(node.left)
+            walk(node.right)
+            return
+        assert node.left is None and node.right is None
+        assert node.hi - node.lo + 1 <= LEAF_MAX
+        modulus = UniPoly.one(F101)
+        for (x, _), s in zip(inst.points[node.lo : node.hi + 1], inst.mults[node.lo : node.hi + 1]):
+            modulus = modulus * poly_pow(x_minus(F101, x), s)
+        assert node.modulus == modulus.coeffs
+        assert node.run.lo == node.lo
+        assert node.run.xs == [x for x, _ in inst.points[node.lo : node.hi + 1]]
+        assert node.run.mults == inst.mults[node.lo : node.hi + 1]
+        leaves.append((node.lo, node.hi))
+
+    with count_scalar_mults() as ctr:
+        schedule = Schedule(F101, inst.points, inst.mults)
+    walk(schedule.tree)
+    assert len(built) == len(walked)
+    # a run's modulus is the product a tree down to single points forms, in
+    # the same split order, so building the schedule counts the same work
+    monkeypatch.setattr("gsinterp.classic.LEAF_MAX", 1)
+    with count_scalar_mults() as full:
+        Schedule(F101, inst.points, inst.mults)
+    assert ctr.mults == full.mults
+    assert leaves[0][0] == 0 and leaves[-1][1] == n - 1
+    assert all(a[1] + 1 == b[0] for a, b in zip(leaves, leaves[1:]))
+    assert len(leaves) == {1: 1, LEAF_MAX: 1, LEAF_MAX + 1: 2, 100: 8}[n]
 
 
 def test_modnode_rem_matches_divmod():
@@ -366,8 +430,7 @@ def test_delta_sum_counts_pivot_rounds():
     rng = random.Random(9)
     for _ in range(15):
         inst = rand_inst(rng, nmax=6)
-        log = []
-        basis = solve_basis(inst, pivot_log=log)
+        basis, log = logged(solve_basis, inst)
         base_sum = inst.w * inst.ell * (inst.ell + 1) // 2
         assert sum(basis.deltas) == base_sum + len(log)
 
@@ -375,8 +438,7 @@ def test_delta_sum_counts_pivot_rounds():
 def test_transform_composition_degrees():
     rng = random.Random(10)
     inst = rand_inst(rng, nmax=8)
-    log = []
-    basis = solve_basis(inst, pivot_log=log)
+    basis, log = logged(solve_basis, inst)
     assert max(x_degree(e) for e in basis.elems) <= sum(inst.mults)
 
 
@@ -386,7 +448,7 @@ def test_tree_subrange_bookkeeping_exact():
     rng = random.Random(11)
     inst = rand_inst(rng, nmax=6)
     w = inst.w
-    base = TrackedBasis.standard(F101, inst.ell, w)
+    base = standard_basis(F101, inst.ell, w)
     for i1 in range(inst.n):
         for i2 in range(i1, inst.n):
             pts = inst.points[i1 : i2 + 1]
@@ -394,9 +456,7 @@ def test_tree_subrange_bookkeeping_exact():
             modulus = UniPoly.one(F101)
             for (x, _), s in zip(pts, mults):
                 modulus = modulus * poly_pow(x_minus(F101, x), s)
-            T, deltas = interpolate_tree(
-                pts, mults, *tree_args(reduced_standard(F101, inst.ell, w, modulus))
-            )
+            T, deltas = tree(pts, mults, *tree_args(reduced_standard(F101, inst.ell, w, modulus)))
             updated = apply(T, base.elems)
             assert max(x_degree(e) for e in updated) <= sum(mults)
             for j, (e, d) in enumerate(zip(updated, deltas)):
@@ -414,12 +474,11 @@ def _pivot_logs(inst):
     that all three give the same elements and deltas."""
     logs, bases = [], []
     for mode in ("naive", "cached"):
-        log = []
-        _, basis = interpolate(inst, mode, pivot_log=log)
+        (_, basis), log = logged(interpolate, inst, mode)
         logs.append(log)
         bases.append(basis)
-    log = []
-    bases.append(solve_basis(inst, pivot_log=log))
+    basis, log = logged(solve_basis, inst)
+    bases.append(basis)
     logs.append(log)
     naive, cached, fast_basis = bases
     assert fast_basis.elems == cached.elems == naive.elems
@@ -517,11 +576,10 @@ def test_leaf_cutoff_leaves_output_unchanged(monkeypatch, leaf_max):
     # in the fast solver and in classic cached (point by point at 1)
     rng = random.Random(15)
     insts = [rand_inst(rng, nmax=40) for _ in range(12)]
-    solvers = (solve_basis, lambda inst, pivot_log: interpolate(inst, "cached", pivot_log)[1])
+    solvers = (solve_basis, lambda inst: interpolate(inst, "cached")[1])
 
     def outputs(inst):
-        logs = [[] for _ in solvers]
-        return [(solver(inst, pivot_log=log), log) for solver, log in zip(solvers, logs)]
+        return [logged(solver, inst) for solver in solvers]
 
     want = [outputs(inst) for inst in insts]
     # a schedule keeps the run boundaries it was built with, so one built
@@ -558,9 +616,8 @@ def test_shared_schedule_gives_the_fresh_solves():
         ]
         schedule = Schedule(field, base.points, base.mults)
         for inst in insts + insts[::-1]:
-            log, want_log = [], []
-            got = solve_basis(inst, pivot_log=log, schedule=schedule)
-            want = solve_basis(inst, pivot_log=want_log)
+            got, log = logged(solve_basis, inst, schedule)
+            want, want_log = logged(solve_basis, inst)
             assert got.elems == want.elems and got.deltas == want.deltas and log == want_log
             assert solve(inst, schedule) == solve(inst)
 

@@ -12,7 +12,7 @@ import random
 from gsinterp import classic, fast
 from gsinterp.field import PrimeField
 from gsinterp.problem import random_instance
-from util import bundled_instances
+from util import bundled_instances, logged
 
 BENCH_PRIME = 754974721
 GOLDEN_SHA256 = "a7ec0b410af4eff1718f795abe5a6230c61ca9022c2d1fc5ba9ee940c6eb619a"
@@ -35,21 +35,12 @@ def _rows(q):
     return tuple(tuple(r.coeffs) for r in q.rows)
 
 
-def _fast_basis(inst, log):
-    # older commits returned (transform, basis); the transform rows are the
-    # basis rows, so only the basis enters the digest either way
-    out = fast.solve_basis(inst, pivot_log=log)
-    return out[-1] if isinstance(out, tuple) else out
-
-
 def _canonical(inst):
     out = []
     for mode in ("naive", "cached"):
-        log = []
-        q, basis = classic.interpolate(inst, mode, pivot_log=log)
+        (q, basis), log = logged(classic.interpolate, inst, mode)
         out.append((mode, _rows(q), tuple(map(_rows, basis.elems)), tuple(basis.deltas), tuple(log)))
-    log = []
-    basis = _fast_basis(inst, log)
+    basis, log = logged(fast.solve_basis, inst)
     q, deltas = fast.solve(inst)
     out.append(("fast", _rows(q), tuple(map(_rows, basis.elems)), tuple(deltas), tuple(log)))
     return (inst.field.p, inst.points, inst.mults, inst.ell, inst.w, tuple(out))

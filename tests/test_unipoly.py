@@ -5,15 +5,17 @@ from operator import mul
 import pytest
 
 from gsinterp.bipoly import taylor_vectors
-from gsinterp.fast import _ModNode
+from gsinterp.classic import interpolate
+from gsinterp.fast import _ModNode, solve_basis
 from gsinterp.field import PrimeField
+from gsinterp.problem import random_instance
 import gsinterp.unipoly as up
 from gsinterp.unipoly import (
     NEG_INF, UniPoly, _mul_kron, _mul_raw, _mul_school, _pack, _slot_width, _unpack,
     count_scalar_mults,
 )
 from util import (
-    monomial, poly_divmod, poly_mod, poly_pow, rand_nonzero, rand_unipoly, scale,
+    logged, monomial, poly_divmod, poly_mod, poly_pow, rand_nonzero, rand_unipoly, scale,
     schoolbook_product, shift_up, sub, taylor_shift, x_minus,
 )
 
@@ -130,6 +132,67 @@ def test_scalar_op_counts_subquadratic():
     assert counts[1024] / counts[512] <= 3.3
     # genuinely subquadratic: doubling the degree must not quadruple the work
     assert counts[1024] < 4 * counts[512] * 0.9
+
+
+# -- the counter record -----------------------------------------------------------
+
+
+def _solvers():
+    """Classic naive, classic cached and fast, each as instance -> basis."""
+    return (lambda inst: interpolate(inst, "naive")[1],
+            lambda inst: interpolate(inst, "cached")[1], solve_basis)
+
+
+def _two_run_instance():
+    # 40 points make three runs of classic cached and four of fast, so the
+    # logs number points across run boundaries
+    return random_instance(F101, random.Random(31), 40, 2, 2, smin=1, smax=3)
+
+
+def test_counter_logs_no_pivots_unless_asked():
+    inst = _two_run_instance()
+    with count_scalar_mults() as ctr:
+        for solver in _solvers():
+            solver(inst)
+    assert ctr.pivots is None
+    assert ctr.mults > 0
+
+
+def test_solvers_log_the_same_pivots_through_the_counter():
+    inst = _two_run_instance()
+    (naive, naive_log), (cached, cached_log), (fast, fast_log) = (
+        logged(solver, inst) for solver in _solvers()
+    )
+    assert naive.elems == cached.elems == fast.elems
+    assert naive_log == cached_log == fast_log
+    assert {i for i, _, _, _ in fast_log} == set(range(inst.n))
+    base_sum = inst.w * inst.ell * (inst.ell + 1) // 2
+    assert sum(fast.deltas) == base_sum + len(fast_log)
+
+
+def test_nested_counter_records_its_own_work():
+    # a nested block's mults and pivots go to its own counter; the outer
+    # counter takes none of them and resumes after the block
+    inst = _two_run_instance()
+    naive, cached, fast = _solvers()
+    want = []
+    for solver in (naive, fast, cached):
+        with count_scalar_mults(pivots=True) as ctr:
+            solver(inst)
+        want.append((ctr.mults, ctr.pivots))
+    with count_scalar_mults(pivots=True) as outer:
+        naive(inst)
+        before = (outer.mults, list(outer.pivots))
+        with count_scalar_mults(pivots=True) as inner:
+            fast(inst)
+        assert (outer.mults, outer.pivots) == before
+        cached(inst)
+    with count_scalar_mults() as plain:
+        fast(inst)
+    assert (inner.mults, inner.pivots) == want[1]
+    assert outer.mults == want[0][0] + want[2][0]
+    assert outer.pivots == want[0][1] + want[2][1]
+    assert plain.mults == inner.mults  # logging pivots costs no counted work
 
 
 # -- ring axioms ----------------------------------------------------------------

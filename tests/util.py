@@ -6,10 +6,11 @@ import random
 from math import comb
 
 from gsinterp.bipoly import BiPoly
+from gsinterp.classic import TrackedBasis
 from gsinterp.cli import parse_instance_text
 from gsinterp.field import PrimeField
 from gsinterp.problem import InterpolationInstance
-from gsinterp.unipoly import UniPoly, _divmod_raw, _pow_raw
+from gsinterp.unipoly import UniPoly, _divmod_raw, _pow_raw, count_scalar_mults
 
 INSTANCE_DIR = os.path.join(os.path.dirname(__file__), "..", "instances")
 
@@ -147,6 +148,20 @@ def identity(field: PrimeField, ell: int) -> list[list[UniPoly]]:
     """The (ell+1) x (ell+1) identity over F[x], as its list of rows."""
     n = ell + 1
     return [[UniPoly.one(field) if i == j else UniPoly.zero(field) for j in range(n)] for i in range(n)]
+
+
+def standard_basis(field: PrimeField, ell: int, w: int) -> TrackedBasis:
+    """The starting basis {1, y, ..., y^ell}, with its weighted degrees."""
+    return TrackedBasis.from_rows(field, coeff_rows(identity(field, ell)),
+                                  [w * j for j in range(ell + 1)])
+
+
+def logged(solver, *args):
+    """solver(*args) and the pivot rounds it logged, as (point_index, dx, dy,
+    pivot_index)."""
+    with count_scalar_mults(pivots=True) as ctr:
+        out = solver(*args)
+    return out, ctr.pivots
 
 
 def coeff_rows(T: list[list[UniPoly]]) -> list[list[list[int]]]:
