@@ -32,7 +32,7 @@ from . import fast
 from .bipoly import BiPoly, taylor_vectors
 from .field import PrimeField
 from .problem import InterpolationInstance
-from .unipoly import UniPoly, _add_raw, _divmod_raw, _mul_raw, _pack, _slot_width, _trim, _unpack
+from .unipoly import UniPoly, _add_raw, _divmod_raw, _mul_kron, _pack, _slot_width, _trim, _unpack
 
 # root splitting draws its shifts from a generator of its own with this seed,
 # so the global RNG is untouched and a decode repeats its work exactly
@@ -129,9 +129,9 @@ def _pow_mod(base: list[int], e: int, m: list[int], field: PrimeField) -> list[i
     base = _divmod_raw(base, m, field)[1]
     out = _divmod_raw([1], m, field)[1]
     for bit in bin(e)[2:]:
-        out = _divmod_raw(_mul_raw(out, out, field), m, field)[1]
+        out = _divmod_raw(_mul_kron(out, out, field.p), m, field)[1]
         if bit == "1":
-            out = _divmod_raw(_mul_raw(out, base, field), m, field)[1]
+            out = _divmod_raw(_mul_kron(out, base, field.p), m, field)[1]
     return out
 
 

@@ -44,7 +44,7 @@ from .classic import Rows, Run, TrackedBasis, eliminate_run, identity
 from .field import PrimeField
 from .problem import InterpolationInstance
 from .unipoly import (
-    _divmod_raw, _mul_raw, _newton_divmod, _pack, _pow_raw, _series_inv, _slot_width, _unpack,
+    _divmod_raw, _mul_kron, _newton_divmod, _pack, _series_inv, _slot_width, _unpack,
 )
 
 NEWTON_REM_MIN = 48  # from this modulus degree, _ModNode.reduce divides by a cached inverse
@@ -104,7 +104,8 @@ class _ModNode:
 
     def reduce(self, f: list[int], field: PrimeField) -> list[int]:
         """f mod the node's modulus: synthetic division for short quotients
-        and small moduli, Newton division by the cached inverse otherwise."""
+        and small moduli (Newton division there too took 1.05x on
+        interp_small), Newton division by the cached inverse otherwise."""
         m = self.modulus
         dm = len(m) - 1
         qlen = len(f) - dm
@@ -119,12 +120,16 @@ class _ModNode:
 
 def _subproduct(field: PrimeField, xs, mults, lo, hi) -> list[int]:
     """The product of (x - xs[i])^mults[i] over lo <= i <= hi, split at the
-    midpoint as build_modulus_tree splits."""
+    midpoint as build_modulus_tree splits; a point's own factor is built by
+    s multiplications by x - xs[i], uncounted like taylor_vectors."""
     if lo == hi:
-        return _pow_raw([-xs[lo] % field.p, 1], mults[lo], field)
+        x0, p, out = xs[lo], field.p, [1]
+        for _ in range(mults[lo]):
+            out = [(u - x0 * v) % p for u, v in zip([0] + out, out + [0])]
+        return out
     mid = (lo + hi) // 2
-    return _mul_raw(_subproduct(field, xs, mults, lo, mid),
-                    _subproduct(field, xs, mults, mid + 1, hi), field)
+    return _mul_kron(_subproduct(field, xs, mults, lo, mid),
+                     _subproduct(field, xs, mults, mid + 1, hi), field.p)
 
 
 def build_modulus_tree(field: PrimeField, xs, mults, lo, hi) -> _ModNode:
@@ -138,7 +143,7 @@ def build_modulus_tree(field: PrimeField, xs, mults, lo, hi) -> _ModNode:
     mid = (lo + hi) // 2
     left = build_modulus_tree(field, xs, mults, lo, mid)
     right = build_modulus_tree(field, xs, mults, mid + 1, hi)
-    return _ModNode(lo, hi, _mul_raw(left.modulus, right.modulus, field), left, right)
+    return _ModNode(lo, hi, _mul_kron(left.modulus, right.modulus, field.p), left, right)
 
 
 class Schedule:

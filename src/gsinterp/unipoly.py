@@ -3,9 +3,9 @@
 Coefficients are stored low-to-high as plain ints with no trailing zeros;
 the zero polynomial has an empty coefficient list and degree NEG_INF.
 
-Multiplication is schoolbook for tiny operands and Kronecker substitution
-above SCHOOLBOOK_MAX (coefficients packed into one big integer so CPython's
-C-level integer multiply does the convolution). `_divmod_raw` is synthetic
+Every product is one Kronecker substitution, `_mul_kron` (coefficients
+packed into one big integer so CPython's C-level integer multiply does the
+convolution), whatever the operands' lengths. `_divmod_raw` is synthetic
 division on the same packed integers; Newton division (a series inverse of
 the reversed modulus) serves the modulus tree in fast.py, which caches that
 inverse per node. Every kernel works on plain coefficient lists: UniPoly
@@ -25,19 +25,18 @@ from .field import PrimeField
 
 NEG_INF = float("-inf")
 
-SCHOOLBOOK_MAX = 8  # below this, packing overhead beats the double loop
-
 
 class ScalarMultCounter:
-    """Tallies the per-coefficient work of the executed kernels: products for
-    schoolbook multiply; per point and entry, sum over k < s of (len - k) for
-    the Taylor coefficients of bipoly.hasse_matrices (its lane reads, by
-    _lanes, are not counted); the pivot row's length per row operation for
-    UniPoly.sub_scaled and mul_linear; per row operation and per pivot shift
-    of classic.eliminate_point, the lanes of its reduced pivot row; unpacked
-    result slots for the packed-integer (Kronecker) products and for every
-    _unpack, the elimination step's lane reductions included; quotient slots
-    read plus remainder slots unpacked for the packed synthetic division.
+    """Tallies the per-coefficient work of the executed kernels: per point and
+    entry, sum over k < s of (len - k) for the Taylor coefficients of
+    bipoly.hasse_matrices (its lane reads, by _lanes, are not counted); the
+    pivot row's length per row operation for UniPoly.sub_scaled and
+    mul_linear; per row operation and per pivot shift of
+    classic.eliminate_point, the lanes of its reduced pivot row; unpacked
+    result slots for every product (_mul_kron) and every _unpack, the
+    elimination step's lane reductions included; quotient slots read plus
+    remainder slots unpacked for the packed synthetic division. The modulus
+    tree's leaf powers (x - x_i)^s (fast._subproduct) are not counted.
 
     pivots, when asked for, logs each round of classic naive's loop and of
     classic.eliminate_point (so of all three solvers) that found a pivot, as
@@ -78,22 +77,6 @@ def _trim(c: list[int]) -> list[int]:
     return c
 
 
-def _mul_school(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    if len(a) > len(b):
-        a, b = b, a
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    if _COUNTER is not None:
-        _COUNTER.mults += len(a) * len(b)
-    return _trim([v % p for v in out])
-
-
 def _add_raw(a: list[int], b: list[int], p: int) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
@@ -119,7 +102,8 @@ def _words(raw: bytes | bytearray) -> array:
 def _pack(a: list[int], width: int) -> int:
     """Coefficients as one integer, one slot of width >= 8 bytes each, low slot
     first, through a word array (residues are below 2^64): the packed integer
-    itself at width 8, spread by strided byte copies otherwise."""
+    itself at width 8 (strided copies there too took 1.20x on interp_small),
+    spread by strided byte copies otherwise."""
     words = array("Q", a)
     if sys.byteorder != "little":
         words.byteswap()
@@ -135,7 +119,8 @@ def _pack(a: list[int], width: int) -> int:
 def _lanes(packed: int, nterms: int, width: int, p: int) -> list[int]:
     """The first nterms slots of a packed integer mod p, untrimmed and uncounted:
     8-byte slots as one word array, 9 to 16 bytes split into low and high word
-    arrays by strided copies, wider ones one by one."""
+    arrays by strided copies (one by one took 1.07x on interp_large), wider
+    ones one by one."""
     raw = packed.to_bytes(width * nterms, "little")
     if width == 8:
         return [v % p for v in _words(raw)]
@@ -160,27 +145,18 @@ def _unpack(packed: int, nterms: int, width: int, p: int) -> list[int]:
 
 
 def _mul_kron(a: list[int], b: list[int], p: int, nterms: int | None = None) -> list[int]:
-    """Convolution by packing into machine integers: each coefficient gets a
-    slot wide enough for the largest column sum, the two packed integers are
-    multiplied once, and the slots are read back out (only the low nterms
-    of them when nterms is given)."""
+    """a * b, or its low nterms coefficients when nterms is given, [] for an
+    empty operand: each coefficient gets a slot wide enough for the largest
+    column sum, the two packed integers are multiplied once, and the slots
+    are read back out."""
+    if not a or not b:
+        return []
     width = _slot_width(min(len(a), len(b)), p)
     prod = _pack(a, width) * _pack(b, width)
     full = len(a) + len(b) - 1
     if nterms is None or nterms >= full:
         return _unpack(prod, full, width, p)
     return _unpack(prod & ((1 << (8 * width * nterms)) - 1), nterms, width, p)
-
-
-def _mul_raw(
-    a: list[int], b: list[int], field: PrimeField, nterms: int | None = None
-) -> list[int]:
-    """a * b, or its low nterms coefficients when nterms is given."""
-    if not a or not b:
-        return []
-    if min(len(a), len(b)) <= SCHOOLBOOK_MAX:
-        return _trim(_mul_school(a, b, field.p)[:nterms])
-    return _mul_kron(a, b, field.p, nterms)
 
 
 def _series_inv(f: list[int], n: int, field: PrimeField) -> list[int]:
@@ -190,11 +166,11 @@ def _series_inv(f: list[int], n: int, field: PrimeField) -> list[int]:
     prec = 1
     while prec < n:
         prec = min(2 * prec, n)
-        fg = _mul_raw(f[:prec], g, field, prec)
+        fg = _mul_kron(f[:prec], g, p, prec)
         # g <- g*(2 - f*g) mod x^prec
         two_minus = [(-v) % p for v in fg] + [0] * (prec - len(fg))
         two_minus[0] = (two_minus[0] + 2) % p
-        g = _mul_raw(g, _trim(two_minus), field, prec)
+        g = _mul_kron(g, _trim(two_minus), p, prec)
     return _trim(g)
 
 
@@ -203,13 +179,13 @@ def _newton_divmod(
 ) -> tuple[list[int], list[int]]:
     """Quotient and remainder of a by m, where len(a) >= len(m) and inv is
     the inverse of reversed m modulo at least x^(len(a) - len(m) + 1)."""
+    p = field.p
     dm = len(m) - 1
     qlen = len(a) - dm
-    rev_q = _mul_raw(a[::-1][:qlen], inv[:qlen], field, qlen)
+    rev_q = _mul_kron(a[::-1][:qlen], inv[:qlen], p, qlen)
     rev_q += [0] * (qlen - len(rev_q))
     q = _trim(rev_q[::-1])
-    qm = _mul_raw(q, m, field, dm)
-    p = field.p
+    qm = _mul_kron(q, m, p, dm)
     r = [(a[i] - (qm[i] if i < len(qm) else 0)) % p for i in range(dm)]
     return q, _trim(r)
 
@@ -240,18 +216,6 @@ def _divmod_raw(a: list[int], m: list[int], field: PrimeField) -> tuple[list[int
     if _COUNTER is not None:
         _COUNTER.mults += qlen
     return _trim(q), _unpack(acc & ((1 << (bits * dm)) - 1), dm, width, p)
-
-
-def _pow_raw(a: list[int], e: int, field: PrimeField) -> list[int]:
-    """a^e for e >= 0 by repeated squaring."""
-    out = [1]
-    while e:
-        if e & 1:
-            out = _mul_raw(out, a, field)
-        if e > 1:
-            a = _mul_raw(a, a, field)
-        e >>= 1
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +281,7 @@ class UniPoly:
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         self._check(other)
-        return UniPoly(self.field, _mul_raw(self.coeffs, other.coeffs, self.field), normalized=True)
+        return UniPoly(self.field, _mul_kron(self.coeffs, other.coeffs, self.field.p), normalized=True)
 
     def sub_scaled(self, c: int, other: "UniPoly") -> "UniPoly":
         """self - c*other in one pass (the row operation of the solvers)."""

@@ -245,38 +245,51 @@ def test_tree_usage_errors():
 
 
 def test_modulus_tree_structure(monkeypatch):
-    # runs of one point take the tree down to single points
+    # runs of one point take the tree down to single points; in
+    # characteristic 2 and 3 the binomial cross terms of a leaf's
+    # (x - x_i)^s vanish, and at 2^64 - 59 its products wrap
     monkeypatch.setattr("gsinterp.classic.LEAF_MAX", 1)
-    pts = [(i, 0) for i in range(5)]
-    mults = [1, 2, 1, 3, 1]
-    root = Schedule(F101, pts, mults).tree
-    assert root.lo == 0 and root.hi == 4
-    assert len(root.modulus) - 1 == sum(mults)
+    big = PrimeField(2**64 - 59)
+    cases = [
+        (F101, [(i, 0) for i in range(5)], [1, 2, 1, 3, 1]),
+        (PrimeField(2), [(0, 1), (1, 0)], [8, 6]),
+        (F3, [(2, 0), (0, 1), (1, 2)], [4, 8, 3]),
+        (big, [(big.p - 1 - i, i) for i in range(4)] + [(0, 1)], [8, 7, 2, 5, 1]),
+    ]
+    for field, pts, mults in cases:
+        root = Schedule(field, pts, mults).tree
+        assert root.lo == 0 and root.hi == len(pts) - 1
+        assert len(root.modulus) - 1 == sum(mults)
 
-    def walk(node):
-        if node.left is None:
-            want = poly_pow(x_minus(F101, pts[node.lo][0]), mults[node.lo])
-            assert node.modulus == want.coeffs
-            assert node.run.lo == node.lo == node.hi
-            return
-        assert node.run is None
-        left, right = UniPoly(F101, node.left.modulus), UniPoly(F101, node.right.modulus)
-        assert node.modulus == schoolbook_product(left, right).coeffs
-        assert node.left.hi + 1 == node.right.lo
-        walk(node.left)
-        walk(node.right)
+        def walk(node):
+            if node.left is None:
+                want = poly_pow(x_minus(field, pts[node.lo][0]), mults[node.lo])
+                assert node.modulus == want.coeffs
+                assert node.run.lo == node.lo == node.hi
+                return
+            assert node.run is None
+            left, right = UniPoly(field, node.left.modulus), UniPoly(field, node.right.modulus)
+            assert node.modulus == schoolbook_product(left, right).coeffs
+            assert node.left.hi + 1 == node.right.lo
+            walk(node.left)
+            walk(node.right)
 
-    walk(root)
+        walk(root)
 
 
 @pytest.mark.parametrize("n", [1, LEAF_MAX, LEAF_MAX + 1, 100])
 def test_schedule_stops_at_runs(monkeypatch, n):
     # the tree's leaves are the runs, the highest nodes of at most LEAF_MAX
     # points, and no node below a run is built; a run's modulus is the
-    # product over its points, and its Run knows where it starts
+    # product over its points, and its Run knows where it starts. Besides
+    # GF(101), the runs' moduli are checked in characteristic 2 and 3, where
+    # the binomial cross terms of (x - x_i)^s vanish, and at 2^64 - 59,
+    # where they wrap, with multiplicities up to 8
     rng = random.Random(n)
-    inst = random_instance(F101, rng, n, 1, 1, smin=1, smax=3)
-    built, leaves = [], []
+    insts = [random_instance(F101, rng, n, 1, 1, smin=1, smax=3)]
+    insts += [random_instance(PrimeField(p), rng, n, 1, 1, smax=8)
+              for p in (2, 3, 2**64 - 59) if n <= p]
+    built = []
 
     class Counted(_ModNode):
         __slots__ = ()
@@ -286,40 +299,48 @@ def test_schedule_stops_at_runs(monkeypatch, n):
             built.append(self)
 
     monkeypatch.setattr("gsinterp.fast._ModNode", Counted)
-    walked = []
+    counted = []
+    for inst in insts:
+        field = inst.field
+        built.clear()
+        walked, leaves = [], []
 
-    def walk(node):
-        walked.append(node)
-        if node.run is None:
-            assert node.hi - node.lo + 1 > LEAF_MAX
-            assert node.left.hi + 1 == node.right.lo
-            walk(node.left)
-            walk(node.right)
-            return
-        assert node.left is None and node.right is None
-        assert node.hi - node.lo + 1 <= LEAF_MAX
-        modulus = UniPoly.one(F101)
-        for (x, _), s in zip(inst.points[node.lo : node.hi + 1], inst.mults[node.lo : node.hi + 1]):
-            modulus = modulus * poly_pow(x_minus(F101, x), s)
-        assert node.modulus == modulus.coeffs
-        assert node.run.lo == node.lo
-        assert node.run.xs == [x for x, _ in inst.points[node.lo : node.hi + 1]]
-        assert node.run.mults == inst.mults[node.lo : node.hi + 1]
-        leaves.append((node.lo, node.hi))
+        def walk(node):
+            walked.append(node)
+            if node.run is None:
+                assert node.hi - node.lo + 1 > LEAF_MAX
+                assert node.left.hi + 1 == node.right.lo
+                walk(node.left)
+                walk(node.right)
+                return
+            assert node.left is None and node.right is None
+            assert node.hi - node.lo + 1 <= LEAF_MAX
+            modulus = UniPoly.one(field)
+            for (x, _), s in zip(inst.points[node.lo : node.hi + 1], inst.mults[node.lo : node.hi + 1]):
+                modulus = schoolbook_product(modulus, poly_pow(x_minus(field, x), s))
+            assert node.modulus == modulus.coeffs
+            assert node.run.lo == node.lo
+            assert node.run.xs == [x for x, _ in inst.points[node.lo : node.hi + 1]]
+            assert node.run.mults == inst.mults[node.lo : node.hi + 1]
+            leaves.append((node.lo, node.hi))
 
-    with count_scalar_mults() as ctr:
-        schedule = Schedule(F101, inst.points, inst.mults)
-    walk(schedule.tree)
-    assert len(built) == len(walked)
+        with count_scalar_mults() as ctr:
+            schedule = Schedule(field, inst.points, inst.mults)
+        walk(schedule.tree)
+        assert len(built) == len(walked)
+        counted.append(ctr.mults)
+        assert leaves[0][0] == 0 and leaves[-1][1] == n - 1
+        assert all(a[1] + 1 == b[0] for a, b in zip(leaves, leaves[1:]))
+        assert len(leaves) == {1: 1, LEAF_MAX: 1, LEAF_MAX + 1: 2, 100: 8}[n]
+    if n == 1:  # a point's own factor (x - x_i)^s is built uncounted
+        assert counted == [0] * len(insts)
     # a run's modulus is the product a tree down to single points forms, in
     # the same split order, so building the schedule counts the same work
     monkeypatch.setattr("gsinterp.classic.LEAF_MAX", 1)
-    with count_scalar_mults() as full:
-        Schedule(F101, inst.points, inst.mults)
-    assert ctr.mults == full.mults
-    assert leaves[0][0] == 0 and leaves[-1][1] == n - 1
-    assert all(a[1] + 1 == b[0] for a, b in zip(leaves, leaves[1:]))
-    assert len(leaves) == {1: 1, LEAF_MAX: 1, LEAF_MAX + 1: 2, 100: 8}[n]
+    for inst, mults in zip(insts, counted):
+        with count_scalar_mults() as full:
+            Schedule(inst.field, inst.points, inst.mults)
+        assert mults == full.mults
 
 
 def test_modnode_rem_matches_divmod():

@@ -11,7 +11,7 @@ from gsinterp.field import PrimeField
 from gsinterp.problem import random_instance
 import gsinterp.unipoly as up
 from gsinterp.unipoly import (
-    NEG_INF, UniPoly, _mul_kron, _mul_raw, _mul_school, _pack, _slot_width, _unpack,
+    NEG_INF, UniPoly, _mul_kron, _pack, _slot_width, _unpack,
     count_scalar_mults,
 )
 from util import (
@@ -60,15 +60,27 @@ def test_mul_degree_adds():
     assert (a * b).degree == 91
 
 
+def _rand_coeffs(field, rng, n):
+    """n coefficients with a nonzero leading one; [] for n = 0."""
+    return [field.rand(rng) for _ in range(n - 1)] + [rand_nonzero(field, rng)] if n else []
+
+
 def test_kernels_agree():
+    # the one multiply kernel against the reference at every packing prime,
+    # from the tiny shapes up; operands given by their lengths, an empty one
+    # being the zero polynomial
     rng = random.Random(4)
-    FN = PrimeField(754974721)
-    for field in (F101, FN, PrimeField(2)):
-        p = field.p
-        for da, db in ((5, 90), (130, 130), (257, 61)):
-            a = [field.rand(rng) for _ in range(da)] + [1]
-            b = [field.rand(rng) for _ in range(db)] + [1]
-            assert _mul_kron(a, b, p) == _mul_school(a, b, p)
+    shapes = [(0, k) for k in (0, 1, 5, 300)] + [
+        (1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (8, 8), (1, 300), (8, 300),
+        (6, 91), (131, 131), (258, 62),
+    ]
+    for p in PACK_PRIMES:
+        field = PrimeField(p)
+        for la, lb in shapes:
+            a, b = _rand_coeffs(field, rng, la), _rand_coeffs(field, rng, lb)
+            want = schoolbook_product(UniPoly(field, a), UniPoly(field, b)).coeffs
+            assert _mul_kron(a, b, p) == want
+            assert _mul_kron(b, a, p) == want
 
 
 @pytest.mark.parametrize(
@@ -109,17 +121,21 @@ def test_pack_unpack_roundtrip(p):
 def test_short_product_is_truncated_product(p):
     field = PrimeField(p)
     rng = random.Random(p % 1013)
-    for da, db in ((3, 5), (20, 30), (70, 40)):
-        a = [field.rand(rng) for _ in range(da)] + [1]
-        b = [field.rand(rng) for _ in range(db)] + [1]
-        full = _mul_school(a, b, p)
-        for nterms in (1, da, da + db, da + db + 1, da + db + 5):
-            assert _mul_raw(a, b, field, nterms) == up._trim(full[:nterms])
+    cases = [
+        ([field.rand(rng) for _ in range(da)] + [1], [field.rand(rng) for _ in range(db)] + [1])
+        for da, db in ((3, 5), (20, 30), (70, 40))
+    ]
+    cases.append((_rand_coeffs(field, rng, 1), _rand_coeffs(field, rng, 10)))
+    for a, b in cases:
+        da, db = len(a) - 1, len(b) - 1
+        full = schoolbook_product(UniPoly(field, a), UniPoly(field, b)).coeffs
+        for nterms in (0, 1, da, da + db, da + db + 1, da + db + 5):
+            assert _mul_kron(a, b, p, nterms) == up._trim(full[:nterms])
 
 
 def test_scalar_op_counts_subquadratic():
-    # counted on the executed dispatch path, which at these sizes is the
-    # Kronecker kernel: one unpacked slot per result coefficient
+    # counted on the one multiply kernel, Kronecker substitution: one
+    # unpacked slot per result coefficient
     rng = random.Random(6)
     counts = {}
     for d in (256, 512, 1024):

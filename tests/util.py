@@ -10,7 +10,7 @@ from gsinterp.classic import TrackedBasis
 from gsinterp.cli import parse_instance_text
 from gsinterp.field import PrimeField
 from gsinterp.problem import InterpolationInstance
-from gsinterp.unipoly import UniPoly, _divmod_raw, _pow_raw, count_scalar_mults
+from gsinterp.unipoly import UniPoly, _divmod_raw, count_scalar_mults
 
 INSTANCE_DIR = os.path.join(os.path.dirname(__file__), "..", "instances")
 
@@ -54,7 +54,12 @@ def shift_up(a: UniPoly, k: int) -> UniPoly:
 
 
 def poly_pow(a: UniPoly, e: int) -> UniPoly:
-    return UniPoly(a.field, _pow_raw(a.coeffs, e, a.field), normalized=True)
+    """a^e for e >= 0 by e schoolbook products, independent of the library's
+    multiply."""
+    out = UniPoly.one(a.field)
+    for _ in range(e):
+        out = schoolbook_product(out, a)
+    return out
 
 
 def poly_divmod(a: UniPoly, m: UniPoly) -> tuple[UniPoly, UniPoly]:
