@@ -13,7 +13,10 @@ over MAX_FILE_BYTES bytes, a multiplicity s over MAX_S or a list size ell
 over MAX_ELL, also as bench's --s and --ell. They sit far above the bundled
 instances, the benchmark workloads and decoder.S_CAP and decoder.ELL_CAP.
 bench also refuses a size below 1 or over MAX_N, where the naive solver's
-three passes take minutes, before it builds any instance.
+three passes take minutes, before it builds any instance; interpolate
+refuses more than MAX_N points for the classic solvers (classic and
+classic-hasse), whose time grows about 4x per doubling of n. fast is not
+capped.
 
 Instance file grammar: '#' starts a comment; the first three non-comment
 lines are 'p=<int>', 'w=<int>', 'ell=<int>'; every following line is a
@@ -125,6 +128,8 @@ def _print_solution(inst: InterpolationInstance, algorithm: str, q: BiPoly, delt
 
 def cmd_interpolate(args) -> int:
     inst = load_instance(args.file, args)
+    if args.algorithm != "fast" and inst.n > MAX_N:
+        raise ValueError(f"n={inst.n} exceeds the cap n <= {MAX_N} of {args.algorithm}")
     if args.algorithm == "classic":
         q, basis = classic.interpolate(inst, "naive")
         deltas = basis.deltas
@@ -184,11 +189,7 @@ def cmd_decode(args) -> int:
     if len(received) != args.n:
         raise ValueError(f"--received has {len(received)} symbols, not --n {args.n}")
     code = RSCode(field, args.n, args.k)
-    try:
-        params = gs_params(code, args.tau)
-    except InfeasibleParameters as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    params = gs_params(code, args.tau)
     messages = decode_list(code, received, params)
     print(f"params: s={params.s} ell={params.ell} tau={params.tau}")
     for msg in messages:

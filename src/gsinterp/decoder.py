@@ -12,7 +12,7 @@ modulus tree with its Newton inverses, each leaf run's shift plans and Taylor
 vectors in x). decode_list keeps one per s in a private slot of the RSCode,
 so a decoder builds the x-side once per code and s (a run's part on the
 second word, see classic.Run), however many words it decodes; a schedule
-whose points or LEAF_MAX no longer fit is rebuilt.
+whose points no longer fit is rebuilt.
 
 Root extraction (y_roots) is Roth-Ruckenstein branching on trimmed
 coefficient lists from the interpolated rows down to the candidates. Slice

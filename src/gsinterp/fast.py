@@ -24,16 +24,16 @@ and a transform is its rows of entries. solve_basis wraps the final
 transform into BiPoly elements once, at exit.
 
 The pass has an x-side and a y-side. The x-side depends only on the field,
-the x's, the multiplicities and LEAF_MAX: the modulus tree with its lazily
-cached Newton inverses, built down to its runs and no further, and at each
-leaf a classic.Run with the run's first point index, shift plans and each
-point's Taylor vectors in x. A Schedule holds all of it and checks the
-points; the y-side (the received word) only ever reads it. solve_basis
-builds one per call unless it is handed one, and decoder.decode_list keeps
-one per code and multiplicity, so a decoder builds the x-side once per code
-and multiplicity. interpolate_tree walks a Schedule's node on the node's
-y's. Pivot rounds are logged by unipoly.count_scalar_mults(pivots=True),
-numbered by each run's first point index.
+the x's and the multiplicities: the modulus tree with its lazily cached
+Newton inverses, built down to its runs and no further, and at each leaf a
+classic.Run with the run's first point index, shift plans and each point's
+Taylor vectors in x. A Schedule holds all of it and checks the points; the
+y-side (the received word) only ever reads it. solve_basis builds one per
+call unless it is handed one, and decoder.decode_list keeps one per code and
+multiplicity, so a decoder builds the x-side once per code and multiplicity.
+interpolate_tree walks a Schedule's node on the node's y's. Pivot rounds are
+logged by unipoly.count_scalar_mults(pivots=True), numbered by each run's
+first point index.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ class Schedule:
     fits may use it. Refuses an empty point list and a multiplicity list of
     another length."""
 
-    __slots__ = ("p", "xs", "mults", "leaf_max", "tree")
+    __slots__ = ("p", "xs", "mults", "tree")
 
     def __init__(self, field: PrimeField, points, mults):
         if not points:
@@ -165,15 +165,14 @@ class Schedule:
         self.p = field.p
         self.xs = [x for x, _ in points]
         self.mults = list(mults)
-        self.leaf_max = classic.LEAF_MAX
         self.tree = build_modulus_tree(field, self.xs, self.mults, 0, len(points) - 1)
 
     def fits(self, inst: InterpolationInstance) -> bool:
         """True iff the schedule was built for the instance's field, x's and
-        multiplicities under today's classic.LEAF_MAX."""
+        multiplicities."""
         return (
             inst.field.p == self.p and inst.mults == self.mults
-            and classic.LEAF_MAX == self.leaf_max and [x for x, _ in inst.points] == self.xs
+            and [x for x, _ in inst.points] == self.xs
         )
 
 
@@ -220,7 +219,7 @@ def solve_basis(inst: InterpolationInstance, schedule: Schedule | None = None) -
     if schedule is None:
         schedule = Schedule(field, inst.points, inst.mults)
     elif not schedule.fits(inst):
-        raise ValueError("schedule built for other x's, multiplicities, field or LEAF_MAX")
+        raise ValueError("schedule built for other x's, multiplicities or field")
     # the standard basis {1, y, ..., y^ell} has x-degree 0, so it is already
     # reduced, and its rows are those of the identity
     T, deltas = interpolate_tree(

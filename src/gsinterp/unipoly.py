@@ -29,14 +29,15 @@ NEG_INF = float("-inf")
 class ScalarMultCounter:
     """Tallies the per-coefficient work of the executed kernels: per point and
     entry, sum over k < s of (len - k) for the Taylor coefficients of
-    bipoly.hasse_matrices (its lane reads, by _lanes, are not counted); the
-    pivot row's length per row operation for UniPoly.sub_scaled and
-    mul_linear; per row operation and per pivot shift of
-    classic.eliminate_point, the lanes of its reduced pivot row; unpacked
-    result slots for every product (_mul_kron) and every _unpack, the
-    elimination step's lane reductions included; quotient slots read plus
-    remainder slots unpacked for the packed synthetic division. The modulus
-    tree's leaf powers (x - x_i)^s (fast._subproduct) are not counted.
+    bipoly.hasse_matrices (its lane reads, by _lanes, are not counted); per
+    row operation and per pivot shift of classic.eliminate_point, the lanes
+    of its reduced pivot row; unpacked result slots for every product
+    (_mul_kron) and every _unpack, the elimination step's lane reductions
+    included; quotient slots read plus remainder slots unpacked for the
+    packed synthetic division. The modulus tree's leaf powers (x - x_i)^s
+    (fast._subproduct) are not counted, and neither is any work of the
+    independent references: classic naive, the oracle and the direct Hasse
+    derivatives count nothing.
 
     pivots, when asked for, logs each round of classic naive's loop and of
     classic.eliminate_point (so of all three solvers) that found a pivot, as
@@ -228,14 +229,7 @@ class UniPoly:
 
     def __init__(self, field: PrimeField, coeffs=(), normalized: bool = False):
         self.field = field
-        if normalized:
-            self.coeffs = coeffs
-        else:
-            p = field.p
-            c = [v % p for v in coeffs]
-            while c and c[-1] == 0:
-                c.pop()
-            self.coeffs = c
+        self.coeffs = coeffs if normalized else _trim([v % field.p for v in coeffs])
 
     # -- constructors --------------------------------------------------------
 
@@ -284,37 +278,22 @@ class UniPoly:
         return UniPoly(self.field, _mul_kron(self.coeffs, other.coeffs, self.field.p), normalized=True)
 
     def sub_scaled(self, c: int, other: "UniPoly") -> "UniPoly":
-        """self - c*other in one pass (the row operation of the solvers)."""
+        """self - c*other in one pass (the row operation of classic naive)."""
         self._check(other)
-        c %= self.field.p
-        if c == 0 or other.is_zero():
-            return self
         p = self.field.p
         a, b = self.coeffs, other.coeffs
-        if _COUNTER is not None:
-            _COUNTER.mults += len(b)
-        if len(a) >= len(b):
-            out = list(a)
-            for i, v in enumerate(b):
-                out[i] = (out[i] - c * v) % p
-        else:
-            out = [(-c * v) % p for v in b]
-            for i, v in enumerate(a):
-                out[i] = (out[i] + v) % p
+        out = a + [0] * (len(b) - len(a))
+        for i, v in enumerate(b):
+            out[i] = (out[i] - c * v) % p
         return UniPoly(self.field, _trim(out), normalized=True)
 
     def mul_linear(self, x0: int) -> "UniPoly":
         """(x - x0) * self in one pass."""
-        if self.is_zero():
-            return self
         p = self.field.p
         a = self.coeffs
-        if _COUNTER is not None:
-            _COUNTER.mults += len(a)
-        out = [0] * (len(a) + 1)
+        out = [0] + a
         for i, v in enumerate(a):
             out[i] = (out[i] - x0 * v) % p
-            out[i + 1] = v
         return UniPoly(self.field, _trim(out), normalized=True)
 
     # -- evaluation and shifts ---------------------------------------------------

@@ -264,6 +264,23 @@ def test_instance_file_above_cap_refused(tmp_path, capsys, monkeypatch, no_solve
     assert err.startswith("error:") and str(MAX_FILE_BYTES) in err
 
 
+@pytest.mark.parametrize("algorithm", ["classic", "classic-hasse"])
+def test_classic_points_above_cap_refused(tmp_path, capsys, no_solvers, algorithm):
+    # the classic solvers' time grows about 4x per doubling of n, so more
+    # than MAX_N points are refused for them; MAX_N points, and any number
+    # for fast, go on to the solver
+    path = tmp_path / "many.txt"
+    path.write_text("p=65521\nw=1\nell=1\n" + "".join(f"{x},0\n" for x in range(MAX_N + 1)))
+    assert main(["interpolate", "--algorithm", algorithm, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(MAX_N) in err
+    with pytest.raises(AssertionError, match="reached a solver"):
+        main(["interpolate", "--algorithm", "fast", str(path)])
+    path.write_text("p=65521\nw=1\nell=1\n" + "".join(f"{x},0\n" for x in range(MAX_N)))
+    with pytest.raises(AssertionError, match="reached a solver"):
+        main(["interpolate", "--algorithm", algorithm, str(path)])
+
+
 def test_decode_word_of_wrong_length_refused(capsys, monkeypatch):
     # the length is checked before the code, whose size grows with n, is built
     def built(*args, **kwargs):

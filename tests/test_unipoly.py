@@ -198,6 +198,7 @@ def test_nested_counter_records_its_own_work():
         want.append((ctr.mults, ctr.pivots))
     with count_scalar_mults(pivots=True) as outer:
         naive(inst)
+        cached(inst)  # counted work before the inner block
         before = (outer.mults, list(outer.pivots))
         with count_scalar_mults(pivots=True) as inner:
             fast(inst)
@@ -205,10 +206,22 @@ def test_nested_counter_records_its_own_work():
         cached(inst)
     with count_scalar_mults() as plain:
         fast(inst)
+    assert before[0] == want[0][0] + want[2][0] > 0
     assert (inner.mults, inner.pivots) == want[1]
-    assert outer.mults == want[0][0] + want[2][0]
-    assert outer.pivots == want[0][1] + want[2][1]
+    assert outer.mults == want[0][0] + 2 * want[2][0]
+    assert outer.pivots == want[0][1] + 2 * want[2][1]
     assert plain.mults == inner.mults  # logging pivots costs no counted work
+
+
+def test_naive_counts_nothing_but_logs_its_pivots():
+    # classic naive is an independent reference: its row operations are not
+    # counted, while its pivot rounds are logged like those of classic cached
+    inst = _two_run_instance()
+    naive, cached, _ = _solvers()
+    with count_scalar_mults(pivots=True) as ctr:
+        naive(inst)
+    assert ctr.mults == 0
+    assert ctr.pivots and ctr.pivots == logged(cached, inst)[1]
 
 
 # -- ring axioms ----------------------------------------------------------------
@@ -364,15 +377,25 @@ def test_zero_degree_is_minus_infinity():
     assert z.degree < -(10**9)
 
 
-def test_mul_linear_and_sub_scaled():
+@pytest.mark.parametrize("p", PACK_PRIMES)
+def test_mul_linear_and_sub_scaled(p):
+    # classic naive's row operations against the references: the zero
+    # polynomial, a constant and longer operands, so len(a) <, = and >
+    # len(b) all occur, with scalars outside 0..p-1 as well as inside
+    field = PrimeField(p)
     rng = random.Random(17)
-    a = rand_unipoly(F101, rng, 12)
-    b = rand_unipoly(F101, rng, 9)
-    x0 = F101.rand(rng)
-    c = F101.rand(rng)
-    assert a.mul_linear(x0) == a * x_minus(F101, x0)
-    assert a.sub_scaled(c, b) == sub(a, scale(b, c))
-    assert b.sub_scaled(c, a) == sub(b, scale(a, c))
+    polys = [UniPoly.zero(field)] + [rand_unipoly(field, rng, d) for d in (0, 5, 9, 12)]
+    for x0 in (0, p - 1, -1, field.rand(rng)):
+        for a in polys:
+            assert a.mul_linear(x0) == schoolbook_product(a, x_minus(field, x0))
+    for c in (0, p, -1, -p, 3 * p + 1, field.rand(rng)):
+        for a in polys:
+            for b in polys:
+                assert a.sub_scaled(c, b) == sub(a, scale(b, c))
+    for a in polys[2:]:
+        # cancellation down to a constant, and to zero, must trim
+        assert a.sub_scaled(3 * p + 1, a + UniPoly(field, [1])) == UniPoly(field, [-1])
+        assert a.sub_scaled(1 - p, a).is_zero()
 
 
 def test_pow_and_shift_up():
