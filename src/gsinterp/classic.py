@@ -21,29 +21,9 @@ x-side, which no y depends on: its first point's index, and each point's
 shift_plan and Taylor vectors in x. Classic cached builds one per run; a
 fast.Schedule keeps its leaves' Runs, so a decoder reuses them for every
 word it decodes, and a Run keeps what it builds from its second use on.
-The driver reads each element's Hasse values at every run point off its
-elements, one bipoly.hasse_matrices call per run on the Run's Taylor
-vectors, packs them with the rows once, eliminates the points in order
-through eliminate_point and unpacks once. A row is one integer of W-byte
-lanes, W = _slot_width(1, p), at least 8: first the element's flat Hasse
-values (for each point still to do, its s(s+1)/2 values in
-derivative_orders order, the current point's first), then its k entries
-interleaved by x-degree, the x^d coefficient of entry l in lane V + d*k + l
-after V value lanes. Every lane is below 2^(8W) and congruent to its value
-mod p, and lanes are not reduced between row operations. The values are
-linear in the element, so row_j -= c*row_t is one big-integer multiply-add,
-row_j += (p - c)*row_t. With row_t reduced it adds at most (p - 1)^2 to a
-lane, so a row is reduced (unpacked mod p, repacked) before its addition
-tmax + 1, tmax = (2^(8W) - p) // (p - 1)^2: 32 at the 30-bit bench prime, 1
-at 4294967291 and 2^64 - 59, and never 0: 2^(8W) is a square above (p - 1)^2,
-so at least p^2. The pivot is always reduced before it multiplies, or a lane
-times (p - c) could carry into the next one without any sign. The pivot's
-(x - x_i) turns its entry lanes T into (T << 8W*k) + (-x_i mod p)*T.
-For its values write x - x_i = (x - x_k) + (x_k - x_i): the coefficient of
-(x - x_k)^dx (y - y_k)^dy in (x - x_i)*b is H[dx-1][dy] + (x_k - x_i)*H[dx][dy]
-of b at (x_k, y_k), with H[-1][dy] = 0. shift_plan turns that rule into one
-gather over the points still to do, one plan per point; a finished point's
-lanes are shifted out of every row.
+The driver packs each row with its element's Hasse values at every run
+point into one integer of lanes, runs each point's rounds on those integers
+and unpacks once; its docstring gives the row layout.
 
 LEAF_MAX = 16: against it, fast.solve took 1.24x the time with runs of 8 on
 many small instances (s <= 3), 1.03x at n = 1024 (s = 2), 1.08x decoding and
@@ -91,7 +71,7 @@ class TrackedBasis:
 
     def minimal(self) -> BiPoly:
         """The element of least weighted degree, ties to the larger y-position."""
-        return self.elems[min(range(len(self.deltas)), key=lambda j: (self.deltas[j], -j))]
+        return self.elems[_pick_pivot([1] * len(self.deltas), self.deltas)]
 
 
 def _pick_pivot(values: list[int], deltas: list[int]) -> int | None:
@@ -153,80 +133,9 @@ class Run:
         return plans, xvecs
 
 
-def pack_rows(p: int, vecs: list[list[int]], rows: Rows) -> list[int]:
-    """Row j as one integer of lanes: vecs[j], then the entries of rows[j]
-    interleaved by x-degree (the x^d coefficient of entry l in lane
-    len(vecs[j]) + d*k + l, for k entries)."""
-    width, k = _slot_width(1, p), len(rows[0])
-    out = []
-    for vec, row in zip(vecs, rows):
-        nv = len(vec)
-        lanes = vec + [0] * (k * max(map(len, row)))
-        for l, e in enumerate(row):
-            lanes[nv + l : nv + l + k * len(e) : k] = e
-        out.append(_pack(lanes, width))
-    return out
-
-
 def _reduce(row: int, width: int, p: int) -> list[int]:
     """Every lane of a packed row mod p, trimmed."""
     return _unpack(row, -(-row.bit_length() // (8 * width)), width, p)
-
-
-def eliminate_point(
-    field: PrimeField, rows: list[int], adds: list[int], deltas: list[int], xi: int, s: int,
-    plan: Plan, k: int, point_index: int,
-) -> None:
-    """Run the inner rounds of one point in place on rows packed by pack_rows,
-    with values at this point and any later ones; plan is shift_plan over
-    those points, and adds[j] counts the unreduced additions into rows[j].
-    Each round that finds a pivot t adds (p - ratio_j)*row_t to every other
-    row j with a nonzero value, multiplies row t by (x - xi) and bumps
-    deltas[t]; a counter logging pivots gets (point_index, dx, dy, t). The
-    point's values stay in the low lanes."""
-    p = field.p
-    counter = unipoly._COUNTER
-    width = _slot_width(1, p)
-    bits = 8 * width
-    mask = (1 << bits) - 1
-    tmax = ((1 << bits) - p) // (p - 1) ** 2  # additions a reduced row can take
-    src, d = plan
-    nv = len(src)
-    low = (1 << bits * nv) - 1
-    m = -xi % p
-    for r, (dx, dy) in enumerate(derivative_orders(s)):
-        values = [(row >> bits * r & mask) % p for row in rows]
-        t = _pick_pivot(values, deltas)
-        if t is None:
-            continue  # constraint already satisfied by every element
-        inv_vt = field.inv(values[t])
-        pivot = rows[t]
-        lanes = _reduce(pivot if adds[t] else pivot & low, width, p)
-        if adds[t]:  # unreduced lanes would carry into each other when multiplied
-            pivot = _pack(lanes, width)
-        ext = lanes[:nv]
-        nops = 0
-        for j, v in enumerate(values):
-            if j == t or v == 0:
-                continue
-            if adds[j] == tmax:
-                rows[j] = _pack(_reduce(rows[j], width, p), width)
-                adds[j] = 0
-            rows[j] += (p - v * inv_vt % p) * pivot
-            adds[j] += 1
-            nops += 1
-        ext += [0] * (nv + 1 - len(ext))
-        T = pivot >> bits * nv
-        rows[t] = _pack([(ext[a] + c * b) % p for a, c, b in zip(src, d, ext)], width) + (
-            (T << bits * k) + m * T << bits * nv
-        )
-        adds[t] = 1  # the entries' lanes are below p + (p - 1)^2
-        deltas[t] += 1
-        if counter is not None:
-            # the pivot's lanes, once per row operation and once for the shift
-            counter.mults += (nops + 1) * -(-pivot.bit_length() // bits)
-            if counter.pivots is not None:
-                counter.pivots.append((point_index, dx, dy, t))
 
 
 def eliminate_run(
@@ -236,17 +145,83 @@ def eliminate_run(
     trimmed coefficient lists; row j carries the Hasse values of elems[j] (its
     y-power rows) at every run point. Returns the rows; deltas is updated in
     place, point i of the run is point run.lo + i of a pivot log, and no
-    argument's entry is mutated."""
+    argument's entry is mutated.
+
+    The values come from one bipoly.hasse_matrices call on the Run's Taylor
+    vectors. Row j is then packed once into one integer of W-byte lanes,
+    W = _slot_width(1, p), at least 8: first the element's flat Hasse values
+    (for each point still to do, its s(s+1)/2 values in derivative_orders
+    order, the current point's first), then its k entries interleaved by
+    x-degree, the x^d coefficient of entry l in lane V + d*k + l after V
+    value lanes. Every lane is below 2^(8W) and congruent to its value mod p,
+    and lanes are not reduced between row operations. The values are linear
+    in the element, so row_j -= c*row_t is one big-integer multiply-add,
+    row_j += (p - c)*row_t. With row_t reduced it adds at most (p - 1)^2 to a
+    lane, so a row is reduced (unpacked mod p, repacked) before its addition
+    tmax + 1, tmax = (2^(8W) - p) // (p - 1)^2: 32 at the 30-bit bench prime,
+    1 at 4294967291 and 2^64 - 59, and never 0: 2^(8W) is a square above
+    (p - 1)^2, so at least p^2. The pivot is always reduced before it
+    multiplies, or a lane times (p - c) could carry into the next one without
+    any sign. The pivot's (x - x_i) turns its entry lanes T into
+    (T << 8W*k) + (-x_i mod p)*T. For its values write
+    x - x_i = (x - x_k) + (x_k - x_i): the coefficient of
+    (x - x_k)^dx (y - y_k)^dy in (x - x_i)*b is H[dx-1][dy] + (x_k - x_i)*H[dx][dy]
+    of b at (x_k, y_k), with H[-1][dy] = 0. The point's shift_plan turns that
+    rule into one gather over the points still to do. A finished point's
+    lanes are shifted out of every row, and the rows are unpacked once."""
     p, k = field.p, len(rows[0])
+    counter = unipoly._COUNTER
     width = _slot_width(1, p)
     bits = 8 * width
+    mask = (1 << bits) - 1
+    tmax = ((1 << bits) - p) // (p - 1) ** 2  # additions a reduced row can take
     plans, xvecs = run.xside(max((len(e) for elem in elems for e in elem), default=0))
-    points = list(zip(run.xs, ys))
-    vecs = hasse_matrices(field, len(elems[0]) - 1, elems, points, run.mults, xvecs)
-    packed = pack_rows(p, vecs, rows)
-    adds = [0] * len(packed)
-    for i, (xi, s, plan) in enumerate(zip(run.xs, run.mults, plans)):
-        eliminate_point(field, packed, adds, deltas, xi, s, plan, k, run.lo + i)
+    vecs = hasse_matrices(field, len(elems[0]) - 1, elems, list(zip(run.xs, ys)), run.mults, xvecs)
+    packed = []
+    for vec, row in zip(vecs, rows):
+        nv = len(vec)
+        lanes = vec + [0] * (k * max(map(len, row)))
+        for l, e in enumerate(row):
+            lanes[nv + l : nv + l + k * len(e) : k] = e
+        packed.append(_pack(lanes, width))
+    adds = [0] * len(packed)  # the unreduced additions into each row
+    for i, (xi, s, (src, d)) in enumerate(zip(run.xs, run.mults, plans)):
+        nv = len(src)
+        low = (1 << bits * nv) - 1
+        m = -xi % p
+        for r, (dx, dy) in enumerate(derivative_orders(s)):  # the rounds of one point
+            values = [(row >> bits * r & mask) % p for row in packed]
+            t = _pick_pivot(values, deltas)
+            if t is None:
+                continue  # constraint already satisfied by every element
+            inv_vt = field.inv(values[t])
+            pivot = packed[t]
+            lanes = _reduce(pivot if adds[t] else pivot & low, width, p)
+            if adds[t]:  # unreduced lanes would carry into each other when multiplied
+                pivot = _pack(lanes, width)
+            ext = lanes[:nv]
+            nops = 0
+            for j, v in enumerate(values):
+                if j == t or v == 0:
+                    continue
+                if adds[j] == tmax:
+                    packed[j] = _pack(_reduce(packed[j], width, p), width)
+                    adds[j] = 0
+                packed[j] += (p - v * inv_vt % p) * pivot
+                adds[j] += 1
+                nops += 1
+            ext += [0] * (nv + 1 - len(ext))
+            T = pivot >> bits * nv
+            packed[t] = _pack([(ext[a] + c * b) % p for a, c, b in zip(src, d, ext)], width) + (
+                (T << bits * k) + m * T << bits * nv
+            )
+            adds[t] = 1  # the entries' lanes are below p + (p - 1)^2
+            deltas[t] += 1
+            if counter is not None:
+                # the pivot's lanes, once per row operation and once for the shift
+                counter.mults += (nops + 1) * -(-pivot.bit_length() // bits)
+                if counter.pivots is not None:
+                    counter.pivots.append((run.lo + i, dx, dy, t))
         packed = [row >> bits * (s * (s + 1) // 2) for row in packed]  # the point is done
     return [[_trim(lanes[l::k]) for l in range(k)] for lanes in (_reduce(r, width, p) for r in packed)]
 

@@ -15,8 +15,10 @@ instances, the benchmark workloads and decoder.S_CAP and decoder.ELL_CAP.
 bench also refuses a size below 1 or over MAX_N, where the naive solver's
 three passes take minutes, before it builds any instance; interpolate
 refuses more than MAX_N points for the classic solvers (classic and
-classic-hasse), whose time grows about 4x per doubling of n. fast is not
-capped.
+classic-hasse), whose time grows about 4x per doubling of n, and more than
+4 * MAX_N for fast, which took 7.9 s at 16384 points and 25 s at 32768
+(s = 1, ell = 2). decode refuses an --n over 4 * MAX_N alike, before it
+builds the code.
 
 Instance file grammar: '#' starts a comment; the first three non-comment
 lines are 'p=<int>', 'w=<int>', 'ell=<int>'; every following line is a
@@ -128,8 +130,9 @@ def _print_solution(inst: InterpolationInstance, algorithm: str, q: BiPoly, delt
 
 def cmd_interpolate(args) -> int:
     inst = load_instance(args.file, args)
-    if args.algorithm != "fast" and inst.n > MAX_N:
-        raise ValueError(f"n={inst.n} exceeds the cap n <= {MAX_N} of {args.algorithm}")
+    cap = 4 * MAX_N if args.algorithm == "fast" else MAX_N
+    if inst.n > cap:
+        raise ValueError(f"n={inst.n} exceeds the cap n <= {cap} of {args.algorithm}")
     if args.algorithm == "classic":
         q, basis = classic.interpolate(inst, "naive")
         deltas = basis.deltas
@@ -188,6 +191,8 @@ def cmd_decode(args) -> int:
     received = [int(v) for v in args.received.split(",")]
     if len(received) != args.n:
         raise ValueError(f"--received has {len(received)} symbols, not --n {args.n}")
+    if args.n > 4 * MAX_N:
+        raise ValueError(f"--n {args.n} exceeds the cap n <= {4 * MAX_N}")
     code = RSCode(field, args.n, args.k)
     params = gs_params(code, args.tau)
     messages = decode_list(code, received, params)

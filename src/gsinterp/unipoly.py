@@ -30,7 +30,7 @@ class ScalarMultCounter:
     """Tallies the per-coefficient work of the executed kernels: per point and
     entry, sum over k < s of (len - k) for the Taylor coefficients of
     bipoly.hasse_matrices (its lane reads, by _lanes, are not counted); per
-    row operation and per pivot shift of classic.eliminate_point, the lanes
+    row operation and per pivot shift of classic.eliminate_run, the lanes
     of its reduced pivot row; unpacked result slots for every product
     (_mul_kron) and every _unpack, the elimination step's lane reductions
     included; quotient slots read plus remainder slots unpacked for the
@@ -40,7 +40,7 @@ class ScalarMultCounter:
     derivatives count nothing.
 
     pivots, when asked for, logs each round of classic naive's loop and of
-    classic.eliminate_point (so of all three solvers) that found a pivot, as
+    classic.eliminate_run (so of all three solvers) that found a pivot, as
     (point_index, dx, dy, pivot_index); it is None otherwise, so that a
     counter held open over many solves stays small."""
 

@@ -6,13 +6,11 @@ import pytest
 from gsinterp.bench import BENCH_PRIME
 from gsinterp.bipoly import BiPoly, derivative_orders, hasse_matrices, taylor_vectors
 from gsinterp.field import PrimeField
-from gsinterp.classic import (
-    Run, eliminate_point, eliminate_run, interpolate, pack_rows, shift_plan,
-)
+from gsinterp.classic import Run, eliminate_run, interpolate, shift_plan
 from gsinterp.fast import solve_basis
 from gsinterp.oracle import minimal_solution
 from gsinterp.problem import InterpolationInstance, random_instance
-from gsinterp.unipoly import UniPoly, _slot_width, _trim, _unpack
+from gsinterp.unipoly import UniPoly
 from util import logged, proportional, rand_bipoly, rand_unipoly, shift_values, x_degree
 
 F3 = PrimeField(3)
@@ -220,10 +218,11 @@ def test_hasse_combine():
 
 
 def _sequential_point(field, elems, extra, deltas, xi, yi, s, log, index):
-    """Reference for eliminate_point: every round recomputes its Hasse values
-    from the current elements by the direct formula, and applies the row
-    operations through UniPoly.sub_scaled / mul_linear to the elements and
-    to the extra rows riding along (as a transform does in the fast solver)."""
+    """Reference for one point of eliminate_run: every round recomputes its
+    Hasse values from the current elements by the direct formula, and applies
+    the row operations through UniPoly.sub_scaled / mul_linear to the
+    elements and to the extra rows riding along (as a transform does in the
+    fast solver)."""
     p = field.p
     for dx, dy in derivative_orders(s):
         values = [e.hasse_derivative(xi, yi, dx, dy) for e in elems]
@@ -248,22 +247,11 @@ def _joined_rows(extra, elems):
     return [[u.coeffs for u in x] + [u.coeffs for u in e.rows] for x, e in zip(extra, elems)]
 
 
-def _unpacked(p, packed, nv, k):
-    """pack_rows undone: each row's nv values, and its k entries."""
-    width = _slot_width(1, p)
-    vecs, rows = [], []
-    for r in packed:
-        lanes = _unpack(r, -(-r.bit_length() // (8 * width)), width, p)
-        lanes += [0] * (nv - len(lanes))
-        vecs.append(lanes[:nv])
-        rows.append([_trim(lanes[nv + l :: k]) for l in range(k)])
-    return vecs, rows
-
-
 def test_eliminate_point_multi_round_matches_sequential_reference():
-    # the step runs on values at the point followed by those at later points,
-    # as in a run of the fast solver; at the end every vector must hold the
-    # values of its final element at all of them
+    # a run of a point and up to three later ones, against the point-by-point
+    # reference; the values at the later points ride along while the first
+    # point is eliminated, so a wrong carried value leaves an element that
+    # does not vanish at some later point
     rng = random.Random(42)
     for p in (2, 3, 101, BENCH_PRIME):
         field = PrimeField(p)
@@ -285,22 +273,22 @@ def test_eliminate_point_multi_round_matches_sequential_reference():
             rows = _joined_rows(extra, elems)
             handed_in = [list(r) for r in rows]
             snapshot = [[list(c) for c in r] for r in rows]
-            vecs = _values(field, elems, points, mults)
-            plan = shift_plan([x for x, _ in points], mults, xi, p)
             got_deltas = list(deltas)
-            packed = pack_rows(p, vecs, rows)
-            k = len(rows[0])
-            _, got_log = logged(eliminate_point, field, packed, [0] * len(packed), got_deltas, xi, s,
-                                plan, k, 5)
-            got_vecs, got_rows = _unpacked(p, packed, len(vecs[0]), k)
+            elem_rows = [[r.coeffs for r in e.rows] for e in elems]
+            got_rows, got_log = logged(eliminate_run, field, Run([x for x, _ in points], mults, p, 5),
+                                       [y for _, y in points], elem_rows, rows, got_deltas)
 
             want_log = []
-            _sequential_point(field, elems, extra, deltas, xi, yi, s, want_log, 5)
+            for i, ((x, y), m) in enumerate(zip(points, mults)):
+                _sequential_point(field, elems, extra, deltas, x, y, m, want_log, 5 + i)
             assert got_log == want_log and got_deltas == deltas
             assert got_rows == _joined_rows(extra, elems)
-            # the carried values are those of the final elements, and the
-            # entries the caller handed in were never mutated
-            assert got_vecs == _values(field, elems, points, mults)
+            # every returned element vanishes to order s at every run point,
+            # and the entries the caller handed in were never mutated
+            for row in got_rows:
+                elem = BiPoly(field, ell, [UniPoly(field, c) for c in row[ell + 1 :]])
+                assert not any(elem.hasse_derivative(x, y, dx, dy)
+                               for (x, y), m in zip(points, mults) for dx, dy in derivative_orders(m))
             assert handed_in == snapshot
 
 

@@ -281,6 +281,35 @@ def test_classic_points_above_cap_refused(tmp_path, capsys, no_solvers, algorith
         main(["interpolate", "--algorithm", algorithm, str(path)])
 
 
+def test_fast_points_above_cap_refused(tmp_path, capsys, no_solvers):
+    # fast.solve took 7.9 s at 4 * MAX_N points and 25 s at twice that, so
+    # more than 4 * MAX_N points are refused for it; 4 * MAX_N go on to it
+    path = tmp_path / "many.txt"
+    path.write_text("p=65521\nw=1\nell=1\n" + "".join(f"{x},0\n" for x in range(4 * MAX_N + 1)))
+    assert main(["interpolate", "--algorithm", "fast", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(4 * MAX_N) in err
+    path.write_text("p=65521\nw=1\nell=1\n" + "".join(f"{x},0\n" for x in range(4 * MAX_N)))
+    with pytest.raises(AssertionError, match="reached a solver"):
+        main(["interpolate", "--algorithm", "fast", str(path)])
+
+
+def test_decode_length_above_cap_refused(capsys, monkeypatch):
+    # the cap of fast holds for the decoder's interpolation too, checked
+    # before the code is built
+    def built(*args, **kwargs):
+        raise AssertionError("an over-cap length reached RSCode")
+
+    monkeypatch.setattr(cli, "RSCode", built)
+    n = 4 * MAX_N + 1
+    args = ["decode", "--modulus", "65521", "--k", "3", "--tau", "1"]
+    assert main(args + ["--n", str(n), "--received", ",".join(["1"] * n)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(4 * MAX_N) in err
+    with pytest.raises(AssertionError, match="reached RSCode"):
+        main(args + ["--n", str(n - 1), "--received", ",".join(["1"] * (n - 1))])
+
+
 def test_decode_word_of_wrong_length_refused(capsys, monkeypatch):
     # the length is checked before the code, whose size grows with n, is built
     def built(*args, **kwargs):
