@@ -8,17 +8,18 @@ refuses instances above oracle.MAX_CONSTRAINTS constraints), decode
 Exit codes: 0 success, 2 usage or parse error, 3 infeasible decode
 parameters, 4 empty decode list.
 
-Input caps, refused with exit 2 before any solver runs: an instance file
-over MAX_FILE_BYTES bytes, a multiplicity s over MAX_S or a list size ell
-over MAX_ELL, also as bench's --s and --ell. They sit far above the bundled
-instances, the benchmark workloads and decoder.S_CAP and decoder.ELL_CAP.
-bench also refuses a size below 1 or over MAX_N, where the naive solver's
-three passes take minutes, before it builds any instance; interpolate
-refuses more than MAX_N points for the classic solvers (classic and
-classic-hasse), whose time grows about 4x per doubling of n, and more than
-4 * MAX_N for fast, which took 7.9 s at 16384 points and 25 s at 32768
-(s = 1, ell = 2). decode refuses an --n over 4 * MAX_N alike, before it
-builds the code.
+Before any solver runs, any bench instance is drawn or any schedule is
+built, every command weighs the work its input asks for with
+problem.check_work, which refuses with exit 2 a solve estimated to take
+longer than problem.WORK_BUDGET, three minutes on the host the estimate was
+fitted on: interpolate as the solver --algorithm names (classic is naive,
+classic-hasse cached), verify and each of bench's --sizes as the naive
+solver, the slowest, and decode as fast once gs_params has picked s and ell
+(decoder.decode_list). Three caps stay beside it: an instance file over
+MAX_FILE_BYTES bytes is refused before it is parsed, gs_params searches
+s <= decoder.S_CAP and ell <= decoder.ELL_CAP, and verify's brute-force
+reference refuses more than oracle.MAX_CONSTRAINTS constraints. bench also
+refuses a size below 1.
 
 Instance file grammar: '#' starts a comment; the first three non-comment
 lines are 'p=<int>', 'w=<int>', 'ell=<int>'; every following line is a
@@ -34,22 +35,14 @@ from . import bench, classic, fast, oracle
 from .bipoly import BiPoly, hasse_matrices
 from .decoder import InfeasibleParameters, RSCode, decode_list, gs_params
 from .field import PrimeField
-from .problem import InterpolationInstance
+from .problem import InterpolationInstance, check_work
 
 
 MAX_FILE_BYTES = 1 << 24
-MAX_S = 64
-MAX_ELL = 256
-MAX_N = 4096
 
 
 class InstanceFileError(ValueError):
     pass
-
-
-def check_caps(s: int, ell: int) -> None:
-    if s > MAX_S or ell > MAX_ELL:
-        raise ValueError(f"s={s}, ell={ell} exceed the caps s <= {MAX_S}, ell <= {MAX_ELL}")
 
 
 def parse_instance_text(text: str):
@@ -85,7 +78,9 @@ def parse_instance_text(text: str):
     return headers["p"], headers["w"], headers["ell"], points
 
 
-def load_instance(path: str, args) -> InterpolationInstance:
+def load_instance(path: str, args, solver: str) -> InterpolationInstance:
+    """The instance in the file, with the flags' overrides, once check_work
+    admits it for the solver."""
     with open(path, "rb") as fh:
         raw = fh.read(MAX_FILE_BYTES + 1)
     if len(raw) > MAX_FILE_BYTES:
@@ -99,9 +94,9 @@ def load_instance(path: str, args) -> InterpolationInstance:
     if args.ell is not None:
         ell = args.ell
     mults = [s if s is not None else args.s for _, _, s in points]
-    check_caps(max(mults), ell)
-    field = PrimeField(p)
-    return InterpolationInstance(field, [(x, y) for x, y, _ in points], mults, ell, w)
+    inst = InterpolationInstance(PrimeField(p), [(x, y) for x, y, _ in points], mults, ell, w)
+    check_work(inst.n, inst.constraint_count(), ell, solver)
+    return inst
 
 
 def format_monomials(q: BiPoly) -> str:
@@ -129,24 +124,19 @@ def _print_solution(inst: InterpolationInstance, algorithm: str, q: BiPoly, delt
 
 
 def cmd_interpolate(args) -> int:
-    inst = load_instance(args.file, args)
-    cap = 4 * MAX_N if args.algorithm == "fast" else MAX_N
-    if inst.n > cap:
-        raise ValueError(f"n={inst.n} exceeds the cap n <= {cap} of {args.algorithm}")
-    if args.algorithm == "classic":
-        q, basis = classic.interpolate(inst, "naive")
-        deltas = basis.deltas
-    elif args.algorithm == "classic-hasse":
-        q, basis = classic.interpolate(inst, "cached")
-        deltas = basis.deltas
-    else:
+    solver = {"classic": "naive", "classic-hasse": "cached"}.get(args.algorithm, "fast")
+    inst = load_instance(args.file, args, solver)
+    if solver == "fast":
         q, deltas = fast.solve(inst)
+    else:
+        q, basis = classic.interpolate(inst, solver)
+        deltas = basis.deltas
     _print_solution(inst, args.algorithm, q, deltas)
     return 0
 
 
 def cmd_verify(args) -> int:
-    inst = load_instance(args.file, args)
+    inst = load_instance(args.file, args, "naive")
     w = inst.w
     # first, so that an instance too large for the oracle fails at once
     q_oracle, mindeg = oracle.minimal_solution(inst)
@@ -191,8 +181,6 @@ def cmd_decode(args) -> int:
     received = [int(v) for v in args.received.split(",")]
     if len(received) != args.n:
         raise ValueError(f"--received has {len(received)} symbols, not --n {args.n}")
-    if args.n > 4 * MAX_N:
-        raise ValueError(f"--n {args.n} exceeds the cap n <= {4 * MAX_N}")
     code = RSCode(field, args.n, args.k)
     params = gs_params(code, args.tau)
     messages = decode_list(code, received, params)
@@ -203,10 +191,11 @@ def cmd_decode(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    check_caps(args.s, args.ell)
     sizes = [int(v) for v in args.sizes.split(",")]
-    if not all(1 <= n <= MAX_N for n in sizes):
-        raise ValueError(f"--sizes {args.sizes} outside 1..{MAX_N}")
+    if min(sizes) < 1:
+        raise ValueError(f"--sizes {args.sizes} has a size below 1")
+    for n in sizes:
+        check_work(n, n * args.s * (args.s + 1) // 2, args.ell, "naive")
     rows = bench.run_bench(args.modulus, args.s, args.ell, sizes, seed=args.seed)
     print(bench.format_csv(rows))
     return 0

@@ -31,7 +31,7 @@ from typing import NamedTuple
 from . import fast
 from .bipoly import BiPoly, taylor_vectors
 from .field import PrimeField
-from .problem import InterpolationInstance
+from .problem import InterpolationInstance, check_work
 from .unipoly import UniPoly, _add_raw, _divmod_raw, _mul_kron, _pack, _slot_width, _trim, _unpack
 
 # root splitting draws its shifts from a generator of its own with this seed,
@@ -94,21 +94,15 @@ def is_feasible(n: int, w: int, s: int, ell: int, tau: int) -> bool:
 
 
 def gs_params(code: RSCode, tau: int) -> GSParams:
-    """Smallest multiplicity, then smallest list size, passing the counting bound."""
-    if not 0 <= tau < code.n:
-        raise ValueError("error target must satisfy 0 <= tau < n")
-    if code.k < 2:
-        raise ValueError("list decoding here needs k >= 2 (weight w = k-1 must be positive)")
+    """Smallest multiplicity, then smallest list size, passing the counting
+    bound; refused as _check_params refuses it, InfeasibleParameters when no
+    pair within the caps passes."""
     w = code.k - 1
-    for s in range(1, S_CAP + 1):
-        for ell in range(1, ELL_CAP + 1):
-            if is_feasible(code.n, w, s, ell, tau):
-                return GSParams(s=s, ell=ell, tau=tau, w=w)
-    lhs, rhs = monomial_budget(code.n, w, S_CAP, ELL_CAP, tau)
-    raise InfeasibleParameters(
-        f"tau={tau} infeasible for [n={code.n}, k={code.k}] within s<={S_CAP}, "
-        f"ell<={ELL_CAP}: monomial count {lhs} must exceed constraint count {rhs}"
-    )
+    pairs = ((s, ell) for s in range(1, S_CAP + 1) for ell in range(1, ELL_CAP + 1))
+    s, ell = next((q for q in pairs if is_feasible(code.n, w, *q, tau)), (S_CAP, ELL_CAP))
+    params = GSParams(s=s, ell=ell, tau=tau, w=w)
+    _check_params(code, params)
+    return params
 
 
 # ---------------------------------------------------------------------------
@@ -251,10 +245,12 @@ def hamming(a, b) -> int:
 
 def _check_params(code: RSCode, params: GSParams) -> None:
     """Raise ValueError unless decoding with params can find every message
-    within tau: w = k - 1, s and ell within the caps gs_params searches,
-    0 <= tau < n, and the counting bound (InfeasibleParameters)."""
+    within tau: k >= 2 and w = k - 1, s and ell within the caps gs_params
+    searches, 0 <= tau < n, and the counting bound (InfeasibleParameters)."""
     n, k = code.n, code.k
     s, ell, tau, w = params.s, params.ell, params.tau, params.w
+    if k < 2:
+        raise ValueError("list decoding here needs k >= 2 (weight w = k-1 must be positive)")
     if w != k - 1:
         raise ValueError(f"weight w={w} must be k - 1 = {k - 1}")
     if not (1 <= s <= S_CAP and 1 <= ell <= ELL_CAP):
@@ -264,7 +260,7 @@ def _check_params(code: RSCode, params: GSParams) -> None:
     if not is_feasible(n, w, s, ell, tau):
         lhs, rhs = monomial_budget(n, w, s, ell, tau)
         raise InfeasibleParameters(
-            f"s={s}, ell={ell} cannot reach tau={tau} for [n={n}, k={k}]: "
+            f"tau={tau} infeasible for [n={n}, k={k}] at s={s}, ell={ell}: "
             f"monomial count {lhs} must exceed constraint count {rhs}"
         )
 
@@ -272,7 +268,9 @@ def _check_params(code: RSCode, params: GSParams) -> None:
 def decode_list(code: RSCode, received, params: GSParams) -> list[list[int]]:
     """All messages whose codewords lie within Hamming distance tau of the
     received word; parameters that cannot guarantee that are refused
-    (_check_params). The interpolation runs on the code's schedule for s."""
+    (_check_params), and so is an interpolation over problem.check_work's
+    budget, before any schedule is built. The interpolation runs on the
+    code's schedule for s."""
     field = code.field
     received = [v % field.p for v in received]
     if len(received) != code.n:
@@ -285,6 +283,7 @@ def decode_list(code: RSCode, received, params: GSParams) -> list[list[int]]:
         params.ell,
         params.w,
     )
+    check_work(inst.n, inst.constraint_count(), inst.ell, "fast")
     schedule = code._schedules.get(params.s)
     if schedule is None or not schedule.fits(inst):
         schedule = code._schedules[params.s] = fast.Schedule(field, inst.points, inst.mults)

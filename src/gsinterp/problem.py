@@ -4,8 +4,13 @@ from __future__ import annotations
 
 import random
 import sys
+from math import isqrt
 
 from .field import PrimeField
+
+# check_work's one budget, in nanoseconds: three minutes of process time on
+# the host its rates were fitted on
+WORK_BUDGET = 180 * 10**9
 
 
 class InterpolationInstance:
@@ -48,6 +53,55 @@ class InterpolationInstance:
         return (
             f"InterpolationInstance(GF({self.field.p}), n={self.n}, "
             f"mults={self.mults}, ell={self.ell}, w={self.w})"
+        )
+
+
+def check_work(n: int, constraints: int, ell: int, solver: str) -> None:
+    """Raise ValueError when a solve of n points with the given number of
+    constraints C (InterpolationInstance.constraint_count) and list size ell
+    is estimated to take longer than WORK_BUDGET. solver is "naive" or
+    "cached" (classic.interpolate's modes) or "fast". The arithmetic is on
+    integers, so an input of any size gets an answer and never an overflow.
+
+    The estimate, in nanoseconds, with L = ell + 1:
+        every solver   (7000 n + 300 C + 3 L) L^2
+        naive        + 400 C^2 L
+        cached       + 300 C^2
+        fast         + C^1.5 (6000 + 250 L^1.5) + 30 n L^3
+    The first line is the work on L elements of L rows each at every point
+    and constraint; it alone bounds a few points at a large ell. The second
+    is each solver's growth: quadratic in C for the classic solvers, and
+    C^1.5 for fast, whose top tree levels multiply L x L matrices of
+    polynomials of degree about C / L with CPython's Karatsuba big-integer
+    multiply; its n L^3 is the L^3 entry pairs each of its about n / 8
+    matrix products walks. The terms and exponents come from a
+    least-squares fit of the process times of 106 solves over the 30-bit
+    bench prime on a 2-vCPU guest under Python 3.11: n from 1 to 16384, s
+    from 1 to 32, ell from 0 to 2048, w = 1, and w = k - 1 at decoder shapes
+    up to n = 1214, s = 8, ell = 16. The rates are about twice the fitted
+    ones, so that every one of those solves took at most 0.91 of its
+    estimate, and the nine that took over a minute 0.39 to 0.75. The
+    estimate is loosest, up to 17-fold, at a large ell with few points.
+    Without n the fit spreads 11-fold: at equal C and ell, s = 1 costs more
+    than a few points of high multiplicity.
+
+    WORK_BUDGET is three minutes of that host's process time. RS [1024, 256]
+    at tau = 497 (s = 8, ell = 16), whose interpolation took 96 to 117 s, is
+    estimated at 172 s; RS [16384, 4096] at tau = 7952 at 3.0 hours."""
+    c, l = constraints, ell + 1
+    work = (7000 * n + 300 * c + 3 * l) * l * l
+    if solver == "naive":
+        work += 400 * c * c * l
+    elif solver == "cached":
+        work += 300 * c * c
+    else:
+        work += isqrt(c**3) * (6000 + 250 * isqrt(l**3)) + 30 * n * l**3
+    if work > WORK_BUDGET:
+        from decimal import Decimal  # exact at any size, where float() overflows
+
+        raise ValueError(
+            f"{solver} solve estimated at {Decimal(work) / 10**9:.3g} s, over the work "
+            f"budget of {WORK_BUDGET // 10**9} s"
         )
 
 

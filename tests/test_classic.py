@@ -247,7 +247,7 @@ def _joined_rows(extra, elems):
     return [[u.coeffs for u in x] + [u.coeffs for u in e.rows] for x, e in zip(extra, elems)]
 
 
-def test_eliminate_point_multi_round_matches_sequential_reference():
+def test_eliminate_run_multi_round_matches_sequential_reference():
     # a run of a point and up to three later ones, against the point-by-point
     # reference; the values at the later points ride along while the first
     # point is eliminated, so a wrong carried value leaves an element that

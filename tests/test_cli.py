@@ -8,10 +8,7 @@ import pytest
 from gsinterp.bipoly import BiPoly
 from gsinterp import cli
 from gsinterp.cli import (
-    MAX_ELL,
     MAX_FILE_BYTES,
-    MAX_N,
-    MAX_S,
     InstanceFileError,
     build_parser,
     format_monomials,
@@ -20,6 +17,7 @@ from gsinterp.cli import (
     parse_instance_text,
 )
 from gsinterp.field import PrimeField
+from gsinterp.problem import WORK_BUDGET, check_work
 from util import bundled_instances, parse_monomials, rand_nonzero, standard_basis
 
 HERE = os.path.dirname(__file__)
@@ -195,12 +193,15 @@ def test_verify_refuses_instance_too_large_for_oracle(tmp_path, capsys):
     assert all(inst.constraint_count() <= MAX_CONSTRAINTS for inst in bundled_instances())
 
 
+BUDGET = f"budget of {WORK_BUDGET // 10**9} s"  # in every refusal by problem.check_work
+
+
 @pytest.fixture
 def no_solvers(monkeypatch):
     """Make every solver and the bench harness fail the test if reached, so
     a refusal is seen to come before any large allocation."""
     def reached(*args, **kwargs):
-        raise AssertionError("an over-cap input reached a solver")
+        raise AssertionError("an over-budget input reached a solver")
 
     for target in ("gsinterp.fast.solve", "gsinterp.fast.solve_basis",
                    "gsinterp.classic.interpolate", "gsinterp.oracle.minimal_solution",
@@ -208,46 +209,67 @@ def no_solvers(monkeypatch):
         monkeypatch.setattr(target, reached)
 
 
+def _points_file(path, n, p=65521):
+    """An instance file of n simple points at ell = 1; returns its path."""
+    path.write_text(f"p={p}\nw=1\nell=1\n" + "".join(f"{x},0\n" for x in range(n)))
+    return str(path)
+
+
 @pytest.mark.parametrize("command", ["interpolate", "verify"])
 def test_multiplicity_above_cap_refused(tmp_path, capsys, no_solvers, command):
+    # interpolate weighs the work as fast, verify as naive; a multiplicity of
+    # a thousand digits gets an answer too, not an OverflowError
     path = tmp_path / "big_s.txt"
-    path.write_text(f"p=101\nw=1\nell=1\n1,2\n3,4,{10**9}\n")
+    path.write_text(f"p=101\nw=1\nell=1\n1,2\n3,4,{10**999 + 7}\n")
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and str(MAX_S) in err
-    # the default multiplicity of --s is capped alike
+    assert err.startswith("error:") and BUDGET in err
+    # the default multiplicity of --s is weighed alike
     path.write_text("p=101\nw=1\nell=1\n1,2\n")
-    assert main([command, "--s", str(MAX_S + 1), str(path)]) == 2
+    assert main([command, "--s", str(10**9), str(path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    # n = 256, s = 64, ell = 256, and below the budget the input goes on
+    big = _points_file(tmp_path / "n256.txt", 256)
+    assert main([command, "--s", "64", "--ell", "256", big]) == 2
+    assert BUDGET in capsys.readouterr().err
+    with pytest.raises(AssertionError, match="reached a solver"):
+        main([command, "--s", "2", big])
 
 
 @pytest.mark.parametrize("command", ["interpolate", "verify"])
 def test_list_size_above_cap_refused(tmp_path, capsys, no_solvers, command):
+    # one point with ell = 10^7: tiny C, but (ell + 1)^2 work on the basis
     path = tmp_path / "big_ell.txt"
     path.write_text(f"p=101\nw=1\nell={10**7}\n1,2\n")
     assert main([command, str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and str(MAX_ELL) in err
+    assert err.startswith("error:") and BUDGET in err
     path.write_text("p=101\nw=1\nell=1\n1,2\n")
-    assert main([command, "--ell", str(MAX_ELL + 1), str(path)]) == 2
+    assert main([command, "--ell", str(10**7), str(path)]) == 2
     assert capsys.readouterr().err.startswith("error:")
+    with pytest.raises(AssertionError, match="reached a solver"):
+        main([command, "--ell", "256", str(path)])
 
 
 def test_bench_caps_refused(capsys, no_solvers):
-    assert main(["bench", "--s", str(MAX_S + 1), "--sizes", "4"]) == 2
-    assert main(["bench", "--ell", str(MAX_ELL + 1), "--sizes", "4"]) == 2
-    assert capsys.readouterr().err.count("error:") == 2
+    assert main(["bench", "--s", str(10**9), "--sizes", "4"]) == 2
+    assert main(["bench", "--ell", str(10**7), "--sizes", "4"]) == 2
+    assert capsys.readouterr().err.count(BUDGET) == 2
+    with pytest.raises(AssertionError, match="reached a solver"):
+        main(["bench", "--s", "8", "--ell", "16", "--sizes", "4"])
 
 
-@pytest.mark.parametrize("sizes", ["-3", "0", "4,0", f"8,{MAX_N + 1}", str(10**18)])
+@pytest.mark.parametrize("sizes", ["-3", "0", "4,0", "8,100000", str(10**18)])
 def test_bench_sizes_outside_cap_refused(capsys, monkeypatch, no_solvers, sizes):
+    # a size below 1, or one whose naive solve is over the budget, is refused
+    # before any instance is built
     def built(*args, **kwargs):
         raise AssertionError("a refused size reached random_instance")
 
     monkeypatch.setattr("gsinterp.bench.random_instance", built)
     assert main(["bench", "--sizes", sizes]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and str(MAX_N) in err
+    assert err.startswith("error:") and ("below 1" in err or BUDGET in err)
 
 
 def test_instance_file_above_cap_refused(tmp_path, capsys, monkeypatch, no_solvers):
@@ -266,48 +288,50 @@ def test_instance_file_above_cap_refused(tmp_path, capsys, monkeypatch, no_solve
 
 @pytest.mark.parametrize("algorithm", ["classic", "classic-hasse"])
 def test_classic_points_above_cap_refused(tmp_path, capsys, no_solvers, algorithm):
-    # the classic solvers' time grows about 4x per doubling of n, so more
-    # than MAX_N points are refused for them; MAX_N points, and any number
-    # for fast, go on to the solver
-    path = tmp_path / "many.txt"
-    path.write_text("p=65521\nw=1\nell=1\n" + "".join(f"{x},0\n" for x in range(MAX_N + 1)))
-    assert main(["interpolate", "--algorithm", algorithm, str(path)]) == 2
+    # the classic solvers' work grows with the square of the constraint
+    # count: 30000 simple points are over the budget for them and go on to
+    # fast; 4096 go on to them
+    path = _points_file(tmp_path / "many.txt", 30000)
+    assert main(["interpolate", "--algorithm", algorithm, path]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and str(MAX_N) in err
+    assert err.startswith("error:") and BUDGET in err
     with pytest.raises(AssertionError, match="reached a solver"):
-        main(["interpolate", "--algorithm", "fast", str(path)])
-    path.write_text("p=65521\nw=1\nell=1\n" + "".join(f"{x},0\n" for x in range(MAX_N)))
+        main(["interpolate", "--algorithm", "fast", path])
+    path = _points_file(tmp_path / "many.txt", 4096)
     with pytest.raises(AssertionError, match="reached a solver"):
-        main(["interpolate", "--algorithm", algorithm, str(path)])
+        main(["interpolate", "--algorithm", algorithm, path])
 
 
 def test_fast_points_above_cap_refused(tmp_path, capsys, no_solvers):
-    # fast.solve took 7.9 s at 4 * MAX_N points and 25 s at twice that, so
-    # more than 4 * MAX_N points are refused for it; 4 * MAX_N go on to it
-    path = tmp_path / "many.txt"
-    path.write_text("p=65521\nw=1\nell=1\n" + "".join(f"{x},0\n" for x in range(4 * MAX_N + 1)))
-    assert main(["interpolate", "--algorithm", "fast", str(path)]) == 2
+    # fast's work grows as C^1.5: 120000 simple points are over the budget,
+    # 16384 go on to it
+    path = _points_file(tmp_path / "many.txt", 120000, p=754974721)
+    assert main(["interpolate", "--algorithm", "fast", path]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and str(4 * MAX_N) in err
-    path.write_text("p=65521\nw=1\nell=1\n" + "".join(f"{x},0\n" for x in range(4 * MAX_N)))
+    assert err.startswith("error:") and BUDGET in err
+    path = _points_file(tmp_path / "many.txt", 16384, p=754974721)
     with pytest.raises(AssertionError, match="reached a solver"):
-        main(["interpolate", "--algorithm", "fast", str(path)])
+        main(["interpolate", "--algorithm", "fast", path])
 
 
 def test_decode_length_above_cap_refused(capsys, monkeypatch):
-    # the cap of fast holds for the decoder's interpolation too, checked
-    # before the code is built
+    # decode weighs the decoder's interpolation as fast once gs_params has
+    # picked s and ell, before the code's schedule is built: RS [16384, 4096]
+    # at tau = 7952 (s = 8, ell = 16) is refused, RS [1024, 256] at
+    # tau = 497 goes on to it
     def built(*args, **kwargs):
-        raise AssertionError("an over-cap length reached RSCode")
+        raise AssertionError("an over-budget code reached fast.Schedule")
 
-    monkeypatch.setattr(cli, "RSCode", built)
-    n = 4 * MAX_N + 1
-    args = ["decode", "--modulus", "65521", "--k", "3", "--tau", "1"]
-    assert main(args + ["--n", str(n), "--received", ",".join(["1"] * n)]) == 2
+    monkeypatch.setattr("gsinterp.fast.Schedule", built)
+    def args(n, k, tau):
+        return ["decode", "--modulus", "754974721", "--n", str(n), "--k", str(k),
+                "--tau", str(tau), "--received", ",".join(["1"] * n)]
+
+    assert main(args(16384, 4096, 7952)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and str(4 * MAX_N) in err
-    with pytest.raises(AssertionError, match="reached RSCode"):
-        main(args + ["--n", str(n - 1), "--received", ",".join(["1"] * (n - 1))])
+    assert err.startswith("error:") and BUDGET in err
+    with pytest.raises(AssertionError, match="reached fast.Schedule"):
+        main(args(1024, 256, 497))
 
 
 def test_decode_word_of_wrong_length_refused(capsys, monkeypatch):
@@ -325,10 +349,12 @@ def test_decode_word_of_wrong_length_refused(capsys, monkeypatch):
 def test_input_caps_admit_bundled_instances_and_decoder_search():
     from gsinterp.decoder import ELL_CAP, S_CAP
 
-    assert S_CAP <= MAX_S and ELL_CAP <= MAX_ELL
+    # the largest s and ell gs_params may pick are admitted for RS [255, 64]
+    check_work(255, 255 * S_CAP * (S_CAP + 1) // 2, ELL_CAP, "fast")
     for path, inst in zip(INSTANCES, bundled_instances()):
         assert os.path.getsize(path) <= MAX_FILE_BYTES
-        assert max(inst.mults) <= MAX_S and inst.ell <= MAX_ELL
+        for solver in ("naive", "cached", "fast"):
+            check_work(inst.n, inst.constraint_count(), inst.ell, solver)
 
 
 def test_interpolate_over_mersenne_61(capsys):
@@ -338,7 +364,7 @@ def test_interpolate_over_mersenne_61(capsys):
 
     path = os.path.join(HERE, "..", "instances", "07_random_02.txt")
     flags = ["--modulus", "2305843009213693951", "--s", "2"]
-    inst = load_instance(path, build_parser().parse_args(["verify", *flags, path]))
+    inst = load_instance(path, build_parser().parse_args(["verify", *flags, path]), "naive")
     _, mindeg = minimal_solution(inst)
     for algorithm in ("classic", "classic-hasse", "fast"):
         rc = main(["interpolate", "--algorithm", algorithm, *flags, path])

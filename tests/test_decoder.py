@@ -462,6 +462,36 @@ def test_decode_refuses_parameters_that_cannot_work(monkeypatch, params):
     assert code._schedules == {}
 
 
+def test_decode_refuses_k_below_two_like_gs_params(monkeypatch):
+    # w = k - 1 = 0 used to pass _check_params, and the instance refused the
+    # weight instead; gs_params and decode_list now share one check
+    code = RSCode(PrimeField(101), 10, 1)
+    monkeypatch.setattr("gsinterp.fast.solve", lambda *a, **k: pytest.fail("interpolation reached"))
+    with pytest.raises(ValueError, match="needs k >= 2"):
+        decode_list(code, [0] * 10, GSParams(s=1, ell=1, tau=2, w=0))
+    with pytest.raises(ValueError, match="needs k >= 2"):
+        gs_params(code, 2)
+    assert code._schedules == {}
+
+
+def test_decode_list_refuses_work_over_budget(monkeypatch):
+    # RS [16384, 4096] at tau = 7952 is feasible at s = 8, ell = 16, but its
+    # interpolation is over problem.check_work's budget: refused before the
+    # schedule is built; RS [1024, 256] at tau = 497 goes on to it
+    def built(*args, **kwargs):
+        raise AssertionError("schedule built")
+
+    monkeypatch.setattr("gsinterp.fast.Schedule", built)
+    field = PrimeField(754974721)
+    code = RSCode(field, 16384, 4096)
+    with pytest.raises(ValueError, match="budget"):
+        decode_list(code, [0] * 16384, gs_params(code, 7952))
+    assert code._schedules == {}
+    code = RSCode(field, 1024, 256)
+    with pytest.raises(AssertionError, match="schedule built"):
+        decode_list(code, [0] * 1024, gs_params(code, 497))
+
+
 def _params(code, s, tau):
     """The smallest feasible list size for multiplicity s at radius tau."""
     w = code.k - 1

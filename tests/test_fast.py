@@ -111,7 +111,7 @@ def test_update_matrix_action_is_row_operation():
                 assert got[j] == basis[j].sub_scaled(ratios[j], basis[t])
 
 
-def test_eliminate_point_row_update_equals_matrix_product():
+def test_one_point_run_row_update_equals_matrix_product():
     # with s = 1 there is one round, so the row update of a one-point run on
     # a random transform must equal one explicit update matrix applied on the
     # left; element j is the constant values[j], its one Hasse value
@@ -141,7 +141,7 @@ def test_eliminate_point_row_update_equals_matrix_product():
 # -- the one-point run ---------------------------------------------------------------
 
 
-def test_interpolate_point_hand_trace():
+def test_one_point_tree_hand_trace():
     T, deltas = tree([(0, 0)], [1], *tree_args(standard_basis(F5, 1, 1)))
     assert T[0][0] == [0, 1]  # x
     assert T[0][1] == []
@@ -150,7 +150,7 @@ def test_interpolate_point_hand_trace():
     assert deltas == [1, 1]
 
 
-def test_interpolate_point_noop_when_satisfied():
+def test_one_point_tree_noop_when_satisfied():
     # basis elements already vanishing at the point reduce to zero mod (x-a),
     # so every Hasse value is zero and the transform must stay the identity
     a = 2
@@ -159,7 +159,7 @@ def test_interpolate_point_noop_when_satisfied():
     assert deltas == [1, 2]
 
 
-def test_interpolate_point_random_postconditions():
+def test_one_point_tree_random_postconditions():
     rng = random.Random(2)
     for _ in range(30):
         ell = rng.randint(0, 3)
@@ -177,7 +177,7 @@ def test_interpolate_point_random_postconditions():
             assert e.leading_position(w) == j
 
 
-def test_interpolate_point_dimension_check():
+def test_one_point_tree_dimension_check():
     # one element of two rows against one delta, then two elements against one
     with pytest.raises(ValueError):
         tree([(0, 0)], [1], F5, [[[1], []]], [0])

@@ -3,8 +3,11 @@ import sys
 
 import pytest
 
+from gsinterp.bench import BENCH_PRIME
+from gsinterp.decoder import RSCode, gs_params
 from gsinterp.field import PrimeField
-from gsinterp.problem import InterpolationInstance, random_instance
+from gsinterp.problem import WORK_BUDGET, InterpolationInstance, check_work, random_instance
+from util import bundled_instances
 
 F13 = PrimeField(13)
 
@@ -63,3 +66,62 @@ def test_random_instance_keeps_the_sample_stream_below_sys_maxsize():
     for p in (13, 754974721, 2**61 - 1):
         inst = random_instance(PrimeField(p), random.Random(p), 9, ell=1, w=1)
         assert [x for x, _ in inst.points] == random.Random(p).sample(range(p), 9)
+
+
+# -- the work-admission rule ----------------------------------------------------------
+
+ALL_SOLVERS = ("naive", "cached", "fast")
+
+
+def _uniform(n, s, ell):
+    """(n, constraint count, ell) of n points of multiplicity s."""
+    return n, n * s * (s + 1) // 2, ell
+
+
+def _decoder(p, n, k, tau):
+    """The shape decode_list interpolates for RS [n, k] at radius tau."""
+    params = gs_params(RSCode(PrimeField(p), n, k), tau)
+    return _uniform(n, params.s, params.ell)
+
+
+def _bundled():
+    return [(inst.n, inst.constraint_count(), inst.ell) for inst in bundled_instances()]
+
+
+# (id, shapes, solvers, admitted): the work each entry point asks for, decided by
+# arithmetic only; no solver runs
+TABLE = [
+    ("bundled", _bundled, ALL_SOLVERS, True),
+    ("interp_small", lambda: [_uniform(16, 1, 1), _uniform(96, 3, 4)], ("fast", "cached"), True),
+    ("interp_large", lambda: [_uniform(1024, 2, 2)], ("fast", "cached"), True),
+    ("decode", lambda: [_decoder(65521, 64, 16, tau) for tau in range(25, 31)], ("fast",), True),
+    ("time_passes", lambda: [_uniform(n, 2, 2) for n in (64, 128, 256, 512)], ALL_SOLVERS, True),
+    ("acceptance", lambda: [_uniform(10, 3, 4), _uniform(12, 2, 6)], ALL_SOLVERS, True),
+    ("rs255", lambda: [_decoder(BENCH_PRIME, 255, 64, tau) for tau in (121, 124)], ("fast",), True),
+    ("rs1024", lambda: [_decoder(BENCH_PRIME, 1024, 256, 497)], ("fast",), True),
+    ("n16384", lambda: [_uniform(16384, 1, 2)], ("fast",), True),
+    ("n256_s64_ell256", lambda: [_uniform(256, 64, 256)], ("fast",), False),
+    ("rs16384", lambda: [_decoder(BENCH_PRIME, 16384, 4096, 7952)], ("fast",), False),
+    ("ell_1e7", lambda: [_uniform(1, 1, 10**7)], ALL_SOLVERS, False),
+    ("s_1e1000", lambda: [_uniform(1, 10**1000, 1)], ALL_SOLVERS, False),
+]
+
+
+@pytest.mark.parametrize(
+    "shapes, solvers, admitted", [t[1:] for t in TABLE], ids=[t[0] for t in TABLE]
+)
+def test_check_work_table(shapes, solvers, admitted):
+    for n, c, ell in shapes():
+        for solver in solvers:
+            if admitted:
+                check_work(n, c, ell, solver)
+            else:
+                with pytest.raises(ValueError, match=f"budget of {WORK_BUDGET // 10**9} s"):
+                    check_work(n, c, ell, solver)
+
+
+def test_check_work_table_decoder_shapes():
+    # gs_params picks s = 8 at each table radius, the largest s it searches
+    assert _decoder(BENCH_PRIME, 255, 64, 124) == _uniform(255, 8, 15)
+    assert _decoder(BENCH_PRIME, 1024, 256, 497) == _uniform(1024, 8, 16)
+    assert _decoder(BENCH_PRIME, 16384, 4096, 7952) == _uniform(16384, 8, 16)
