@@ -12,16 +12,28 @@ values off the reduced basis, and its rows are an (ell+1) x (ell+1)
 transform over F[x] from the identity, which records every row operation;
 the reduced basis itself is never updated. Hasse values of order < s at x_i
 depend only on the residue mod (x - x_i)^s, so the reduced basis gives the
-same pivots and ratios as the full one. Transforms compose up the tree by
-polynomial matrix multiplication, which packs each entry into one integer so
-that CPython's big-integer multiply carries the degree. Started from
-{1, y, ..., y^ell}, the final transform's rows are the y-power rows of the
-basis elements.
+same pivots and ratios as the full one. Transforms compose by polynomial
+matrix multiplication, which packs each nonempty entry into one integer so
+that CPython's big-integer multiply carries the degree, and multiplies only
+pairs of nonempty entries. A left child's transform is composed where the
+tree needs it, to carry the basis over to the right child; the transforms
+down the right spine are returned as a list, and compose forms their product
+in the order the tree used to form it node by node. solve_basis composes
+every row of it; solve composes only the row of least final delta, so each
+product on the spine is one row by ell + 1, not ell + 1 by ell + 1.
+
+A pass starts from {1, y, ..., y^ell}, whose rows are the identity's, or
+from a start basis of a module that the instance's points cut down, given as
+its elements' rows and deltas (decoder.decode_list passes the re-encoded
+basis). A start basis is reduced mod the root modulus on entry, and its
+rows are the spine's first transform, so compose multiplies them back once,
+at the end. The final product's rows are the y-power rows of the basis
+elements.
 
 One format runs from the root to the leaves, trimmed list[int] coefficient
 lists: a node's modulus is one, a basis element is its ell + 1 y-power rows,
-and a transform is its rows of entries. solve_basis wraps the final
-transform into BiPoly elements once, at exit.
+and a transform is its rows of entries. solve_basis and solve wrap the
+composed rows into BiPoly elements once, at exit.
 
 The pass has an x-side and a y-side. The x-side depends only on the field,
 the x's and the multiplicities: the modulus tree with its lazily cached
@@ -30,7 +42,8 @@ classic.Run with the run's first point index, shift plans and each point's
 Taylor vectors in x. A Schedule holds all of it and checks the points; the
 y-side (the received word) only ever reads it. solve_basis builds one per
 call unless it is handed one, and decoder.decode_list keeps one per code and
-multiplicity, so a decoder builds the x-side once per code and multiplicity.
+multiplicity, over the points it does not re-encode, so a decoder builds the
+x-side once per code and multiplicity.
 interpolate_tree walks a Schedule's node on the node's y's. Pivot rounds are
 logged by unipoly.count_scalar_mults(pivots=True), numbered by each run's
 first point index.
@@ -40,11 +53,11 @@ from __future__ import annotations
 
 from . import classic
 from .bipoly import BiPoly
-from .classic import Rows, Run, TrackedBasis, eliminate_run, identity
+from .classic import Rows, Run, TrackedBasis, _pick_pivot, eliminate_run, identity
 from .field import PrimeField
 from .problem import InterpolationInstance
 from .unipoly import (
-    _divmod_raw, _mul_kron, _newton_divmod, _pack, _series_inv, _slot_width, _unpack,
+    UniPoly, _divmod_raw, _mul_kron, _newton_divmod, _pack, _series_inv, _slot_width, _unpack,
 )
 
 NEWTON_REM_MIN = 48  # from this modulus degree, _ModNode.reduce divides by a cached inverse
@@ -58,29 +71,29 @@ NEWTON_REM_MIN = 48  # from this modulus degree, _ModNode.reduce divides by a ca
 
 
 def _poly_matmul(field: PrimeField, A: Rows, B: Rows) -> Rows:
-    """A * B over F[x], entries as trimmed coefficient lists. Each entry of A
-    and of B is packed into one integer once, with slots wide enough for a
-    k-term sum of products; each output entry is the sum of the packed
-    products, unpacked and reduced once."""
+    """A * B over F[x], entries as trimmed coefficient lists. Each nonempty
+    entry of A and of B is packed into one integer once, with slots wide
+    enough for a k-term sum of products, and only the pairs of nonempty
+    entries are multiplied: row i of A adds A[i][l] * B[l][j] into output
+    entry (i, j) for each nonempty B[l][j]. Each output entry is the sum of
+    its packed products, unpacked and reduced once."""
     p, k = field.p, len(B)
     la = max(len(e) for row in A for e in row)
     lb = max(len(e) for row in B for e in row)
     width = _slot_width(k * min(la, lb), p)
-    PA = [[(_pack(e, width), len(e)) for e in row] for row in A]
-    PB = [[(_pack(e, width), len(e)) for e in row] for row in B]
-    cols = list(zip(*PB))
+    PB = [[(j, _pack(e, width), len(e)) for j, e in enumerate(row) if e] for row in B]
+    r = len(B[0])
     out = []
-    for arow in PA:
-        orow = []
-        for col in cols:
-            acc = nterms = 0
-            for (x, nx), (y, ny) in zip(arow, col):
-                if x and y:
-                    acc += x * y
-                    if nx + ny > nterms:
-                        nterms = nx + ny
-            orow.append(_unpack(acc, nterms - 1, width, p) if nterms else [])
-        out.append(orow)
+    for arow in A:
+        acc, nterms = [0] * r, [0] * r
+        for e, brow in zip(arow, PB):
+            if e and brow:
+                x, nx = _pack(e, width), len(e)
+                for j, y, ny in brow:
+                    acc[j] += x * y
+                    if nx + ny > nterms[j]:
+                        nterms[j] = nx + ny
+        out.append([_unpack(a, t - 1, width, p) if t else [] for a, t in zip(acc, nterms)])
     return out
 
 
@@ -183,56 +196,105 @@ class Schedule:
 
 def interpolate_tree(
     ys: list[int], node: _ModNode, field: PrimeField, elems: Rows, deltas: list[int],
-) -> tuple[Rows, list[int]]:
+) -> tuple[list[Rows], list[int]]:
     """Recursively interpolate the points of a Schedule's node, whose y's are
     ys, given the basis reduced mod the node's modulus, each element as its
     y-power rows of coefficient lists and deltas[j] the weighted degree of
     the unreduced element j. A leaf, a node carrying a classic.Run, is
-    eliminated by classic.eliminate_run. Returns the composed transform and
-    the final deltas."""
+    eliminated by classic.eliminate_run. Returns the node's right spine, the
+    transforms in the order they apply (the left child's, composed, then the
+    right child's spine; a leaf's one transform), whose product compose
+    forms, and the final deltas."""
     if not elems:
         raise ValueError("empty basis")
     if len(elems) != len(deltas) or any(len(e) != len(deltas) for e in elems):
         raise ValueError("basis bookkeeping has inconsistent dimensions")
     if node.run is not None:
         deltas = list(deltas)
-        return eliminate_run(field, node.run, ys, elems, identity(len(elems)), deltas), deltas
+        return [eliminate_run(field, node.run, ys, elems, identity(len(elems)), deltas)], deltas
     left, right = node.left, node.right
     cut = left.hi - node.lo + 1
     b1 = [[left.reduce(r, field) for r in e] for e in elems]
-    T1, deltas = interpolate_tree(ys[:cut], left, field, b1, deltas)
+    spine, deltas = interpolate_tree(ys[:cut], left, field, b1, deltas)
+    T1 = compose(field, spine)
     # T1 times the basis pre-reduced mod the right modulus (T1 is seldom longer)
     B = [[right.reduce(r, field) for r in e] for e in elems]
     b2 = [[right.reduce(e, field) for e in row] for row in _poly_matmul(field, T1, B)]
     del B  # peak memory is reached inside the recursion below
-    T2, deltas = interpolate_tree(ys[cut:], right, field, b2, deltas)
-    return _poly_matmul(field, T2, T1), deltas
+    spine, deltas = interpolate_tree(ys[cut:], right, field, b2, deltas)
+    return [T1] + spine, deltas
 
 
-def solve_basis(inst: InterpolationInstance, schedule: Schedule | None = None) -> TrackedBasis:
-    """Run the full divide-and-conquer pass from the standard basis on the
-    schedule's x-side, built here when None; returns the basis that the
-    final transform encodes. A schedule that does not fit the instance is
-    refused. Under count_scalar_mults(pivots=True) every inner round that
-    found a pivot is logged."""
+def compose(field: PrimeField, spine: list[Rows], rows: list[int] | None = None) -> Rows:
+    """The product spine[-1] * ... * spine[0] of a spine as interpolate_tree
+    returns it, formed from the left: the last transform times the one before
+    it, and so on, the products the tree formed when it composed at every
+    node. With rows, only those rows of the product: the same rows of
+    spine[-1] go through the same products. The spine is emptied as it is
+    used, so each transform is freed once multiplied in."""
+    acc = spine.pop()
+    if rows is not None:
+        acc = [acc[t] for t in rows]
+    while spine:
+        acc = _poly_matmul(field, acc, spine.pop())
+    return acc
+
+
+Start = tuple[Rows, list[int]]  # a start basis: its elements' y-power rows, and their deltas
+
+
+def _solve_spine(
+    inst: InterpolationInstance, schedule: Schedule | None, start: Start | None,
+) -> tuple[list[Rows], list[int]]:
+    """The spine and final deltas of a pass over the instance's points from
+    the start basis, the standard one when None, on the schedule's x-side,
+    built here when None; the start basis's elements are the spine's first
+    transform, so compose multiplies them back once, last."""
     field, ell = inst.field, inst.ell
     if schedule is None:
         schedule = Schedule(field, inst.points, inst.mults)
     elif not schedule.fits(inst):
         raise ValueError("schedule built for other x's, multiplicities or field")
-    # the standard basis {1, y, ..., y^ell} has x-degree 0, so it is already
-    # reduced, and its rows are those of the identity
-    T, deltas = interpolate_tree(
-        [y for _, y in inst.points], schedule.tree, field, identity(ell + 1),
-        [inst.w * j for j in range(ell + 1)],
-    )
-    return TrackedBasis.from_rows(field, T, deltas)
+    ys = [y for _, y in inst.points]
+    if start is None:
+        # the standard basis {1, y, ..., y^ell} has x-degree 0, so it is
+        # already reduced, and its rows are those of the identity
+        return interpolate_tree(ys, schedule.tree, field, identity(ell + 1),
+                                [inst.w * j for j in range(ell + 1)])
+    G, deltas = start
+    if len(G) != ell + 1 or len(deltas) != ell + 1 or any(len(e) != ell + 1 for e in G):
+        raise ValueError(f"start basis must be {ell + 1} elements of {ell + 1} rows, one delta each")
+    root = schedule.tree
+    spine, deltas = interpolate_tree(ys, root, field, [[root.reduce(r, field) for r in e] for e in G],
+                                     deltas)
+    return [G] + spine, deltas
+
+
+def solve_basis(
+    inst: InterpolationInstance, schedule: Schedule | None = None, start: Start | None = None,
+) -> TrackedBasis:
+    """Run the full divide-and-conquer pass on the schedule's x-side, built
+    here when None, and return the basis that the composed spine encodes. A
+    schedule that does not fit the instance is refused. The pass starts from
+    {1, y, ..., y^ell} unless given a start basis (elements' y-power rows
+    plus deltas, element j of weighted degree deltas[j] and leading
+    y-position j) of a module that the instance's constraints cut down: it
+    is reduced mod the root modulus on entry and multiplied back once at the
+    end, and one of another shape is refused with ValueError. Under
+    count_scalar_mults(pivots=True) every inner round that found a pivot is
+    logged."""
+    spine, deltas = _solve_spine(inst, schedule, start)
+    return TrackedBasis.from_rows(inst.field, compose(inst.field, spine), deltas)
 
 
 def solve(
-    inst: InterpolationInstance, schedule: Schedule | None = None,
+    inst: InterpolationInstance, schedule: Schedule | None = None, start: Start | None = None,
 ) -> tuple[BiPoly, list[int]]:
     """Minimal-weighted-degree solution of the instance plus the delta vector,
-    on the given schedule (see solve_basis)."""
-    basis = solve_basis(inst, schedule=schedule)
-    return basis.minimal(), basis.deltas
+    on the given schedule and from the given start basis (see solve_basis):
+    the spine composes only the row of least delta, ties to the larger
+    position, which is solve_basis' minimal element."""
+    field = inst.field
+    spine, deltas = _solve_spine(inst, schedule, start)
+    (row,) = compose(field, spine, [_pick_pivot([1] * len(deltas), deltas)])
+    return BiPoly(field, inst.ell, [UniPoly(field, c, normalized=True) for c in row]), deltas

@@ -223,7 +223,7 @@ def test_criterion_7_op_count_companion():
     assert counts[512] / counts[256] <= 2.6
     # the exact counts: work added without changing the output, which the
     # golden digest alone would not see, shows here
-    assert counts == {64: 55684, 256: 295882, 512: 645469}
+    assert counts == {64: 55098, 256: 292982, 512: 639492}
 
 
 def test_criterion_8_hasse_cache_equivalence(uniform_runs, bench_passes):

@@ -20,12 +20,14 @@ from gsinterp.decoder import (
     _shift_root,
     y_roots,
 )
+from gsinterp import fast
 from gsinterp.field import PrimeField
+from gsinterp.problem import InterpolationInstance
 from gsinterp.unipoly import UniPoly
 
 from util import (
-    monomial, poly_pow, rand_bipoly, rand_nonzero, ref_shift, ref_y_roots, scale, scan_roots,
-    strip_x, x_minus,
+    BENCH_PRIME, monomial, poly_pow, rand_bipoly, rand_nonzero, ref_decode_list, ref_shift,
+    ref_y_roots, scale, scan_roots, strip_x, x_minus,
 )
 
 F13 = PrimeField(13)
@@ -213,8 +215,6 @@ def test_y_roots_constructed_factors():
 
 def test_y_roots_equals_exhaustive_enumeration():
     rng = random.Random(1)
-    from gsinterp import fast
-    from gsinterp.problem import InterpolationInstance
 
     # (field, n, k, ell, s); in GF(3) with ell = 3 the shift weights
     # C(3, 1) and C(3, 2) vanish mod p
@@ -540,3 +540,74 @@ def test_decode_after_evaluation_points_change():
         assert msg in got
         assert got == decode_list(RSCode(field, 32, 8, code.evalpoints), recv, params)
         code.evalpoints = [(x + 50) % 101 for x in code.evalpoints]
+    # a new x among the first k points, which only the re-encoding reads (L
+    # and c's weights): the kept x-side is rebuilt
+    decode_list(code, _noisy(code, rng, msg, 15), params)
+    kept = code._schedules[params.s]
+    code.evalpoints[2] = next(x for x in range(101) if x not in code.evalpoints)
+    recv = _noisy(code, rng, msg, 15)
+    got = decode_list(code, recv, params)
+    assert msg in got
+    assert got == decode_list(RSCode(field, 32, 8, code.evalpoints), recv, params)
+    assert code._schedules[params.s] is not kept
+
+
+# (p, n, k, tau, error positions): "reencoded" puts errors on every one of the
+# first kappa = min(k, n - 1) positions, or on tau of them when tau < kappa;
+# "random" on any tau positions; "far" is a uniformly random word
+_REFERENCE_CASES = [
+    (13, 12, 3, 5, "random"),
+    (13, 12, 8, 1, "reencoded"),  # rate >= 1/2: L^s is reduced mod the root modulus
+    (13, 12, 12, 0, "none"),  # k = n: kappa = n - 1 leaves one point to solve
+    (13, 12, 3, 5, "far"),
+    (101, 32, 8, 15, "reencoded"),
+    (101, 20, 12, 3, "random"),
+    (101, 20, 12, 3, "reencoded"),
+    (101, 10, 10, 0, "none"),
+    (101, 32, 8, 12, "far"),
+    (65521, 64, 16, 27, "reencoded"),
+    (65521, 64, 16, 30, "random"),
+    (65521, 40, 24, 7, "random"),
+    (BENCH_PRIME, 32, 8, 16, "reencoded"),
+    (BENCH_PRIME, 24, 16, 3, "reencoded"),
+    (BENCH_PRIME, 32, 8, 15, "far"),
+    (BENCH_PRIME, 100, 70, 10, "reencoded"),  # kappa = 70: runs below three tree levels
+]
+
+
+@pytest.mark.parametrize("p, n, k, tau, errors", _REFERENCE_CASES)
+def test_decode_list_matches_full_solve_reference(monkeypatch, p, n, k, tau, errors):
+    # decode_list re-encodes, solves n - kappa points from a start basis and
+    # composes one row; the reference solves all n from {1, y, ..., y^ell}.
+    # Shifting y by c keeps weighted degrees, so the least delta is the same
+    field = PrimeField(p)
+    rng = random.Random(f"{p}:{n}:{k}:{tau}:{errors}")
+    code = RSCode(field, n, k)
+    params = gs_params(code, tau)
+    real_solve, solves = fast.solve, []
+
+    def solve(inst, *args):
+        out = real_solve(inst, *args)
+        solves.append((inst.n, min(out[1])))
+        return out
+
+    monkeypatch.setattr("gsinterp.fast.solve", solve)
+    for _ in range(3):
+        msg = [field.rand(rng) for _ in range(k)]
+        recv = code.encode(msg)
+        if errors == "far":
+            recv = [field.rand(rng) for _ in range(n)]
+        else:
+            head = min(k, n - 1, tau) if errors == "reencoded" else 0
+            positions = list(range(head)) + rng.sample(range(head, n), tau - head)
+            for pos in positions:
+                recv[pos] = (recv[pos] + rand_nonzero(field, rng)) % p
+        want = ref_decode_list(code, recv, params)
+        assert decode_list(code, recv, params) == want
+        full = InterpolationInstance(field, list(zip(code.evalpoints, recv)), [params.s] * n,
+                                     params.ell, params.w)
+        assert solves.pop() == (n - min(k, n - 1), min(real_solve(full)[1]))
+        if errors == "far":
+            assert want == []
+        else:
+            assert msg in want

@@ -8,6 +8,7 @@ from gsinterp.fast import (
     Schedule,
     _ModNode,
     _poly_matmul,
+    compose,
     interpolate_tree,
     solve,
     solve_basis,
@@ -18,9 +19,9 @@ from gsinterp.oracle import MAX_CONSTRAINTS, minimal_solution
 from gsinterp.problem import InterpolationInstance, random_instance
 from gsinterp.unipoly import UniPoly, count_scalar_mults
 from util import (
-    bundled_instances, build_update_matrix, coeff_rows, identity, logged, poly_rows, proportional,
-    poly_mod, poly_pow, rand_bipoly, rand_nonzero, rand_unipoly, reduce_mod, schoolbook_product,
-    standard_basis, x_degree, x_minus,
+    BENCH_PRIME, bundled_instances, build_update_matrix, coeff_rows, golden_instances, identity,
+    logged, poly_rows, proportional, poly_mod, poly_pow, rand_bipoly, rand_nonzero, rand_unipoly,
+    reduce_mod, schoolbook_product, standard_basis, x_degree, x_minus,
 )
 
 F3 = PrimeField(3)
@@ -42,9 +43,11 @@ def tree_args(basis):
 
 
 def tree(points, mults, field, elems, deltas):
-    """interpolate_tree over the root of a fresh Schedule of the points."""
+    """interpolate_tree over the root of a fresh Schedule of the points, its
+    spine composed."""
     node = Schedule(field, points, mults).tree
-    return interpolate_tree([y for _, y in points], node, field, elems, deltas)
+    spine, deltas = interpolate_tree([y for _, y in points], node, field, elems, deltas)
+    return compose(field, spine), deltas
 
 
 def one_point(point, s, basis):
@@ -667,3 +670,68 @@ def test_schedule_refuses_other_points():
     # y's, ell and w are the y-side: the same schedule serves them
     same_x = InterpolationInstance(F101, [(x, F101.rand(rng)) for x in xs], inst.mults, 4, 1)
     assert solve(same_x, schedule) == solve(same_x)
+
+
+# -- one row up the spine, and a start basis -------------------------------------------
+
+
+def test_solve_row_is_solve_basis_minimal_on_golden_instances():
+    # solve composes only the minimal row of the spine; solve_basis composes
+    # them all
+    for inst in golden_instances():
+        q, deltas = solve(inst)
+        basis = solve_basis(inst)
+        assert q == basis.minimal() and deltas == basis.deltas
+
+
+def _reencoded(field, rng, n, kappa, s, ell, w):
+    """A word that is 0 at its first kappa points, as the instance of its
+    other n - kappa points, the instance of all n, and the start basis
+    G_j = L^max(s - j, 0) * y^j of the first kappa points' module, with
+    L = prod (x - x_i) over them, built from schoolbook products."""
+    inst = random_instance(field, rng, n, ell, w, uniform_s=s)
+    points = [(x, 0) for x, _ in inst.points[:kappa]] + inst.points[kappa:]
+    full = InterpolationInstance(field, points, inst.mults, ell, w)
+    rest = InterpolationInstance(field, points[kappa:], inst.mults[kappa:], ell, w)
+    L = UniPoly.one(field)
+    for x, _ in points[:kappa]:
+        L = schoolbook_product(L, x_minus(field, x))
+    G = [[poly_pow(L, max(s - j, 0)).coeffs if l == j else [] for l in range(ell + 1)]
+         for j in range(ell + 1)]
+    deltas = [kappa * max(s - j, 0) + w * j for j in range(ell + 1)]
+    return full, rest, (G, deltas)
+
+
+@pytest.mark.parametrize("field", [F3, F101, PrimeField(BENCH_PRIME)], ids=lambda f: str(f.p))
+def test_start_basis_solves_the_whole_module(field):
+    # kappa > n - kappa makes L^s longer than the root modulus, so G is
+    # reduced on entry; ell < s leaves no y^j unmultiplied
+    rng = random.Random(field.p)
+    for n, kappa, s, ell in [(3, 2, 1, 1), (12, 8, 2, 3), (12, 4, 3, 2), (40, 21, 2, 4),
+                             (7, 6, 3, 5)]:
+        n = min(n, field.p)
+        kappa = min(kappa, n - 1)
+        w = rng.randint(1, 4)
+        full, rest, start = _reencoded(field, rng, n, kappa, s, ell, w)
+        basis = solve_basis(rest, start=start)
+        for e, d in zip(basis.elems, basis.deltas):
+            assert e.weighted_degree(w) == d
+            for (x, y), m in zip(full.points, full.mults):
+                assert e.has_multiplicity(x, y, m)
+        assert min(basis.deltas) == min(solve(full)[1])
+        q, deltas = solve(rest, start=start)
+        assert q == basis.minimal() and deltas == basis.deltas
+
+
+def test_start_basis_of_wrong_shape_refused():
+    rng = random.Random(21)
+    _, rest, (G, deltas) = _reencoded(F101, rng, 10, 4, 2, 3, 2)
+    for bad in [
+        (G[:-1], deltas[:-1]),  # ell elements
+        (G, deltas[:-1]),  # a delta missing
+        (G + [G[0]], deltas + [0]),  # ell + 2 elements
+        ([e[:-1] for e in G], deltas),  # ell rows per element
+    ]:
+        for solver in (solve, solve_basis):
+            with pytest.raises(ValueError, match="start basis"):
+                solver(rest, start=bad)

@@ -14,25 +14,10 @@ import random
 from gsinterp import classic, fast
 from gsinterp.decoder import RSCode, decode_list, gs_params
 from gsinterp.field import PrimeField
-from gsinterp.problem import random_instance
-from util import bundled_instances, logged
+from util import BENCH_PRIME, golden_instances, logged
 
-BENCH_PRIME = 754974721
 GOLDEN_SHA256 = "a7ec0b410af4eff1718f795abe5a6230c61ca9022c2d1fc5ba9ee940c6eb619a"
 GOLDEN_DECODE_SHA256 = "e8e49da9ff9c30b325a212eabf6e2dbd3b8c293e96300976b510a367b68ddb91"
-
-
-def _golden_instances():
-    out = bundled_instances()
-    rng = random.Random(20261018)
-    field = PrimeField(BENCH_PRIME)
-    for k in range(20):
-        n = rng.randint(1, 6) if k % 4 else rng.randint(40, 70)
-        inst = random_instance(
-            field, rng, n, rng.randint(0, 4), rng.randint(1, 4), smin=1, smax=3
-        )
-        out.append(inst)
-    return out
 
 
 def _rows(q):
@@ -51,7 +36,7 @@ def _canonical(inst):
 
 
 def test_golden_digest():
-    dump = repr([_canonical(inst) for inst in _golden_instances()])
+    dump = repr([_canonical(inst) for inst in golden_instances()])
     assert hashlib.sha256(dump.encode()).hexdigest() == GOLDEN_SHA256
 
 

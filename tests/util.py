@@ -5,14 +5,17 @@ import os
 import random
 from math import comb
 
+from gsinterp import fast
 from gsinterp.bipoly import BiPoly
 from gsinterp.classic import TrackedBasis
 from gsinterp.cli import parse_instance_text
+from gsinterp.decoder import hamming, y_roots
 from gsinterp.field import PrimeField
-from gsinterp.problem import InterpolationInstance
+from gsinterp.problem import InterpolationInstance, random_instance
 from gsinterp.unipoly import UniPoly, _divmod_raw, count_scalar_mults
 
 INSTANCE_DIR = os.path.join(os.path.dirname(__file__), "..", "instances")
+BENCH_PRIME = 754974721
 
 
 def bundled_instances() -> list[InterpolationInstance]:
@@ -26,6 +29,38 @@ def bundled_instances() -> list[InterpolationInstance]:
             InterpolationInstance(PrimeField(p), [(x, y) for x, y, _ in points], mults, ell, w)
         )
     return out
+
+
+def golden_instances() -> list[InterpolationInstance]:
+    """The bundled instances and 20 seeded ones over the bench prime, the
+    instances of test_golden's digest."""
+    out = bundled_instances()
+    rng = random.Random(20261018)
+    field = PrimeField(BENCH_PRIME)
+    for k in range(20):
+        n = rng.randint(1, 6) if k % 4 else rng.randint(40, 70)
+        inst = random_instance(
+            field, rng, n, rng.randint(0, 4), rng.randint(1, 4), smin=1, smax=3
+        )
+        out.append(inst)
+    return out
+
+
+def ref_decode_list(code, received, params) -> list[list[int]]:
+    """Independent reference for decoder.decode_list: fast.solve_basis over
+    all n received points from {1, y, ..., y^ell}, on a fresh schedule, with
+    no re-encoding, then y_roots of its minimal element and the distance
+    filter."""
+    field = code.field
+    received = [v % field.p for v in received]
+    inst = InterpolationInstance(field, list(zip(code.evalpoints, received)),
+                                 [params.s] * code.n, params.ell, params.w)
+    out = []
+    for f in y_roots(fast.solve_basis(inst).minimal(), code.k):
+        msg = f.coeffs + [0] * (code.k - len(f.coeffs))
+        if hamming(code.encode(msg), received) <= params.tau:
+            out.append(msg)
+    return sorted(out)
 
 
 # -- UniPoly operations only the tests use, each on the library's list kernels --
