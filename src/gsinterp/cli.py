@@ -15,11 +15,11 @@ longer than problem.WORK_BUDGET, three minutes on the host the estimate was
 fitted on: interpolate as the solver --algorithm names (classic is naive,
 classic-hasse cached), verify and each of bench's --sizes as the naive
 solver, the slowest, and decode as fast once gs_params has picked s and ell
-(decoder.decode_list). Three caps stay beside it: an instance file over
-MAX_FILE_BYTES bytes is refused before it is parsed, gs_params searches
-s <= decoder.S_CAP and ell <= decoder.ELL_CAP, and verify's brute-force
-reference refuses more than oracle.MAX_CONSTRAINTS constraints. bench also
-refuses a size below 1.
+(decoder.decode_list); the same rule ends gs_params' search, with exit 3.
+Two caps stay beside it: an instance file over MAX_FILE_BYTES bytes is
+refused before it is parsed, and verify's brute-force reference refuses
+more than oracle.MAX_CONSTRAINTS constraints. bench also refuses a size
+below 1.
 
 Instance file grammar: '#' starts a comment; the first three non-comment
 lines are 'p=<int>', 'w=<int>', 'ell=<int>'; every following line is a

@@ -4,7 +4,8 @@ Messages are coefficient vectors of polynomials of degree < k; codewords are
 their evaluations at n distinct points. Decoding interpolates a bivariate
 polynomial through the received points with uniform multiplicity, extracts
 its y-roots of degree < k, and keeps the candidates within the target
-Hamming radius.
+Hamming radius. gs_params picks the multiplicity s and list size ell by the
+counting bound with no cap: problem.check_work's budget ends the search.
 
 Re-encoding (Koetter, Ma and Vardy, IEEE Trans. IT 57(2), 2011) lets the
 interpolation solve only n - kappa points, kappa = min(k, n - 1): decode_list
@@ -14,28 +15,25 @@ with multiplicity s at those (x_i, 0) are generated by
 G_j = L^max(s - j, 0) * y^j, L the product of (x - x_i) over them, and
 fast.solve starts from that basis on the other n - kappa points. Shifting y
 by c, of degree < kappa <= w + 1, keeps every weighted degree and maps the
-module onto the one of the received word, so a minimal solution's roots,
-with c added back, contain every message within the radius, and the
-unchanged distance filter gives the same list as a solve over all n points.
+module onto the one of the received word, so a minimal solution's roots f,
+with c added back, contain every message within the radius. f + c differs
+from the word where f is nonzero on the first kappa points and where f
+differs from the re-encoded word on the others, so the distance filter
+gives the same list as a solve over all n points.
 
 The x-side of the interpolation depends only on the evaluation points, k and
-the multiplicity s, never on the received word. A _Reencoding holds it: the
-fast.Schedule of the other n - kappa points (the modulus tree with its
-Newton inverses, each leaf run's shift plans and Taylor vectors in x), the
-powers L^m for m <= s, and c's x-side: the modulus tree of the first kappa
-points at multiplicity 1, whose root modulus is L, and their weights
-1 / L'(x_i). None is kappa x kappa or (n - kappa) x kappa: the trees hold
-O(s n log n) coefficients and the powers kappa * s * (s + 1) / 2.
-decode_list keeps one per s in a private slot of the RSCode, so a decoder
-builds the x-side once per code and s (a run's part on the second word, see
-classic.Run), however many words it decodes; one whose points or k no
-longer fit is rebuilt. Per word, c is a weighted sum of L / (x - x_i),
-combined up the first tree from its runs, and its values at the other
-points come down the schedule's tree by remainders, Horner's rule taking
-over at the runs. So the work per word grows as the tree products plus
-n * min(kappa, s * classic.LEAF_MAX), not as kappa * n: at RS [1024, 768],
-tau = 120 (s = 1), power sums and Horner's rule over all points made a
-decode 1.17x slower than a solve over all n points.
+s, never on the received word. A _Reencoding holds it: the fast.Schedule of
+the other n - kappa points, the powers L^m for m <= s, and c's x-side: the
+modulus tree of the first kappa points at multiplicity 1, whose root modulus
+is L, and their weights 1 / L'(x_i). None is kappa x kappa or
+(n - kappa) x kappa. decode_list keeps one per s in a private slot of the
+RSCode, so a decoder builds the x-side once per code and s however many
+words it decodes, and rebuilds one whose points or k no longer fit. Per
+word, c is a weighted sum of L / (x - x_i), combined up the first tree from
+its runs. Its values at the other points, and each root's values at all n,
+come down the trees by remainders, Horner's rule taking over at the runs.
+So the work per word grows as the tree products plus
+n * min(kappa, s * classic.LEAF_MAX), not as kappa * n.
 
 Root extraction (y_roots) is Roth-Ruckenstein branching on trimmed
 coefficient lists from the interpolated rows down to the candidates. Slice
@@ -48,7 +46,9 @@ candidate goes through BiPoly and UniPoly.
 
 from __future__ import annotations
 
+import itertools
 import random
+from bisect import bisect_left
 from typing import NamedTuple
 
 from . import fast
@@ -61,13 +61,9 @@ from .unipoly import UniPoly, _add_raw, _divmod_raw, _mul_kron, _pack, _slot_wid
 # so the global RNG is untouched and a decode repeats its work exactly
 _SPLIT_SEED = 0x5EED
 
-# gs_params searches multiplicities s <= S_CAP and list sizes ell <= ELL_CAP
-S_CAP = 8
-ELL_CAP = 32
-
 
 class InfeasibleParameters(ValueError):
-    """No (s, ell) within caps satisfies the counting inequality."""
+    """No (s, ell) passes the counting bound (from gs_params: within the work budget)."""
 
 
 class RSCode:
@@ -76,10 +72,7 @@ class RSCode:
     def __init__(self, field: PrimeField, n: int, k: int, evalpoints=None):
         if not 1 <= k <= n <= field.p:
             raise ValueError("need 1 <= k <= n <= p")
-        if evalpoints is None:
-            evalpoints = [i % field.p for i in range(1, n + 1)]
-        else:
-            evalpoints = [a % field.p for a in evalpoints]
+        evalpoints = [a % field.p for a in (range(1, n + 1) if evalpoints is None else evalpoints)]
         if len(evalpoints) != n or len(set(evalpoints)) != n:
             raise ValueError("need n pairwise distinct evaluation points")
         self.field = field
@@ -104,28 +97,40 @@ class GSParams(NamedTuple):
 
 
 def monomial_budget(n: int, w: int, s: int, ell: int, tau: int) -> tuple[int, int]:
-    """(number of monomials below the decoding degree bound, number of
-    interpolation constraints). Feasible means the first exceeds the second."""
-    lhs = sum(max(0, s * (n - tau) - j * w) for j in range(ell + 1))
-    rhs = n * s * (s + 1) // 2
-    return lhs, rhs
-
-
-def is_feasible(n: int, w: int, s: int, ell: int, tau: int) -> bool:
-    lhs, rhs = monomial_budget(n, w, s, ell, tau)
-    return lhs > rhs
+    """(monomials below the decoding degree bound, interpolation constraints);
+    feasible means the first exceeds the second. The first sums the m + 1
+    positive terms of max(0, D - j*w), j <= ell, in closed form: D = s(n - tau),
+    m = min(ell, (D - 1) // w), w >= 1."""
+    d = s * (n - tau)
+    m = min(ell, (d - 1) // w)
+    lhs = (m + 1) * d - w * m * (m + 1) // 2 if d > 0 else 0
+    return lhs, n * s * (s + 1) // 2
 
 
 def gs_params(code: RSCode, tau: int) -> GSParams:
-    """Smallest multiplicity, then smallest list size, passing the counting
-    bound; refused as _check_params refuses it, InfeasibleParameters when no
-    pair within the caps passes."""
-    w = code.k - 1
-    pairs = ((s, ell) for s in range(1, S_CAP + 1) for ell in range(1, ELL_CAP + 1))
-    s, ell = next((q for q in pairs if is_feasible(code.n, w, *q, tau)), (S_CAP, ELL_CAP))
-    params = GSParams(s=s, ell=ell, tau=tau, w=w)
-    _check_params(code, params)
-    return params
+    """Smallest s = 1, 2, ..., then smallest ell, passing the counting bound,
+    once _check_params' refusals of k < 2 and tau outside [0, n) are passed.
+    The count stops growing past ell = m (monomial_budget): its value at
+    max(1, m) says whether any ell passes, and bisection finds the least.
+    When none does and the decode at s + 1 is over the work budget even at
+    ell = 1 (_check_work), the search ends with InfeasibleParameters."""
+    n, w = code.n, code.k - 1
+    if w < 1 or not 0 <= tau < n:
+        _check_params(code, GSParams(s=1, ell=1, tau=tau, w=w))
+    for s in itertools.count(1):
+        top = max(1, (s * (n - tau) - 1) // w)
+        lhs, rhs = monomial_budget(n, w, s, top, tau)
+        if lhs > rhs:
+            ell = 1 + bisect_left(range(1, top + 1), True,
+                                  key=lambda e: monomial_budget(n, w, s, e, tau)[0] > rhs)
+            return GSParams(s=s, ell=ell, tau=tau, w=w)
+        try:
+            _check_work(code, s + 1, 1)
+        except ValueError as exc:
+            raise InfeasibleParameters(
+                f"tau={tau} infeasible for [n={n}, k={code.k}] at s={s}, ell={top}: "
+                f"monomial count {lhs} must exceed constraint count {rhs}; at s={s + 1}, {exc}"
+            ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +254,8 @@ def y_roots(q: BiPoly, k: int) -> list[UniPoly]:
                 work.append(([_trim(r[:keep]) for r in _shift_root(rows, gamma, p)], nxt))
             else:
                 work.append((_shift_root(rows, gamma, p), nxt))
-    out = []
-    for coeffs in sorted(candidates):
-        f = UniPoly(field, list(coeffs))
-        if q.eval_y(f).is_zero():
-            out.append(f)
-    return out
+    roots = (UniPoly(field, list(coeffs)) for coeffs in sorted(candidates))
+    return [f for f in roots if q.eval_y(f).is_zero()]
 
 
 # ---------------------------------------------------------------------------
@@ -268,24 +269,30 @@ def hamming(a, b) -> int:
 
 def _check_params(code: RSCode, params: GSParams) -> None:
     """Raise ValueError unless decoding with params can find every message
-    within tau: k >= 2 and w = k - 1, s and ell within the caps gs_params
-    searches, 0 <= tau < n, and the counting bound (InfeasibleParameters)."""
+    within tau: k >= 2 and w = k - 1, s >= 1 and ell >= 1, 0 <= tau < n, and
+    the counting bound (InfeasibleParameters)."""
     n, k = code.n, code.k
     s, ell, tau, w = params.s, params.ell, params.tau, params.w
     if k < 2:
         raise ValueError("list decoding here needs k >= 2 (weight w = k-1 must be positive)")
     if w != k - 1:
         raise ValueError(f"weight w={w} must be k - 1 = {k - 1}")
-    if not (1 <= s <= S_CAP and 1 <= ell <= ELL_CAP):
-        raise ValueError(f"need 1 <= s <= {S_CAP} and 1 <= ell <= {ELL_CAP}, got s={s}, ell={ell}")
+    if s < 1 or ell < 1:
+        raise ValueError(f"need s >= 1 and ell >= 1, got s={s}, ell={ell}")
     if not 0 <= tau < n:
         raise ValueError(f"error target must satisfy 0 <= tau < n={n}, got {tau}")
-    if not is_feasible(n, w, s, ell, tau):
-        lhs, rhs = monomial_budget(n, w, s, ell, tau)
+    lhs, rhs = monomial_budget(n, w, s, ell, tau)
+    if lhs <= rhs:
         raise InfeasibleParameters(
             f"tau={tau} infeasible for [n={n}, k={k}] at s={s}, ell={ell}: "
             f"monomial count {lhs} must exceed constraint count {rhs}"
         )
+
+
+def _check_work(code: RSCode, s: int, ell: int) -> None:
+    """problem.check_work on decode_list's fast.solve of n - kappa points at (s, ell)."""
+    rest = code.n - min(code.k, code.n - 1)
+    check_work(rest, rest * (s * (s + 1) // 2), ell, "fast")
 
 
 class _Reencoding:
@@ -294,7 +301,7 @@ class _Reencoding:
     after the first kappa, the modulus tree of the first kappa (multiplicity
     1, so its root modulus is L), lpows[m] = L^m for m <= s, and the weights
     1 / L'(x_i) of the first kappa points. Kept with a copy of the
-    evaluation points and k, for fits."""
+    evaluation points and k, to tell when it no longer fits the code."""
 
     __slots__ = ("xs", "k", "kappa", "schedule", "tree", "lpows", "weights")
 
@@ -312,10 +319,6 @@ class _Reencoding:
             self.lpows.append(_mul_kron(self.lpows[-1], L, p))
         dL = [i * c % p for i, c in enumerate(L)][1:]
         self.weights = [field.inv(v) for v in _values(self.tree, dL, field)]
-
-    def fits(self, code: RSCode) -> bool:
-        """True iff built for the code's evaluation points and k."""
-        return code.k == self.k and code.evalpoints == self.xs
 
     def word(self, received: list[int], field: PrimeField) -> tuple[list[int], list[int]]:
         """c, the polynomial of degree < kappa through the received values at
@@ -354,36 +357,32 @@ def _values(node, f: list[int], field: PrimeField) -> list[int]:
     f = node.reduce(f, field)
     if node.run is None:
         return _values(node.left, f, field) + _values(node.right, f, field)
-    p, vals = field.p, [0] * len(node.run.xs)
-    for c in reversed(f):
-        vals = [(v * x + c) % p for v, x in zip(vals, node.run.xs)]
-    return vals
+    g = UniPoly(field, f, normalized=True)
+    return [g.eval(x) for x in node.run.xs]
 
 
 def decode_list(code: RSCode, received, params: GSParams) -> list[list[int]]:
     """All messages whose codewords lie within Hamming distance tau of the
     received word; parameters that cannot guarantee that are refused
-    (_check_params), and so is an interpolation over problem.check_work's
-    budget, weighed as a solve over all n points, before any schedule is
-    built. The word is re-encoded on its first kappa points, the
-    interpolation of the other n - kappa starts from the re-encoded basis
-    on the code's x-side for s, and c is added back to every root before
-    the distance filter (see the module docstring)."""
+    (_check_params), and so is a decode over problem.check_work's budget
+    (_check_work), before any schedule is built. The word is re-encoded on
+    its first kappa points, the other n - kappa are solved from the
+    re-encoded basis on the code's x-side for s, and each root f within tau,
+    by its values down the two trees, is kept with c added back."""
     field, p = code.field, code.field.p
     received = [v % p for v in received]
     if len(received) != code.n:
         raise ValueError(f"received word must have length n={code.n}")
     _check_params(code, params)
     s, ell, w = params.s, params.ell, params.w
-    check_work(code.n, code.n * (s * (s + 1) // 2), ell, "fast")
+    _check_work(code, s, ell)
     xside = code._schedules.get(s)
-    if xside is None or not xside.fits(code):
+    if xside is None or xside.k != code.k or xside.xs != code.evalpoints:
         xside = code._schedules[s] = _Reencoding(code, s)
     kappa = xside.kappa
     c, rest = xside.word(received, field)
-    inst = InterpolationInstance(
-        field, list(zip(code.evalpoints[kappa:], rest)), [s] * len(rest), ell, w,
-    )
+    inst = InterpolationInstance(field, list(zip(code.evalpoints[kappa:], rest)), [s] * len(rest),
+                                 ell, w)
     start = (
         [[xside.lpows[max(s - j, 0)] if l == j else [] for l in range(ell + 1)]
          for j in range(ell + 1)],
@@ -392,8 +391,8 @@ def decode_list(code: RSCode, received, params: GSParams) -> list[list[int]]:
     q, _ = fast.solve(inst, xside.schedule, start)
     out = []
     for f in y_roots(q, code.k):
-        msg = _add_raw(f.coeffs, c, p)
-        msg += [0] * (code.k - len(msg))
-        if hamming(code.encode(msg), received) <= params.tau:
-            out.append(msg)
+        errors = sum(map(bool, _values(xside.tree, f.coeffs, field)))
+        if errors + hamming(_values(xside.schedule.tree, f.coeffs, field), rest) <= params.tau:
+            msg = _add_raw(f.coeffs, c, p)
+            out.append(msg + [0] * (code.k - len(msg)))
     return sorted(out)

@@ -314,24 +314,79 @@ def test_fast_points_above_cap_refused(tmp_path, capsys, no_solvers):
         main(["interpolate", "--algorithm", "fast", path])
 
 
+def _decode_args(n, k, tau, word=None):
+    word = ["1"] * n if word is None else word
+    return ["decode", "--modulus", "754974721", "--n", str(n), "--k", str(k), "--tau", str(tau),
+            "--received", ",".join(map(str, word))]
+
+
+def _gs_params(n, k, tau):
+    from gsinterp.decoder import RSCode, gs_params
+
+    return gs_params(RSCode(PrimeField(754974721), n, k), tau)
+
+
 def test_decode_length_above_cap_refused(capsys, monkeypatch):
-    # decode weighs the decoder's interpolation as fast once gs_params has
-    # picked s and ell, before the code's schedule is built: RS [16384, 4096]
-    # at tau = 7952 (s = 8, ell = 16) is refused, RS [1024, 256] at
-    # tau = 497 goes on to it
+    # decode weighs the decoder's interpolation of n - kappa points as fast
+    # once gs_params has picked s and ell, before the code's schedule is
+    # built: RS [255, 64] at tau = 127 (s = 26, ell = 51) is refused,
+    # RS [1024, 256] at tau = 497 goes on to it. RS [16384, 4096] at
+    # tau = 7952 first passes the counting bound at s = 8, but the rule
+    # refuses its decode from s = 4 on, which ends the search: exit 3
     def built(*args, **kwargs):
         raise AssertionError("an over-budget code reached fast.Schedule")
 
     monkeypatch.setattr("gsinterp.fast.Schedule", built)
-    def args(n, k, tau):
-        return ["decode", "--modulus", "754974721", "--n", str(n), "--k", str(k),
-                "--tau", str(tau), "--received", ",".join(["1"] * n)]
-
-    assert main(args(16384, 4096, 7952)) == 2
+    assert main(_decode_args(255, 64, 127)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and BUDGET in err
+    assert main(_decode_args(16384, 4096, 7952)) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "infeasible" in err and BUDGET in err
     with pytest.raises(AssertionError, match="reached fast.Schedule"):
-        main(args(1024, 256, 497))
+        main(_decode_args(1024, 256, 497))
+
+
+@pytest.mark.parametrize("tau, admitted", [
+    (120, (4, 7)), (124, (8, 15)), (125, (10, 19)), (126, (14, 28)),
+    (127, 2), (128, 3), (129, 3), (140, 3), (254, 3),
+])
+def test_decode_refusal_map_rs_255_64(capsys, monkeypatch, tau, admitted):
+    # the radius n - sqrt(n(k - 1)) is 128.2; gs_params' s and ell reach the
+    # schedule through tau = 126. At tau = 127 a pair exists (s = 26,
+    # ell = 51) but is over the work budget: exit 2. From tau = 128 no s
+    # passes below s = 31, the first the rule refuses even at ell = 1: exit 3
+    def built(*args, **kwargs):
+        raise AssertionError("reached fast.Schedule")
+
+    monkeypatch.setattr("gsinterp.fast.Schedule", built)
+    if isinstance(admitted, tuple):
+        with pytest.raises(AssertionError, match="reached fast.Schedule"):
+            main(_decode_args(255, 64, tau))
+        assert _gs_params(255, 64, tau)[:2] == admitted
+    else:
+        assert main(_decode_args(255, 64, tau)) == admitted
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and BUDGET in err
+
+
+def test_decode_past_the_grid_exits_zero(capsys):
+    # RS [30, 25] over GF(101) at tau = 3 needs s = 9, past the 8 x 32 grid
+    # gs_params once searched, which made it exit 3
+    from gsinterp.decoder import RSCode
+
+    field = PrimeField(101)
+    rng = random.Random(3)
+    msg = [field.rand(rng) for _ in range(25)]
+    word = RSCode(field, 30, 25).encode(msg)
+    for pos in rng.sample(range(30), 3):
+        word[pos] = (word[pos] + rand_nonzero(field, rng)) % field.p
+    rc = main(["decode", "--modulus", "101", "--n", "30", "--k", "25", "--tau", "3",
+               "--received", ",".join(map(str, word))])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "params: s=9 ell=10 tau=3" in out
+    assert "message: " + ",".join(map(str, msg)) in out
 
 
 def test_decode_word_of_wrong_length_refused(capsys, monkeypatch):
@@ -347,10 +402,10 @@ def test_decode_word_of_wrong_length_refused(capsys, monkeypatch):
 
 
 def test_input_caps_admit_bundled_instances_and_decoder_search():
-    from gsinterp.decoder import ELL_CAP, S_CAP
-
-    # the largest s and ell gs_params may pick are admitted for RS [255, 64]
-    check_work(255, 255 * S_CAP * (S_CAP + 1) // 2, ELL_CAP, "fast")
+    # the largest s and ell gs_params picks for RS [255, 64] in the budget,
+    # at tau = 126, are admitted on the 255 - 64 points decode_list solves
+    assert _gs_params(255, 64, 126)[:2] == (14, 28)
+    check_work(191, 191 * 14 * 15 // 2, 28, "fast")
     for path, inst in zip(INSTANCES, bundled_instances()):
         assert os.path.getsize(path) <= MAX_FILE_BYTES
         for solver in ("naive", "cached", "fast"):

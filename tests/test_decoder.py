@@ -1,20 +1,18 @@
 import itertools
 import random
 import signal
+import time
 
 import pytest
 
 from gsinterp.bipoly import BiPoly
 from gsinterp.decoder import (
-    ELL_CAP,
-    S_CAP,
     GSParams,
     InfeasibleParameters,
     RSCode,
     decode_list,
     gs_params,
     hamming,
-    is_feasible,
     monomial_budget,
     _poly_roots,
     _shift_root,
@@ -26,8 +24,8 @@ from gsinterp.problem import InterpolationInstance
 from gsinterp.unipoly import UniPoly
 
 from util import (
-    BENCH_PRIME, monomial, poly_pow, rand_bipoly, rand_nonzero, ref_decode_list, ref_shift,
-    ref_y_roots, scale, scan_roots, strip_x, x_minus,
+    BENCH_PRIME, grid_gs_params, monomial, poly_pow, rand_bipoly, rand_nonzero, ref_decode_list,
+    ref_shift, ref_y_roots, scale, scan_roots, strip_x, x_minus,
 )
 
 F13 = PrimeField(13)
@@ -60,7 +58,13 @@ def lagrange_poly(field, xs, ys):
 def test_stated_inequality_for_radius_five():
     # [12,3], tau=5: 56 monomials against 36 constraints at (s=2, ell=6)
     assert monomial_budget(12, 2, 2, 6, 5) == (56, 36)
-    assert is_feasible(12, 2, 2, 6, 5)
+
+
+def test_monomial_budget_closed_form_equals_direct_sum():
+    for n, w, s, ell in itertools.product(range(1, 9), range(1, 7), range(1, 6), range(8)):
+        for tau in range(-1, n + 2):
+            direct = sum(max(0, s * (n - tau) - j * w) for j in range(ell + 1))
+            assert monomial_budget(n, w, s, ell, tau) == (direct, n * s * (s + 1) // 2)
 
 
 def test_gs_params_minimal_pair():
@@ -69,7 +73,8 @@ def test_gs_params_minimal_pair():
     assert (params.s, params.ell) == (1, 2)  # smallest s, then smallest ell
     assert params.w == 2
     # no smaller pair works
-    assert not is_feasible(12, 2, 1, 1, 5)
+    lhs, rhs = monomial_budget(12, 2, 1, 1, 5)
+    assert lhs <= rhs
 
 
 def test_gs_params_zero_errors():
@@ -87,6 +92,31 @@ def test_gs_params_infeasible():
         gs_params(code, 12)
     with pytest.raises(ValueError):
         gs_params(RSCode(F13, 12, 1), 2)
+
+
+def test_gs_params_matches_grid_search_where_it_accepts():
+    # the search has no caps on s and ell; wherever the 8 x 32 grid it
+    # replaced finds a pair, it finds the same one
+    field = PrimeField(41)
+    for n in range(1, 41):
+        for k in range(2, n + 1):
+            code = RSCode(field, n, k)
+            for tau in range(n):
+                want = grid_gs_params(n, k, tau)
+                if want is not None:
+                    params = gs_params(code, tau)
+                    assert (params.s, params.ell, params.tau, params.w) == (*want, tau, k - 1)
+
+
+def test_gs_params_answers_at_once_at_n_16384():
+    # past the radius the search runs until the work rule refuses the next s
+    field = PrimeField(BENCH_PRIME)
+    for k, tau in [(2, 16254), (2, 16383), (4096, 8194), (4096, 16383)]:
+        code = RSCode(field, 16384, k)
+        t0 = time.process_time()
+        with pytest.raises(InfeasibleParameters, match="budget"):
+            gs_params(code, tau)
+        assert time.process_time() - t0 < 1.0
 
 
 # -- encoding -----------------------------------------------------------------------
@@ -442,23 +472,26 @@ def test_decode_long_message_over_bench_prime():
     GSParams(s=2, ell=6, tau=5, w=5),
     GSParams(s=1, ell=1, tau=5, w=2),  # fails the counting bound
     GSParams(s=0, ell=6, tau=5, w=2),
-    GSParams(s=S_CAP + 1, ell=6, tau=5, w=2),
+    GSParams(s=10**50, ell=6, tau=5, w=2),  # fails the counting bound
     GSParams(s=2, ell=0, tau=5, w=2),
-    GSParams(s=2, ell=ELL_CAP + 1, tau=5, w=2),
+    GSParams(s=2, ell=10**50, tau=5, w=2),  # over the work budget
     GSParams(s=2, ell=6, tau=-1, w=2),
     GSParams(s=2, ell=6, tau=12, w=2),
 ])
 def test_decode_refuses_parameters_that_cannot_work(monkeypatch, params):
     # each used to return a list, mostly without the sent message, and no
-    # error; now it is refused before any interpolation, and nothing is cached
+    # error; now it is refused before any interpolation, and nothing is cached.
+    # s or ell = 10**50 is answered at once: the bound is in closed form
     code = RSCode(F13, 12, 3)
 
     def reached(*args, **kwargs):
         raise AssertionError("interpolation reached")
 
     monkeypatch.setattr("gsinterp.fast.solve", reached)
+    t0 = time.process_time()
     with pytest.raises(ValueError):
         decode_list(code, code.encode([1, 2, 3]), params)
+    assert time.process_time() - t0 < 1.0
     assert code._schedules == {}
 
 
@@ -475,28 +508,61 @@ def test_decode_refuses_k_below_two_like_gs_params(monkeypatch):
 
 
 def test_decode_list_refuses_work_over_budget(monkeypatch):
-    # RS [16384, 4096] at tau = 7952 is feasible at s = 8, ell = 16, but its
-    # interpolation is over problem.check_work's budget: refused before the
-    # schedule is built; RS [1024, 256] at tau = 497 goes on to it
+    # RS [16384, 4096] at tau = 7952 passes the counting bound first at s = 8,
+    # ell = 16, but the work rule refuses its decode from s = 4 on, so the
+    # search ends there. RS [255, 64] at tau = 127 passes at s = 26, ell = 51,
+    # whose interpolation is over problem.check_work's budget: refused before
+    # the schedule is built. RS [1024, 256] at tau = 497 goes on to it
     def built(*args, **kwargs):
         raise AssertionError("schedule built")
 
     monkeypatch.setattr("gsinterp.fast.Schedule", built)
     field = PrimeField(754974721)
     code = RSCode(field, 16384, 4096)
+    with pytest.raises(InfeasibleParameters, match="at s=3.*at s=4, fast solve.*budget"):
+        gs_params(code, 7952)
     with pytest.raises(ValueError, match="budget"):
-        decode_list(code, [0] * 16384, gs_params(code, 7952))
+        decode_list(code, [0] * 16384, GSParams(s=8, ell=16, tau=7952, w=4095))
+    assert code._schedules == {}
+    code = RSCode(field, 255, 64)
+    params = gs_params(code, 127)
+    assert (params.s, params.ell) == (26, 51)
+    with pytest.raises(ValueError, match="budget"):
+        decode_list(code, [0] * 255, params)
     assert code._schedules == {}
     code = RSCode(field, 1024, 256)
     with pytest.raises(AssertionError, match="schedule built"):
         decode_list(code, [0] * 1024, gs_params(code, 497))
 
 
+def test_decode_past_the_grid_rs_30_25():
+    # RS [30, 25] over GF(101) at tau = 3 first passes the counting bound at
+    # s = 9, past the 8 x 32 grid gs_params once searched
+    field = PrimeField(101)
+    rng = random.Random(30)
+    code = RSCode(field, 30, 25)
+    params = gs_params(code, 3)
+    assert (params.s, params.ell) == (9, 10)
+    assert grid_gs_params(30, 25, 3) is None
+    for _ in range(2):
+        msg = [field.rand(rng) for _ in range(25)]
+        recv = _noisy(code, rng, msg, 3)
+        got = decode_list(code, recv, params)
+        assert msg in got
+        assert got == ref_decode_list(code, recv, params)
+
+
 def _params(code, s, tau):
-    """The smallest feasible list size for multiplicity s at radius tau."""
+    """The smallest feasible list size for multiplicity s at radius tau: the
+    count stops growing past ell = s(n - tau) / w."""
     w = code.k - 1
-    ell = next(e for e in range(1, ELL_CAP + 1) if is_feasible(code.n, w, s, e, tau))
+    ell = next(e for e in range(1, s * code.n + 1) if _passes(code.n, w, s, e, tau))
     return GSParams(s=s, ell=ell, tau=tau, w=w)
+
+
+def _passes(n, w, s, ell, tau):
+    lhs, rhs = monomial_budget(n, w, s, ell, tau)
+    return lhs > rhs
 
 
 def _noisy(code, rng, msg, tau):

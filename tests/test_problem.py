@@ -4,7 +4,7 @@ import sys
 import pytest
 
 from gsinterp.bench import BENCH_PRIME
-from gsinterp.decoder import RSCode, gs_params
+from gsinterp.decoder import InfeasibleParameters, RSCode, gs_params
 from gsinterp.field import PrimeField
 from gsinterp.problem import WORK_BUDGET, InterpolationInstance, check_work, random_instance
 from util import bundled_instances
@@ -79,9 +79,10 @@ def _uniform(n, s, ell):
 
 
 def _decoder(p, n, k, tau):
-    """The shape decode_list interpolates for RS [n, k] at radius tau."""
+    """The shape decode_list interpolates for RS [n, k] at radius tau: the
+    n - kappa points after the re-encoded kappa = min(k, n - 1)."""
     params = gs_params(RSCode(PrimeField(p), n, k), tau)
-    return _uniform(n, params.s, params.ell)
+    return _uniform(n - min(k, n - 1), params.s, params.ell)
 
 
 def _bundled():
@@ -97,11 +98,17 @@ TABLE = [
     ("decode", lambda: [_decoder(65521, 64, 16, tau) for tau in range(25, 31)], ("fast",), True),
     ("time_passes", lambda: [_uniform(n, 2, 2) for n in (64, 128, 256, 512)], ALL_SOLVERS, True),
     ("acceptance", lambda: [_uniform(10, 3, 4), _uniform(12, 2, 6)], ALL_SOLVERS, True),
-    ("rs255", lambda: [_decoder(BENCH_PRIME, 255, 64, tau) for tau in (121, 124)], ("fast",), True),
-    ("rs1024", lambda: [_decoder(BENCH_PRIME, 1024, 256, 497)], ("fast",), True),
+    ("rs255", lambda: [_decoder(BENCH_PRIME, 255, 64, tau) for tau in (121, 124, 125, 126)],
+     ("fast",), True),
+    ("rs1024", lambda: [_decoder(BENCH_PRIME, 1024, 256, tau) for tau in (497, 499)], ("fast",),
+     True),
+    ("rs255_tau127", lambda: [_decoder(BENCH_PRIME, 255, 64, 127)], ("fast",), False),
+    ("rs1024_tau500", lambda: [_decoder(BENCH_PRIME, 1024, 256, 500)], ("fast",), False),
     ("n16384", lambda: [_uniform(16384, 1, 2)], ("fast",), True),
     ("n256_s64_ell256", lambda: [_uniform(256, 64, 256)], ("fast",), False),
-    ("rs16384", lambda: [_decoder(BENCH_PRIME, 16384, 4096, 7952)], ("fast",), False),
+    # RS [16384, 4096] at tau = 7952: the decode at s = 4, ell = 1 that ends
+    # gs_params' search, and the s = 8, ell = 16 the counting bound first admits
+    ("rs16384", lambda: [_uniform(12288, 4, 1), _uniform(12288, 8, 16)], ("fast",), False),
     ("ell_1e7", lambda: [_uniform(1, 1, 10**7)], ALL_SOLVERS, False),
     ("s_1e1000", lambda: [_uniform(1, 10**1000, 1)], ALL_SOLVERS, False),
 ]
@@ -121,7 +128,11 @@ def test_check_work_table(shapes, solvers, admitted):
 
 
 def test_check_work_table_decoder_shapes():
-    # gs_params picks s = 8 at each table radius, the largest s it searches
-    assert _decoder(BENCH_PRIME, 255, 64, 124) == _uniform(255, 8, 15)
-    assert _decoder(BENCH_PRIME, 1024, 256, 497) == _uniform(1024, 8, 16)
-    assert _decoder(BENCH_PRIME, 16384, 4096, 7952) == _uniform(16384, 8, 16)
+    assert _decoder(BENCH_PRIME, 255, 64, 124) == _uniform(191, 8, 15)
+    assert _decoder(BENCH_PRIME, 255, 64, 126) == _uniform(191, 14, 28)
+    assert _decoder(BENCH_PRIME, 255, 64, 127) == _uniform(191, 26, 51)
+    assert _decoder(BENCH_PRIME, 1024, 256, 497) == _uniform(768, 8, 16)
+    assert _decoder(BENCH_PRIME, 1024, 256, 499) == _uniform(768, 9, 18)
+    assert _decoder(BENCH_PRIME, 1024, 256, 500) == _uniform(768, 10, 19)
+    with pytest.raises(InfeasibleParameters, match="at s=3, ell=6:.*at s=4, fast solve"):
+        _decoder(BENCH_PRIME, 16384, 4096, 7952)

@@ -63,6 +63,23 @@ def ref_decode_list(code, received, params) -> list[list[int]]:
     return sorted(out)
 
 
+def grid_gs_params(n: int, k: int, tau: int):
+    """Reference for decoder.gs_params where a small grid suffices: the least
+    s <= 8, then the least 1 <= ell <= 32, whose monomial count, the direct
+    sum of max(0, s(n - tau) - j(k - 1)) over 0 <= j <= ell, exceeds the
+    constraint count n s(s + 1) / 2; None when no pair on the grid passes."""
+    w = k - 1
+    for s in range(1, 9):
+        d, rhs, lhs = s * (n - tau), n * s * (s + 1) // 2, 0
+        for ell in range(33):
+            lhs += max(0, d - ell * w)
+            if ell and lhs > rhs:
+                return s, ell
+            if d - ell * w <= 0:  # no later term adds to the count
+                break
+    return None
+
+
 # -- UniPoly operations only the tests use, each on the library's list kernels --
 
 
