@@ -39,9 +39,9 @@ Root extraction (y_roots) is Roth-Ruckenstein branching on trimmed
 coefficient lists from the interpolated rows down to the candidates. Slice
 roots come from _poly_roots: one inversion for a linear slice, a gcd with
 x^p - x and Cantor-Zassenhaus splitting otherwise. Each level's substitution
-y -> x*y + gamma packs the rows once. Below a simple root a branch keeps only
-as many x-coefficients as it has levels left. Only the exact check of each
-candidate goes through BiPoly and UniPoly.
+y -> x*y + gamma packs the rows once. Below a simple root the branch is one
+power series, lifted by Newton iteration (_lift) rather than walked. Only the
+exact check of each candidate goes through BiPoly and UniPoly.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from . import fast
 from .bipoly import BiPoly, taylor_vectors
 from .field import PrimeField
 from .problem import InterpolationInstance, check_work
-from .unipoly import UniPoly, _add_raw, _divmod_raw, _mul_kron, _pack, _slot_width, _trim, _unpack
+from .unipoly import UniPoly, _add_raw, _divmod_raw, _mul_kron, _pack, _series_inv, _slot_width, _trim, _unpack
 
 # root splitting draws its shifts from a generator of its own with this seed,
 # so the global RNG is untouched and a decode repeats its work exactly
@@ -146,14 +146,17 @@ def _gcd(a: list[int], b: list[int], field: PrimeField) -> list[int]:
     return [v * c % p for v in a]
 
 
-def _pow_mod(base: list[int], e: int, m: list[int], field: PrimeField) -> list[int]:
-    """base^e mod m by left-to-right square-and-multiply."""
-    base = _divmod_raw(base, m, field)[1]
-    out = _divmod_raw([1], m, field)[1]
+def _pow_mod(delta: int, e: int, m: list[int], field: PrimeField) -> list[int]:
+    """(x + delta)^e mod m, deg m >= 1, by left-to-right square-and-multiply.
+    At a set bit the square is multiplied by x + delta, a shift plus a
+    scaled add, before its one reduction mod m."""
+    p = field.p
+    out = [1]
     for bit in bin(e)[2:]:
-        out = _divmod_raw(_mul_kron(out, out, field.p), m, field)[1]
+        out = _mul_kron(out, out, p)
         if bit == "1":
-            out = _divmod_raw(_mul_kron(out, base, field.p), m, field)[1]
+            out = _trim(_add_raw([0] + out, [delta * c % p for c in out], p))
+        out = _divmod_raw(out, m, field)[1]
     return out
 
 
@@ -164,7 +167,7 @@ def _split_linear(h: list[int], field: PrimeField, rng: random.Random, out: list
     is a nonzero square, about half of them."""
     p = field.p
     while len(h) > 2:
-        shifted = _pow_mod([rng.randrange(p), 1], (p - 1) // 2, h, field)
+        shifted = _pow_mod(rng.randrange(p), (p - 1) // 2, h, field)
         d = _gcd(h, _trim(_add_raw(shifted, [p - 1], p)), field)
         if 2 <= len(d) < len(h):
             _split_linear(d, field, rng, out)
@@ -175,9 +178,8 @@ def _split_linear(h: list[int], field: PrimeField, rng: random.Random, out: list
 
 def _poly_roots(f: list[int], field: PrimeField) -> list[int]:
     """Sorted distinct roots in GF(p) of f, a nonzero trimmed coefficient
-    list. A linear f = c0 + c1*x has the one root -c0/c1, for one inversion;
-    every slice below a simple root is linear (see y_roots), so most calls
-    end there. Otherwise g = gcd(f, x^p - x) is the product of the distinct
+    list. A linear f = c0 + c1*x has the one root -c0/c1, for one
+    inversion. Otherwise g = gcd(f, x^p - x) is the product of the distinct
     linear factors of f, and Cantor-Zassenhaus splitting breaks g into them:
     expected O(d^2 log d log p) field operations for d = deg f."""
     if not f:
@@ -187,7 +189,7 @@ def _poly_roots(f: list[int], field: PrimeField) -> list[int]:
         return [-f[0] * field.inv(f[1]) % p] if len(f) == 2 else []
     if p == 2:
         return [v for v, val in ((0, f[0]), (1, sum(f) % 2)) if val == 0]
-    g = _gcd(f, _trim(_add_raw(_pow_mod([0, 1], p, f, field), [0, p - 1], p)), field)
+    g = _gcd(f, _trim(_add_raw(_pow_mod(0, p, f, field), [0, p - 1], p)), field)
     out: list[int] = []
     _split_linear(g, field, random.Random(_SPLIT_SEED), out)
     return sorted(out)
@@ -212,6 +214,26 @@ def _shift_root(rows: list[list[int]], gamma: int, p: int) -> list[list[int]]:
     return [r and ([0] * (j - val) + r if j >= val else r[val - j :]) for j, r in enumerate(out)]
 
 
+def _lift(rows: list[list[int]], gamma: int, K: int, field: PrimeField) -> list[int]:
+    """g mod x^K for the power series g with g(0) = gamma and q(x, g) = 0, q
+    given by its y-power rows, gamma a simple root of q(0, y) (see y_roots).
+    Newton's step doubles the h correct coefficients: x^h divides q(x, g),
+    and the next h are -x^-h q(x, g) / q_y(x, g), both by Horner in y."""
+    p = field.p
+    rows = [r[:K] for r in rows]
+    g = [gamma]
+    while len(g) < K:
+        h = len(g)
+        m = min(2 * h, K)
+        val, der = rows[-1][:m], []
+        for r in reversed(rows[:-1]):
+            der = _add_raw(_mul_kron(der, g, p, m - h), val[: m - h], p)
+            val = _add_raw(_mul_kron(val, g, p, m), r[:m], p)
+        corr = _mul_kron(val[h:], _series_inv(der, m - h, field), p, m - h)
+        g += [-c % p for c in corr] + [0] * (m - h - len(corr))
+    return g
+
+
 def y_roots(q: BiPoly, k: int) -> list[UniPoly]:
     """All f with deg f < k and q(x, f(x)) = 0, by Roth-Ruckenstein branching:
     each root gamma of the slice S(y) = q(0, y) extends the prefix, and its
@@ -219,20 +241,16 @@ def y_roots(q: BiPoly, k: int) -> list[UniPoly]:
     is checked exactly with q.eval_y. The branches wait on an explicit
     worklist, so k is not bounded by the interpreter's recursion limit.
 
-    Precision. Below a simple root gamma (S'(gamma) != 0, which says gamma is
-    simple in any characteristic), a branch with prefix length L keeps only
-    the first k - L coefficients of each row. Row j of q(x, x*y + gamma) is
-    x^j times the order-j Hasse derivative in y at gamma. Row 0 has
-    x-valuation >= 1 (its constant term is S(gamma) = 0), row 1 has
-    valuation exactly 1 (its x^1 coefficient is S'(gamma)), row t has
-    valuation >= t. So exactly one x is stripped, and the next slice is
-    linear with nonzero leading coefficient S'(gamma): its one root is again
-    simple, and by induction the whole branch stays linear. Coefficient e of
-    the stripped output depends only on input coefficients <= e + 1, and the
-    k - L slices the branch still reads are coefficients 0 to k - L - 1 of
-    its rows. So truncation leaves every slice, and every candidate,
-    unchanged. Below a root that is not simple the rows stay at full
-    precision."""
+    Lifting. Below a simple root gamma (S'(gamma) != 0, which says gamma is
+    simple in any characteristic) nothing is branched. As q_y(0, gamma) =
+    S'(gamma) is nonzero, Hensel's lemma gives exactly one power series g
+    with g(0) = gamma and q(x, g) = 0; _lift computes g mod x^(k - L) for a
+    prefix of length L. It is the branch Roth-Ruckenstein walks: row 0 of
+    q(x, x*y + gamma) has x-valuation >= 1 (S(gamma) = 0), row 1 exactly 1
+    (its x coefficient is S'(gamma)) and row t >= t, so one x is stripped,
+    the next slice is linear with one simple root, and g = gamma + x*g1 for
+    g1 the series root of the stripped polynomial through that root. A root
+    that is not simple is branched on at full precision."""
     if q.is_zero():
         raise ValueError("root extraction needs a nonzero polynomial")
     if k < 1:
@@ -246,14 +264,11 @@ def y_roots(q: BiPoly, k: int) -> list[UniPoly]:
         rows, prefix = work.pop()
         slice_poly = _trim([r[0] if r else 0 for r in rows])
         for gamma in _poly_roots(slice_poly, field):
-            nxt = prefix + (gamma,)
-            if len(nxt) == k:
-                candidates.add(nxt)
-            elif sum(i * c * pow(gamma, i - 1, p) for i, c in enumerate(slice_poly) if i) % p:
-                keep = k - len(nxt)
-                work.append(([_trim(r[:keep]) for r in _shift_root(rows, gamma, p)], nxt))
+            simple = sum(i * c * pow(gamma, i - 1, p) for i, c in enumerate(slice_poly) if i) % p
+            if simple or len(prefix) + 1 == k:
+                candidates.add(prefix + tuple(_lift(rows, gamma, k - len(prefix), field)))
             else:
-                work.append((_shift_root(rows, gamma, p), nxt))
+                work.append((_shift_root(rows, gamma, p), prefix + (gamma,)))
     roots = (UniPoly(field, list(coeffs)) for coeffs in sorted(candidates))
     return [f for f in roots if q.eval_y(f).is_zero()]
 

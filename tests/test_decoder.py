@@ -14,18 +14,21 @@ from gsinterp.decoder import (
     gs_params,
     hamming,
     monomial_budget,
+    _lift,
     _poly_roots,
+    _pow_mod,
     _shift_root,
     y_roots,
 )
-from gsinterp import fast
+from gsinterp import decoder, fast
 from gsinterp.field import PrimeField
 from gsinterp.problem import InterpolationInstance
-from gsinterp.unipoly import UniPoly
+from gsinterp.unipoly import UniPoly, count_scalar_mults
 
 from util import (
-    BENCH_PRIME, grid_gs_params, monomial, poly_pow, rand_bipoly, rand_nonzero, ref_decode_list,
-    ref_shift, ref_y_roots, scale, scan_roots, strip_x, x_minus,
+    BENCH_PRIME, grid_gs_params, monomial, poly_mod, poly_pow, rand_bipoly, rand_nonzero,
+    rand_unipoly, ref_decode_list, ref_shift, ref_y_roots, scale, scan_roots, schoolbook_product,
+    strip_x, x_minus,
 )
 
 F13 = PrimeField(13)
@@ -189,6 +192,23 @@ def _root_cases(field, rng):
     return cases
 
 
+@pytest.mark.parametrize("p", [3, 13, BENCH_PRIME])
+def test_pow_mod_matches_repeated_multiplication(p):
+    # every e < 40, so every bit pattern of up to 5 bits, against the power
+    # built one schoolbook product at a time; delta = 0 is _poly_roots' x^p.
+    # Runs before the root tests, which a wrong power can send into an
+    # endless splitting loop
+    field = PrimeField(p)
+    rng = random.Random(p)
+    for deg in (1, 2, 5):
+        m = rand_unipoly(field, rng, deg)
+        for delta in (0, field.rand(rng)):
+            power = UniPoly.one(field)
+            for e in range(40):
+                assert _pow_mod(delta, e, m.coeffs, field) == poly_mod(power, m).coeffs
+                power = schoolbook_product(power, UniPoly(field, [delta, 1]))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 13, 65521])
 def test_poly_roots_match_scan(p):
     field = PrimeField(p)
@@ -329,7 +349,8 @@ def test_y_roots_match_full_precision_reference(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 13])
 def test_simple_root_strips_one_x_and_leaves_a_linear_slice(p):
-    # the premise of y_roots's precision rule, on the reference's own walk
+    # the premise of y_roots's lifting argument, on the reference's own walk:
+    # below a simple root the walk is the one series root _lift computes
     field = PrimeField(p)
     seen = {True: 0, False: 0}
     for q, k, _ in _planted_cases(field, random.Random(50 + p)):
@@ -351,6 +372,127 @@ def test_simple_root_strips_one_x_and_leaves_a_linear_slice(p):
                 if depth + 1 < k:
                     work.append((shifted, depth + 1))
     assert seen[True] and seen[False]
+
+
+@pytest.fixture
+def lifts(monkeypatch):
+    """The K of every _lift call y_roots makes, in call order."""
+    seen = []
+
+    def recording(rows, gamma, K, field):
+        seen.append(K)
+        return _lift(rows, gamma, K, field)
+
+    monkeypatch.setattr(decoder, "_lift", recording)
+    return seen
+
+
+def _large_field_roots(field):
+    # the reference's slice roots where GF(p) is too large to scan;
+    # _poly_roots is checked against scan_roots and planted roots above
+    return lambda f: _poly_roots(f.coeffs, field)
+
+
+def _plant_pair(field, rng, k, shared, slice_r=None):
+    """(q, f, g) with q = (y - f)(y - g) * R, f and g of degree < k agreeing
+    on exactly their first `shared` coefficients. R has y-degree 1 and
+    random rows, or the given values at x = 0 under random higher terms."""
+    f = [field.rand(rng) for _ in range(k)]
+    g = f[:shared] + [(f[shared] + rand_nonzero(field, rng)) % field.p]
+    g += [field.rand(rng) for _ in range(k - shared - 1)]
+    f, g = UniPoly(field, f), UniPoly(field, g)
+    if slice_r is None:
+        rows = rand_bipoly(field, rng, 1, 3).rows
+    else:
+        rows = [UniPoly(field, [c] + [field.rand(rng) for _ in range(3)]) for c in slice_r]
+    for h in (f, g):
+        rows = _ymul(rows, [scale(h, -1), UniPoly.one(field)])
+    return BiPoly(field, len(rows) - 1, rows), f, g
+
+
+@pytest.mark.parametrize("p", [65521, BENCH_PRIME])
+@pytest.mark.parametrize("k", [64, 200])
+def test_y_roots_lifts_planted_roots_at_large_k(p, k, lifts):
+    field = PrimeField(p)
+    q, f, g = _plant_pair(field, random.Random(k + p), k, 0)
+    got = y_roots(q, k)
+    assert got == ref_y_roots(q, k, _large_field_roots(field))
+    assert {f, g} <= set(got)
+    assert lifts.count(k) >= 2
+
+
+@pytest.mark.parametrize("p, k, shared", [(13, 24, 7), (BENCH_PRIME, 64, 20)])
+def test_y_roots_lift_starts_below_a_double_root(p, k, shared, lifts):
+    # f and g share their first `shared` coefficients, so the walk branches
+    # on a double root that many levels before the two simple roots appear
+    field = PrimeField(p)
+    q, f, g = _plant_pair(field, random.Random(shared + p), k, shared)
+    roots = scan_roots if p <= 13 else _large_field_roots(field)
+    got = y_roots(q, k)
+    assert got == ref_y_roots(q, k, roots)
+    assert {f, g} <= set(got)
+    assert lifts.count(k - shared) >= 2
+
+
+@pytest.mark.parametrize("p, slice_r", [(2, [1, 1, 1]), (3, [1, 0, 1])])
+def test_y_roots_lift_over_tiny_fields_with_slices_past_p(p, slice_r, lifts):
+    # R(0, y) = y^2 + y + 1 over GF(2) and y^2 + 1 over GF(3) has no root,
+    # so a slice of degree 4 >= p goes through the gcd with y^p - y, and its
+    # roots f(0) != g(0) are simple
+    field = PrimeField(p)
+    rng = random.Random(p)
+    for k, shared in ((40, 0), (40, 9)):
+        q, f, g = _plant_pair(field, rng, k, shared, slice_r)
+        lifts.clear()
+        got = y_roots(q, k)
+        assert got == ref_y_roots(q, k)
+        assert {f, g} <= set(got)
+        assert lifts.count(k - shared) >= 2
+
+
+@pytest.mark.parametrize("p", [2, 3, 13, BENCH_PRIME])
+def test_lift_postcondition(p):
+    # q(x, g) = 0 mod x^K and g(0) = gamma; with gamma simple, Hensel's
+    # lemma makes that g unique, so it is the branch's candidate
+    field = PrimeField(p)
+    rng = random.Random(80 + p)
+    done = 0
+    while done < 3:
+        q = rand_bipoly(field, rng, rng.randint(1, 4), 40)
+        gamma = field.rand(rng)
+        rows = [list(r.coeffs) or [0] for r in q.rows]
+        rows[0][0] = (rows[0][0] - sum(r[0] * gamma**i for i, r in enumerate(rows))) % p
+        if not sum(i * r[0] * gamma ** (i - 1) for i, r in enumerate(rows) if i) % p:
+            continue
+        q = BiPoly(field, q.ell, [UniPoly(field, r) for r in rows])
+        for K in (1, 2, 3, 7, 8, 9, 33):
+            g = _lift([r.coeffs for r in q.rows], gamma, K, field)
+            assert len(g) == K and g[0] == gamma
+            assert not any(q.eval_y(UniPoly(field, g)).coeffs[:K])
+        done += 1
+
+
+def test_y_roots_scalar_work_grows_quasi_linearly_in_k():
+    # q = (y - f)(y - g) * u(x) over the bench prime has only simple roots.
+    # Walking each branch level by level unpacks the k - L remaining
+    # coefficients of every row per level, about 4x the work per doubling of
+    # k; lifting doubles the precision per Newton step, about 2x
+    field = PrimeField(BENCH_PRIME)
+    counts = {}
+    for k in (256, 512):
+        rng = random.Random(7)
+        f, g = (UniPoly(field, [field.rand(rng) for _ in range(k)]) for _ in range(2))
+        rows = [rand_unipoly(field, rng, 3)]
+        for h in (f, g):
+            rows = _ymul(rows, [scale(h, -1), UniPoly.one(field)])
+        q = BiPoly(field, 2, rows)
+        with count_scalar_mults() as ctr:
+            got = y_roots(q, k)
+        assert set(got) == {f, g}
+        counts[k] = ctr.mults
+    assert counts[512] / counts[256] <= 2.6
+    # the exact counts: work added without changing the roots shows here
+    assert counts == {256: 6641, 512: 13294}
 
 
 def test_y_roots_zero_rejected():

@@ -286,17 +286,18 @@ def ref_shift(q: BiPoly, gamma: int) -> BiPoly:
     return BiPoly(field, q.ell, rows)
 
 
-def ref_y_roots(q: BiPoly, k: int) -> list[UniPoly]:
+def ref_y_roots(q: BiPoly, k: int, roots=scan_roots) -> list[UniPoly]:
     """Independent reference for decoder.y_roots: Roth-Ruckenstein branching
-    on BiPoly rows at full precision, with every slice's roots found by
-    scan_roots and every candidate checked with q.eval_y."""
+    on BiPoly rows at full precision, one level per coefficient, with every
+    slice's roots found by `roots` (scan_roots unless GF(p) is too large to
+    scan) and every candidate checked with q.eval_y."""
     field = q.field
     candidates = set()
     work = [(q, ())]
     while work:
         cur, prefix = work.pop()
         cur = BiPoly(field, cur.ell, strip_x(cur.rows))
-        for gamma in scan_roots(UniPoly(field, [r.eval(0) for r in cur.rows])):
+        for gamma in roots(UniPoly(field, [r.eval(0) for r in cur.rows])):
             nxt = prefix + (gamma,)
             if len(nxt) == k:
                 candidates.add(nxt)
