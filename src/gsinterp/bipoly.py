@@ -84,21 +84,23 @@ def taylor_vectors(x0: int, s: int, n: int, p: int) -> list[list[int]]:
 
 
 def hasse_matrices(
-    field: PrimeField, ell: int, elems: list[list[list[int]]], points, mults: list[int],
+    field: PrimeField, elems: list[list[list[int]]], points, mults: list[int],
     xvecs: list[list[list[int]]] | None = None,
 ) -> list[list[int]]:
     """Each element's Hasse values H[dx][dy], dx + dy < s, at every point (x0, y0)
     of a run with its multiplicity s: per point the anti-triangle row by row in
     derivative_orders(s) order, the points in run order. An element is its
-    ell+1 rows as trimmed coefficient lists. The x^i coefficients of all m
-    entries are packed once into cols[i], lanes of _slot_width(L, p) bytes for
-    the longest length L, so a lane holds L*(p-1)^2. Per point and dx, one
-    big-integer dot product of cols with the Taylor vector v_dx gives every
-    entry's coefficient of x^dx in its shift by x0; the rows are then combined
-    across y with the same vectors in y0. xvecs[i] holds point i's vectors
-    v_dx in x0, at least L long (a run's cached ones, see classic.Run); they
-    are built here at length L when None."""
-    p, k = field.p, ell + 1
+    ell+1 rows as trimmed coefficient lists, ell read off the first one. The
+    x^i coefficients of all m entries are packed once into cols[i], lanes of
+    _slot_width(L, p) bytes for the longest length L, so a lane holds
+    L*(p-1)^2. Per point and dx, one big-integer dot product of cols with
+    the Taylor vector v_dx gives every entry's coefficient of x^dx in its
+    shift by x0; the rows are then combined across y with the same vectors
+    in y0. xvecs[i] holds point i's vectors v_dx in x0, at least L long (a
+    run's cached ones, see classic.Run); built here at length L when None."""
+    if not elems:
+        return []
+    p, k = field.p, len(elems[0])
     entries = list(chain.from_iterable(elems))
     m, L = len(entries), max(map(len, entries), default=0)
     width = _slot_width(L, p)
@@ -237,8 +239,7 @@ class BiPoly:
     def hasse_matrix(self, x0: int, y0: int, s: int) -> list[list[int]]:
         """s x s matrix H[dx][dy] of Hasse derivatives at (x0, y0), dx+dy < s,
         with zeros outside the anti-triangle (see hasse_matrices)."""
-        rows = [r.coeffs for r in self.rows]
-        flat = iter(hasse_matrices(self.field, self.ell, [rows], [(x0, y0)], [s])[0])
+        flat = iter(hasse_matrices(self.field, [[r.coeffs for r in self.rows]], [(x0, y0)], [s])[0])
         return [[next(flat) if dx + dy < s else 0 for dy in range(s)] for dx in range(s)]
 
     def hasse_derivative(self, x0: int, y0: int, dx: int, dy: int) -> int:
@@ -255,8 +256,7 @@ class BiPoly:
 
     def has_multiplicity(self, x0: int, y0: int, s: int) -> bool:
         """True iff all Hasse derivatives with dx+dy < s vanish at (x0, y0)."""
-        rows = [r.coeffs for r in self.rows]
-        return not any(hasse_matrices(self.field, self.ell, [rows], [(x0, y0)], [s])[0])
+        return not any(hasse_matrices(self.field, [[r.coeffs for r in self.rows]], [(x0, y0)], [s])[0])
 
     # -- display -----------------------------------------------------------------
 

@@ -176,7 +176,7 @@ def eliminate_run(
     mask = (1 << bits) - 1
     tmax = ((1 << bits) - p) // (p - 1) ** 2  # additions a reduced row can take
     plans, xvecs = run.xside(max((len(e) for elem in elems for e in elem), default=0))
-    vecs = hasse_matrices(field, len(elems[0]) - 1, elems, list(zip(run.xs, ys)), run.mults, xvecs)
+    vecs = hasse_matrices(field, elems, list(zip(run.xs, ys)), run.mults, xvecs)
     packed = []
     for vec, row in zip(vecs, rows):
         nv = len(vec)

@@ -1,8 +1,7 @@
 """Command-line front end.
 
 Subcommands: interpolate (run one algorithm on an instance file), verify
-(cross-check all three algorithms plus the brute-force reference, which
-refuses instances above oracle.MAX_CONSTRAINTS constraints), decode
+(cross-check all three algorithms plus the brute-force reference), decode
 (Reed-Solomon list decoding), bench (CSV timing table).
 
 Exit codes: 0 success, 2 usage or parse error, 3 infeasible decode
@@ -13,13 +12,12 @@ built, every command weighs the work its input asks for with
 problem.check_work, which refuses with exit 2 a solve estimated to take
 longer than problem.WORK_BUDGET, three minutes on the host the estimate was
 fitted on: interpolate as the solver --algorithm names (classic is naive,
-classic-hasse cached), verify and each of bench's --sizes as the naive
-solver, the slowest, and decode as fast once gs_params has picked s and ell
+classic-hasse cached), verify as naive, then as the oracle, which it runs
+first and which checks before its first column, bench's --sizes each as
+naive, the slowest, and decode as fast once gs_params has picked s and ell
 (decoder.decode_list); the same rule ends gs_params' search, with exit 3.
-Two caps stay beside it: an instance file over MAX_FILE_BYTES bytes is
-refused before it is parsed, and verify's brute-force reference refuses
-more than oracle.MAX_CONSTRAINTS constraints. bench also refuses a size
-below 1.
+One cap stays beside it: an instance file over MAX_FILE_BYTES bytes is
+refused before it is parsed, and bench refuses a size below 1.
 
 Instance file grammar: '#' starts a comment; the first three non-comment
 lines are 'p=<int>', 'w=<int>', 'ell=<int>'; every following line is a
@@ -138,7 +136,7 @@ def cmd_interpolate(args) -> int:
 def cmd_verify(args) -> int:
     inst = load_instance(args.file, args, "naive")
     w = inst.w
-    # first, so that an instance too large for the oracle fails at once
+    # first, so that the oracle's check_work refusal comes before any solver runs
     q_oracle, mindeg = oracle.minimal_solution(inst)
     q_naive, b_naive = classic.interpolate(inst, "naive")
     q_cached, b_cached = classic.interpolate(inst, "cached")
@@ -149,7 +147,7 @@ def cmd_verify(args) -> int:
         """Every element's Hasse values of order < s are 0 at every point, by
         one hasse_matrices call over all the points."""
         rows = [[r.coeffs for r in e.rows] for e in elems]
-        values = hasse_matrices(inst.field, inst.ell, rows, inst.points, inst.mults)
+        values = hasse_matrices(inst.field, rows, inst.points, inst.mults)
         return not any(map(any, values))
 
     checks = [

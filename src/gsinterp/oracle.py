@@ -5,7 +5,7 @@ while a column echelon factorization is maintained; the first column that
 is linearly dependent on its predecessors closes a kernel vector whose
 leading monomial is that column, so the returned solution has provably
 minimal weighted degree. Desk scale only: the work grows with the cube of
-the constraint count, so instances above MAX_CONSTRAINTS are refused.
+the constraint count, which problem.check_work weighs before any column.
 """
 
 from __future__ import annotations
@@ -14,11 +14,7 @@ from math import comb
 from typing import Iterator
 
 from .bipoly import BiPoly, derivative_orders
-from .problem import InterpolationInstance
-
-# Largest linear system (rows = constraints) the oracle takes on; 200 rows
-# solve in about a second, and every doubling costs about eight times more.
-MAX_CONSTRAINTS = 200
+from .problem import InterpolationInstance, check_work
 
 
 def _monomials_ascending(ell: int, w: int) -> Iterator[tuple[int, int]]:
@@ -51,11 +47,7 @@ def minimal_solution(inst: InterpolationInstance) -> tuple[BiPoly, int]:
     field, p = inst.field, inst.field.p
     pivots: list[tuple[int, list[int], dict]] = []  # (pivot_row, column, combination)
     nrows = inst.constraint_count()
-    if nrows > MAX_CONSTRAINTS:
-        raise ValueError(
-            f"instance has {nrows} constraints; the brute-force oracle takes at most "
-            f"{MAX_CONSTRAINTS}"
-        )
+    check_work(inst.n, nrows, inst.ell, "oracle")
     for a, j in _monomials_ascending(inst.ell, inst.w):
         col = _constraint_column(inst, a, j)
         combo = {(a, j): 1}

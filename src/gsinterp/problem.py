@@ -60,7 +60,7 @@ def check_work(n: int, constraints: int, ell: int, solver: str) -> None:
     """Raise ValueError when a solve of n points with the given number of
     constraints C (InterpolationInstance.constraint_count) and list size ell
     is estimated to take longer than WORK_BUDGET. solver is "naive" or
-    "cached" (classic.interpolate's modes) or "fast". The arithmetic is on
+    "cached" (classic's modes), "fast" or "oracle". The arithmetic is on
     integers, so an input of any size gets an answer and never an overflow.
 
     The estimate, in nanoseconds, with L = ell + 1:
@@ -68,6 +68,7 @@ def check_work(n: int, constraints: int, ell: int, solver: str) -> None:
         naive        + 400 C^2 L
         cached       + 300 C^2
         fast         + C^1.5 (6000 + 250 L^1.5) + 30 n L^3
+        oracle       + 200 C^3 + 6000 C^2
     The first line is the work on L elements of L rows each at every point
     and constraint; it alone bounds a few points at a large ell. The second
     is each solver's growth: quadratic in C for the classic solvers, and
@@ -85,6 +86,13 @@ def check_work(n: int, constraints: int, ell: int, solver: str) -> None:
     Without n the fit spreads 11-fold: at equal C and ell, s = 1 costs more
     than a few points of high multiplicity.
 
+    The oracle reduces up to C + 1 columns of C entries by up to C pivots.
+    37 of its solves of 1 ms or more on that host (C 24 to 800, s 1 to 8,
+    ell to 1024, p 2 to 2^64 - 59) fit 76 C^3 + 1700 C^2 at the bench prime,
+    about twice that above 2^60, and took at most 0.84 of their estimates,
+    0.25 to 0.41 at the bench prime and ell <= 12. The first line stays,
+    though ell adds only L answer rows: a rate linear in L would admit 10^8.
+
     WORK_BUDGET is three minutes of that host's process time. Weighed as its
     n - kappa solved points, a first decode took 0.40 to 0.50 of its estimate:
     RS [255, 64] at tau = 125 and 126 13.8 and 53.9 s (32.3 and 134 s), and
@@ -95,6 +103,8 @@ def check_work(n: int, constraints: int, ell: int, solver: str) -> None:
         work += 400 * c * c * l
     elif solver == "cached":
         work += 300 * c * c
+    elif solver == "oracle":
+        work += (200 * c + 6000) * c * c
     else:
         work += isqrt(c**3) * (6000 + 250 * isqrt(l**3)) + 30 * n * l**3
     if work > WORK_BUDGET:

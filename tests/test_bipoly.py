@@ -177,9 +177,8 @@ def test_hasse_matrices_match_hasse_derivative():
                     n = rng.choice((0, 0, 1, s, rng.randint(2, 12)))
                     rows.append(rand_unipoly(field, rng, n - 1) if n else UniPoly.zero(field))
                 elems.append(BiPoly(field, ell, rows))
-            got = hasse_matrices(
-                field, ell, [[r.coeffs for r in e.rows] for e in elems], [(x0, y0)], [s]
-            )
+            rows = [[r.coeffs for r in e.rows] for e in elems]
+            got = hasse_matrices(field, rows, [(x0, y0)], [s])
             assert len(got) == len(elems)
             for H, e in zip(got, elems):
                 want = [e.hasse_derivative(x0, y0, dx, dy) for dx, dy in derivative_orders(s)]
@@ -216,7 +215,7 @@ def test_hasse_matrices_of_a_run_match_hasse_derivative(p, longer):
         if longer:
             size = max(len(c) for e in rows for c in e) + rng.randint(1, 30)
             xvecs = [taylor_vectors(x, s, size, p) for (x, _), s in zip(points, mults)]
-        got = hasse_matrices(field, ell, rows, points, mults, xvecs)
+        got = hasse_matrices(field, rows, points, mults, xvecs)
         assert got == [_reference_values(e, points, mults) for e in elems]
 
 
@@ -232,16 +231,16 @@ def test_hasse_matrices_lane_capacity(length, width):
     elems = [BiPoly(field, 2, [UniPoly(field, c) for c in (full, full[:5], full)])]
     points = [(x, field.rand(rng)) for x in (1, p - 1, 2, field.rand(rng), field.rand(rng))]
     mults = [4, 3, 2, 5, 1]
-    got = hasse_matrices(field, 2, [[r.coeffs for r in e.rows] for e in elems], points, mults)
+    got = hasse_matrices(field, [[r.coeffs for r in e.rows] for e in elems], points, mults)
     assert got == [_reference_values(e, points, mults) for e in elems]
 
 
 def test_hasse_matrices_of_no_elements_and_zero_element():
-    assert hasse_matrices(F5, 2, [], [(1, 2)], [3]) == []
+    assert hasse_matrices(F5, [], [(1, 2)], [3]) == []
     zero = [[], [], []]
-    assert hasse_matrices(F5, 2, [zero], [(1, 2)], [3]) == [[0] * 6]
-    assert hasse_matrices(F5, 2, [zero], [(1, 2), (3, 4)], [3, 1]) == [[0] * 7]
-    assert hasse_matrices(F5, 2, [zero], [], []) == [[]]
+    assert hasse_matrices(F5, [zero], [(1, 2)], [3]) == [[0] * 6]
+    assert hasse_matrices(F5, [zero], [(1, 2), (3, 4)], [3, 1]) == [[0] * 7]
+    assert hasse_matrices(F5, [zero], [], []) == [[]]
 
 
 def test_reduction_preserves_hasse_derivatives():
@@ -307,6 +306,12 @@ def test_multiplicity_of_square():
 def test_row_count_enforced():
     with pytest.raises(ValueError):
         BiPoly(F5, 2, [UniPoly.zero(F5)])
+    with pytest.raises(ValueError, match="different field"):
+        BiPoly(F5, 1, [UniPoly.zero(F5), UniPoly.zero(F7)])
+    with pytest.raises(ValueError, match="y-degree 3 out of range 0..2"):
+        B(F5, 2, [(0, 3, 1)])
+    with pytest.raises(ValueError, match="incompatible"):
+        B(F5, 2, [(0, 1, 1)]).sub_scaled(1, B(F5, 1, [(0, 1, 1)]))
 
 
 def test_monomial_roundtrip():

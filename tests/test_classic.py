@@ -161,7 +161,7 @@ def test_usage_errors():
 def _values(field, elems, points, mults):
     """Each element's flat Hasse values at the points, concatenated in order."""
     rows = [[r.coeffs for r in e.rows] for e in elems]
-    return hasse_matrices(field, elems[0].ell, rows, points, mults)
+    return hasse_matrices(field, rows, points, mults)
 
 
 def test_hasse_shift_down_example():

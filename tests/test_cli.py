@@ -170,27 +170,45 @@ def test_verify_reports_an_element_that_does_not_vanish(capsys, monkeypatch):
     assert "multiplicity-oracle: PASS" in out
 
 
-def test_verify_refuses_instance_too_large_for_oracle(tmp_path, capsys):
-    # 40 points of multiplicity 3 give 240 constraints, above the oracle's
-    # limit: verify must stop at once with a usage error, not run for minutes
-    from gsinterp.oracle import MAX_CONSTRAINTS
+def test_verify_refuses_instance_too_large_for_oracle(tmp_path, capsys, monkeypatch):
+    # verify weighs the instance as naive, then the oracle, which runs first,
+    # weighs it as its own solve before its first column. 40 points of
+    # multiplicity 3 (240 constraints) reach the columns; 400 points of
+    # multiplicity 2 (1200 constraints) pass as naive but are refused as the
+    # oracle at once, before any column is built or any solver runs
+    def reached(what):
+        def stop(*args, **kwargs):
+            raise AssertionError(f"reached {what}")
+        return stop
 
+    monkeypatch.setattr("gsinterp.oracle._constraint_column", reached("the oracle's columns"))
+    for target in ("gsinterp.classic.interpolate", "gsinterp.fast.solve_basis"):
+        monkeypatch.setattr(target, reached("a solver"))
     rng = random.Random(16)
-    xs = rng.sample(range(754974721), 40)
-    lines = ["p=754974721", "w=2", "ell=3"] + [f"{x},{rng.randrange(754974721)},3" for x in xs]
-    path = tmp_path / "large.txt"
-    path.write_text("\n".join(lines) + "\n")
-    assert 40 * 6 > MAX_CONSTRAINTS
-    t0 = time.perf_counter()
-    rc = main(["verify", str(path)])
-    elapsed = time.perf_counter() - t0
+
+    def instance_file(n, s):
+        xs = rng.sample(range(754974721), n)
+        points = [f"{x},{rng.randrange(754974721)},{s}" for x in xs]
+        lines = ["p=754974721", "w=2", "ell=3"] + points
+        path = tmp_path / f"n{n}.txt"
+        path.write_text("\n".join(lines) + "\n")
+        return str(path)
+
+    with pytest.raises(AssertionError, match="oracle's columns"):
+        main(["verify", instance_file(40, 3)])
+    large = instance_file(400, 2)
+    check_work(400, 1200, 3, "naive")
+    t0 = time.process_time()
+    rc = main(["verify", large])
+    elapsed = time.process_time() - t0
     captured = capsys.readouterr()
     assert rc == 2
-    assert captured.err.startswith("error:") and str(MAX_CONSTRAINTS) in captured.err
+    assert captured.err.startswith("error: oracle solve estimated at") and BUDGET in captured.err
     assert "PASS" not in captured.out
-    assert elapsed < 3.0
-    # every bundled instance stays within the limit
-    assert all(inst.constraint_count() <= MAX_CONSTRAINTS for inst in bundled_instances())
+    assert elapsed < 1.0
+    # every bundled instance is within the oracle's budget
+    for inst in bundled_instances():
+        check_work(inst.n, inst.constraint_count(), inst.ell, "oracle")
 
 
 BUDGET = f"budget of {WORK_BUDGET // 10**9} s"  # in every refusal by problem.check_work

@@ -148,6 +148,11 @@ def test_code_validation():
         RSCode(F13, 4, 5)  # k > n
     with pytest.raises(ValueError):
         RSCode(F13, 3, 2, evalpoints=[1, 1, 2])
+    code = RSCode(F13, 12, 3)
+    with pytest.raises(ValueError, match="longer than k=3"):
+        code.encode([1, 2, 3, 4])
+    with pytest.raises(ValueError, match="length n=12"):
+        decode_list(code, [0] * 11, gs_params(code, 4))
 
 
 # -- root finding -------------------------------------------------------------------

@@ -15,7 +15,7 @@ from gsinterp.fast import (
 )
 from gsinterp.field import PrimeField
 from gsinterp.classic import LEAF_MAX, Run, TrackedBasis, eliminate_run, interpolate
-from gsinterp.oracle import MAX_CONSTRAINTS, minimal_solution
+from gsinterp.oracle import minimal_solution
 from gsinterp.problem import InterpolationInstance, random_instance
 from gsinterp.unipoly import UniPoly, count_scalar_mults
 from util import (
@@ -552,25 +552,16 @@ def _leaf_edge_instances():
 
 
 def test_leaf_runs_agree_with_classic_and_oracle():
-    # the oracle takes every instance within its cap: all of those up to
-    # LEAF_MAX + 1 points and all but the largest beyond; classic naive is
-    # the reference for the rest
-    beyond_cap = 0
     for inst in _leaf_edge_instances():
         naive, cached, fast = _pivot_logs(inst)
         assert naive == cached == fast
-        if inst.constraint_count() <= MAX_CONSTRAINTS:
-            assert min(solve(inst)[1]) == minimal_solution(inst)[1]
-        else:
-            assert inst.n > LEAF_MAX + 1
-            beyond_cap += 1
-    assert beyond_cap <= 1
+        assert min(solve(inst)[1]) == minimal_solution(inst)[1]
 
 
 def test_seeded_edge_instances_agree_across_solvers_and_oracle():
     # random instances at the edges the bundled files cover only once each:
     # p in {2, 3} with multiplicities up to p + 2 (s >= p, where Hasse
-    # binomials vanish), ell = 0 and w > n, all within the oracle's cap
+    # binomials vanish), ell = 0 and w > n
     rng = random.Random(16)
     seen = set()
     for trial in range(120):
@@ -580,7 +571,6 @@ def test_seeded_edge_instances_agree_across_solvers_and_oracle():
         ell = 0 if trial % 3 == 0 else rng.randint(1, 4)
         w = n + rng.randint(1, 3) if trial % 4 < 2 else rng.randint(1, n)
         inst = random_instance(field, rng, n, ell, w, smin=1, smax=p + 2)
-        assert inst.constraint_count() <= MAX_CONSTRAINTS
         hits = {"s >= p": max(inst.mults) >= p, "ell = 0": ell == 0, "w > n": w > n}
         seen.update(edge for edge, hit in hits.items() if hit)
         naive, cached, fast = _pivot_logs(inst)  # equal elements and deltas

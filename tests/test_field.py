@@ -28,6 +28,9 @@ def test_nonprime_modulus_rejected():
     for bad in (0, 1, 4, 9, 91, 2**20):
         with pytest.raises(ValueError):
             PrimeField(bad)
+    for bad in (7.0, "7", None):
+        with pytest.raises(ValueError, match="must be an integer"):
+            PrimeField(bad)
 
 
 def _trial_division(n: int) -> bool:

@@ -1,12 +1,18 @@
 import random
+import time
 
 import pytest
 
+from gsinterp import fast, oracle
 from gsinterp.bipoly import BiPoly
 from gsinterp.field import PrimeField
-from gsinterp.oracle import MAX_CONSTRAINTS, minimal_solution
-from gsinterp.problem import InterpolationInstance, random_instance
+from gsinterp.oracle import minimal_solution
+from gsinterp.problem import WORK_BUDGET, InterpolationInstance, random_instance
 from util import proportional
+
+# the most points of multiplicity 2 at ell = 2 that check_work admits for
+# the oracle: 954 constraints
+NMAX = 318
 
 
 def test_collinear_points_gf3():
@@ -69,11 +75,29 @@ def test_minimality_against_exhaustive_search():
         )
 
 
-def test_refuses_systems_above_the_limit():
-    F = PrimeField(754974721)
+def test_refuses_systems_above_the_limit(monkeypatch):
+    # check_work weighs the solve as the oracle's before the first column: at
+    # s = 2, ell = 2 over the bench prime, NMAX points reach the columns and
+    # NMAX + 1 are refused within a second, with no column built
+    def built(*args):
+        raise AssertionError("reached _constraint_column")
+
+    monkeypatch.setattr(oracle, "_constraint_column", built)
+    field = PrimeField(754974721)
     rng = random.Random(3)
-    # a point of multiplicity 2 gives 3 constraints
-    inst = random_instance(F, rng, MAX_CONSTRAINTS // 2 + 1, 2, 1, uniform_s=2)
-    assert inst.constraint_count() > MAX_CONSTRAINTS
-    with pytest.raises(ValueError, match="constraints"):
+    with pytest.raises(AssertionError, match="reached"):
+        minimal_solution(random_instance(field, rng, NMAX, 2, 1, uniform_s=2))
+    inst = random_instance(field, rng, NMAX + 1, 2, 1, uniform_s=2)
+    t0 = time.process_time()
+    with pytest.raises(ValueError, match=f"^oracle solve .* budget of {WORK_BUDGET // 10**9} s$"):
         minimal_solution(inst)
+    assert time.process_time() - t0 < 1.0
+
+
+def test_solves_above_the_old_cap():
+    # 67 points of multiplicity 2: 201 constraints, one past the 200 of the
+    # per-oracle cap that check_work replaced
+    inst = random_instance(PrimeField(754974721), random.Random(67), 67, 2, 1, uniform_s=2)
+    assert inst.constraint_count() == 201
+    q, mindeg = minimal_solution(inst)
+    assert mindeg == q.weighted_degree(1) == min(fast.solve(inst)[1])

@@ -70,7 +70,8 @@ def test_random_instance_keeps_the_sample_stream_below_sys_maxsize():
 
 # -- the work-admission rule ----------------------------------------------------------
 
-ALL_SOLVERS = ("naive", "cached", "fast")
+ITERATIVE = ("naive", "cached", "fast")
+ALL_SOLVERS = ITERATIVE + ("oracle",)
 
 
 def _uniform(n, s, ell):
@@ -96,7 +97,7 @@ TABLE = [
     ("interp_small", lambda: [_uniform(16, 1, 1), _uniform(96, 3, 4)], ("fast", "cached"), True),
     ("interp_large", lambda: [_uniform(1024, 2, 2)], ("fast", "cached"), True),
     ("decode", lambda: [_decoder(65521, 64, 16, tau) for tau in range(25, 31)], ("fast",), True),
-    ("time_passes", lambda: [_uniform(n, 2, 2) for n in (64, 128, 256, 512)], ALL_SOLVERS, True),
+    ("time_passes", lambda: [_uniform(n, 2, 2) for n in (64, 128, 256, 512)], ITERATIVE, True),
     ("acceptance", lambda: [_uniform(10, 3, 4), _uniform(12, 2, 6)], ALL_SOLVERS, True),
     ("rs255", lambda: [_decoder(BENCH_PRIME, 255, 64, tau) for tau in (121, 124, 125, 126)],
      ("fast",), True),
@@ -109,6 +110,12 @@ TABLE = [
     # RS [16384, 4096] at tau = 7952: the decode at s = 4, ell = 1 that ends
     # gs_params' search, and the s = 8, ell = 16 the counting bound first admits
     ("rs16384", lambda: [_uniform(12288, 4, 1), _uniform(12288, 8, 16)], ("fast",), False),
+    # the oracle's C^3 term: at most 954 constraints at s = 2 and at s = 1; at
+    # one point the first line still bounds ell
+    ("oracle", lambda: [_uniform(67, 2, 2), _uniform(318, 2, 2), _uniform(955, 1, 2),
+                        _uniform(1, 1, 3248)], ("oracle",), True),
+    ("oracle_over", lambda: [_uniform(319, 2, 2), _uniform(956, 1, 2), _uniform(400, 2, 3),
+                             _uniform(1, 1, 3249)], ("oracle",), False),
     ("ell_1e7", lambda: [_uniform(1, 1, 10**7)], ALL_SOLVERS, False),
     ("s_1e1000", lambda: [_uniform(1, 10**1000, 1)], ALL_SOLVERS, False),
 ]
