@@ -2,10 +2,10 @@
 (brute force, classic iterative, divide-and-conquer with recorded transforms),
 plus Reed-Solomon list decoding built on top of it."""
 
-from .bipoly import BiPoly, Monomial, derivative_orders
+from .bipoly import BiPoly, derivative_orders
 from .decoder import GSParams, InfeasibleParameters, RSCode, decode_list, gs_params, y_roots
 from .field import PrimeField
-from .classic import TrackedBasis, interpolate
+from .classic import TrackedBasis, certify, interpolate
 from .fast import solve
 from .oracle import minimal_solution
 from .problem import InterpolationInstance, random_instance
@@ -16,12 +16,12 @@ __all__ = [
     "GSParams",
     "InfeasibleParameters",
     "InterpolationInstance",
-    "Monomial",
     "NEG_INF",
     "PrimeField",
     "RSCode",
     "TrackedBasis",
     "UniPoly",
+    "certify",
     "decode_list",
     "derivative_orders",
     "gs_params",

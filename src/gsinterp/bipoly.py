@@ -11,8 +11,9 @@ Two evaluation routes for Hasse derivatives exist on purpose:
     coefficients are packed into lanes once per run, and each (point, dx) is
     one big-integer dot product with the Taylor vector v_dx[i] =
     C(i,dx) x0^(i-dx); the solvers hand in those vectors from a cached
-    classic.Run. BiPoly.hasse_matrix and has_multiplicity are its one-point
-    runs.
+    classic.Run. BiPoly.has_multiplicity is its one-point run, and
+    classic.multiplicity_holds, certify's vanishing check, one run over every
+    point.
   * hasse_derivative — the direct binomial-sum formula on the full
     coefficients, its binomials taken as integers (math.comb) mod p rather
     than from the Taylor vectors; slower, used as the independent cross-check.
@@ -27,35 +28,6 @@ from operator import mul
 from . import unipoly
 from .field import PrimeField
 from .unipoly import NEG_INF, UniPoly, _lanes, _pack, _slot_width
-
-
-class Monomial:
-    """x^xdeg * y^ydeg under the weight w. Equal monomials have equal fields;
-    the weighted order is key()'s, so there is no < on monomials."""
-
-    __slots__ = ("xdeg", "ydeg", "w")
-
-    def __init__(self, xdeg: int, ydeg: int, w: int):
-        self.xdeg = xdeg
-        self.ydeg = ydeg
-        self.w = w
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Monomial) and (self.xdeg, self.ydeg, self.w) == (
-            other.xdeg, other.ydeg, other.w)
-
-    def __hash__(self) -> int:
-        return hash((self.xdeg, self.ydeg, self.w))
-
-    def __repr__(self) -> str:
-        return f"Monomial(xdeg={self.xdeg}, ydeg={self.ydeg}, w={self.w})"
-
-    @property
-    def wdeg(self) -> int:
-        return self.xdeg + self.w * self.ydeg
-
-    def key(self) -> tuple[int, int]:
-        return (self.wdeg, self.xdeg)
 
 
 def derivative_orders(s: int) -> list[tuple[int, int]]:
@@ -188,20 +160,6 @@ class BiPoly:
                     best = d
         return best
 
-    def leading_monomial(self, w: int) -> Monomial:
-        if self.is_zero():
-            raise ValueError("zero polynomial has no leading monomial")
-        best = None
-        for j, row in enumerate(self.rows):
-            if row.coeffs:
-                cand = Monomial(row.degree, j, w)
-                if best is None or cand.key() > best.key():
-                    best = cand
-        return best
-
-    def leading_position(self, w: int) -> int:
-        return self.leading_monomial(w).ydeg
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BiPoly)
@@ -235,12 +193,6 @@ class BiPoly:
         return acc
 
     # -- Hasse derivatives ---------------------------------------------------------
-
-    def hasse_matrix(self, x0: int, y0: int, s: int) -> list[list[int]]:
-        """s x s matrix H[dx][dy] of Hasse derivatives at (x0, y0), dx+dy < s,
-        with zeros outside the anti-triangle (see hasse_matrices)."""
-        flat = iter(hasse_matrices(self.field, [[r.coeffs for r in self.rows]], [(x0, y0)], [s])[0])
-        return [[next(flat) if dx + dy < s else 0 for dy in range(s)] for dx in range(s)]
 
     def hasse_derivative(self, x0: int, y0: int, dx: int, dy: int) -> int:
         """One Hasse derivative by the direct binomial-sum formula (no reduction)."""

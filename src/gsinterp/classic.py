@@ -74,6 +74,48 @@ class TrackedBasis:
         return self.elems[_pick_pivot([1] * len(self.deltas), self.deltas)]
 
 
+def multiplicity_holds(inst: InterpolationInstance, elems: list[BiPoly]) -> bool:
+    """True when every element vanishes to order s_i at every point: all its
+    Hasse values of order < s_i are 0, by one hasse_matrices call."""
+    rows = [[r.coeffs for r in e.rows] for e in elems]
+    return not any(map(any, hasse_matrices(inst.field, rows, inst.points, inst.mults)))
+
+
+CONDITIONS = ("multiplicity", "positions", "colength")  # certify's, in its order
+
+
+def certify(inst: InterpolationInstance, basis: TrackedBasis) -> list[str]:
+    """The CONDITIONS the basis fails, [] when it passes all three:
+      multiplicity - every element vanishes to order s_i at every point;
+      positions    - element j's leading y-position under the (1, w) order,
+                     ties to the larger x power, is j;
+      colength     - sum_j (delta_j - w*j) equals the colength of the
+                     interpolation module, C_eff = sum_i sum_{b <= min(s_i - 1,
+                     ell)} (s_i - b), its constraints with dy <= ell.
+    The delta_j are the elements' weighted degrees, never basis.deltas, and
+    C_eff comes from the instance alone. Together the three prove that the
+    elements generate the module and that the least of them is minimal: the
+    matrix of their y-power rows, column j shifted by w*j, is in weak Popov
+    form, so its determinant has degree sum_j (delta_j - w*j), the colength of
+    the module the rows span; that span lies in the interpolation module,
+    whose colength is C_eff, so the two are equal, and a weak Popov basis
+    holds an element of least weighted degree (Mulders and Storjohann, JSC
+    2003; Beelen and Brander, JSC 2010)."""
+    w = inst.w
+    deltas = [e.weighted_degree(w) for e in basis.elems]
+    positions = [
+        next((j for j, r in enumerate(e.rows) if r.coeffs and r.degree + w * j == d), None)
+        for e, d in zip(basis.elems, deltas)
+    ]
+    c_eff = sum(s - b for s in inst.mults for b in range(min(s - 1, inst.ell) + 1))
+    passed = (
+        multiplicity_holds(inst, basis.elems),
+        positions == list(range(inst.ell + 1)),
+        sum(d - w * j for j, d in enumerate(deltas)) == c_eff,
+    )
+    return [c for c, ok in zip(CONDITIONS, passed) if not ok]
+
+
 def _pick_pivot(values: list[int], deltas: list[int]) -> int | None:
     """Index j minimizing (delta, -j) among nonzero values; None if all zero."""
     live = [j for j, v in enumerate(values) if v]
@@ -149,7 +191,7 @@ def eliminate_run(
 
     The values come from one bipoly.hasse_matrices call on the Run's Taylor
     vectors. Row j is then packed once into one integer of W-byte lanes,
-    W = _slot_width(1, p), at least 8: first the element's flat Hasse values
+    W = _slot_width(32, p), at least 8: first the element's flat Hasse values
     (for each point still to do, its s(s+1)/2 values in derivative_orders
     order, the current point's first), then its k entries interleaved by
     x-degree, the x^d coefficient of entry l in lane V + d*k + l after V
@@ -159,10 +201,11 @@ def eliminate_run(
     row_j += (p - c)*row_t. With row_t reduced it adds at most (p - 1)^2 to a
     lane, so a row is reduced (unpacked mod p, repacked) before its addition
     tmax + 1, tmax = (2^(8W) - p) // (p - 1)^2: 32 at the 30-bit bench prime,
-    1 at 4294967291 and 2^64 - 59, and never 0: 2^(8W) is a square above
-    (p - 1)^2, so at least p^2. The pivot is always reduced before it
-    multiplies, or a lane times (p - c) could carry into the next one without
-    any sign. The pivot's (x - x_i) turns its entry lanes T into
+    256 at 4294967291 and 2^64 - 59 (W = 9 and 17), 64 at 2^61 - 1, and never
+    below 31, as 2^(8W) > 32 (p - 1)^2: W has room for the bench prime's 32
+    additions, so no prime reduces rows much more often. The pivot is always
+    reduced before it multiplies, or a lane times (p - c) could carry into the
+    next one without any sign. The pivot's (x - x_i) turns its entry lanes T into
     (T << 8W*k) + (-x_i mod p)*T. For its values write
     x - x_i = (x - x_k) + (x_k - x_i): the coefficient of
     (x - x_k)^dx (y - y_k)^dy in (x - x_i)*b is H[dx-1][dy] + (x_k - x_i)*H[dx][dy]
@@ -171,7 +214,7 @@ def eliminate_run(
     lanes are shifted out of every row, and the rows are unpacked once."""
     p, k = field.p, len(rows[0])
     counter = unipoly._COUNTER
-    width = _slot_width(1, p)
+    width = _slot_width(32, p)
     bits = 8 * width
     mask = (1 << bits) - 1
     tmax = ((1 << bits) - p) // (p - 1) ** 2  # additions a reduced row can take

@@ -60,6 +60,7 @@ from .unipoly import UniPoly, _add_raw, _divmod_raw, _mul_kron, _pack, _series_i
 # root splitting draws its shifts from a generator of its own with this seed,
 # so the global RNG is untouched and a decode repeats its work exactly
 _SPLIT_SEED = 0x5EED
+_SPLIT_DRAWS = 64  # failed draws in a row after which _split_linear gives up
 
 
 class InfeasibleParameters(ValueError):
@@ -164,14 +165,19 @@ def _split_linear(h: list[int], field: PrimeField, rng: random.Random, out: list
     """Append the roots of h, monic and a product of distinct linear factors
     over GF(p) with p odd, by equal-degree splitting: for a random shift
     delta, gcd(h, (x + delta)^((p-1)/2) - 1) keeps the roots r whose r + delta
-    is a nonzero square, about half of them."""
-    p = field.p
+    is a nonzero square, about half of them. A draw splits h with probability
+    about 1/2 or more, so _SPLIT_DRAWS failures in a row mean h is not such a
+    product, and raise RuntimeError rather than draw forever."""
+    p, misses = field.p, 0
     while len(h) > 2:
+        if misses == _SPLIT_DRAWS:
+            raise RuntimeError(f"no split of a degree-{len(h) - 1} factor in {_SPLIT_DRAWS} draws")
         shifted = _pow_mod(rng.randrange(p), (p - 1) // 2, h, field)
         d = _gcd(h, _trim(_add_raw(shifted, [p - 1], p)), field)
+        misses += 1
         if 2 <= len(d) < len(h):
             _split_linear(d, field, rng, out)
-            h = _divmod_raw(h, d, field)[0]
+            h, misses = _divmod_raw(h, d, field)[0], 0
     if len(h) == 2:
         out.append(-h[0] % p)
 

@@ -1,11 +1,12 @@
 """Brute-force minimal interpolation by explicit linear algebra.
 
-Monomial columns are appended one at a time in increasing weighted order
-while a column echelon factorization is maintained; the first column that
-is linearly dependent on its predecessors closes a kernel vector whose
-leading monomial is that column, so the returned solution has provably
-minimal weighted degree. Desk scale only: the work grows with the cube of
-the constraint count, which problem.check_work weighs before any column.
+Columns, one per monomial, are appended one at a time in increasing
+weighted order while a column echelon factorization is maintained; the
+first column that is linearly dependent on its predecessors closes a kernel
+vector whose leading monomial is that column, so the returned solution has
+provably minimal weighted degree. Desk scale only: the work grows with the
+cube of the constraint count, which problem.check_work weighs before any
+column.
 """
 
 from __future__ import annotations

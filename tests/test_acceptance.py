@@ -13,7 +13,7 @@ import pytest
 
 from gsinterp import classic, fast
 from gsinterp.bench import BENCH_PRIME, format_csv, time_passes
-from gsinterp.bipoly import derivative_orders
+from gsinterp.bipoly import derivative_orders, hasse_matrices
 from gsinterp.decoder import GSParams, RSCode, decode_list, hamming
 from gsinterp.field import PrimeField
 from gsinterp.oracle import minimal_solution
@@ -112,11 +112,9 @@ def _check_structural_agreement(runs) -> bool:
     for inst, _, basis, _, _, fast_basis, _ in runs:
         if sorted(basis.deltas) != sorted(fast_basis.deltas):
             return False
-        # element j keeps leading y-position j in both solvers
-        want = list(range(inst.ell + 1))
-        for b in (basis, fast_basis):
-            if [e.leading_position(inst.w) for e in b.elems] != want:
-                return False
+        # both bases pass the certificate: element j keeps leading y-position j
+        if classic.certify(inst, basis) or classic.certify(inst, fast_basis):
+            return False
     return True
 
 
@@ -132,16 +130,15 @@ def test_criterion_2_reduction_preserves_derivatives():
         x0, y0 = F101.rand(rng), F101.rand(rng)
         s = rng.randint(1, 4)
         reduced = reduce_mod(q, poly_pow(x_minus(F101, x0), s))
-        H_full = q.hasse_matrix(x0, y0, s)
-        H_red = reduced.hasse_matrix(x0, y0, s)
-        if H_full != H_red:
+        H_full, H_red = (
+            hasse_matrices(F101, [[r.coeffs for r in e.rows]], [(x0, y0)], [s])[0]
+            for e in (q, reduced)
+        )
+        # the direct-formula route on the unreduced polynomial must agree too
+        direct = [q.hasse_derivative(x0, y0, dx, dy) for dx, dy in derivative_orders(s)]
+        if not H_full == H_red == direct:
             ok = False
             break
-        # the direct-formula route on the unreduced polynomial must agree too
-        for dx, dy in derivative_orders(s):
-            if q.hasse_derivative(x0, y0, dx, dy) != H_full[dx][dy]:
-                ok = False
-                break
     _report(2, "Hasse derivatives invariant under reduction", ok)
 
 
@@ -224,6 +221,50 @@ def test_criterion_7_op_count_companion():
     # the exact counts: work added without changing the output, which the
     # golden digest alone would not see, shows here
     assert counts == {64: 55098, 256: 292982, 512: 639492}
+
+
+# fast.solve's counted work on random_instance(F, Random(7), n, ell, 1,
+# uniform_s=s) over the bench prime, by (n, s, ell)
+SHAPE_PINS = {
+    (256, 2, 7): 1288508, (256, 2, 15): 3538563, (256, 2, 31): 7932732,
+    (64, 4, 8): 1429267, (64, 8, 16): 26067477,
+}
+
+
+def _structural_growth(a, b) -> float:
+    """The most fast.solve's work may grow from shape a to shape b, (n, s,
+    ell) at one n: by L^3 C, the L^3 entry pairs of its L x L matrix
+    products over C constraints, or by L C^2, its leaves' L rows carrying a
+    run's constraints (which grow as C at one n) through each of C rounds;
+    L = ell + 1 and C grows as s(s + 1)."""
+    (_, s1, ell1), (_, s2, ell2) = a, b
+    L, C = (ell2 + 1) / (ell1 + 1), s2 * (s2 + 1) / (s1 * (s1 + 1))
+    return max(L**3 * C, L * C * C)
+
+
+def _shape_counts(shapes):
+    field = PrimeField(BENCH_PRIME)
+    counts = {}
+    for n, s, ell in shapes:
+        inst = random_instance(field, random.Random(7), n, ell, 1, uniform_s=s)
+        with count_scalar_mults() as ctr:
+            fast.solve(inst)
+        counts[n, s, ell] = ctr.mults
+    return counts
+
+
+@pytest.mark.parametrize("shapes", [
+    [(256, 2, 7), (256, 2, 15), (256, 2, 31)],  # in ell, bounded by (L2 / L1)^3 = 8
+    [(64, 4, 8), (64, 8, 16)],  # in s with ell = 2s, bounded by L C^2 = 24.5
+], ids=["ell", "s"])
+def test_op_count_pins_in_ell_and_s(shapes):
+    # deterministic companions in ell and s to criterion 7's in n: a change
+    # that raises an exponent breaks the bound, one that moves a constant
+    # only a pin
+    counts = _shape_counts(shapes)
+    for a, b in zip(shapes, shapes[1:]):
+        assert 1 < counts[b] / counts[a] <= _structural_growth(a, b)
+    assert counts == {shape: SHAPE_PINS[shape] for shape in shapes}
 
 
 def test_criterion_8_hasse_cache_equivalence(uniform_runs, bench_passes):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from gsinterp.bipoly import BiPoly, Monomial, derivative_orders, hasse_matrices, taylor_vectors
+from gsinterp.bipoly import BiPoly, derivative_orders, hasse_matrices, taylor_vectors
 from gsinterp.field import PrimeField
 from gsinterp.unipoly import NEG_INF, UniPoly, _slot_width
 from util import poly_pow, rand_bipoly, rand_unipoly, reduce_mod, x_minus
@@ -18,7 +18,7 @@ def B(field, ell, terms):
     return BiPoly.from_monomials(field, ell, terms)
 
 
-# -- weighted degree and the monomial order ------------------------------------
+# -- weighted degree ------------------------------------
 
 
 def test_weighted_degree_examples():
@@ -28,50 +28,6 @@ def test_weighted_degree_examples():
     assert q.weighted_degree(2) == 5
     assert B(F7, 3, []).weighted_degree(2) == NEG_INF
     assert B(F7, 3, []).weighted_degree(2) < 0
-
-
-def test_monomial_cmp_examples():
-    assert Monomial(3, 0, 2).key() < Monomial(1, 2, 2).key()  # x^3 < x*y^2
-    assert Monomial(1, 0, 1).key() > Monomial(0, 1, 1).key()  # x > y at w=1
-    assert Monomial(2, 0, 1).key() > Monomial(1, 1, 1).key()  # tie goes to the larger x power
-
-
-def test_monomial_cmp_total_order():
-    # distinct monomials of one weight never tie, so key() orders them totally
-    rng = random.Random(0)
-    ms = [Monomial(rng.randint(0, 6), rng.randint(0, 4), 3) for _ in range(60)]
-    for a in ms:
-        for b in ms:
-            assert (a.key() == b.key()) == (a == b)
-    for a in ms:
-        for b in ms:
-            for c in ms:
-                if a.key() <= b.key() and b.key() <= c.key():
-                    assert a.key() <= c.key()
-
-
-def test_monomial_order_respects_x_multiplication():
-    rng = random.Random(1)
-    for _ in range(200):
-        w = rng.randint(1, 4)
-        a = Monomial(rng.randint(0, 8), rng.randint(0, 5), w)
-        b = Monomial(rng.randint(0, 8), rng.randint(0, 5), w)
-        if a.key() < b.key():
-            xa = Monomial(a.xdeg + 1, a.ydeg, w)
-            xb = Monomial(b.xdeg + 1, b.ydeg, w)
-            assert xa.key() < xb.key()
-
-
-def test_leading_monomial_examples():
-    y_minus_x = B(F7, 1, [(0, 1, 1), (1, 0, -1)])
-    lm = y_minus_x.leading_monomial(1)
-    assert (lm.xdeg, lm.ydeg) == (1, 0)  # tie broken toward the higher x power
-    q = B(F7, 2, [(0, 2, 1)])
-    assert (q.leading_monomial(3).xdeg, q.leading_monomial(3).ydeg) == (0, 2)
-    q = B(F7, 1, [(5, 0, 1), (0, 1, 1)])
-    assert (q.leading_monomial(2).xdeg, q.leading_monomial(2).ydeg) == (5, 0)
-    with pytest.raises(ValueError):
-        B(F7, 2, []).leading_monomial(1)
 
 
 def test_weighted_degree_multiplicative():
@@ -108,34 +64,34 @@ def test_derivative_orders_sorted_lexicographically():
 
 def test_hasse_matrix_example_x2y():
     q = B(F7, 1, [(2, 1, 1)])  # x^2 * y
-    H = q.hasse_matrix(1, 1, 3)
-    assert H[1][1] == 2  # coeff of x*y in (x+1)^2 (y+1)
+    # (x+1)^2 (y+1) by (dx, dy) in derivative_orders(3): the coefficient of
+    # x*y, order (1, 1), is 2
+    assert hasse_matrices(F7, [[r.coeffs for r in q.rows]], [(1, 1)], [3]) == [[1, 1, 0, 2, 2, 1]]
     # cross-check against the explicit formula route
     assert q.hasse_derivative(1, 1, 1, 1) == 2
 
 
 def test_hasse_matrix_at_origin():
     q = B(F5, 1, [(0, 1, 1), (1, 0, -1)])  # y - x
-    H = q.hasse_matrix(0, 0, 2)
-    assert H[0][0] == 0
-    assert H[1][0] == 4  # -1 mod 5
-    assert H[0][1] == 1
+    # orders (0, 0), (0, 1), (1, 0): the value, then the coefficients of y and x
+    assert hasse_matrices(F5, [[r.coeffs for r in q.rows]], [(0, 0)], [2]) == [[0, 1, 4]]
 
 
 def test_hasse_matrix_constant():
     q = B(F7, 0, [(0, 0, 3)])
-    assert q.hasse_matrix(2, 5, 1) == [[3]]
+    assert hasse_matrices(F7, [[r.coeffs for r in q.rows]], [(2, 5)], [1]) == [[3]]
 
 
 def test_hasse_matrix_anti_triangle_zeroed():
+    # a point of multiplicity s holds the s(s+1)/2 values with dx + dy < s,
+    # and those with dy above the y-degree 3 are 0
     rng = random.Random(3)
     q = rand_bipoly(F101, rng, 3, 8)
-    s = 4
-    H = q.hasse_matrix(7, 9, s)
-    for dx in range(s):
-        for dy in range(s):
-            if dx + dy >= s:
-                assert H[dx][dy] == 0
+    s = 6
+    (got,) = hasse_matrices(F101, [[r.coeffs for r in q.rows]], [(7, 9)], [s])
+    assert got == _reference_values(q, [(7, 9)], [s])
+    assert len(got) == s * (s + 1) // 2
+    assert all(v == 0 for (dx, dy), v in zip(derivative_orders(s), got) if dy > 3)
 
 
 def test_hasse_matrix_agrees_with_formula_oracle():
@@ -144,9 +100,8 @@ def test_hasse_matrix_agrees_with_formula_oracle():
         q = rand_bipoly(F101, rng, rng.randint(0, 4), 8)
         x0, y0 = F101.rand(rng), F101.rand(rng)
         s = rng.randint(1, 4)
-        H = q.hasse_matrix(x0, y0, s)
-        for dx, dy in derivative_orders(s):
-            assert H[dx][dy] == q.hasse_derivative(x0, y0, dx, dy)
+        got = hasse_matrices(F101, [[r.coeffs for r in q.rows]], [(x0, y0)], [s])
+        assert got == [_reference_values(q, [(x0, y0)], [s])]
 
 
 def _reference_values(elem, points, mults):
@@ -252,7 +207,8 @@ def test_reduction_preserves_hasse_derivatives():
         x0, y0 = F101.rand(rng), F101.rand(rng)
         s = rng.randint(1, 4)
         modulus = poly_pow(x_minus(F101, x0), s)
-        assert q.hasse_matrix(x0, y0, s) == reduce_mod(q, modulus).hasse_matrix(x0, y0, s)
+        full, reduced = ([[r.coeffs for r in e.rows]] for e in (q, reduce_mod(q, modulus)))
+        assert hasse_matrices(F101, full, [(x0, y0)], [s]) == hasse_matrices(F101, reduced, [(x0, y0)], [s])
 
 
 # -- reduction ------------------------------------------------------------------

@@ -6,12 +6,14 @@ import pytest
 from gsinterp.bench import BENCH_PRIME
 from gsinterp.bipoly import BiPoly, derivative_orders, hasse_matrices, taylor_vectors
 from gsinterp.field import PrimeField
-from gsinterp.classic import Run, eliminate_run, interpolate, shift_plan
+from gsinterp.classic import Run, TrackedBasis, certify, eliminate_run, interpolate, shift_plan
 from gsinterp.fast import solve_basis
 from gsinterp.oracle import minimal_solution
 from gsinterp.problem import InterpolationInstance, random_instance
-from gsinterp.unipoly import UniPoly
-from util import logged, proportional, rand_bipoly, rand_unipoly, shift_values, x_degree
+from gsinterp.unipoly import UniPoly, count_scalar_mults
+from util import (
+    golden_instances, logged, proportional, rand_bipoly, rand_unipoly, shift_values, x_degree,
+)
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -81,10 +83,7 @@ def test_prefix_bases_satisfy_processed_points():
             full.field, full.points[:i], full.mults[:i], full.ell, full.w
         )
         _, basis = interpolate(prefix, "cached")
-        for e in basis.elems:
-            for (x, y), s in zip(prefix.points, prefix.mults):
-                assert e.has_multiplicity(x, y, s)
-        assert [e.leading_position(full.w) for e in basis.elems] == list(range(full.ell + 1))
+        assert certify(prefix, basis) == []
 
 
 def test_leading_positions_stay_a_permutation():
@@ -95,8 +94,7 @@ def test_leading_positions_stay_a_permutation():
         bases = [interpolate(inst, mode)[1] for mode in ("naive", "cached")]
         bases.append(solve_basis(inst))
         for basis in bases:
-            got = [e.leading_position(inst.w) for e in basis.elems]
-            assert got == list(range(inst.ell + 1))
+            assert certify(inst, basis) == []
 
 
 def test_x_degree_bound():
@@ -312,12 +310,12 @@ def test_run_keeps_its_x_side_from_the_second_use():
 )
 def test_eliminate_run_matches_sequential_reference(p):
     # whole runs against the point-by-point reference. In trial 1 a leaf
-    # run of 16 points of s = 4 makes 160 rounds. With 11 elements, the ten
+    # run of 16 points of s = 6 makes 336 rounds. With 11 elements, the ten
     # of small delta can take every round's pivot, so the last one, whose
     # delta is out of reach, takes a row operation in nearly every round:
-    # more unreduced additions than a lane holds at the bench prime (32) or
-    # at 4294967291 and 2^64 - 59 (1), so rows must be reduced on the way;
-    # 2^64 - 59 runs the widest lane, 16 bytes
+    # more unreduced additions than a lane holds at the bench prime (32), at
+    # 2^61 - 1 (64) and at 4294967291 and 2^64 - 59 (256), so rows must be
+    # reduced on the way; 2^64 - 59 runs the widest lane, 17 bytes
     field = PrimeField(p)
     rng = random.Random(p % 10007)
     for trial in range(6):
@@ -327,7 +325,7 @@ def test_eliminate_run_matches_sequential_reference(p):
         # range(p) has no len above sys.maxsize
         xs = rng.sample(range(min(p, sys.maxsize)), npts)
         points = [(x, field.rand(rng)) for x in xs]
-        mults = [4 if long_run else rng.randint(1, 4) for _ in xs]
+        mults = [6 if long_run else rng.randint(1, 4) for _ in xs]
         elems = [rand_bipoly(field, rng, ell, 6) for _ in range(ell + 1)]
         extra = [[rand_unipoly(field, rng, rng.randint(0, 5)) for _ in range(ell + 1)]
                  for _ in range(ell + 1)]
@@ -345,3 +343,104 @@ def test_eliminate_run_matches_sequential_reference(p):
             _sequential_point(field, elems, extra, deltas, x, y, s, want_log, 3 + i)
         assert got_log == want_log and got_deltas == deltas
         assert got == _joined_rows(extra, elems)
+
+
+# -- the certificate -----------------------------------------------------------
+
+
+def test_certify_passes_every_bundled_and_golden_instance():
+    for inst in golden_instances():
+        assert certify(inst, interpolate(inst, "cached")[1]) == [], inst
+        assert certify(inst, solve_basis(inst)) == [], inst
+
+
+def _times_x(inst, basis):
+    return inst, TrackedBasis([basis.elems[0].mul_linear(0)] + basis.elems[1:], basis.deltas)
+
+
+def _swapped(inst, basis):
+    e, d = basis.elems, basis.deltas
+    return inst, TrackedBasis([e[1], e[0]] + e[2:], [d[1], d[0]] + d[2:])
+
+
+def _plus_xk(inst, basis):
+    # element 1 plus x^k times element 0, x^k * element 0 of weighted degree
+    # above element 1's, so that the sum leads in y-position 0
+    e0, e1 = basis.elems[:2]
+    w, p = inst.w, inst.field.p
+    for _ in range(max(0, e1.weighted_degree(w) - e0.weighted_degree(w) + 1)):
+        e0 = e0.mul_linear(0)
+    return inst, TrackedBasis([basis.elems[0], e1.sub_scaled(p - 1, e0)] + basis.elems[2:],
+                              basis.deltas)
+
+
+def _deltas_off(inst, basis):
+    # certify reads the deltas off the elements, so wrong recorded ones pass
+    return inst, TrackedBasis(basis.elems, [d + 1 for d in basis.deltas])
+
+
+def _point_dropped(inst, basis):
+    rest = InterpolationInstance(inst.field, inst.points[:-1], inst.mults[:-1], inst.ell, inst.w)
+    return inst, solve_basis(rest)
+
+
+CERTIFY_INSTANCES = {
+    "bench": random_instance(PrimeField(BENCH_PRIME), random.Random(1), 24, 3, 2, uniform_s=2),
+    "char2": InterpolationInstance(PrimeField(2), [(0, 1), (1, 0)], [3, 2], ell=2, w=1),
+    "ell0": random_instance(F101, random.Random(2), 6, 0, 1, smin=1, smax=3),
+    "s_above_ell": random_instance(F101, random.Random(3), 5, 1, 2, uniform_s=4),
+}
+CERTIFY_MUTANTS = {
+    "none": (None, []),
+    "times_x": (_times_x, ["colength"]),
+    "swapped": (_swapped, ["positions"]),
+    "plus_xk": (_plus_xk, ["positions", "colength"]),
+    "point_dropped": (_point_dropped, ["multiplicity", "colength"]),
+    "deltas_off": (_deltas_off, []),
+}
+
+
+@pytest.mark.parametrize("kind, mutant", [
+    (kind, mutant) for kind in CERTIFY_INSTANCES for mutant in CERTIFY_MUTANTS
+    # one element has no other to swap with or add
+    if kind != "ell0" or mutant not in ("swapped", "plus_xk")
+])
+def test_certify_fails_each_mutated_basis(kind, mutant):
+    inst = CERTIFY_INSTANCES[kind]
+    mutate, want = CERTIFY_MUTANTS[mutant]
+    basis = solve_basis(inst)
+    if mutate is not None:
+        inst, basis = mutate(inst, basis)
+    assert certify(inst, basis) == want
+
+
+def test_certify_positions_break_ties_toward_x():
+    # y + x at w = 1: x and y tie, and the larger x power leads, so the
+    # element leads in y-position 0; {x + y, y} passes the positions check,
+    # {y, x + y} does not
+    F = PrimeField(5)
+    inst = InterpolationInstance(F, [(0, 0)], [1], ell=1, w=1)
+    x_plus_y = BiPoly.from_monomials(F, 1, [(1, 0, 1), (0, 1, 1)])
+    y = BiPoly.from_monomials(F, 1, [(0, 1, 1)])
+    assert "positions" not in certify(inst, TrackedBasis([x_plus_y, y], [1, 1]))
+    assert "positions" in certify(inst, TrackedBasis([y, x_plus_y], [1, 1]))
+
+
+def test_certify_fast_basis_at_scale():
+    inst = random_instance(PrimeField(BENCH_PRIME), random.Random(11), 1024, 2, 1, uniform_s=2)
+    assert certify(inst, solve_basis(inst)) == []
+
+
+def test_word_sized_primes_do_the_bench_primes_work():
+    # eliminate_run's lanes hold 32 unreduced additions or more at every
+    # prime, so a row is reduced no more often at 32- and 64-bit primes than
+    # at the bench prime, and the counted work of both solvers is the same
+    counts = []
+    for p in (BENCH_PRIME, 2**32 - 5, 2**64 - 59):
+        inst = random_instance(PrimeField(p), random.Random(3), 64, 2, 1, uniform_s=2)
+        with count_scalar_mults() as cached:
+            interpolate(inst, "cached")
+        with count_scalar_mults() as fast_ctr:
+            solve_basis(inst)
+        counts.append((cached.mults, fast_ctr.mults))
+    assert counts[0] == counts[1] == counts[2]

@@ -142,18 +142,26 @@ def test_flag_overrides_file_header(capsys):
     assert fields["w"] == "3"
 
 
+VERIFY_LINES = [
+    "modes-identical", "classic-min-delta-vs-oracle", "fast-min-delta-vs-oracle",
+    "classic-q-wdeg", "deltas-sorted-equal",
+    "multiplicity-classic", "positions-classic", "colength-classic",
+    "multiplicity-fast", "positions-fast", "colength-fast",
+    "multiplicity-oracle",
+]
+
+
 def test_verify_bundled_instances(capsys):
     for path in INSTANCES:
         rc = main(["verify", path])
         out = capsys.readouterr().out
         assert rc == 0, f"{path}:\n{out}"
-        assert "FAIL" not in out
-        assert out.count("PASS") >= 8
+        assert out.splitlines() == [f"{name}: PASS" for name in VERIFY_LINES]
 
 
 def test_verify_exit_zero_iff_all_pass(capsys):
     rc = main(["verify", COLLINEAR])
-    capsys.readouterr()
+    assert capsys.readouterr().out.splitlines() == [f"{name}: PASS" for name in VERIFY_LINES]
     assert rc == 0
 
 
@@ -168,6 +176,23 @@ def test_verify_reports_an_element_that_does_not_vanish(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert "multiplicity-fast: FAIL" in out and "multiplicity-classic: PASS" in out
     assert "multiplicity-oracle: PASS" in out
+
+
+def test_verify_reports_two_swapped_elements(capsys, monkeypatch):
+    # the fast basis with its first two elements and deltas swapped: the
+    # same elements and deltas, so only the position check can tell
+    solve_basis = cli.fast.solve_basis
+
+    def swapped(inst):
+        basis = solve_basis(inst)
+        basis.elems[:2], basis.deltas[:2] = basis.elems[1::-1], basis.deltas[1::-1]
+        return basis
+
+    monkeypatch.setattr("gsinterp.fast.solve_basis", swapped)
+    assert main(["verify", COLLINEAR]) == 1
+    out = capsys.readouterr().out
+    fail = "positions-fast"
+    assert out.splitlines() == [f"{name}: {'FAIL' if name == fail else 'PASS'}" for name in VERIFY_LINES]
 
 
 def test_verify_refuses_instance_too_large_for_oracle(tmp_path, capsys, monkeypatch):

@@ -6,6 +6,7 @@ import time
 import pytest
 
 from gsinterp.bipoly import BiPoly
+from gsinterp.classic import certify
 from gsinterp.decoder import (
     GSParams,
     InfeasibleParameters,
@@ -201,8 +202,8 @@ def _root_cases(field, rng):
 def test_pow_mod_matches_repeated_multiplication(p):
     # every e < 40, so every bit pattern of up to 5 bits, against the power
     # built one schoolbook product at a time; delta = 0 is _poly_roots' x^p.
-    # Runs before the root tests, which a wrong power can send into an
-    # endless splitting loop
+    # Runs before the root tests, where a wrong power makes every splitting
+    # draw fail
     field = PrimeField(p)
     rng = random.Random(p)
     for deg in (1, 2, 5):
@@ -212,6 +213,25 @@ def test_pow_mod_matches_repeated_multiplication(p):
             for e in range(40):
                 assert _pow_mod(delta, e, m.coeffs, field) == poly_mod(power, m).coeffs
                 power = schoolbook_product(power, UniPoly(field, [delta, 1]))
+
+
+def test_split_linear_gives_up_after_its_draws(monkeypatch):
+    # a power that never splits: gcd(h, 1 - 1) = h on every draw. The draws
+    # are bounded, so this raises at once instead of looping; a hang would
+    # run into the guard on the number of draws
+    field, draws = PrimeField(13), []
+
+    def never_splits(delta, e, m, field):
+        draws.append(delta)
+        assert len(draws) <= 1000, "the splitting draws are not bounded"
+        return [1]
+
+    monkeypatch.setattr(decoder, "_pow_mod", never_splits)
+    start = time.process_time()
+    with pytest.raises(RuntimeError, match="64 draws"):
+        decoder._split_linear([2, 10, 1], field, random.Random(0), [])  # (x - 1)(x - 2)
+    assert len(draws) == 64
+    assert time.process_time() - start < 1
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 13, 65521])
@@ -524,6 +544,35 @@ def test_y_roots_degree_bound_below_one_rejected():
 
 
 # -- end-to-end decoding ---------------------------------------------------------------
+
+
+def test_decode_basis_passes_the_certificate(monkeypatch):
+    # decode_list solves the n - kappa points past the re-encoded ones from
+    # the start basis {L^max(s-j,0) * y^j}. Multiplied back, that basis spans
+    # the interpolation module of the re-encoded word over all n points, the
+    # first kappa of which it has made 0
+    field = PrimeField(BENCH_PRIME)
+    rng = random.Random(121)
+    code = RSCode(field, 255, 64)
+    params = gs_params(code, 121)
+    assert (params.s, params.ell) == (4, 8)
+    real_solve, solves = fast.solve, []
+
+    def solve(inst, *args):
+        solves.append((inst, *args))
+        return real_solve(inst, *args)
+
+    monkeypatch.setattr("gsinterp.fast.solve", solve)
+    msg = [field.rand(rng) for _ in range(code.k)]
+    recv = code.encode(msg)
+    for pos in rng.sample(range(code.n), params.tau):
+        recv[pos] = (recv[pos] + rand_nonzero(field, rng)) % field.p
+    assert msg in decode_list(code, recv, params)
+    ((inst, schedule, start),) = solves
+    kappa = code.n - inst.n
+    full = InterpolationInstance(field, [(x, 0) for x in code.evalpoints[:kappa]] + inst.points,
+                                 [params.s] * code.n, params.ell, params.w)
+    assert certify(full, fast.solve_basis(inst, schedule, start)) == []
 
 
 def test_decode_no_errors():

@@ -14,7 +14,7 @@ from gsinterp.fast import (
     solve_basis,
 )
 from gsinterp.field import PrimeField
-from gsinterp.classic import LEAF_MAX, Run, TrackedBasis, eliminate_run, interpolate
+from gsinterp.classic import LEAF_MAX, Run, TrackedBasis, certify, eliminate_run, interpolate
 from gsinterp.oracle import minimal_solution
 from gsinterp.problem import InterpolationInstance, random_instance
 from gsinterp.unipoly import UniPoly, count_scalar_mults
@@ -174,10 +174,9 @@ def test_one_point_tree_random_postconditions():
         T, deltas = tree([(xi, yi)], [s], *tree_args(reduced))
         updated = apply(T, full)
         assert max(x_degree(e) for e in updated) <= s
-        for j, (e, d) in enumerate(zip(updated, deltas)):
-            assert e.has_multiplicity(xi, yi, s)
-            assert e.weighted_degree(w) == d
-            assert e.leading_position(w) == j
+        assert [e.weighted_degree(w) for e in updated] == deltas
+        one_point = InterpolationInstance(F101, [(xi, yi)], [s], ell, w)
+        assert certify(one_point, TrackedBasis(updated, deltas)) == []
 
 
 def test_one_point_tree_dimension_check():
@@ -443,11 +442,8 @@ def test_solve_basis_bookkeeping_exact():
         inst = rand_inst(rng, nmax=6)
         basis = solve_basis(inst)
         assert max(x_degree(e) for e in basis.elems) <= sum(inst.mults)
-        for j, (e, d) in enumerate(zip(basis.elems, basis.deltas)):
-            assert e.weighted_degree(inst.w) == d
-            assert e.leading_position(inst.w) == j
-            for (x, y), s in zip(inst.points, inst.mults):
-                assert e.has_multiplicity(x, y, s)
+        assert [e.weighted_degree(inst.w) for e in basis.elems] == basis.deltas
+        assert certify(inst, basis) == []
 
 
 def test_delta_sum_counts_pivot_rounds():
@@ -483,11 +479,9 @@ def test_tree_subrange_bookkeeping_exact():
             T, deltas = tree(pts, mults, *tree_args(reduced_standard(F101, inst.ell, w, modulus)))
             updated = apply(T, base.elems)
             assert max(x_degree(e) for e in updated) <= sum(mults)
-            for j, (e, d) in enumerate(zip(updated, deltas)):
-                assert e.weighted_degree(w) == d
-                assert e.leading_position(w) == j
-                for (x, y), s in zip(pts, mults):
-                    assert e.has_multiplicity(x, y, s)
+            assert [e.weighted_degree(w) for e in updated] == deltas
+            sub = InterpolationInstance(F101, pts, mults, inst.ell, w)
+            assert certify(sub, TrackedBasis(updated, deltas)) == []
 
 
 # -- one elimination step, three solvers ------------------------------------------------
