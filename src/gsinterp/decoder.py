@@ -21,19 +21,19 @@ from the word where f is nonzero on the first kappa points and where f
 differs from the re-encoded word on the others, so the distance filter
 gives the same list as a solve over all n points.
 
-The x-side of the interpolation depends only on the evaluation points, k and
-s, never on the received word. A _Reencoding holds it: the fast.Schedule of
-the other n - kappa points, the powers L^m for m <= s, and c's x-side: the
-modulus tree of the first kappa points at multiplicity 1, whose root modulus
-is L, and their weights 1 / L'(x_i). None is kappa x kappa or
-(n - kappa) x kappa. decode_list keeps one per s in a private slot of the
-RSCode, so a decoder builds the x-side once per code and s however many
-words it decodes, and rebuilds one whose points or k no longer fit. Per
-word, c is a weighted sum of L / (x - x_i), combined up the first tree from
-its runs. Its values at the other points, and each root's values at all n,
-come down the trees by remainders, Horner's rule taking over at the runs.
-So the work per word grows as the tree products plus
-n * min(kappa, s * classic.LEAF_MAX), not as kappa * n.
+The x-side of the interpolation depends only on the field, the evaluation
+points, k and s, never on the received word. A _Reencoding holds it: the
+fast.Schedule of the other n - kappa points, the powers L^m for m <= s, and
+c's x-side: the modulus tree of the first kappa points at multiplicity 1,
+whose root modulus is L, and their weights 1 / L'(x_i). None is
+kappa x kappa or (n - kappa) x kappa. decode_list keeps one per s in a
+private slot of the RSCode, so a decoder builds the x-side once per code and
+s however many words it decodes, and rebuilds one whose field, points or k
+no longer fit. Per word, c is a weighted sum of L / (x - x_i), combined up
+the first tree from its runs. Its values at the other points, and each
+root's values at all n, come down the trees by remainders, Horner's rule
+taking over at the runs. So the work per word grows as the tree products
+plus n * min(kappa, s * classic.LEAF_MAX), not as kappa * n.
 
 Root extraction (y_roots) is Roth-Ruckenstein branching on trimmed
 coefficient lists from the interpolated rows down to the candidates. Slice
@@ -321,15 +321,15 @@ class _Reencoding:
     the module docstring): kappa, the fast.Schedule of the evaluation points
     after the first kappa, the modulus tree of the first kappa (multiplicity
     1, so its root modulus is L), lpows[m] = L^m for m <= s, and the weights
-    1 / L'(x_i) of the first kappa points. Kept with a copy of the
-    evaluation points and k, to tell when it no longer fits the code."""
+    1 / L'(x_i) of the first kappa points. Kept with the code's key (p, k
+    and a copy of the evaluation points), to tell when it no longer fits."""
 
-    __slots__ = ("xs", "k", "kappa", "schedule", "tree", "lpows", "weights")
+    __slots__ = ("key", "kappa", "schedule", "tree", "lpows", "weights")
 
     def __init__(self, code: RSCode, s: int):
         field, p = code.field, code.field.p
-        xs = self.xs = list(code.evalpoints)
-        self.k = code.k
+        xs = list(code.evalpoints)
+        self.key = (p, code.k, xs)
         self.kappa = kappa = min(code.k, code.n - 1)
         rest = code.n - kappa
         self.schedule = fast.Schedule(field, [(x, 0) for x in xs[kappa:]], [s] * rest)
@@ -398,7 +398,7 @@ def decode_list(code: RSCode, received, params: GSParams) -> list[list[int]]:
     s, ell, w = params.s, params.ell, params.w
     _check_work(code, s, ell)
     xside = code._schedules.get(s)
-    if xside is None or xside.k != code.k or xside.xs != code.evalpoints:
+    if xside is None or xside.key != (p, code.k, code.evalpoints):
         xside = code._schedules[s] = _Reencoding(code, s)
     kappa = xside.kappa
     c, rest = xside.word(received, field)

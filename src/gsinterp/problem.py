@@ -59,9 +59,9 @@ class InterpolationInstance:
 def check_work(n: int, constraints: int, ell: int, solver: str) -> None:
     """Raise ValueError when a solve of n points with the given number of
     constraints C (InterpolationInstance.constraint_count) and list size ell
-    is estimated to take longer than WORK_BUDGET. solver is "naive" or
-    "cached" (classic's modes), "fast" or "oracle". The arithmetic is on
-    integers, so an input of any size gets an answer and never an overflow.
+    is estimated to take longer than WORK_BUDGET, or solver is none of
+    "naive", "cached" (classic's modes), "fast" and "oracle". The arithmetic
+    is on integers, so an input of any size gets an answer, never overflow.
 
     The estimate, in nanoseconds, with L = ell + 1:
         every solver   (7000 n + 300 C + 3 L) L^2
@@ -105,8 +105,10 @@ def check_work(n: int, constraints: int, ell: int, solver: str) -> None:
         work += 300 * c * c
     elif solver == "oracle":
         work += (200 * c + 6000) * c * c
-    else:
+    elif solver == "fast":
         work += isqrt(c**3) * (6000 + 250 * isqrt(l**3)) + 30 * n * l**3
+    else:
+        raise ValueError(f"no work rate for solver {solver!r}: naive, cached, fast or oracle")
     if work > WORK_BUDGET:
         from decimal import Decimal  # exact at any size, where float() overflows
 

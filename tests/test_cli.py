@@ -143,12 +143,20 @@ def test_flag_overrides_file_header(capsys):
 
 
 VERIFY_LINES = [
-    "modes-identical", "classic-min-delta-vs-oracle", "fast-min-delta-vs-oracle",
-    "classic-q-wdeg", "deltas-sorted-equal",
-    "multiplicity-classic", "positions-classic", "colength-classic",
-    "multiplicity-fast", "positions-fast", "colength-fast",
+    "solvers-identical", "min-delta-vs-oracle", "q-wdeg-vs-oracle",
+    "multiplicity", "positions", "colength",
     "multiplicity-oracle",
 ]
+
+
+def _verify_fails(capsys, failing):
+    """verify on the collinear instance exits 1 and fails exactly the
+    lines named."""
+    assert main(["verify", COLLINEAR]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines() == [
+        f"{name}: {'FAIL' if name in failing else 'PASS'}" for name in VERIFY_LINES
+    ]
 
 
 def test_verify_bundled_instances(capsys):
@@ -167,20 +175,19 @@ def test_verify_exit_zero_iff_all_pass(capsys):
 
 def test_verify_reports_an_element_that_does_not_vanish(capsys, monkeypatch):
     # the fast basis swapped for the starting basis {1, y}, which vanishes at
-    # no point: its multiplicity check must fail while classic's passes
+    # no point and is not minimal; the oracle's solution still vanishes
     def standard(inst):
         return standard_basis(inst.field, inst.ell, inst.w)
 
     monkeypatch.setattr("gsinterp.fast.solve_basis", standard)
-    assert main(["verify", COLLINEAR]) == 1
-    out = capsys.readouterr().out
-    assert "multiplicity-fast: FAIL" in out and "multiplicity-classic: PASS" in out
-    assert "multiplicity-oracle: PASS" in out
+    _verify_fails(capsys, {"solvers-identical", "min-delta-vs-oracle", "q-wdeg-vs-oracle",
+                           "multiplicity", "colength"})
 
 
 def test_verify_reports_two_swapped_elements(capsys, monkeypatch):
     # the fast basis with its first two elements and deltas swapped: the
-    # same elements and deltas, so only the position check can tell
+    # same elements and deltas, so only the identity and position checks
+    # can tell
     solve_basis = cli.fast.solve_basis
 
     def swapped(inst):
@@ -189,10 +196,24 @@ def test_verify_reports_two_swapped_elements(capsys, monkeypatch):
         return basis
 
     monkeypatch.setattr("gsinterp.fast.solve_basis", swapped)
-    assert main(["verify", COLLINEAR]) == 1
-    out = capsys.readouterr().out
-    fail = "positions-fast"
-    assert out.splitlines() == [f"{name}: {'FAIL' if name == fail else 'PASS'}" for name in VERIFY_LINES]
+    _verify_fails(capsys, {"solvers-identical", "positions"})
+
+
+def test_verify_reports_a_naive_basis_that_moved(capsys, monkeypatch):
+    # the naive basis's element 0 times x, its delta raised by one: the fast
+    # basis still passes its certificate, so only the identity check fails,
+    # and it names the reference as the basis that moved
+    interpolate = cli.classic.interpolate
+
+    def times_x(inst, mode):
+        q, basis = interpolate(inst, mode)
+        if mode == "naive":
+            basis.elems[0] = basis.elems[0].mul_linear(0)
+            basis.deltas[0] += 1
+        return q, basis
+
+    monkeypatch.setattr("gsinterp.classic.interpolate", times_x)
+    _verify_fails(capsys, {"solvers-identical"})
 
 
 def test_verify_refuses_instance_too_large_for_oracle(tmp_path, capsys, monkeypatch):

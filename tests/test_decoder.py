@@ -546,16 +546,25 @@ def test_y_roots_degree_bound_below_one_rejected():
 # -- end-to-end decoding ---------------------------------------------------------------
 
 
-def test_decode_basis_passes_the_certificate(monkeypatch):
-    # decode_list solves the n - kappa points past the re-encoded ones from
-    # the start basis {L^max(s-j,0) * y^j}. Multiplied back, that basis spans
-    # the interpolation module of the re-encoded word over all n points, the
-    # first kappa of which it has made 0
+def _rs255_word():
+    """A fresh RS [255, 64] over the bench prime, its parameters at tau = 121
+    and a seeded message with a received word exactly tau errors away."""
     field = PrimeField(BENCH_PRIME)
     rng = random.Random(121)
     code = RSCode(field, 255, 64)
     params = gs_params(code, 121)
     assert (params.s, params.ell) == (4, 8)
+    msg = [field.rand(rng) for _ in range(code.k)]
+    return code, params, msg, _noisy(code, rng, msg, params.tau)
+
+
+def test_decode_basis_passes_the_certificate(monkeypatch):
+    # decode_list solves the n - kappa points past the re-encoded ones from
+    # the start basis {L^max(s-j,0) * y^j}. Multiplied back, that basis spans
+    # the interpolation module of the re-encoded word over all n points, the
+    # first kappa of which it has made 0
+    code, params, msg, recv = _rs255_word()
+    field = code.field
     real_solve, solves = fast.solve, []
 
     def solve(inst, *args):
@@ -563,16 +572,41 @@ def test_decode_basis_passes_the_certificate(monkeypatch):
         return real_solve(inst, *args)
 
     monkeypatch.setattr("gsinterp.fast.solve", solve)
-    msg = [field.rand(rng) for _ in range(code.k)]
-    recv = code.encode(msg)
-    for pos in rng.sample(range(code.n), params.tau):
-        recv[pos] = (recv[pos] + rand_nonzero(field, rng)) % field.p
     assert msg in decode_list(code, recv, params)
     ((inst, schedule, start),) = solves
     kappa = code.n - inst.n
     full = InterpolationInstance(field, [(x, 0) for x in code.evalpoints[:kappa]] + inst.points,
                                  [params.s] * code.n, params.ell, params.w)
     assert certify(full, fast.solve_basis(inst, schedule, start)) == []
+
+
+# decode_list's counted work on _rs255_word(): inside fast.solve, inside
+# y_roots, and the rest (re-encoding, the x-side build, the distance filter)
+DECODE_PINS = {"solve": 4590675, "y_roots": 18752, "rest": 10013}
+
+
+def test_decode_op_count_pins(monkeypatch):
+    # a deterministic companion to the shape pins in s and ell, on a fresh
+    # code: decoding again on the same code keeps the x-side and the nodes'
+    # Newton inverses, and counts less outside the solve. Each wrapper's
+    # block counts on its own, so the outer counter holds only the rest
+    code, params, msg, recv = _rs255_word()
+    counts = {}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            with count_scalar_mults() as ctr:
+                out = fn(*args)
+            counts[name] = ctr.mults
+            return out
+        return wrapped
+
+    monkeypatch.setattr("gsinterp.fast.solve", counted("solve", fast.solve))
+    monkeypatch.setattr("gsinterp.decoder.y_roots", counted("y_roots", decoder.y_roots))
+    with count_scalar_mults() as rest:
+        assert msg in decode_list(code, recv, params)
+    counts["rest"] = rest.mults
+    assert counts == DECODE_PINS
 
 
 def test_decode_no_errors():
@@ -812,6 +846,22 @@ def test_decode_after_evaluation_points_change():
     assert msg in got
     assert got == decode_list(RSCode(field, 32, 8, code.evalpoints), recv, params)
     assert code._schedules[params.s] is not kept
+
+
+def test_decode_after_field_changes():
+    # the code's x-side was built over GF(101); once the field is GF(103) it
+    # no longer fits, though the points and k are the same
+    rng = random.Random(21)
+    code = RSCode(PrimeField(101), 12, 3)
+    params = gs_params(code, 5)
+    msg = [code.field.rand(rng) for _ in range(3)]
+    assert msg in decode_list(code, _noisy(code, rng, msg, 5), params)
+    code.field = PrimeField(103)
+    msg = [code.field.rand(rng) for _ in range(3)]
+    recv = _noisy(code, rng, msg, 5)
+    got = decode_list(code, recv, params)
+    assert msg in got
+    assert got == decode_list(RSCode(PrimeField(103), 12, 3, code.evalpoints), recv, params)
 
 
 # (p, n, k, tau, error positions): "reencoded" puts errors on every one of the

@@ -134,6 +134,15 @@ def test_check_work_table(shapes, solvers, admitted):
                     check_work(n, c, ell, solver)
 
 
+@pytest.mark.parametrize("solver", ["classic", "classic-hasse", "oracel", ""])
+def test_check_work_refuses_an_unknown_solver(solver):
+    # the CLI's --algorithm names and a typo have no rate of their own; none
+    # is weighed as fast, not even at a shape naive refuses
+    for n, c, ell in [(1, 1, 0), (5000, 15000, 2)]:
+        with pytest.raises(ValueError, match="naive, cached, fast or oracle"):
+            check_work(n, c, ell, solver)
+
+
 def test_check_work_table_decoder_shapes():
     assert _decoder(BENCH_PRIME, 255, 64, 124) == _uniform(191, 8, 15)
     assert _decoder(BENCH_PRIME, 255, 64, 126) == _uniform(191, 14, 28)
