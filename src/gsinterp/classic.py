@@ -22,8 +22,9 @@ shift_plan and Taylor vectors in x. Classic cached builds one per run; a
 fast.Schedule keeps its leaves' Runs, so a decoder reuses them for every
 word it decodes, and a Run keeps what it builds from its second use on.
 The driver packs each row with its element's Hasse values at every run
-point into one integer of lanes, runs each point's rounds on those integers
-and unpacks once; its docstring gives the row layout.
+point into one integer of lanes, runs each point's rounds on those integers,
+reading each round's pivot lanes once, and unpacks once; its docstring
+gives the row layout.
 
 LEAF_MAX = 16: against it, fast.solve took 1.24x the time with runs of 8 on
 many small instances (s <= 3), 1.03x at n = 1024 (s = 2), 1.08x decoding and
@@ -38,7 +39,7 @@ from . import unipoly
 from .bipoly import BiPoly, derivative_orders, hasse_matrices, taylor_vectors
 from .field import PrimeField
 from .problem import InterpolationInstance
-from .unipoly import UniPoly, _pack, _slot_width, _trim, _unpack
+from .unipoly import UniPoly, _lanes, _pack, _slot_width, _trim, _unpack
 
 Rows = list[list[list[int]]]  # a transform, or a basis by elements: rows of coefficient lists
 
@@ -118,8 +119,11 @@ def certify(inst: InterpolationInstance, basis: TrackedBasis) -> list[str]:
 
 def _pick_pivot(values: list[int], deltas: list[int]) -> int | None:
     """Index j minimizing (delta, -j) among nonzero values; None if all zero."""
-    live = [j for j, v in enumerate(values) if v]
-    return min(live, key=lambda j: (deltas[j], -j)) if live else None
+    t = None
+    for j, v in enumerate(values):
+        if v and (t is None or deltas[j] <= deltas[t]):
+            t = j
+    return t
 
 
 Plan = tuple[list[int], list[int]]  # shift_plan's (src, d)
@@ -205,7 +209,9 @@ def eliminate_run(
     below 31, as 2^(8W) > 32 (p - 1)^2: W has room for the bench prime's 32
     additions, so no prime reduces rows much more often. The pivot is always
     reduced before it multiplies, or a lane times (p - c) could carry into the
-    next one without any sign. The pivot's (x - x_i) turns its entry lanes T into
+    next one without any sign: its lanes are read once, all of them mod p and
+    repacked when it is unreduced, only its value lanes when it is reduced.
+    The pivot's (x - x_i) turns its entry lanes T into
     (T << 8W*k) + (-x_i mod p)*T. For its values write
     x - x_i = (x - x_k) + (x_k - x_i): the coefficient of
     (x - x_k)^dx (y - y_k)^dy in (x - x_i)*b is H[dx-1][dy] + (x_k - x_i)*H[dx][dy]
@@ -228,21 +234,27 @@ def eliminate_run(
             lanes[nv + l : nv + l + k * len(e) : k] = e
         packed.append(_pack(lanes, width))
     adds = [0] * len(packed)  # the unreduced additions into each row
+    orders = {s: derivative_orders(s) for s in set(run.mults)}
     for i, (xi, s, (src, d)) in enumerate(zip(run.xs, run.mults, plans)):
         nv = len(src)
         low = (1 << bits * nv) - 1
         m = -xi % p
-        for r, (dx, dy) in enumerate(derivative_orders(s)):  # the rounds of one point
+        for r, (dx, dy) in enumerate(orders[s]):  # the rounds of one point
             values = [(row >> bits * r & mask) % p for row in packed]
             t = _pick_pivot(values, deltas)
             if t is None:
                 continue  # constraint already satisfied by every element
             inv_vt = field.inv(values[t])
             pivot = packed[t]
-            lanes = _reduce(pivot if adds[t] else pivot & low, width, p)
             if adds[t]:  # unreduced lanes would carry into each other when multiplied
-                pivot = _pack(lanes, width)
-            ext = lanes[:nv]
+                read = -(-pivot.bit_length() // bits)
+                ext = _lanes(pivot, read, width, p)
+                pivot = _pack(ext, width)
+                del ext[nv:]
+            else:  # a reduced pivot is read only for its value lanes
+                head = pivot & low
+                read = -(-head.bit_length() // bits)
+                ext = _lanes(head, nv, width, p)
             nops = 0
             for j, v in enumerate(values):
                 if j == t or v == 0:
@@ -261,8 +273,9 @@ def eliminate_run(
             adds[t] = 1  # the entries' lanes are below p + (p - 1)^2
             deltas[t] += 1
             if counter is not None:
-                # the pivot's lanes, once per row operation and once for the shift
-                counter.mults += (nops + 1) * -(-pivot.bit_length() // bits)
+                # the lanes read off the pivot, and its lanes once per row
+                # operation and once for the shift
+                counter.mults += read + (nops + 1) * -(-pivot.bit_length() // bits)
                 if counter.pivots is not None:
                     counter.pivots.append((run.lo + i, dx, dy, t))
         packed = [row >> bits * (s * (s + 1) // 2) for row in packed]  # the point is done

@@ -31,17 +31,20 @@ private slot of the RSCode, so a decoder builds the x-side once per code and
 s however many words it decodes, and rebuilds one whose field, points or k
 no longer fit. Per word, c is a weighted sum of L / (x - x_i), combined up
 the first tree from its runs. Its values at the other points, and each
-root's values at all n, come down the trees by remainders, Horner's rule
-taking over at the runs. So the work per word grows as the tree products
-plus n * min(kappa, s * classic.LEAF_MAX), not as kappa * n.
+root's values at all n, come down the trees by remainders, each node's
+modulus packed once for every word, Horner's rule taking over at the runs.
+So the work per word grows as the tree products plus
+n * min(kappa, s * classic.LEAF_MAX), not as kappa * n.
 
 Root extraction (y_roots) is Roth-Ruckenstein branching on trimmed
 coefficient lists from the interpolated rows down to the candidates. Slice
 roots come from _poly_roots: one inversion for a linear slice, a gcd with
-x^p - x and Cantor-Zassenhaus splitting otherwise. Each level's substitution
-y -> x*y + gamma packs the rows once. Below a simple root the branch is one
-power series, lifted by Newton iteration (_lift) rather than walked. Only the
-exact check of each candidate goes through BiPoly and UniPoly.
+x^p - x and Cantor-Zassenhaus splitting otherwise, whose powers
+(x + delta)^e mod h (_pow_mod) reduce each square while it is still packed.
+Each level's substitution y -> x*y + gamma packs the rows once. Below a
+simple root the branch is one power series, lifted by Newton iteration
+(_lift) rather than walked. Only the exact check of each candidate goes
+through BiPoly and UniPoly.
 """
 
 from __future__ import annotations
@@ -55,7 +58,10 @@ from . import fast
 from .bipoly import BiPoly, taylor_vectors
 from .field import PrimeField
 from .problem import InterpolationInstance, check_work
-from .unipoly import UniPoly, _add_raw, _divmod_raw, _mul_kron, _pack, _series_inv, _slot_width, _trim, _unpack
+from .unipoly import (
+    PackedModulus, UniPoly, _add_raw, _divmod_raw, _mul_kron, _pack, _series_inv, _slot_width, _trim,
+    _unpack,
+)
 
 # root splitting draws its shifts from a generator of its own with this seed,
 # so the global RNG is untouched and a decode repeats its work exactly
@@ -148,16 +154,26 @@ def _gcd(a: list[int], b: list[int], field: PrimeField) -> list[int]:
 
 
 def _pow_mod(delta: int, e: int, m: list[int], field: PrimeField) -> list[int]:
-    """(x + delta)^e mod m, deg m >= 1, by left-to-right square-and-multiply.
-    At a set bit the square is multiplied by x + delta, a shift plus a
-    scaled add, before its one reduction mod m."""
+    """(x + delta)^e mod m, deg m >= 1, by left-to-right square-and-multiply
+    on one PackedModulus. At a set bit the square times x + delta is formed
+    as out * (out * (x + delta)), the second factor a shift plus a scaled
+    add. Each product stays packed, its slots unreduced, until the
+    synthetic division reads its quotient and unpacks the remainder, so no
+    square is unpacked: out has at most dm coefficients, so a slot sums at
+    most dm products, and the division adds at most dm more."""
     p = field.p
+    mod = PackedModulus(m, field)
+    width = _slot_width(2 * mod.dm, p)
     out = [1]
     for bit in bin(e)[2:]:
-        out = _mul_kron(out, out, p)
+        if not out:
+            break  # m divides the power, and so every later one
+        a = _pack(out, width)
         if bit == "1":
-            out = _trim(_add_raw([0] + out, [delta * c % p for c in out], p))
-        out = _divmod_raw(out, m, field)[1]
+            b = _pack(_add_raw([0] + out, [delta * c % p for c in out], p), width)
+            out = mod.synthetic(a * b, 2 * len(out), width)[1]
+        else:
+            out = mod.synthetic(a * a, 2 * len(out) - 1, width)[1]
     return out
 
 

@@ -5,14 +5,15 @@ Classic cached eliminates the points one run of classic.LEAF_MAX after
 another on the full basis. This solver eliminates runs of at most LEAF_MAX
 points through the same driver, classic.eliminate_run, at the leaves of a
 binary tree over the points (its splits set the run boundaries): every
-intermediate basis is kept reduced mod the subtree modulus, by packed
-synthetic division for short quotients and by Newton division with a
-per-node cached inverse for long ones. At a leaf the driver reads the Hasse
-values off the reduced basis, and its rows are an (ell+1) x (ell+1)
-transform over F[x] from the identity, which records every row operation;
-the reduced basis itself is never updated. Hasse values of order < s at x_i
-depend only on the residue mod (x - x_i)^s, so the reduced basis gives the
-same pivots and ratios as the full one. Transforms compose by polynomial
+intermediate basis is kept reduced mod the subtree modulus, which each node
+packs once (unipoly.PackedModulus): synthetic division for short quotients,
+Newton division by the node's cached packed inverse for long ones. At a
+leaf eliminate_run reads the Hasse values off the reduced basis, and its rows
+are an (ell+1) x (ell+1) transform over F[x] from the identity, which
+records every row operation; the reduced basis itself is never updated.
+Hasse values of order < s at x_i depend only on the residue mod
+(x - x_i)^s, so the reduced basis gives the same pivots and ratios as the
+full one. Transforms compose by polynomial
 matrix multiplication, which packs each nonempty entry into one integer so
 that CPython's big-integer multiply carries the degree, and multiplies only
 pairs of nonempty entries. A left child's transform is composed where the
@@ -36,14 +37,15 @@ and a transform is its rows of entries. solve_basis and solve wrap the
 composed rows into BiPoly elements once, at exit.
 
 The pass has an x-side and a y-side. The x-side depends only on the field,
-the x's and the multiplicities: the modulus tree with its lazily cached
-Newton inverses, built down to its runs and no further, and at each leaf a
-classic.Run with the run's first point index, shift plans and each point's
-Taylor vectors in x. A Schedule holds all of it and checks the points; the
-y-side (the received word) only ever reads it. solve_basis builds one per
-call unless it is handed one, and decoder.decode_list keeps one per code and
-multiplicity, over the points it does not re-encode, so a decoder builds the
-x-side once per code and multiplicity.
+the x's and the multiplicities: the modulus tree with its lazily packed
+moduli and Newton inverses, built down to its runs and no further, and at
+each leaf a classic.Run with the run's first point index, shift plans and
+each point's Taylor vectors in x. A Schedule holds all of it and checks
+the points; the y-side (the received word) only ever reads it.
+solve_basis builds one per call unless it is handed one, and
+decoder.decode_list keeps one per code and multiplicity, over the points it
+does not re-encode, so a decoder builds the x-side once per code and
+multiplicity.
 interpolate_tree walks a Schedule's node on the node's y's. Pivot rounds are
 logged by unipoly.count_scalar_mults(pivots=True), numbered by each run's
 first point index.
@@ -56,9 +58,7 @@ from .bipoly import BiPoly
 from .classic import Rows, Run, TrackedBasis, _pick_pivot, eliminate_run, identity
 from .field import PrimeField
 from .problem import InterpolationInstance
-from .unipoly import (
-    UniPoly, _divmod_raw, _mul_kron, _newton_divmod, _pack, _series_inv, _slot_width, _unpack,
-)
+from .unipoly import PackedModulus, UniPoly, _mul_kron, _pack, _slot_width, _unpack
 
 NEWTON_REM_MIN = 48  # from this modulus degree, _ModNode.reduce divides by a cached inverse
 
@@ -98,12 +98,12 @@ def _poly_matmul(field: PrimeField, A: Rows, B: Rows) -> Rows:
 
 
 # ---------------------------------------------------------------------------
-# subproduct tree of moduli with cached series inverses
+# subproduct tree of moduli, each packed once with its series inverse
 # ---------------------------------------------------------------------------
 
 
 class _ModNode:
-    __slots__ = ("lo", "hi", "modulus", "left", "right", "run", "_inv", "_inv_prec")
+    __slots__ = ("lo", "hi", "modulus", "left", "right", "run", "_mod")
 
     def __init__(self, lo, hi, modulus, left=None, right=None, run=None):
         self.lo = lo
@@ -112,23 +112,27 @@ class _ModNode:
         self.left = left
         self.right = right
         self.run: Run | None = run  # set on the tree's leaves
-        self._inv = None
-        self._inv_prec = 0
+        self._mod: PackedModulus | None = None  # packed at the first remainder
 
     def reduce(self, f: list[int], field: PrimeField) -> list[int]:
-        """f mod the node's modulus: synthetic division for short quotients
-        and small moduli (Newton division there too took 1.05x on
-        interp_small), Newton division by the cached inverse otherwise."""
-        m = self.modulus
-        dm = len(m) - 1
+        """f mod the node's modulus, packed once per node: synthetic division
+        for short quotients and small moduli, Newton division by the node's
+        cached series inverse otherwise. Timed by the CPU time of each
+        benchmark workload's counted pass, in alternating rounds: moving
+        NEWTON_REM_MIN to 32, 64 or 96, or the quotient rule to 16 or 48,
+        stayed within the rounds' spread on interp_small, interp_large and
+        decode, and synthetic division throughout took 1.04x on
+        interp_large."""
+        dm = len(self.modulus) - 1
         qlen = len(f) - dm
+        if qlen <= 0:
+            return f
+        mod = self._mod
+        if mod is None:
+            mod = self._mod = PackedModulus(self.modulus, field)
         if dm < NEWTON_REM_MIN or qlen < 32:
-            return _divmod_raw(f, m, field)[1]
-        if self._inv_prec < qlen:
-            prec = max(qlen, dm + 1)
-            self._inv = _series_inv(m[::-1], prec, field)
-            self._inv_prec = prec
-        return _newton_divmod(f, m, self._inv, field)[1]
+            return mod.divmod(f)[1]
+        return mod.newton(f)[1]
 
 
 def _subproduct(field: PrimeField, xs, mults, lo, hi) -> list[int]:
@@ -161,11 +165,11 @@ def build_modulus_tree(field: PrimeField, xs, mults, lo, hi) -> _ModNode:
 
 class Schedule:
     """The x-side of a solve over the given points' x's: the modulus tree down
-    to its runs, each carrying a classic.Run. The nodes cache their Newton
-    inverses as a solve first needs them, the runs their plans and Taylor
-    vectors from their second use on (classic.Run.xside), and any later
-    solve on the same x's and multiplicities reuses them; only instances it
-    fits may use it. Refuses an empty point list and a multiplicity list of
+    to its runs, each carrying a classic.Run. The nodes pack their moduli
+    and Newton inverses as a solve first needs them, the runs their plans
+    and Taylor vectors from their second use on (classic.Run.xside), and
+    any later solve on the same x's and multiplicities reuses them; only
+    instances it fits may use it. Refuses an empty point list and a multiplicity list of
     another length."""
 
     __slots__ = ("p", "xs", "mults", "tree")

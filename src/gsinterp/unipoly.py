@@ -5,13 +5,16 @@ the zero polynomial has an empty coefficient list and degree NEG_INF.
 
 Every product is one Kronecker substitution, `_mul_kron` (coefficients
 packed into one big integer so CPython's C-level integer multiply does the
-convolution), whatever the operands' lengths. `_divmod_raw` is synthetic
-division on the same packed integers; Newton division (a series inverse of
-the reversed modulus) serves the modulus tree in fast.py, which caches that
-inverse per node. Every kernel works on plain coefficient lists: UniPoly
-wraps them as a value type, and the solvers call the kernels directly,
-reporting their work to the same counter, which also takes the solvers'
-pivot rounds when asked (count_scalar_mults).
+convolution), whatever the operands' lengths. Every remainder goes through
+a PackedModulus, which packs its modulus once: synthetic division on the
+packed dividend for short quotients, Newton division by the packed reversed
+series inverse for long ones. The modulus tree in fast.py keeps one per
+node, decoder._pow_mod makes one per power and reduces each square while it
+is still packed, and `_divmod_raw` makes one per call. Every kernel works
+on plain coefficient lists: UniPoly wraps them as a value type, and the
+solvers call the kernels directly, reporting their work to the same
+counter, which also takes the solvers' pivot rounds when asked
+(count_scalar_mults).
 """
 
 from __future__ import annotations
@@ -31,10 +34,11 @@ class ScalarMultCounter:
     entry, sum over k < s of (len - k) for the Taylor coefficients of
     bipoly.hasse_matrices (its lane reads, by _lanes, are not counted); per
     row operation and per pivot shift of classic.eliminate_run, the lanes
-    of its reduced pivot row; unpacked result slots for every product
-    (_mul_kron) and every _unpack, the elimination step's lane reductions
-    included; quotient slots read plus remainder slots unpacked for the
-    packed synthetic division. The modulus tree's leaf powers (x - x_i)^s
+    of its reduced pivot row, and per pivot the lanes read off it;
+    unpacked result slots for every product (_mul_kron) and every _unpack,
+    the elimination step's row reductions included; quotient slots read
+    plus remainder slots unpacked for either division by a PackedModulus.
+    The modulus tree's leaf powers (x - x_i)^s
     (fast._subproduct) are not counted, and neither is any work of the
     independent references: classic naive, the oracle and the direct Hasse
     derivatives count nothing.
@@ -175,48 +179,104 @@ def _series_inv(f: list[int], n: int, field: PrimeField) -> list[int]:
     return _trim(g)
 
 
-def _newton_divmod(
-    a: list[int], m: list[int], inv: list[int], field: PrimeField
-) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by m, where len(a) >= len(m) and inv is
-    the inverse of reversed m modulo at least x^(len(a) - len(m) + 1)."""
-    p = field.p
-    dm = len(m) - 1
-    qlen = len(a) - dm
-    rev_q = _mul_kron(a[::-1][:qlen], inv[:qlen], p, qlen)
-    rev_q += [0] * (qlen - len(rev_q))
-    q = _trim(rev_q[::-1])
-    qm = _mul_kron(q, m, p, dm)
-    r = [(a[i] - (qm[i] if i < len(qm) else 0)) % p for i in range(dm)]
-    return q, _trim(r)
+class PackedModulus:
+    """A nonzero modulus m packed once for every remainder by it: -m mod x^dm
+    packed per slot width asked for, the inverse of its leading coefficient,
+    and, from the first long quotient on, J, the inverse of reversed m mod
+    x^prec, reversed over prec slots and packed. Short quotients go by
+    synthetic division on one packed dividend (synthetic), long ones by
+    Newton division (newton); either counts qlen + dm, its quotient slots
+    read plus its remainder slots unpacked. fast._ModNode keeps one per
+    node, so the modulus tree and the decoder's evaluations pack each
+    modulus once."""
+
+    __slots__ = ("m", "field", "dm", "lead_inv", "_neg", "_prec", "_width", "_J")
+
+    def __init__(self, m: list[int], field: PrimeField):
+        self.m = m
+        self.field = field
+        self.dm = len(m) - 1
+        self.lead_inv = field.inv(m[-1])
+        self._neg: dict[int, int] = {}  # by width: -m mod x^dm, packed
+        self._prec = 0  # J's precision, 0 until a long quotient needs it
+        self._width = 0  # J's slot width
+        self._J = 0
+
+    def neg(self, width: int) -> int:
+        """-m mod x^dm packed at the width, packed once per width."""
+        neg = self._neg.get(width)
+        if neg is None:
+            p = self.field.p
+            neg = self._neg[width] = _pack([-v % p for v in self.m[:-1]], width)
+        return neg
+
+    def synthetic(self, acc: int, nterms: int, width: int) -> tuple[list[int], list[int]]:
+        """Quotient and remainder by m of the packed dividend acc of nterms
+        slots, by synthetic long division: each quotient coefficient is read
+        off the top slot and one shifted multiple of -m is added, so the
+        per-coefficient work runs in the big-integer kernels. The slots of
+        acc need not be reduced, but the width must hold one of them plus
+        min(qlen, dm) products (p - 1)^2: no slot is reduced until the
+        remainder is unpacked, and a dividend shorter than m is unpacked."""
+        dm, p = self.dm, self.field.p
+        qlen = nterms - dm
+        if qlen <= 0:
+            return [], _unpack(acc, nterms, width, p)
+        lead_inv, neg_m = self.lead_inv, self.neg(width)
+        bits = 8 * width
+        slot = (1 << bits) - 1
+        q = [0] * qlen
+        for i in range(qlen - 1, -1, -1):
+            c = ((acc >> (bits * (i + dm))) & slot) % p * lead_inv % p
+            if c:
+                q[i] = c
+                acc += (c * neg_m) << (bits * i)
+        if _COUNTER is not None:
+            _COUNTER.mults += qlen
+        return _trim(q), _unpack(acc & ((1 << (bits * dm)) - 1), dm, width, p)
+
+    def divmod(self, a: list[int]) -> tuple[list[int], list[int]]:
+        """Quotient and remainder of a by m by synthetic division, a packed
+        at the narrowest width it needs; a shorter than m is its own
+        remainder."""
+        qlen = len(a) - self.dm
+        if qlen <= 0:
+            return [], a
+        width = _slot_width(min(qlen, self.dm) + 1, self.field.p)
+        return self.synthetic(_pack(a, width), len(a), width)
+
+    def newton(self, a: list[int]) -> tuple[list[int], list[int]]:
+        """Quotient and remainder of a by m, len(a) > dm, by Newton division
+        with no reversed lists: with F = a div x^dm, q is slots
+        qlen - 1 ... 2 qlen - 2 of F * (J div x^(prec - qlen)), and
+        r = (a mod x^dm) + (q mod x^dm) * (-m mod x^dm) mod x^dm. J is
+        rebuilt at precision max(qlen, dm + 1) when a quotient outgrows it,
+        at the width of a sum of prec + 1 products, which serves both
+        products of every quotient up to prec long: their slots sum at most
+        qlen products, and min(qlen, dm) products plus a coefficient."""
+        dm = self.dm
+        qlen = len(a) - dm
+        if self._prec < qlen:
+            self._prec = prec = max(qlen, dm + 1)
+            self._width = _slot_width(prec + 1, self.field.p)
+            inv = _series_inv(self.m[::-1], prec, self.field)
+            self._J = _pack((inv + [0] * (prec - len(inv)))[::-1], self._width)
+        p, width = self.field.p, self._width
+        bits = 8 * width
+        low = (1 << (bits * dm)) - 1
+        acc = _pack(a, width)
+        prod = (acc >> (bits * dm)) * (self._J >> (bits * (self._prec - qlen)))
+        q = _lanes(prod >> (bits * (qlen - 1)), qlen, width, p)
+        if _COUNTER is not None:
+            _COUNTER.mults += qlen
+        r = (acc & low) + _pack(q[:dm], width) * self.neg(width)
+        return _trim(q), _unpack(r & low, dm, width, p)
 
 
 def _divmod_raw(a: list[int], m: list[int], field: PrimeField) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by a nonzero m, by synthetic long division
-    on packed slots: each quotient coefficient is read off the top slot and
-    one shifted multiple of -m is added, so the per-coefficient work runs in
-    the big-integer kernels. A slot collects at most min(qlen, dm) products,
-    and no slot is reduced until the remainder is unpacked."""
-    dm = len(m) - 1
-    qlen = len(a) - dm
-    if qlen <= 0:
-        return [], a
-    p = field.p
-    lead_inv = field.inv(m[-1])
-    width = _slot_width(min(qlen, dm) + 1, p)
-    bits = 8 * width
-    slot = (1 << bits) - 1
-    neg_m = _pack([-v % p for v in m[:dm]], width)
-    acc = _pack(a, width)
-    q = [0] * qlen
-    for i in range(qlen - 1, -1, -1):
-        c = ((acc >> (bits * (i + dm))) & slot) % p * lead_inv % p
-        if c:
-            q[i] = c
-            acc += (c * neg_m) << (bits * i)
-    if _COUNTER is not None:
-        _COUNTER.mults += qlen
-    return _trim(q), _unpack(acc & ((1 << (bits * dm)) - 1), dm, width, p)
+    """Quotient and remainder of a by a nonzero m: synthetic division by m
+    packed for this one use (PackedModulus.divmod)."""
+    return PackedModulus(m, field).divmod(a)
 
 
 # ---------------------------------------------------------------------------

@@ -198,7 +198,7 @@ def _root_cases(field, rng):
     return cases
 
 
-@pytest.mark.parametrize("p", [3, 13, BENCH_PRIME])
+@pytest.mark.parametrize("p", [3, 13, BENCH_PRIME, 2**61 - 1, 2**64 - 59])
 def test_pow_mod_matches_repeated_multiplication(p):
     # every e < 40, so every bit pattern of up to 5 bits, against the power
     # built one schoolbook product at a time; delta = 0 is _poly_roots' x^p.
@@ -517,7 +517,7 @@ def test_y_roots_scalar_work_grows_quasi_linearly_in_k():
         counts[k] = ctr.mults
     assert counts[512] / counts[256] <= 2.6
     # the exact counts: work added without changing the roots shows here
-    assert counts == {256: 6641, 512: 13294}
+    assert counts == {256: 6392, 512: 12803}
 
 
 def test_y_roots_zero_rejected():
@@ -582,7 +582,7 @@ def test_decode_basis_passes_the_certificate(monkeypatch):
 
 # decode_list's counted work on _rs255_word(): inside fast.solve, inside
 # y_roots, and the rest (re-encoding, the x-side build, the distance filter)
-DECODE_PINS = {"solve": 4590675, "y_roots": 18752, "rest": 10013}
+DECODE_PINS = {"solve": 4590675, "y_roots": 17950, "rest": 10013}
 
 
 def test_decode_op_count_pins(monkeypatch):

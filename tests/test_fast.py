@@ -347,22 +347,35 @@ def test_schedule_stops_at_runs(monkeypatch, n):
 
 def test_modnode_rem_matches_divmod():
     # quotient lengths straddle reduce's Newton threshold (32) and modulus
-    # degrees straddle NEWTON_REM_MIN, so Newton division with the node's
-    # cached inverse is checked against divmod's synthetic division;
-    # quotients grow call by call, so later calls must refresh the inverse.
-    # Constant moduli and p = 2 cover the edges of the synthetic division
+    # degrees straddle NEWTON_REM_MIN, so the node's packed modulus is
+    # checked against schoolbook division by both paths. Its packed -m is
+    # cached by slot width and J by precision, so one node sees a long
+    # quotient, then a short one, then longer ones: at 2^64 - 59 and
+    # dm = 300 the synthetic division's slots are 17 bytes and Newton's 18,
+    # and at dm = 48, 280 rebuilds J with slots of 18 bytes, not 17, and 300
+    # at the same width. Constant moduli and p = 2 cover the edges of the
+    # synthetic division; 2^32 - 5 and 2^64 - 59 have slots of 9 and 17
+    # bytes and more. In the widest cases reversed m is x - 1, whose inverse
+    # has every coefficient p - 1, and so has f: Newton's slots reach their
+    # bound, qlen (p - 1)^2
     rng = random.Random(12)
     FN, F2 = PrimeField(754974721), PrimeField(2)
-    for field, dm in ((FN, NEWTON_REM_MIN - 1), (FN, NEWTON_REM_MIN), (FN, 70), (FN, 0),
-                      (F2, 0), (F2, 5), (F2, NEWTON_REM_MIN)):
-        m = rand_unipoly(field, rng, dm)
+    F32, F64 = PrimeField(2**32 - 5), PrimeField(2**64 - 59)
+    cases = [(field, dm, False) for field, dm in (
+        (FN, NEWTON_REM_MIN - 1), (FN, NEWTON_REM_MIN), (FN, 70), (FN, 0),
+        (F2, 0), (F2, 5), (F2, NEWTON_REM_MIN),
+        (F32, 5), (F32, NEWTON_REM_MIN), (F64, 5), (F64, NEWTON_REM_MIN), (F64, 300),
+    )] + [(FN, NEWTON_REM_MIN, True), (F64, NEWTON_REM_MIN, True)]
+    for field, dm, wide in cases:
+        p = field.p
+        m = UniPoly(field, [0] * (dm - 1) + [1, p - 1]) if wide else rand_unipoly(field, rng, dm)
         node = _ModNode(0, 0, m.coeffs)
         f = rand_unipoly(field, rng, dm - 1) if dm else UniPoly.zero(field)
         assert node.reduce(f.coeffs, field) == f.coeffs
-        for qlen in (1, 31, 32, 47, 48, 90, 200):
-            f = rand_unipoly(field, rng, dm + qlen - 1)
+        for qlen in (1, 31, 32, 47, 48, 90, 20, 280, 300):
+            f = UniPoly(field, [p - 1] * (dm + qlen)) if wide else rand_unipoly(field, rng, dm + qlen - 1)
             assert node.reduce(f.coeffs, field) == poly_mod(f, m).coeffs
-        assert node._inv_prec == (200 if dm >= NEWTON_REM_MIN else 0)
+        assert node._mod._prec == (max(300, dm + 1) if dm >= NEWTON_REM_MIN else 0)
 
 
 # -- polynomial matrix product ------------------------------------------------------------

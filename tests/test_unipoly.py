@@ -11,7 +11,7 @@ from gsinterp.field import PrimeField
 from gsinterp.problem import random_instance
 import gsinterp.unipoly as up
 from gsinterp.unipoly import (
-    NEG_INF, UniPoly, _mul_kron, _pack, _slot_width, _unpack,
+    NEG_INF, PackedModulus, UniPoly, _divmod_raw, _mul_kron, _pack, _slot_width, _unpack,
     count_scalar_mults,
 )
 from util import (
@@ -241,18 +241,25 @@ def test_ring_axioms_random_triples():
 # -- division ----------------------------------------------------------------
 
 
+def lib_divmod(a: UniPoly, m: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """The library's synthetic division, _divmod_raw, on UniPolys."""
+    q, r = _divmod_raw(a.coeffs, m.coeffs, a.field)
+    return UniPoly(a.field, q, normalized=True), UniPoly(a.field, r, normalized=True)
+
+
 def test_rem_examples_gf5():
     m = P(F5, 1, 3, 1)  # (x-1)^2 = x^2 - 2x + 1 = x^2 + 3x + 1
     assert m == poly_pow(x_minus(F5, 1), 2)
-    assert poly_mod(P(F5, 0, 0, 1), m) == P(F5, 4, 2)  # x^2 -> 2x + 4
-    assert poly_mod(P(F5, 0, 0, 0, 1), m) == P(F5, 3, 3)  # x^3 -> 3x + 3
+    for divmod_ in (lib_divmod, poly_divmod):
+        assert divmod_(P(F5, 0, 0, 1), m)[1] == P(F5, 4, 2)  # x^2 -> 2x + 4
+        assert divmod_(P(F5, 0, 0, 0, 1), m)[1] == P(F5, 3, 3)  # x^3 -> 3x + 3
 
 
 def test_rem_already_reduced():
     rng = random.Random(8)
     m = rand_unipoly(F101, rng, 9)
     a = rand_unipoly(F101, rng, 5)
-    assert poly_mod(a, m) == a
+    assert lib_divmod(a, m) == poly_divmod(a, m) == (UniPoly.zero(F101), a)
 
 
 def test_division_by_zero_raises():
@@ -265,7 +272,8 @@ def test_divmod_reconstructs():
     for da, dm in ((20, 7), (150, 60), (400, 150), (260, 130)):
         a = rand_unipoly(F101, rng, da)
         m = rand_unipoly(F101, rng, dm)
-        q, r = poly_divmod(a, m)
+        q, r = lib_divmod(a, m)
+        assert (q, r) == poly_divmod(a, m)
         assert q * m + r == a
         assert r.degree < m.degree
 
@@ -281,22 +289,27 @@ def test_divmod_reconstructs_over_all_slot_widths(p):
                    (300, 120), (200, 100), (2, 3), (3, 60)):
         a = UniPoly(field, [field.rand(rng) for _ in range(da)] + [rand_nonzero(field, rng)])
         m = UniPoly(field, [field.rand(rng) for _ in range(dm)] + [rand_nonzero(field, rng)])
-        q, r = poly_divmod(a, m)
+        q, r = lib_divmod(a, m)
+        assert (q, r) == poly_divmod(a, m)
         assert schoolbook_product(q, m) + r == a
         assert r.degree < m.degree
         assert q.degree == (da - dm if da >= dm else NEG_INF)
 
 
 def test_newton_and_synthetic_division_agree():
-    # a small field and a long quotient (dm = 120, qlen = 181): the Newton
-    # remainder with _ModNode's cached inverse against divmod's synthetic division
+    # a small field and a long quotient (dm = 120, qlen = 181): Newton
+    # division by a packed modulus, and the remainder of _ModNode, whose
+    # packed modulus takes Newton division here, against synthetic division
+    # and the schoolbook reference
     rng = random.Random(10)
     a = rand_unipoly(F101, rng, 300)
     m = rand_unipoly(F101, rng, 120)
-    node = _ModNode(0, 0, m.coeffs)
     q, r = poly_divmod(a, m)
+    mod = PackedModulus(m.coeffs, F101)
+    assert mod.newton(a.coeffs) == mod.divmod(a.coeffs) == (q.coeffs, r.coeffs)
+    node = _ModNode(0, 0, m.coeffs)
     assert node.reduce(a.coeffs, F101) == r.coeffs
-    assert node._inv_prec == 181
+    assert node._mod._prec == 181
     assert schoolbook_product(q, m) + r == a
 
 

@@ -12,7 +12,7 @@ from gsinterp.cli import parse_instance_text
 from gsinterp.decoder import hamming, y_roots
 from gsinterp.field import PrimeField
 from gsinterp.problem import InterpolationInstance, random_instance
-from gsinterp.unipoly import UniPoly, _divmod_raw, count_scalar_mults
+from gsinterp.unipoly import UniPoly, count_scalar_mults
 
 INSTANCE_DIR = os.path.join(os.path.dirname(__file__), "..", "instances")
 BENCH_PRIME = 754974721
@@ -115,12 +115,23 @@ def poly_pow(a: UniPoly, e: int) -> UniPoly:
 
 
 def poly_divmod(a: UniPoly, m: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """Quotient and remainder by schoolbook long division, one quotient
+    coefficient and one row of m per step, independent of the library's
+    packed division."""
     if a.field != m.field:
         raise ValueError("polynomials from different fields")
     if m.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
-    q, r = _divmod_raw(a.coeffs, m.coeffs, a.field)
-    return UniPoly(a.field, q, normalized=True), UniPoly(a.field, r, normalized=True)
+    p, b = a.field.p, m.coeffs
+    dm = len(b) - 1
+    r = list(a.coeffs)
+    q = [0] * max(0, len(r) - dm)
+    lead_inv = pow(b[-1], -1, p)
+    for i in reversed(range(len(q))):
+        q[i] = c = r[i + dm] * lead_inv % p
+        for j, v in enumerate(b):
+            r[i + j] = (r[i + j] - c * v) % p
+    return UniPoly(a.field, q), UniPoly(a.field, r[:dm])
 
 
 def poly_mod(a: UniPoly, m: UniPoly) -> UniPoly:
