@@ -23,24 +23,29 @@ gives the same list as a solve over all n points.
 
 The x-side of the interpolation depends only on the field, the evaluation
 points, k and s, never on the received word. A _Reencoding holds it: the
-fast.Schedule of the other n - kappa points, the powers L^m for m <= s, and
+fast.Schedule of the other n - kappa points, the powers L^m for m <= s,
 c's x-side: the modulus tree of the first kappa points at multiplicity 1,
-whose root modulus is L, and their weights 1 / L'(x_i). None is
-kappa x kappa or (n - kappa) x kappa. decode_list keeps one per s in a
-private slot of the RSCode, so a decoder builds the x-side once per code and
-s however many words it decodes, and rebuilds one whose field, points or k
-no longer fit. Per word, c is a weighted sum of L / (x - x_i), combined up
-the first tree from its runs. Its values at the other points, and each
-root's values at all n, come down the trees by remainders, each node's
-modulus packed once for every word, Horner's rule taking over at the runs.
-So the work per word grows as the tree products plus
-n * min(kappa, s * classic.LEAF_MAX), not as kappa * n.
+whose root modulus is L, and their weights 1 / L'(x_i); and the powers
+x_i^j, j < k, at the first kappa points and at the other n - kappa, each
+power column packed once into one integer of lanes. decode_list keeps one
+per s in a private slot of the RSCode, so a decoder builds the x-side once
+per code and s however many words it decodes, and rebuilds one whose
+field, points or k no longer fit. Per word, c is a weighted sum of
+L / (x - x_i), combined up the first tree from its runs. Its values at the
+other points, and each root's values at all n, are one big-integer dot
+product of the coefficients with the power columns and one read of the
+lanes each. So the work per word grows as the first tree's products plus
+k * n lane products, done in CPython's big-integer kernels, not in a
+Python loop per point.
 
 Root extraction (y_roots) is Roth-Ruckenstein branching on trimmed
 coefficient lists from the interpolated rows down to the candidates. Slice
-roots come from _poly_roots: one inversion for a linear slice, a gcd with
-x^p - x and Cantor-Zassenhaus splitting otherwise, whose powers
-(x + delta)^e mod h (_pow_mod) reduce each square while it is still packed.
+roots come from _poly_roots: one inversion for a linear slice, and over an
+odd p the quadratic formula for a quadratic one, for one square root
+(_sqrt_mod). Otherwise a gcd with x^p - x keeps the distinct linear
+factors, and Cantor-Zassenhaus splitting breaks them down to quadratic
+factors, which the formula finishes; its powers (x + delta)^e mod h
+(_pow_mod) reduce each square while it is still packed.
 Each level's substitution y -> x*y + gamma packs the rows once. Below a
 simple root the branch is one power series, lifted by Newton iteration
 (_lift) rather than walked. Only the exact check of each candidate goes
@@ -52,15 +57,17 @@ from __future__ import annotations
 import itertools
 import random
 from bisect import bisect_left
+from functools import cache
+from operator import mul
 from typing import NamedTuple
 
-from . import fast
+from . import fast, unipoly
 from .bipoly import BiPoly, taylor_vectors
 from .field import PrimeField
 from .problem import InterpolationInstance, check_work
 from .unipoly import (
-    PackedModulus, UniPoly, _add_raw, _divmod_raw, _mul_kron, _pack, _series_inv, _slot_width, _trim,
-    _unpack,
+    PackedModulus, UniPoly, _add_raw, _divmod_raw, _lanes, _mul_kron, _pack, _series_inv, _slot_width,
+    _trim, _unpack,
 )
 
 # root splitting draws its shifts from a generator of its own with this seed,
@@ -177,15 +184,54 @@ def _pow_mod(delta: int, e: int, m: list[int], field: PrimeField) -> list[int]:
     return out
 
 
+def _sqrt_mod(a: int, p: int) -> int | None:
+    """A square root of a mod an odd prime p, None when a is a non-residue:
+    Euler's criterion and Tonelli-Shanks on p - 1 = q * 2^e. When
+    p = 3 mod 4, e = 1 and the loop never runs: r = a^((p+1)/4)."""
+    if pow(a, (p - 1) // 2, p) != 1:
+        return None if a else 0
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q, e = q // 2, e + 1
+    c, r, t = pow(_non_residue(p), q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2, i = t2 * t2 % p, i + 1
+        b = pow(c, 1 << (e - i - 1), p)
+        r, c, e = r * b % p, b * b % p, i
+        t = t * c % p
+    return r
+
+
+@cache
+def _non_residue(p: int) -> int:
+    """The least quadratic non-residue mod an odd prime p."""
+    return next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+
+
+def _quadratic_roots(f: list[int], p: int) -> list[int]:
+    """Sorted distinct roots of c0 + c1*x + c2*x^2, c2 != 0, over GF(p) with
+    p odd: (-c1 +- sqrt(D)) / (2 c2) for D = c1^2 - 4 c0 c2, none when D is
+    a non-residue and one when D = 0."""
+    c0, c1, c2 = f
+    r = _sqrt_mod((c1 * c1 - 4 * c0 * c2) % p, p)
+    if r is None:
+        return []
+    inv = pow(2 * c2, -1, p)
+    return sorted({(r - c1) * inv % p, (-r - c1) * inv % p})
+
+
 def _split_linear(h: list[int], field: PrimeField, rng: random.Random, out: list[int]) -> None:
     """Append the roots of h, monic and a product of distinct linear factors
-    over GF(p) with p odd, by equal-degree splitting: for a random shift
-    delta, gcd(h, (x + delta)^((p-1)/2) - 1) keeps the roots r whose r + delta
-    is a nonzero square, about half of them. A draw splits h with probability
-    about 1/2 or more, so _SPLIT_DRAWS failures in a row mean h is not such a
-    product, and raise RuntimeError rather than draw forever."""
+    over GF(p) with p odd. Down to degree 2, by equal-degree splitting: for a
+    random shift delta, gcd(h, (x + delta)^((p-1)/2) - 1) keeps the roots r
+    whose r + delta is a nonzero square, about half of them. A draw splits h
+    with probability about 1/2 or more, so _SPLIT_DRAWS failures in a row
+    mean h is not such a product, and raise RuntimeError rather than draw
+    forever. A factor of degree 2 or 1 gives its roots in closed form."""
     p, misses = field.p, 0
-    while len(h) > 2:
+    while len(h) > 3:
         if misses == _SPLIT_DRAWS:
             raise RuntimeError(f"no split of a degree-{len(h) - 1} factor in {_SPLIT_DRAWS} draws")
         shifted = _pow_mod(rng.randrange(p), (p - 1) // 2, h, field)
@@ -194,16 +240,19 @@ def _split_linear(h: list[int], field: PrimeField, rng: random.Random, out: list
         if 2 <= len(d) < len(h):
             _split_linear(d, field, rng, out)
             h, misses = _divmod_raw(h, d, field)[0], 0
-    if len(h) == 2:
+    if len(h) == 3:
+        out += _quadratic_roots(h, p)
+    elif len(h) == 2:
         out.append(-h[0] % p)
 
 
 def _poly_roots(f: list[int], field: PrimeField) -> list[int]:
     """Sorted distinct roots in GF(p) of f, a nonzero trimmed coefficient
     list. A linear f = c0 + c1*x has the one root -c0/c1, for one
-    inversion. Otherwise g = gcd(f, x^p - x) is the product of the distinct
-    linear factors of f, and Cantor-Zassenhaus splitting breaks g into them:
-    expected O(d^2 log d log p) field operations for d = deg f."""
+    inversion, and over an odd p a quadratic has its roots in closed form,
+    for one square root. Otherwise g = gcd(f, x^p - x) is the product of
+    the distinct linear factors of f, and Cantor-Zassenhaus splitting breaks
+    g into them: expected O(d^2 log d log p) field operations for d = deg f."""
     if not f:
         raise ValueError("every field element is a root of the zero polynomial")
     p = field.p
@@ -211,6 +260,8 @@ def _poly_roots(f: list[int], field: PrimeField) -> list[int]:
         return [-f[0] * field.inv(f[1]) % p] if len(f) == 2 else []
     if p == 2:
         return [v for v, val in ((0, f[0]), (1, sum(f) % 2)) if val == 0]
+    if len(f) == 3:
+        return _quadratic_roots(f, p)
     g = _gcd(f, _trim(_add_raw(_pow_mod(0, p, f, field), [0, p - 1], p)), field)
     out: list[int] = []
     _split_linear(g, field, random.Random(_SPLIT_SEED), out)
@@ -336,11 +387,21 @@ class _Reencoding:
     """The x-side of decoding a code at multiplicity s with re-encoding (see
     the module docstring): kappa, the fast.Schedule of the evaluation points
     after the first kappa, the modulus tree of the first kappa (multiplicity
-    1, so its root modulus is L), lpows[m] = L^m for m <= s, and the weights
-    1 / L'(x_i) of the first kappa points. Kept with the code's key (p, k
-    and a copy of the evaluation points), to tell when it no longer fits."""
+    1, so its root modulus is L), lpows[m] = L^m for m <= s, the weights
+    1 / L'(x_i) of the first kappa points, and the power columns: column j
+    of head packs x_i^j at the first kappa points, one lane each, and column
+    j of tail at the other n - kappa, for j < k (which is max(k, kappa)), in
+    the layout of bipoly.hasse_matrices' cols, each table with its lane
+    count. Each column is packed once, in lanes that hold a sum of k
+    products. The tables hold n * k lanes: at RS [1024, 256] over the bench
+    prime, 9-byte lanes in 2.4 MB, and a decode at tau = 497 (s = 8) peaked
+    at 107.0 MB RSS, against 105.8 MB with values taken down the trees.
+    The tables depend only on p, k and the points, yet each s keeps its own,
+    so a code decoded at several radii holds them once per s. Kept with the
+    code's key (p, k and a copy of the evaluation points), to
+    tell when it no longer fits."""
 
-    __slots__ = ("key", "kappa", "schedule", "tree", "lpows", "weights")
+    __slots__ = ("key", "kappa", "schedule", "tree", "lpows", "weights", "width", "head", "tail")
 
     def __init__(self, code: RSCode, s: int):
         field, p = code.field, code.field.p
@@ -354,18 +415,40 @@ class _Reencoding:
         self.lpows = [[1]]
         for _ in range(s):
             self.lpows.append(_mul_kron(self.lpows[-1], L, p))
+        self.width = width = _slot_width(code.k, p)
+        self.head = _power_columns(xs[:kappa], code.k, width, p)
+        self.tail = _power_columns(xs[kappa:], code.k, width, p)
         dL = [i * c % p for i, c in enumerate(L)][1:]
-        self.weights = [field.inv(v) for v in _values(self.tree, dL, field)]
+        self.weights = [field.inv(v) for v in self.values(dL, self.head)]
+
+    def values(self, f: list[int], table: tuple[list[int], int]) -> list[int]:
+        """f, of length at most k, at the points of head or tail: one dot
+        product with the power columns, and one read of its lanes, counted
+        as _unpack counts them."""
+        cols, n = table
+        if unipoly._COUNTER is not None:
+            unipoly._COUNTER.mults += n
+        return _lanes(sum(map(mul, f, cols)), n, self.width, self.key[0])
 
     def word(self, received: list[int], field: PrimeField) -> tuple[list[int], list[int]]:
         """c, the polynomial of degree < kappa through the received values at
         the first kappa points, c = sum_i a_i L / (x - x_i) with
-        a_i = r_i / L'(x_i), and the re-encoded values received - c at the
-        other points, by the two trees."""
+        a_i = r_i / L'(x_i), combined up the first tree, and the re-encoded
+        values received - c at the other points."""
         p = field.p
         c = _combine(self.tree, [r * v % p for r, v in zip(received, self.weights)], p)
-        rest = _values(self.schedule.tree, c, field)
+        rest = self.values(c, self.tail)
         return c, [(r - v) % p for r, v in zip(received[self.kappa :], rest)]
+
+
+def _power_columns(xs: list[int], k: int, width: int, p: int) -> tuple[list[int], int]:
+    """The columns j < k, column j packing x^j at every x of xs in a lane of
+    the width, and the number of lanes."""
+    cols, pows = [], [1] * len(xs)
+    for _ in range(k):
+        cols.append(_pack(pows, width))
+        pows = [v * x % p for v, x in zip(pows, xs)]
+    return cols, len(xs)
 
 
 def _combine(node, a: list[int], p: int) -> list[int]:
@@ -387,17 +470,6 @@ def _combine(node, a: list[int], p: int) -> list[int]:
     return _trim((low + [0] * (m - len(low)))[::-1])
 
 
-def _values(node, f: list[int], field: PrimeField) -> list[int]:
-    """f at the points of a modulus-tree node, in order: f is reduced mod
-    each node's modulus on the way down (a no-op while it is shorter), and
-    evaluated by Horner's rule at the runs."""
-    f = node.reduce(f, field)
-    if node.run is None:
-        return _values(node.left, f, field) + _values(node.right, f, field)
-    g = UniPoly(field, f, normalized=True)
-    return [g.eval(x) for x in node.run.xs]
-
-
 def decode_list(code: RSCode, received, params: GSParams) -> list[list[int]]:
     """All messages whose codewords lie within Hamming distance tau of the
     received word; parameters that cannot guarantee that are refused
@@ -405,7 +477,8 @@ def decode_list(code: RSCode, received, params: GSParams) -> list[list[int]]:
     (_check_work), before any schedule is built. The word is re-encoded on
     its first kappa points, the other n - kappa are solved from the
     re-encoded basis on the code's x-side for s, and each root f within tau,
-    by its values down the two trees, is kept with c added back."""
+    found by its values on the x-side's power columns, is kept with c added
+    back."""
     field, p = code.field, code.field.p
     received = [v % p for v in received]
     if len(received) != code.n:
@@ -428,8 +501,8 @@ def decode_list(code: RSCode, received, params: GSParams) -> list[list[int]]:
     q, _ = fast.solve(inst, xside.schedule, start)
     out = []
     for f in y_roots(q, code.k):
-        errors = sum(map(bool, _values(xside.tree, f.coeffs, field)))
-        if errors + hamming(_values(xside.schedule.tree, f.coeffs, field), rest) <= params.tau:
+        errors = sum(map(bool, xside.values(f.coeffs, xside.head)))
+        if errors + hamming(xside.values(f.coeffs, xside.tail), rest) <= params.tau:
             msg = _add_raw(f.coeffs, c, p)
             out.append(msg + [0] * (code.k - len(msg)))
     return sorted(out)

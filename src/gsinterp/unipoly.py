@@ -37,7 +37,11 @@ class ScalarMultCounter:
     of its reduced pivot row, and per pivot the lanes read off it;
     unpacked result slots for every product (_mul_kron) and every _unpack,
     the elimination step's row reductions included; quotient slots read
-    plus remainder slots unpacked for either division by a PackedModulus.
+    plus remainder slots unpacked for either division by a PackedModulus,
+    plus the dividend's top slots that Newton division reads off a packed
+    sum (PackedModulus.newton_packed); and one lane per point for each
+    polynomial the decoder evaluates on its power columns (the weights
+    1 / L'(x_i), the re-encoded word, each root in the distance filter).
     The modulus tree's leaf powers (x - x_i)^s
     (fast._subproduct) are not counted, and neither is any work of the
     independent references: classic naive, the oracle and the direct Hasse
@@ -185,10 +189,11 @@ class PackedModulus:
     and, from the first long quotient on, J, the inverse of reversed m mod
     x^prec, reversed over prec slots and packed. Short quotients go by
     synthetic division on one packed dividend (synthetic), long ones by
-    Newton division (newton); either counts qlen + dm, its quotient slots
-    read plus its remainder slots unpacked. fast._ModNode keeps one per
-    node, so the modulus tree and the decoder's evaluations pack each
-    modulus once."""
+    Newton division (newton on a list, newton_packed on a packed dividend
+    whose slots need not be reduced); either counts qlen + dm, its quotient
+    slots read plus its remainder slots unpacked, and newton_packed also
+    the qlen slots it reads off the dividend. fast._ModNode keeps one per
+    node, so the modulus tree packs each modulus once."""
 
     __slots__ = ("m", "field", "dm", "lead_inv", "_neg", "_prec", "_width", "_J")
 
@@ -246,29 +251,50 @@ class PackedModulus:
         return self.synthetic(_pack(a, width), len(a), width)
 
     def newton(self, a: list[int]) -> tuple[list[int], list[int]]:
-        """Quotient and remainder of a by m, len(a) > dm, by Newton division
-        with no reversed lists: with F = a div x^dm, q is slots
-        qlen - 1 ... 2 qlen - 2 of F * (J div x^(prec - qlen)), and
-        r = (a mod x^dm) + (q mod x^dm) * (-m mod x^dm) mod x^dm. J is
-        rebuilt at precision max(qlen, dm + 1) when a quotient outgrows it,
-        at the width of a sum of prec + 1 products, which serves both
-        products of every quotient up to prec long: their slots sum at most
-        qlen products, and min(qlen, dm) products plus a coefficient."""
-        dm = self.dm
-        qlen = len(a) - dm
+        """Quotient and remainder of a by m, len(a) > dm, by Newton division,
+        a packed once at J's width (see _newton)."""
+        qlen = len(a) - self.dm
+        width = self._inverse(qlen)
+        acc = _pack(a, width)
+        return self._newton(acc, acc >> (8 * width * self.dm), qlen, width)
+
+    def newton_packed(self, acc: int, nterms: int, width: int) -> tuple[list[int], list[int]]:
+        """Quotient and remainder by m, nterms > dm, of the packed dividend acc
+        of nterms slots, which need not be reduced, by Newton division: its
+        top qlen slots are read mod p and repacked at J's width, and the
+        remainder is formed at the dividend's width, which must hold one of
+        its slots plus min(qlen, dm) products (p - 1)^2."""
+        dm, p = self.dm, self.field.p
+        qlen = nterms - dm
+        top = _lanes(acc >> (8 * width * dm), qlen, width, p)
+        if _COUNTER is not None:
+            _COUNTER.mults += qlen
+        return self._newton(acc, _pack(top, self._inverse(qlen)), qlen, width)
+
+    def _inverse(self, qlen: int) -> int:
+        """J's slot width, J first rebuilt at precision max(qlen, dm + 1)
+        when a quotient of qlen outgrows it, at the width of a sum of
+        prec + 1 products, which serves every quotient up to prec long."""
         if self._prec < qlen:
-            self._prec = prec = max(qlen, dm + 1)
+            self._prec = prec = max(qlen, self.dm + 1)
             self._width = _slot_width(prec + 1, self.field.p)
             inv = _series_inv(self.m[::-1], prec, self.field)
             self._J = _pack((inv + [0] * (prec - len(inv)))[::-1], self._width)
-        p, width = self.field.p, self._width
-        bits = 8 * width
-        low = (1 << (bits * dm)) - 1
-        acc = _pack(a, width)
-        prod = (acc >> (bits * dm)) * (self._J >> (bits * (self._prec - qlen)))
-        q = _lanes(prod >> (bits * (qlen - 1)), qlen, width, p)
+        return self._width
+
+    def _newton(self, acc: int, top: int, qlen: int, width: int) -> tuple[list[int], list[int]]:
+        """Newton division with no reversed lists: with top = a div x^dm, its
+        slots reduced and at J's width, q is slots qlen - 1 ... 2 qlen - 2 of
+        top * (J div x^(prec - qlen)), whose slots sum at most qlen products,
+        and r = (a mod x^dm) + (q mod x^dm) * (-m mod x^dm) mod x^dm, formed
+        at the width of acc, which packs a."""
+        dm, p = self.dm, self.field.p
+        jbits = 8 * self._width
+        prod = top * (self._J >> (jbits * (self._prec - qlen)))
+        q = _lanes(prod >> (jbits * (qlen - 1)), qlen, self._width, p)
         if _COUNTER is not None:
             _COUNTER.mults += qlen
+        low = (1 << (8 * width * dm)) - 1
         r = (acc & low) + _pack(q[:dm], width) * self.neg(width)
         return _trim(q), _unpack(r & low, dm, width, p)
 

@@ -218,7 +218,8 @@ def test_pow_mod_matches_repeated_multiplication(p):
 def test_split_linear_gives_up_after_its_draws(monkeypatch):
     # a power that never splits: gcd(h, 1 - 1) = h on every draw. The draws
     # are bounded, so this raises at once instead of looping; a hang would
-    # run into the guard on the number of draws
+    # run into the guard on the number of draws. A cubic, since a quadratic
+    # takes its roots in closed form and draws nothing
     field, draws = PrimeField(13), []
 
     def never_splits(delta, e, m, field):
@@ -229,7 +230,7 @@ def test_split_linear_gives_up_after_its_draws(monkeypatch):
     monkeypatch.setattr(decoder, "_pow_mod", never_splits)
     start = time.process_time()
     with pytest.raises(RuntimeError, match="64 draws"):
-        decoder._split_linear([2, 10, 1], field, random.Random(0), [])  # (x - 1)(x - 2)
+        decoder._split_linear([7, 11, 7, 1], field, random.Random(0), [])  # (x - 1)(x - 2)(x - 3)
     assert len(draws) == 64
     assert time.process_time() - start < 1
 
@@ -258,6 +259,34 @@ def test_poly_roots_bench_prime():
     for r in roots:
         f = f * x_minus(field, r) * x_minus(field, r)
     assert _poly_roots(f.coeffs, field) == roots
+
+
+@pytest.mark.parametrize("p", [3, 5, 13])
+def test_quadratic_roots_match_scan_for_every_quadratic(p):
+    field = PrimeField(p)
+    for f in itertools.product(range(p), range(p), range(1, p)):
+        assert _poly_roots(list(f), field) == scan_roots(UniPoly(field, list(f)))
+
+
+@pytest.mark.parametrize("p", [65521, BENCH_PRIME, 2**61 - 1, 2**64 - 59])
+def test_quadratic_roots_check_out_by_evaluation(p):
+    # p - 1 has 2-adicity 4, 24, 1 (p = 3 mod 4: the loop never runs) and 2,
+    # so the square root's Tonelli-Shanks loop runs from 0 to 23 rounds. A split
+    # quadratic c(x - a)(x - b), a double root c(x - a)^2 and an
+    # irreducible c((x - a)^2 - z t^2), z a non-residue
+    field = PrimeField(p)
+    rng = random.Random(p)
+    z = next(v for v in range(2, p) if pow(v, (p - 1) // 2, p) == p - 1)
+    for _ in range(20):
+        a, b, c, t = field.rand(rng), field.rand(rng), rand_nonzero(field, rng), rand_nonzero(field, rng)
+        split = scale(x_minus(field, a) * x_minus(field, b), c)
+        double = scale(poly_pow(x_minus(field, a), 2), c)
+        irreducible = scale(poly_pow(x_minus(field, a), 2) + UniPoly(field, [-z * t * t]), c)
+        for f, want in ((split, sorted({a, b})), (double, [a]), (irreducible, [])):
+            got = _poly_roots(f.coeffs, field)
+            assert got == want
+            assert all(f.eval(r) == 0 for r in got)
+        assert irreducible.eval(a) == (-z * t * t * c) % p != 0
 
 
 def test_poly_roots_zero_rejected():
@@ -517,7 +546,7 @@ def test_y_roots_scalar_work_grows_quasi_linearly_in_k():
         counts[k] = ctr.mults
     assert counts[512] / counts[256] <= 2.6
     # the exact counts: work added without changing the roots shows here
-    assert counts == {256: 6392, 512: 12803}
+    assert counts == {256: 6114, 512: 12256}
 
 
 def test_y_roots_zero_rejected():
@@ -582,7 +611,7 @@ def test_decode_basis_passes_the_certificate(monkeypatch):
 
 # decode_list's counted work on _rs255_word(): inside fast.solve, inside
 # y_roots, and the rest (re-encoding, the x-side build, the distance filter)
-DECODE_PINS = {"solve": 4590675, "y_roots": 17950, "rest": 10013}
+DECODE_PINS = {"solve": 4523283, "y_roots": 17855, "rest": 7963}
 
 
 def test_decode_op_count_pins(monkeypatch):
@@ -862,6 +891,33 @@ def test_decode_after_field_changes():
     got = decode_list(code, recv, params)
     assert msg in got
     assert got == decode_list(RSCode(PrimeField(103), 12, 3, code.evalpoints), recv, params)
+
+
+@pytest.mark.parametrize("p, n, k", [(BENCH_PRIME, 255, 64), (2**64 - 59, 40, 12), (101, 12, 12)])
+def test_power_columns_give_horner_values(p, n, k):
+    # the kept power columns at the first kappa points (head) and at the
+    # others (tail) give Horner's values of any f of length <= k, the all
+    # p - 1 one filling their lanes to the bound. 2^64 - 59 has lanes of 17
+    # bytes; k = n has kappa = n - 1 < k. One lane read is counted per point
+    field = PrimeField(p)
+    rng = random.Random(n * k)
+    xs = list({field.rand(rng) for _ in range(2 * n)})[:n]
+    code = RSCode(field, n, k, xs)
+    xside = decoder._Reencoding(code, 2)
+    kappa = xside.kappa
+    assert kappa == min(k, n - 1)
+    for f in ([], [field.rand(rng)], [field.rand(rng) for _ in range(k)], [p - 1] * k):
+        g = UniPoly(field, f)
+        with count_scalar_mults() as ctr:
+            head, tail = xside.values(f, xside.head), xside.values(f, xside.tail)
+        assert ctr.mults == n
+        assert head == [g.eval(x) for x in xs[:kappa]]
+        assert tail == [g.eval(x) for x in xs[kappa:]]
+    L = UniPoly.one(field)
+    for x in xs[:kappa]:
+        L = L * x_minus(field, x)
+    dL = UniPoly(field, [i * c for i, c in enumerate(L.coeffs)][1:])
+    assert xside.weights == [field.inv(dL.eval(x)) for x in xs[:kappa]]
 
 
 # (p, n, k, tau, error positions): "reencoded" puts errors on every one of the

@@ -417,6 +417,47 @@ def test_poly_matmul_matches_entrywise_products(p):
         assert ctr.mults == slots
 
 
+# (p, la, lb, dm) with k = 2: an output slot sums at most 2 min(la, lb)
+# products (p - 1)^2, which _slot_width(2 min(la, lb), p) just holds (8, 9,
+# 16 and 17 bytes), so a remainder's additions need the min(qlen, dm) more
+# the product packs room for. dm < NEWTON_REM_MIN goes by synthetic
+# division; dm >= 48 with a quotient of 32 or more by Newton, its full slots
+# within the low dm
+_FUSED_CASES = [
+    (BENCH_PRIME, 16, 16, 10), (BENCH_PRIME, 16, 100, 64),
+    (2**32 - 5, 128, 128, 40), (2**32 - 5, 128, 200, 150),
+    (2**61 - 1, 32, 32, 20), (2**61 - 1, 32, 120, 64),
+    (2**64 - 59, 128, 128, 40), (2**64 - 59, 128, 200, 150),
+]
+
+
+@pytest.mark.parametrize("p, la, lb, dm", _FUSED_CASES)
+def test_poly_matmul_reduces_while_packed(p, la, lb, dm):
+    # the product reduced by a node while packed equals the unreduced product
+    # reduced entry by entry. Entries of all p - 1 fill the slots to their
+    # bound before a random modulus's remainder adds its products; random
+    # matrices follow
+    field = PrimeField(p)
+    rng = random.Random(la * dm)
+    full = UniPoly(field, [p - 1] * la), UniPoly(field, [p - 1] * lb)
+    cases = [([[full[0], full[0]]], [[full[1], rand_unipoly(field, rng, lb - 1)],
+                                     [full[1], UniPoly.zero(field)]], rand_unipoly(field, rng, dm))]
+    for _ in range(4):
+        m, k, r = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+        cases.append(([[_entry(field, rng) for _ in range(k)] for _ in range(m)],
+                      [[_entry(field, rng) for _ in range(r)] for _ in range(k)],
+                      rand_unipoly(field, rng, rng.choice((dm, 5, NEWTON_REM_MIN)))))
+    for i, (A, B, mod) in enumerate(cases):
+        A, B = coeff_rows(A), coeff_rows(B)
+        if not any(e for row in A for e in row) or not any(e for row in B for e in row):
+            continue
+        node, ref = _ModNode(0, 0, mod.coeffs), _ModNode(0, 0, mod.coeffs)
+        want = [[ref.reduce(e, field) for e in row] for row in _poly_matmul(field, A, B)]
+        assert _poly_matmul(field, A, B, node) == want
+        if i == 0:  # the bound case took the path its dm names
+            assert (node._mod._prec > 0) == (dm >= NEWTON_REM_MIN)
+
+
 # -- transform action --------------------------------------------------------------------
 
 
