@@ -25,18 +25,16 @@ The x-side of the interpolation depends only on the field, the evaluation
 points, k and s, never on the received word. A _Reencoding holds it: the
 fast.Schedule of the other n - kappa points, the powers L^m for m <= s,
 c's x-side: the modulus tree of the first kappa points at multiplicity 1,
-whose root modulus is L, and their weights 1 / L'(x_i); and the powers
-x_i^j, j < k, at the first kappa points and at the other n - kappa, each
-power column packed once into one integer of lanes. decode_list keeps one
-per s in a private slot of the RSCode, so a decoder builds the x-side once
-per code and s however many words it decodes, and rebuilds one whose
-field, points or k no longer fit. Per word, c is a weighted sum of
-L / (x - x_i), combined up the first tree from its runs. Its values at the
-other points, and each root's values at all n, are one big-integer dot
-product of the coefficients with the power columns and one read of the
-lanes each. So the work per word grows as the first tree's products plus
-k * n lane products, done in CPython's big-integer kernels, not in a
-Python loop per point.
+whose root modulus is L, and their weights 1 / L'(x_i). None is
+kappa x kappa or (n - kappa) x kappa. decode_list keeps one per s in a
+private slot of the RSCode, so a decoder builds the x-side once per code and
+s however many words it decodes, and rebuilds one whose field, points or k
+no longer fit. Per word, c is a weighted sum of L / (x - x_i), combined up
+the first tree from its runs. Its values at the other points, and each
+root's values at all n, come down the trees by remainders (_values), each
+node's modulus packed once for every word, Horner's rule taking over at the
+runs. So the work per word grows as the tree products plus
+n * min(kappa, s * classic.LEAF_MAX), not as kappa * n.
 
 Root extraction (y_roots) is Roth-Ruckenstein branching on trimmed
 coefficient lists from the interpolated rows down to the candidates. Slice
@@ -58,16 +56,14 @@ import itertools
 import random
 from bisect import bisect_left
 from functools import cache
-from operator import mul
 from typing import NamedTuple
 
-from . import fast, unipoly
+from . import fast
 from .bipoly import BiPoly, taylor_vectors
 from .field import PrimeField
 from .problem import InterpolationInstance, check_work
 from .unipoly import (
-    PackedModulus, UniPoly, _add_raw, _divmod_raw, _lanes, _mul_kron, _pack, _series_inv, _slot_width,
-    _trim, _unpack,
+    PackedModulus, UniPoly, _add_raw, _mul_kron, _pack, _series_inv, _slot_width, _trim, _unpack,
 )
 
 # root splitting draws its shifts from a generator of its own with this seed,
@@ -155,7 +151,7 @@ def gs_params(code: RSCode, tau: int) -> GSParams:
 def _gcd(a: list[int], b: list[int], field: PrimeField) -> list[int]:
     """Monic gcd of a and b, not both zero."""
     while b:
-        a, b = b, _divmod_raw(a, b, field)[1]
+        a, b = b, PackedModulus(b, field).divmod(a)[1]
     c, p = field.inv(a[-1]), field.p
     return [v * c % p for v in a]
 
@@ -239,7 +235,7 @@ def _split_linear(h: list[int], field: PrimeField, rng: random.Random, out: list
         misses += 1
         if 2 <= len(d) < len(h):
             _split_linear(d, field, rng, out)
-            h, misses = _divmod_raw(h, d, field)[0], 0
+            h, misses = PackedModulus(d, field).divmod(h)[0], 0
     if len(h) == 3:
         out += _quadratic_roots(h, p)
     elif len(h) == 2:
@@ -387,21 +383,14 @@ class _Reencoding:
     """The x-side of decoding a code at multiplicity s with re-encoding (see
     the module docstring): kappa, the fast.Schedule of the evaluation points
     after the first kappa, the modulus tree of the first kappa (multiplicity
-    1, so its root modulus is L), lpows[m] = L^m for m <= s, the weights
-    1 / L'(x_i) of the first kappa points, and the power columns: column j
-    of head packs x_i^j at the first kappa points, one lane each, and column
-    j of tail at the other n - kappa, for j < k (which is max(k, kappa)), in
-    the layout of bipoly.hasse_matrices' cols, each table with its lane
-    count. Each column is packed once, in lanes that hold a sum of k
-    products. The tables hold n * k lanes: at RS [1024, 256] over the bench
-    prime, 9-byte lanes in 2.4 MB, and a decode at tau = 497 (s = 8) peaked
-    at 107.0 MB RSS, against 105.8 MB with values taken down the trees.
-    The tables depend only on p, k and the points, yet each s keeps its own,
-    so a code decoded at several radii holds them once per s. Kept with the
-    code's key (p, k and a copy of the evaluation points), to
+    1, so its root modulus is L), lpows[m] = L^m for m <= s, and the
+    weights 1 / L'(x_i) of the first kappa points. Nothing kept is
+    kappa x n: over GF(65521) with k = n / 2 it holds 175, 416 and 947 KB
+    at n = 512, 1024 and 2048 (tracemalloc), growing 2.3x per doubling.
+    Kept with the code's key (p, k and a copy of the evaluation points), to
     tell when it no longer fits."""
 
-    __slots__ = ("key", "kappa", "schedule", "tree", "lpows", "weights", "width", "head", "tail")
+    __slots__ = ("key", "kappa", "schedule", "tree", "lpows", "weights")
 
     def __init__(self, code: RSCode, s: int):
         field, p = code.field, code.field.p
@@ -415,40 +404,18 @@ class _Reencoding:
         self.lpows = [[1]]
         for _ in range(s):
             self.lpows.append(_mul_kron(self.lpows[-1], L, p))
-        self.width = width = _slot_width(code.k, p)
-        self.head = _power_columns(xs[:kappa], code.k, width, p)
-        self.tail = _power_columns(xs[kappa:], code.k, width, p)
         dL = [i * c % p for i, c in enumerate(L)][1:]
-        self.weights = [field.inv(v) for v in self.values(dL, self.head)]
-
-    def values(self, f: list[int], table: tuple[list[int], int]) -> list[int]:
-        """f, of length at most k, at the points of head or tail: one dot
-        product with the power columns, and one read of its lanes, counted
-        as _unpack counts them."""
-        cols, n = table
-        if unipoly._COUNTER is not None:
-            unipoly._COUNTER.mults += n
-        return _lanes(sum(map(mul, f, cols)), n, self.width, self.key[0])
+        self.weights = [field.inv(v) for v in _values(self.tree, dL, field)]
 
     def word(self, received: list[int], field: PrimeField) -> tuple[list[int], list[int]]:
         """c, the polynomial of degree < kappa through the received values at
         the first kappa points, c = sum_i a_i L / (x - x_i) with
         a_i = r_i / L'(x_i), combined up the first tree, and the re-encoded
-        values received - c at the other points."""
+        values received - c at the other points, down the second."""
         p = field.p
         c = _combine(self.tree, [r * v % p for r, v in zip(received, self.weights)], p)
-        rest = self.values(c, self.tail)
+        rest = _values(self.schedule.tree, c, field)
         return c, [(r - v) % p for r, v in zip(received[self.kappa :], rest)]
-
-
-def _power_columns(xs: list[int], k: int, width: int, p: int) -> tuple[list[int], int]:
-    """The columns j < k, column j packing x^j at every x of xs in a lane of
-    the width, and the number of lanes."""
-    cols, pows = [], [1] * len(xs)
-    for _ in range(k):
-        cols.append(_pack(pows, width))
-        pows = [v * x % p for v, x in zip(pows, xs)]
-    return cols, len(xs)
 
 
 def _combine(node, a: list[int], p: int) -> list[int]:
@@ -470,6 +437,17 @@ def _combine(node, a: list[int], p: int) -> list[int]:
     return _trim((low + [0] * (m - len(low)))[::-1])
 
 
+def _values(node, f: list[int], field: PrimeField) -> list[int]:
+    """f at the points of a modulus-tree node, in order: f is reduced mod
+    each node's modulus on the way down (a no-op while it is shorter), and
+    evaluated by Horner's rule at the runs."""
+    f = node.reduce(f, field)
+    if node.run is None:
+        return _values(node.left, f, field) + _values(node.right, f, field)
+    g = UniPoly(field, f, normalized=True)
+    return [g.eval(x) for x in node.run.xs]
+
+
 def decode_list(code: RSCode, received, params: GSParams) -> list[list[int]]:
     """All messages whose codewords lie within Hamming distance tau of the
     received word; parameters that cannot guarantee that are refused
@@ -477,8 +455,7 @@ def decode_list(code: RSCode, received, params: GSParams) -> list[list[int]]:
     (_check_work), before any schedule is built. The word is re-encoded on
     its first kappa points, the other n - kappa are solved from the
     re-encoded basis on the code's x-side for s, and each root f within tau,
-    found by its values on the x-side's power columns, is kept with c added
-    back."""
+    by its values down the two trees, is kept with c added back."""
     field, p = code.field, code.field.p
     received = [v % p for v in received]
     if len(received) != code.n:
@@ -501,8 +478,8 @@ def decode_list(code: RSCode, received, params: GSParams) -> list[list[int]]:
     q, _ = fast.solve(inst, xside.schedule, start)
     out = []
     for f in y_roots(q, code.k):
-        errors = sum(map(bool, xside.values(f.coeffs, xside.head)))
-        if errors + hamming(xside.values(f.coeffs, xside.tail), rest) <= params.tau:
+        errors = sum(map(bool, _values(xside.tree, f.coeffs, field)))
+        if errors + hamming(_values(xside.schedule.tree, f.coeffs, field), rest) <= params.tau:
             msg = _add_raw(f.coeffs, c, p)
             out.append(msg + [0] * (code.k - len(msg)))
     return sorted(out)

@@ -10,11 +10,11 @@ a PackedModulus, which packs its modulus once: synthetic division on the
 packed dividend for short quotients, Newton division by the packed reversed
 series inverse for long ones. The modulus tree in fast.py keeps one per
 node, decoder._pow_mod makes one per power and reduces each square while it
-is still packed, and `_divmod_raw` makes one per call. Every kernel works
-on plain coefficient lists: UniPoly wraps them as a value type, and the
-solvers call the kernels directly, reporting their work to the same
-counter, which also takes the solvers' pivot rounds when asked
-(count_scalar_mults).
+is still packed, and decoder's gcd and root splitting make one per
+division. Every kernel works on plain coefficient lists: UniPoly wraps them
+as a value type, and the solvers call the kernels directly, reporting their
+work to the same counter, which also takes the solvers' pivot rounds when
+asked (count_scalar_mults).
 """
 
 from __future__ import annotations
@@ -39,13 +39,10 @@ class ScalarMultCounter:
     the elimination step's row reductions included; quotient slots read
     plus remainder slots unpacked for either division by a PackedModulus,
     plus the dividend's top slots that Newton division reads off a packed
-    sum (PackedModulus.newton_packed); and one lane per point for each
-    polynomial the decoder evaluates on its power columns (the weights
-    1 / L'(x_i), the re-encoded word, each root in the distance filter).
-    The modulus tree's leaf powers (x - x_i)^s
-    (fast._subproduct) are not counted, and neither is any work of the
-    independent references: classic naive, the oracle and the direct Hasse
-    derivatives count nothing.
+    sum (PackedModulus.newton_packed). The modulus tree's leaf powers
+    (x - x_i)^s (fast._subproduct) are not counted, and neither is any work
+    of the independent references: classic naive, the oracle and the direct
+    Hasse derivatives count nothing.
 
     pivots, when asked for, logs each round of classic naive's loop and of
     classic.eliminate_run (so of all three solvers) that found a pivot, as
@@ -297,12 +294,6 @@ class PackedModulus:
         low = (1 << (8 * width * dm)) - 1
         r = (acc & low) + _pack(q[:dm], width) * self.neg(width)
         return _trim(q), _unpack(r & low, dm, width, p)
-
-
-def _divmod_raw(a: list[int], m: list[int], field: PrimeField) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by a nonzero m: synthetic division by m
-    packed for this one use (PackedModulus.divmod)."""
-    return PackedModulus(m, field).divmod(a)
 
 
 # ---------------------------------------------------------------------------

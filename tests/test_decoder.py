@@ -2,6 +2,7 @@ import itertools
 import random
 import signal
 import time
+import tracemalloc
 
 import pytest
 
@@ -611,7 +612,7 @@ def test_decode_basis_passes_the_certificate(monkeypatch):
 
 # decode_list's counted work on _rs255_word(): inside fast.solve, inside
 # y_roots, and the rest (re-encoding, the x-side build, the distance filter)
-DECODE_PINS = {"solve": 4523283, "y_roots": 17855, "rest": 7963}
+DECODE_PINS = {"solve": 4523283, "y_roots": 17855, "rest": 10013}
 
 
 def test_decode_op_count_pins(monkeypatch):
@@ -894,11 +895,11 @@ def test_decode_after_field_changes():
 
 
 @pytest.mark.parametrize("p, n, k", [(BENCH_PRIME, 255, 64), (2**64 - 59, 40, 12), (101, 12, 12)])
-def test_power_columns_give_horner_values(p, n, k):
-    # the kept power columns at the first kappa points (head) and at the
-    # others (tail) give Horner's values of any f of length <= k, the all
-    # p - 1 one filling their lanes to the bound. 2^64 - 59 has lanes of 17
-    # bytes; k = n has kappa = n - 1 < k. One lane read is counted per point
+def test_tree_values_give_horner_values(p, n, k):
+    # values down the kept kappa-tree and down the schedule's tree are
+    # Horner's values of any f of length <= k, the all p - 1 one included.
+    # 2^64 - 59 has coefficients past 8 bytes; k = n has kappa = n - 1 < k,
+    # so f is reduced mod L at the kappa-tree's root
     field = PrimeField(p)
     rng = random.Random(n * k)
     xs = list({field.rand(rng) for _ in range(2 * n)})[:n]
@@ -908,16 +909,29 @@ def test_power_columns_give_horner_values(p, n, k):
     assert kappa == min(k, n - 1)
     for f in ([], [field.rand(rng)], [field.rand(rng) for _ in range(k)], [p - 1] * k):
         g = UniPoly(field, f)
-        with count_scalar_mults() as ctr:
-            head, tail = xside.values(f, xside.head), xside.values(f, xside.tail)
-        assert ctr.mults == n
-        assert head == [g.eval(x) for x in xs[:kappa]]
-        assert tail == [g.eval(x) for x in xs[kappa:]]
+        assert decoder._values(xside.tree, f, field) == [g.eval(x) for x in xs[:kappa]]
+        assert decoder._values(xside.schedule.tree, f, field) == [g.eval(x) for x in xs[kappa:]]
     L = UniPoly.one(field)
     for x in xs[:kappa]:
         L = L * x_minus(field, x)
     dL = UniPoly(field, [i * c for i, c in enumerate(L.coeffs)][1:])
     assert xside.weights == [field.inv(dL.eval(x)) for x in xs[:kappa]]
+
+
+def test_kept_x_side_grows_quasi_linearly():
+    # the bytes a code's x-side keeps, at k = n / 2: a structure of n * k
+    # entries grows 4x per doubling of n, the trees and L^m about 2.3x
+    field = PrimeField(65521)
+    kept = {}
+    for n in (512, 1024):
+        code = RSCode(field, n, n // 2)
+        tracemalloc.start()
+        try:
+            xside = decoder._Reencoding(code, 1)
+            kept[n] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+    assert kept[1024] / kept[512] <= 3
 
 
 # (p, n, k, tau, error positions): "reencoded" puts errors on every one of the

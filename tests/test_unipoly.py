@@ -11,7 +11,7 @@ from gsinterp.field import PrimeField
 from gsinterp.problem import random_instance
 import gsinterp.unipoly as up
 from gsinterp.unipoly import (
-    NEG_INF, PackedModulus, UniPoly, _divmod_raw, _mul_kron, _pack, _slot_width, _unpack,
+    NEG_INF, PackedModulus, UniPoly, _mul_kron, _pack, _slot_width, _unpack,
     count_scalar_mults,
 )
 from util import (
@@ -242,8 +242,8 @@ def test_ring_axioms_random_triples():
 
 
 def lib_divmod(a: UniPoly, m: UniPoly) -> tuple[UniPoly, UniPoly]:
-    """The library's synthetic division, _divmod_raw, on UniPolys."""
-    q, r = _divmod_raw(a.coeffs, m.coeffs, a.field)
+    """The library's synthetic division, PackedModulus.divmod, on UniPolys."""
+    q, r = PackedModulus(m.coeffs, a.field).divmod(a.coeffs)
     return UniPoly(a.field, q, normalized=True), UniPoly(a.field, r, normalized=True)
 
 
