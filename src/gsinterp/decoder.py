@@ -32,8 +32,8 @@ s however many words it decodes, and rebuilds one whose field, points or k
 no longer fit. Per word, c is a weighted sum of L / (x - x_i), combined up
 the first tree from its runs. Its values at the other points, and each
 root's values at all n, come down the trees by remainders (_values), each
-node's modulus packed once for every word, Horner's rule taking over at the
-runs. So the work per word grows as the tree products plus
+node's PackedModulus packed once for every word, Horner's rule taking over
+at the runs. So the work per word grows as the tree products plus
 n * min(kappa, s * classic.LEAF_MAX), not as kappa * n.
 
 Root extraction (y_roots) is Roth-Ruckenstein branching on trimmed
@@ -43,11 +43,12 @@ odd p the quadratic formula for a quadratic one, for one square root
 (_sqrt_mod). Otherwise a gcd with x^p - x keeps the distinct linear
 factors, and Cantor-Zassenhaus splitting breaks them down to quadratic
 factors, which the formula finishes; its powers (x + delta)^e mod h
-(_pow_mod) reduce each square while it is still packed.
-Each level's substitution y -> x*y + gamma packs the rows once. Below a
-simple root the branch is one power series, lifted by Newton iteration
-(_lift) rather than walked. Only the exact check of each candidate goes
-through BiPoly and UniPoly.
+(_pow_mod) reduce each square while it is still packed. Every remainder
+goes through a unipoly.PackedModulus, whose rule picks synthetic or Newton
+division. Each level's substitution y -> x*y + gamma packs the rows once.
+Below a simple root the branch is one power series, lifted by Newton
+iteration (_lift) rather than walked. Only the exact check of each
+candidate goes through BiPoly and UniPoly.
 """
 
 from __future__ import annotations
@@ -160,10 +161,10 @@ def _pow_mod(delta: int, e: int, m: list[int], field: PrimeField) -> list[int]:
     """(x + delta)^e mod m, deg m >= 1, by left-to-right square-and-multiply
     on one PackedModulus. At a set bit the square times x + delta is formed
     as out * (out * (x + delta)), the second factor a shift plus a scaled
-    add. Each product stays packed, its slots unreduced, until the
-    synthetic division reads its quotient and unpacks the remainder, so no
-    square is unpacked: out has at most dm coefficients, so a slot sums at
-    most dm products, and the division adds at most dm more."""
+    add. Each product stays packed, its slots unreduced, until rem_packed
+    divides it and unpacks the remainder, so no square is unpacked: out has
+    at most dm coefficients, so a slot sums at most dm products, and the
+    division adds at most dm more."""
     p = field.p
     mod = PackedModulus(m, field)
     width = _slot_width(2 * mod.dm, p)
@@ -174,9 +175,9 @@ def _pow_mod(delta: int, e: int, m: list[int], field: PrimeField) -> list[int]:
         a = _pack(out, width)
         if bit == "1":
             b = _pack(_add_raw([0] + out, [delta * c % p for c in out], p), width)
-            out = mod.synthetic(a * b, 2 * len(out), width)[1]
+            out = mod.rem_packed(a * b, 2 * len(out), width)
         else:
-            out = mod.synthetic(a * a, 2 * len(out) - 1, width)[1]
+            out = mod.rem_packed(a * a, 2 * len(out) - 1, width)
     return out
 
 
@@ -400,7 +401,7 @@ class _Reencoding:
         rest = code.n - kappa
         self.schedule = fast.Schedule(field, [(x, 0) for x in xs[kappa:]], [s] * rest)
         self.tree = fast.build_modulus_tree(field, xs, [1] * kappa, 0, kappa - 1)
-        L = self.tree.modulus
+        L = self.tree.modulus.m
         self.lpows = [[1]]
         for _ in range(s):
             self.lpows.append(_mul_kron(self.lpows[-1], L, p))
@@ -425,15 +426,15 @@ def _combine(node, a: list[int], p: int) -> list[int]:
     sum_e M_(j+1+e) P_e, P_e = sum_i a_i x_i^e, which is coefficient
     m - 1 - j of M reversed times P."""
     if node.run is None:
-        return _trim(_add_raw(_mul_kron(_combine(node.left, a, p), node.right.modulus, p),
-                              _mul_kron(_combine(node.right, a, p), node.left.modulus, p), p))
+        return _trim(_add_raw(_mul_kron(_combine(node.left, a, p), node.right.modulus.m, p),
+                              _mul_kron(_combine(node.right, a, p), node.left.modulus.m, p), p))
     xs, m = node.run.xs, len(node.run.xs)
     terms = a[node.lo : node.hi + 1]
     sums = [sum(terms) % p]
     for _ in range(m - 1):
         terms = [t * x % p for t, x in zip(terms, xs)]
         sums.append(sum(terms) % p)
-    low = _mul_kron(node.modulus[::-1], sums, p, m)
+    low = _mul_kron(node.modulus.m[::-1], sums, p, m)
     return _trim((low + [0] * (m - len(low)))[::-1])
 
 
@@ -441,7 +442,7 @@ def _values(node, f: list[int], field: PrimeField) -> list[int]:
     """f at the points of a modulus-tree node, in order: f is reduced mod
     each node's modulus on the way down (a no-op while it is shorter), and
     evaluated by Horner's rule at the runs."""
-    f = node.reduce(f, field)
+    f = node.modulus.divmod(f)[1]
     if node.run is None:
         return _values(node.left, f, field) + _values(node.right, f, field)
     g = UniPoly(field, f, normalized=True)

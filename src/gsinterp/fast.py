@@ -6,11 +6,11 @@ another on the full basis. This solver eliminates runs of at most LEAF_MAX
 points through the same driver, classic.eliminate_run, at the leaves of a
 binary tree over the points (its splits set the run boundaries): every
 intermediate basis is kept reduced mod the subtree modulus, which each node
-packs once (unipoly.PackedModulus): synthetic division for short quotients,
-Newton division by the node's cached packed inverse for long ones. At a
-leaf eliminate_run reads the Hasse values off the reduced basis, and its rows
-are an (ell+1) x (ell+1) transform over F[x] from the identity, which
-records every row operation; the reduced basis itself is never updated.
+holds as a unipoly.PackedModulus, packed once; every remainder goes through
+it, and it picks synthetic or Newton division. At a leaf eliminate_run
+reads the Hasse values off the reduced basis, and its rows are an
+(ell+1) x (ell+1) transform over F[x] from the identity, which records
+every row operation; the reduced basis itself is never updated.
 Hasse values of order < s at x_i depend only on the residue mod
 (x - x_i)^s, so the reduced basis gives the same pivots and ratios as the
 full one. Transforms compose by polynomial matrix multiplication, which
@@ -33,20 +33,20 @@ at the end. The final product's rows are the y-power rows of the basis
 elements.
 
 One format runs from the root to the leaves, trimmed list[int] coefficient
-lists: a node's modulus is one, a basis element is its ell + 1 y-power rows,
-and a transform is its rows of entries. solve_basis and solve wrap the
+lists: a node's modulus packs one, a basis element is its ell + 1 y-power
+rows, and a transform is its rows of entries. solve_basis and solve wrap the
 composed rows into BiPoly elements once, at exit.
 
 The pass has an x-side and a y-side. The x-side depends only on the field,
-the x's and the multiplicities: the modulus tree with its lazily packed
-moduli and Newton inverses, built down to its runs and no further, and at
-each leaf a classic.Run with the run's first point index, shift plans and
-each point's Taylor vectors in x. A Schedule holds all of it and checks
-the points; the y-side (the received word) only ever reads it.
-solve_basis builds one per call unless it is handed one, and
-decoder.decode_list keeps one per code and multiplicity, over the points it
-does not re-encode, so a decoder builds the x-side once per code and
-multiplicity.
+the x's and the multiplicities: the modulus tree with its moduli, whose
+packed forms and Newton inverses are made as first needed, built down to
+its runs and no further, and at each leaf a classic.Run with the run's
+first point index, shift plans and each point's Taylor vectors in x. A
+Schedule holds all of it and checks the points; the y-side (the received
+word) only ever reads it. solve_basis builds one per call unless it is
+handed one, and decoder.decode_list keeps one per code and multiplicity,
+over the points it does not re-encode, so a decoder builds the x-side once
+per code and multiplicity.
 interpolate_tree walks a Schedule's node on the node's y's. Pivot rounds are
 logged by unipoly.count_scalar_mults(pivots=True), numbered by each run's
 first point index.
@@ -61,8 +61,6 @@ from .field import PrimeField
 from .problem import InterpolationInstance
 from .unipoly import PackedModulus, UniPoly, _mul_kron, _pack, _slot_width, _unpack
 
-NEWTON_REM_MIN = 48  # from this modulus degree, _ModNode.reduce divides by a cached inverse
-
 
 # ---------------------------------------------------------------------------
 # polynomial matrix product: ell + 1 is tiny, so the entry degree is what
@@ -71,24 +69,21 @@ NEWTON_REM_MIN = 48  # from this modulus degree, _ModNode.reduce divides by a ca
 # ---------------------------------------------------------------------------
 
 
-def _poly_matmul(field: PrimeField, A: Rows, B: Rows, node: _ModNode | None = None) -> Rows:
+def _poly_matmul(field: PrimeField, A: Rows, B: Rows, mod: PackedModulus | None = None) -> Rows:
     """A * B over F[x], entries as trimmed coefficient lists, with every
-    entry reduced mod the node's modulus when a node is given. Each
-    nonempty entry of A and of B is packed into one integer once, with
-    slots wide enough for a k-term sum of products plus the min(qlen, dm)
-    products a remainder by the node adds (qlen <= la + lb - 1 - dm, so
-    none where no entry is as long as the modulus), and only the pairs of
-    nonempty entries are multiplied: row i of A adds A[i][l] * B[l][j] into
-    output entry (i, j) for each nonempty B[l][j]. Each output entry is the
-    sum of its packed products, unpacked and reduced once, or reduced by
-    the node while it is still packed (_ModNode.reduce_packed). Widening by
-    dm for every node put 201 of interp_small's 252 products T1 * B in
-    slots past 8 bytes, against 118 by min(qlen, dm), and its solves took
-    1.014x the time without the fused remainder, against 0.994x."""
+    entry reduced mod the modulus when one is given. Each nonempty entry of
+    A and of B is packed into one integer once, with slots wide enough for
+    a k-term sum of products plus the min(qlen, dm) products a remainder by
+    the modulus adds (qlen <= la + lb - 1 - dm, so none where no entry is
+    as long as the modulus), and only the pairs of nonempty entries are
+    multiplied: row i of A adds A[i][l] * B[l][j] into output entry (i, j)
+    for each nonempty B[l][j]. Each output entry is the sum of its packed
+    products, unpacked and reduced once, or reduced while it is still
+    packed (PackedModulus.rem_packed)."""
     p, k = field.p, len(B)
     la = max(len(e) for row in A for e in row)
     lb = max(len(e) for row in B for e in row)
-    dm = len(node.modulus) - 1 if node is not None else 0
+    dm = mod.dm if mod is not None else 0
     width = _slot_width(k * min(la, lb) + max(0, min(dm, la + lb - 1 - dm)), p)
     PB = [[(j, _pack(e, width), len(e)) for j, e in enumerate(row) if e] for row in B]
     r = len(B[0])
@@ -102,11 +97,10 @@ def _poly_matmul(field: PrimeField, A: Rows, B: Rows, node: _ModNode | None = No
                     acc[j] += x * y
                     if nx + ny > nterms[j]:
                         nterms[j] = nx + ny
-        if node is None:
+        if mod is None:
             out.append([_unpack(a, t - 1, width, p) if t else [] for a, t in zip(acc, nterms)])
         else:
-            out.append([node.reduce_packed(a, t - 1, width, field) if t else []
-                        for a, t in zip(acc, nterms)])
+            out.append([mod.rem_packed(a, t - 1, width) if t else [] for a, t in zip(acc, nterms)])
     return out
 
 
@@ -116,53 +110,15 @@ def _poly_matmul(field: PrimeField, A: Rows, B: Rows, node: _ModNode | None = No
 
 
 class _ModNode:
-    __slots__ = ("lo", "hi", "modulus", "left", "right", "run", "_mod")
+    __slots__ = ("lo", "hi", "modulus", "left", "right", "run")
 
-    def __init__(self, lo, hi, modulus, left=None, right=None, run=None):
+    def __init__(self, lo, hi, modulus: PackedModulus, left=None, right=None, run=None):
         self.lo = lo
         self.hi = hi
-        self.modulus = modulus
+        self.modulus = modulus  # the product over lo..hi, packed once for every remainder by it
         self.left = left
         self.right = right
         self.run: Run | None = run  # set on the tree's leaves
-        self._mod: PackedModulus | None = None  # packed at the first remainder
-
-    def reduce(self, f: list[int], field: PrimeField) -> list[int]:
-        """f mod the node's modulus, packed once per node: synthetic division
-        for short quotients and small moduli, Newton division by the node's
-        cached series inverse otherwise. Timed by the CPU time of each
-        benchmark workload's counted pass, in alternating rounds: moving
-        NEWTON_REM_MIN to 32, 64 or 96, or the quotient rule to 16 or 48,
-        stayed within the rounds' spread on interp_small, interp_large and
-        decode, and synthetic division throughout took 1.04x on
-        interp_large."""
-        qlen = len(f) - len(self.modulus) + 1
-        if qlen <= 0:
-            return f
-        mod = self._packed(field)
-        return (mod.newton(f) if self._by_newton(qlen) else mod.divmod(f))[1]
-
-    def reduce_packed(self, acc: int, nterms: int, width: int, field: PrimeField) -> list[int]:
-        """The packed dividend acc of nterms slots of the width, which need
-        not be reduced, mod the node's modulus by reduce's rule, unpacked
-        once: the width must hold one slot plus min(qlen, dm) products
-        (p - 1)^2."""
-        qlen = nterms - len(self.modulus) + 1
-        if qlen <= 0:
-            return _unpack(acc, nterms, width, field.p)
-        mod = self._packed(field)
-        if self._by_newton(qlen):
-            return mod.newton_packed(acc, nterms, width)[1]
-        return mod.synthetic(acc, nterms, width)[1]
-
-    def _by_newton(self, qlen: int) -> bool:
-        return len(self.modulus) - 1 >= NEWTON_REM_MIN and qlen >= 32
-
-    def _packed(self, field: PrimeField) -> PackedModulus:
-        mod = self._mod
-        if mod is None:
-            mod = self._mod = PackedModulus(self.modulus, field)
-        return mod
 
 
 def _subproduct(field: PrimeField, xs, mults, lo, hi) -> list[int]:
@@ -186,21 +142,23 @@ def build_modulus_tree(field: PrimeField, xs, mults, lo, hi) -> _ModNode:
     modulus, formed from the same products in the same split order."""
     if hi - lo < classic.LEAF_MAX:
         run = Run(xs[lo : hi + 1], mults[lo : hi + 1], field.p, lo)
-        return _ModNode(lo, hi, _subproduct(field, xs, mults, lo, hi), run=run)
+        m = _subproduct(field, xs, mults, lo, hi)
+        return _ModNode(lo, hi, PackedModulus(m, field), run=run)
     mid = (lo + hi) // 2
     left = build_modulus_tree(field, xs, mults, lo, mid)
     right = build_modulus_tree(field, xs, mults, mid + 1, hi)
-    return _ModNode(lo, hi, _mul_kron(left.modulus, right.modulus, field.p), left, right)
+    m = _mul_kron(left.modulus.m, right.modulus.m, field.p)
+    return _ModNode(lo, hi, PackedModulus(m, field), left, right)
 
 
 class Schedule:
     """The x-side of a solve over the given points' x's: the modulus tree down
-    to its runs, each carrying a classic.Run. The nodes pack their moduli
-    and Newton inverses as a solve first needs them, the runs their plans
-    and Taylor vectors from their second use on (classic.Run.xside), and
-    any later solve on the same x's and multiplicities reuses them; only
-    instances it fits may use it. Refuses an empty point list and a multiplicity list of
-    another length."""
+    to its runs, each carrying a classic.Run. Each node's PackedModulus
+    packs -m and its Newton inverse as a solve first needs them, the runs
+    their plans and Taylor vectors from their second use on
+    (classic.Run.xside), and any later solve on the same x's and
+    multiplicities reuses them; only instances it fits may use it. Refuses
+    an empty point list and a multiplicity list of another length."""
 
     __slots__ = ("p", "xs", "mults", "tree")
 
@@ -248,13 +206,13 @@ def interpolate_tree(
         return [eliminate_run(field, node.run, ys, elems, identity(len(elems)), deltas)], deltas
     left, right = node.left, node.right
     cut = left.hi - node.lo + 1
-    b1 = [[left.reduce(r, field) for r in e] for e in elems]
+    b1 = [[left.modulus.divmod(r)[1] for r in e] for e in elems]
     spine, deltas = interpolate_tree(ys[:cut], left, field, b1, deltas)
     T1 = compose(field, spine)
     # T1 times the basis pre-reduced mod the right modulus (T1 is seldom
     # longer), each product reduced while it is still packed
-    B = [[right.reduce(r, field) for r in e] for e in elems]
-    b2 = _poly_matmul(field, T1, B, right)
+    B = [[right.modulus.divmod(r)[1] for r in e] for e in elems]
+    b2 = _poly_matmul(field, T1, B, right.modulus)
     del B  # peak memory is reached inside the recursion below
     spine, deltas = interpolate_tree(ys[cut:], right, field, b2, deltas)
     return [T1] + spine, deltas
@@ -299,9 +257,9 @@ def _solve_spine(
     G, deltas = start
     if len(G) != ell + 1 or len(deltas) != ell + 1 or any(len(e) != ell + 1 for e in G):
         raise ValueError(f"start basis must be {ell + 1} elements of {ell + 1} rows, one delta each")
-    root = schedule.tree
-    spine, deltas = interpolate_tree(ys, root, field, [[root.reduce(r, field) for r in e] for e in G],
-                                     deltas)
+    mod = schedule.tree.modulus
+    spine, deltas = interpolate_tree(ys, schedule.tree, field,
+                                     [[mod.divmod(r)[1] for r in e] for e in G], deltas)
     return [G] + spine, deltas
 
 

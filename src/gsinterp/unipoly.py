@@ -6,15 +6,17 @@ the zero polynomial has an empty coefficient list and degree NEG_INF.
 Every product is one Kronecker substitution, `_mul_kron` (coefficients
 packed into one big integer so CPython's C-level integer multiply does the
 convolution), whatever the operands' lengths. Every remainder goes through
-a PackedModulus, which packs its modulus once: synthetic division on the
-packed dividend for short quotients, Newton division by the packed reversed
-series inverse for long ones. The modulus tree in fast.py keeps one per
-node, decoder._pow_mod makes one per power and reduces each square while it
-is still packed, and decoder's gcd and root splitting make one per
-division. Every kernel works on plain coefficient lists: UniPoly wraps them
-as a value type, and the solvers call the kernels directly, reporting their
-work to the same counter, which also takes the solvers' pivot rounds when
-asked (count_scalar_mults).
+a PackedModulus, which packs its modulus once and holds the one rule that
+picks the division (NEWTON_REM_MIN): synthetic division on the packed
+dividend for short quotients and small moduli, Newton division by the packed
+reversed series inverse otherwise, entered by divmod on a list or by
+rem_packed on a packed sum. The modulus tree in fast.py keeps one per node,
+decoder._pow_mod makes one per power and reduces each square while it is
+still packed, and decoder's gcd and root splitting make one per division.
+Every kernel works on plain coefficient lists: UniPoly wraps them as a value
+type, and the solvers call the kernels directly, reporting their work to the
+same counter, which also takes the solvers' pivot rounds when asked
+(count_scalar_mults).
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ class ScalarMultCounter:
     the elimination step's row reductions included; quotient slots read
     plus remainder slots unpacked for either division by a PackedModulus,
     plus the dividend's top slots that Newton division reads off a packed
-    sum (PackedModulus.newton_packed). The modulus tree's leaf powers
+    sum (PackedModulus.rem_packed). The modulus tree's leaf powers
     (x - x_i)^s (fast._subproduct) are not counted, and neither is any work
     of the independent references: classic naive, the oracle and the direct
     Hasse derivatives count nothing.
@@ -180,17 +182,20 @@ def _series_inv(f: list[int], n: int, field: PrimeField) -> list[int]:
     return _trim(g)
 
 
+NEWTON_REM_MIN = 48  # from this modulus degree, quotients of 32 or more go by Newton division
+
+
 class PackedModulus:
-    """A nonzero modulus m packed once for every remainder by it: -m mod x^dm
-    packed per slot width asked for, the inverse of its leading coefficient,
-    and, from the first long quotient on, J, the inverse of reversed m mod
-    x^prec, reversed over prec slots and packed. Short quotients go by
-    synthetic division on one packed dividend (synthetic), long ones by
-    Newton division (newton on a list, newton_packed on a packed dividend
-    whose slots need not be reduced); either counts qlen + dm, its quotient
-    slots read plus its remainder slots unpacked, and newton_packed also
-    the qlen slots it reads off the dividend. fast._ModNode keeps one per
-    node, so the modulus tree packs each modulus once."""
+    """A nonzero modulus m packed once for every remainder by it, with the one
+    rule that picks the division: a quotient of 32 or more by an m of degree
+    NEWTON_REM_MIN or more goes by Newton division, which repays building
+    its inverse J only on such long quotients by large moduli, any other by
+    synthetic division. J, the inverse of reversed m mod x^prec reversed
+    over prec slots, is packed from the first long quotient on, -m mod x^dm
+    once per slot width. Entered by divmod on a list or rem_packed on a
+    packed sum; either division counts qlen + dm, its quotient slots read
+    plus its remainder slots unpacked, and Newton on a packed sum also the
+    qlen slots it reads off the dividend."""
 
     __slots__ = ("m", "field", "dm", "lead_inv", "_neg", "_prec", "_width", "_J")
 
@@ -212,14 +217,46 @@ class PackedModulus:
             neg = self._neg[width] = _pack([-v % p for v in self.m[:-1]], width)
         return neg
 
-    def synthetic(self, acc: int, nterms: int, width: int) -> tuple[list[int], list[int]]:
-        """Quotient and remainder by m of the packed dividend acc of nterms
-        slots, by synthetic long division: each quotient coefficient is read
-        off the top slot and one shifted multiple of -m is added, so the
-        per-coefficient work runs in the big-integer kernels. The slots of
-        acc need not be reduced, but the width must hold one of them plus
-        min(qlen, dm) products (p - 1)^2: no slot is reduced until the
-        remainder is unpacked, and a dividend shorter than m is unpacked."""
+    def divmod(self, a: list[int]) -> tuple[list[int], list[int]]:
+        """Quotient and remainder of a by m, a packed once: at J's width for
+        Newton division, at the narrowest width synthetic division needs
+        otherwise; a shorter than m is its own remainder."""
+        dm = self.dm
+        qlen = len(a) - dm
+        if qlen <= 0:
+            return [], a
+        if self._by_newton(qlen):
+            width = self._inverse(qlen)
+            acc = _pack(a, width)
+            return self._newton(acc, acc >> (8 * width * dm), qlen, width)
+        width = _slot_width(min(qlen, dm) + 1, self.field.p)
+        return self._synthetic(_pack(a, width), len(a), width)
+
+    def rem_packed(self, acc: int, nterms: int, width: int) -> list[int]:
+        """The packed dividend acc of nterms slots mod m, unpacked once. Its
+        slots need not be reduced, but the width must hold one of them plus
+        min(qlen, dm) products (p - 1)^2, which either division adds before
+        the remainder is unpacked. Newton division reads the top qlen slots
+        mod p and repacks them at J's width."""
+        dm, p = self.dm, self.field.p
+        qlen = nterms - dm
+        if not self._by_newton(qlen):
+            return self._synthetic(acc, nterms, width)[1]
+        top = _lanes(acc >> (8 * width * dm), qlen, width, p)
+        if _COUNTER is not None:
+            _COUNTER.mults += qlen
+        return self._newton(acc, _pack(top, self._inverse(qlen)), qlen, width)[1]
+
+    def _by_newton(self, qlen: int) -> bool:
+        return self.dm >= NEWTON_REM_MIN and qlen >= 32
+
+    def _synthetic(self, acc: int, nterms: int, width: int) -> tuple[list[int], list[int]]:
+        """Quotient and remainder by synthetic long division of the packed
+        dividend acc of nterms slots (see rem_packed for the width): each
+        quotient coefficient is read off the top slot and one shifted
+        multiple of -m is added, so the per-coefficient work runs in the
+        big-integer kernels, and no slot is reduced until the remainder is
+        unpacked; a dividend shorter than m is unpacked."""
         dm, p = self.dm, self.field.p
         qlen = nterms - dm
         if qlen <= 0:
@@ -236,37 +273,6 @@ class PackedModulus:
         if _COUNTER is not None:
             _COUNTER.mults += qlen
         return _trim(q), _unpack(acc & ((1 << (bits * dm)) - 1), dm, width, p)
-
-    def divmod(self, a: list[int]) -> tuple[list[int], list[int]]:
-        """Quotient and remainder of a by m by synthetic division, a packed
-        at the narrowest width it needs; a shorter than m is its own
-        remainder."""
-        qlen = len(a) - self.dm
-        if qlen <= 0:
-            return [], a
-        width = _slot_width(min(qlen, self.dm) + 1, self.field.p)
-        return self.synthetic(_pack(a, width), len(a), width)
-
-    def newton(self, a: list[int]) -> tuple[list[int], list[int]]:
-        """Quotient and remainder of a by m, len(a) > dm, by Newton division,
-        a packed once at J's width (see _newton)."""
-        qlen = len(a) - self.dm
-        width = self._inverse(qlen)
-        acc = _pack(a, width)
-        return self._newton(acc, acc >> (8 * width * self.dm), qlen, width)
-
-    def newton_packed(self, acc: int, nterms: int, width: int) -> tuple[list[int], list[int]]:
-        """Quotient and remainder by m, nterms > dm, of the packed dividend acc
-        of nterms slots, which need not be reduced, by Newton division: its
-        top qlen slots are read mod p and repacked at J's width, and the
-        remainder is formed at the dividend's width, which must hold one of
-        its slots plus min(qlen, dm) products (p - 1)^2."""
-        dm, p = self.dm, self.field.p
-        qlen = nterms - dm
-        top = _lanes(acc >> (8 * width * dm), qlen, width, p)
-        if _COUNTER is not None:
-            _COUNTER.mults += qlen
-        return self._newton(acc, _pack(top, self._inverse(qlen)), qlen, width)
 
     def _inverse(self, qlen: int) -> int:
         """J's slot width, J first rebuilt at precision max(qlen, dm + 1)

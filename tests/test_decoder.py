@@ -25,7 +25,7 @@ from gsinterp.decoder import (
 from gsinterp import decoder, fast
 from gsinterp.field import PrimeField
 from gsinterp.problem import InterpolationInstance
-from gsinterp.unipoly import UniPoly, count_scalar_mults
+from gsinterp.unipoly import PackedModulus, UniPoly, count_scalar_mults
 
 from util import (
     BENCH_PRIME, grid_gs_params, monomial, poly_mod, poly_pow, rand_bipoly, rand_nonzero,
@@ -260,6 +260,31 @@ def test_poly_roots_bench_prime():
     for r in roots:
         f = f * x_minus(field, r) * x_minus(field, r)
     assert _poly_roots(f.coeffs, field) == roots
+
+
+@pytest.mark.parametrize("p", [257, BENCH_PRIME, 2**64 - 59])
+def test_poly_roots_of_many_factors_run_newton_division(monkeypatch, p):
+    # 100 distinct linear factors: x^p mod f, the splitting powers and the
+    # cofactors divide by moduli of degree NEWTON_REM_MIN or more with long
+    # quotients, which PackedModulus's rule sends to Newton division, so
+    # root finding runs it; each Newton division asks for the inverse
+    field = PrimeField(p)
+    rng = random.Random(p)
+    roots = set()
+    while len(roots) < 100:
+        roots.add(field.rand(rng))
+    f = UniPoly.one(field)
+    for r in roots:
+        f = f * x_minus(field, r)
+    inverse, newton = PackedModulus._inverse, []
+
+    def counted(self, qlen):
+        newton.append(qlen)
+        return inverse(self, qlen)
+
+    monkeypatch.setattr(PackedModulus, "_inverse", counted)
+    assert _poly_roots(f.coeffs, field) == sorted(roots)
+    assert newton
 
 
 @pytest.mark.parametrize("p", [3, 5, 13])

@@ -4,7 +4,6 @@ import pytest
 
 from gsinterp.bipoly import BiPoly
 from gsinterp.fast import (
-    NEWTON_REM_MIN,
     Schedule,
     _ModNode,
     _poly_matmul,
@@ -17,10 +16,10 @@ from gsinterp.field import PrimeField
 from gsinterp.classic import LEAF_MAX, Run, TrackedBasis, certify, eliminate_run, interpolate
 from gsinterp.oracle import minimal_solution
 from gsinterp.problem import InterpolationInstance, random_instance
-from gsinterp.unipoly import UniPoly, count_scalar_mults
+from gsinterp.unipoly import NEWTON_REM_MIN, PackedModulus, UniPoly, count_scalar_mults
 from util import (
     BENCH_PRIME, bundled_instances, build_update_matrix, coeff_rows, golden_instances, identity,
-    logged, poly_rows, proportional, poly_mod, poly_pow, rand_bipoly, rand_nonzero, rand_unipoly,
+    logged, poly_rows, proportional, poly_pow, rand_bipoly, rand_nonzero, rand_unipoly,
     reduce_mod, schoolbook_product, standard_basis, x_degree, x_minus,
 )
 
@@ -261,17 +260,17 @@ def test_modulus_tree_structure(monkeypatch):
     for field, pts, mults in cases:
         root = Schedule(field, pts, mults).tree
         assert root.lo == 0 and root.hi == len(pts) - 1
-        assert len(root.modulus) - 1 == sum(mults)
+        assert root.modulus.dm == sum(mults)
 
         def walk(node):
             if node.left is None:
                 want = poly_pow(x_minus(field, pts[node.lo][0]), mults[node.lo])
-                assert node.modulus == want.coeffs
+                assert node.modulus.m == want.coeffs
                 assert node.run.lo == node.lo == node.hi
                 return
             assert node.run is None
-            left, right = UniPoly(field, node.left.modulus), UniPoly(field, node.right.modulus)
-            assert node.modulus == schoolbook_product(left, right).coeffs
+            left, right = UniPoly(field, node.left.modulus.m), UniPoly(field, node.right.modulus.m)
+            assert node.modulus.m == schoolbook_product(left, right).coeffs
             assert node.left.hi + 1 == node.right.lo
             walk(node.left)
             walk(node.right)
@@ -320,7 +319,7 @@ def test_schedule_stops_at_runs(monkeypatch, n):
             modulus = UniPoly.one(field)
             for (x, _), s in zip(inst.points[node.lo : node.hi + 1], inst.mults[node.lo : node.hi + 1]):
                 modulus = schoolbook_product(modulus, poly_pow(x_minus(field, x), s))
-            assert node.modulus == modulus.coeffs
+            assert node.modulus.m == modulus.coeffs
             assert node.run.lo == node.lo
             assert node.run.xs == [x for x, _ in inst.points[node.lo : node.hi + 1]]
             assert node.run.mults == inst.mults[node.lo : node.hi + 1]
@@ -343,39 +342,6 @@ def test_schedule_stops_at_runs(monkeypatch, n):
         with count_scalar_mults() as full:
             Schedule(inst.field, inst.points, inst.mults)
         assert mults == full.mults
-
-
-def test_modnode_rem_matches_divmod():
-    # quotient lengths straddle reduce's Newton threshold (32) and modulus
-    # degrees straddle NEWTON_REM_MIN, so the node's packed modulus is
-    # checked against schoolbook division by both paths. Its packed -m is
-    # cached by slot width and J by precision, so one node sees a long
-    # quotient, then a short one, then longer ones: at 2^64 - 59 and
-    # dm = 300 the synthetic division's slots are 17 bytes and Newton's 18,
-    # and at dm = 48, 280 rebuilds J with slots of 18 bytes, not 17, and 300
-    # at the same width. Constant moduli and p = 2 cover the edges of the
-    # synthetic division; 2^32 - 5 and 2^64 - 59 have slots of 9 and 17
-    # bytes and more. In the widest cases reversed m is x - 1, whose inverse
-    # has every coefficient p - 1, and so has f: Newton's slots reach their
-    # bound, qlen (p - 1)^2
-    rng = random.Random(12)
-    FN, F2 = PrimeField(754974721), PrimeField(2)
-    F32, F64 = PrimeField(2**32 - 5), PrimeField(2**64 - 59)
-    cases = [(field, dm, False) for field, dm in (
-        (FN, NEWTON_REM_MIN - 1), (FN, NEWTON_REM_MIN), (FN, 70), (FN, 0),
-        (F2, 0), (F2, 5), (F2, NEWTON_REM_MIN),
-        (F32, 5), (F32, NEWTON_REM_MIN), (F64, 5), (F64, NEWTON_REM_MIN), (F64, 300),
-    )] + [(FN, NEWTON_REM_MIN, True), (F64, NEWTON_REM_MIN, True)]
-    for field, dm, wide in cases:
-        p = field.p
-        m = UniPoly(field, [0] * (dm - 1) + [1, p - 1]) if wide else rand_unipoly(field, rng, dm)
-        node = _ModNode(0, 0, m.coeffs)
-        f = rand_unipoly(field, rng, dm - 1) if dm else UniPoly.zero(field)
-        assert node.reduce(f.coeffs, field) == f.coeffs
-        for qlen in (1, 31, 32, 47, 48, 90, 20, 280, 300):
-            f = UniPoly(field, [p - 1] * (dm + qlen)) if wide else rand_unipoly(field, rng, dm + qlen - 1)
-            assert node.reduce(f.coeffs, field) == poly_mod(f, m).coeffs
-        assert node._mod._prec == (max(300, dm + 1) if dm >= NEWTON_REM_MIN else 0)
 
 
 # -- polynomial matrix product ------------------------------------------------------------
@@ -433,8 +399,8 @@ _FUSED_CASES = [
 
 @pytest.mark.parametrize("p, la, lb, dm", _FUSED_CASES)
 def test_poly_matmul_reduces_while_packed(p, la, lb, dm):
-    # the product reduced by a node while packed equals the unreduced product
-    # reduced entry by entry. Entries of all p - 1 fill the slots to their
+    # the product reduced by a modulus while packed equals the unreduced
+    # product reduced entry by entry. Entries of all p - 1 fill the slots to their
     # bound before a random modulus's remainder adds its products; random
     # matrices follow
     field = PrimeField(p)
@@ -451,11 +417,11 @@ def test_poly_matmul_reduces_while_packed(p, la, lb, dm):
         A, B = coeff_rows(A), coeff_rows(B)
         if not any(e for row in A for e in row) or not any(e for row in B for e in row):
             continue
-        node, ref = _ModNode(0, 0, mod.coeffs), _ModNode(0, 0, mod.coeffs)
-        want = [[ref.reduce(e, field) for e in row] for row in _poly_matmul(field, A, B)]
-        assert _poly_matmul(field, A, B, node) == want
+        packed, ref = PackedModulus(mod.coeffs, field), PackedModulus(mod.coeffs, field)
+        want = [[ref.divmod(e)[1] for e in row] for row in _poly_matmul(field, A, B)]
+        assert _poly_matmul(field, A, B, packed) == want
         if i == 0:  # the bound case took the path its dm names
-            assert (node._mod._prec > 0) == (dm >= NEWTON_REM_MIN)
+            assert (packed._prec > 0) == (dm >= NEWTON_REM_MIN)
 
 
 # -- transform action --------------------------------------------------------------------

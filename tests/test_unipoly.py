@@ -6,12 +6,12 @@ import pytest
 
 from gsinterp.bipoly import taylor_vectors
 from gsinterp.classic import interpolate
-from gsinterp.fast import _ModNode, solve_basis
+from gsinterp.fast import solve_basis
 from gsinterp.field import PrimeField
 from gsinterp.problem import random_instance
 import gsinterp.unipoly as up
 from gsinterp.unipoly import (
-    NEG_INF, PackedModulus, UniPoly, _mul_kron, _pack, _slot_width, _unpack,
+    NEG_INF, NEWTON_REM_MIN, PackedModulus, UniPoly, _mul_kron, _pack, _slot_width, _unpack,
     count_scalar_mults,
 )
 from util import (
@@ -242,7 +242,7 @@ def test_ring_axioms_random_triples():
 
 
 def lib_divmod(a: UniPoly, m: UniPoly) -> tuple[UniPoly, UniPoly]:
-    """The library's synthetic division, PackedModulus.divmod, on UniPolys."""
+    """The library's division, PackedModulus.divmod, on UniPolys."""
     q, r = PackedModulus(m.coeffs, a.field).divmod(a.coeffs)
     return UniPoly(a.field, q, normalized=True), UniPoly(a.field, r, normalized=True)
 
@@ -280,9 +280,10 @@ def test_divmod_reconstructs():
 
 @pytest.mark.parametrize("p", PACK_PRIMES)
 def test_divmod_reconstructs_over_all_slot_widths(p):
-    # long division packs its slots at a width set by min(qlen, dm), so
-    # sweep short and long quotients, constant and non-monic moduli, large
-    # ones (dm and qlen >= 48) and dividends shorter than the divisor
+    # synthetic division packs its slots at a width set by min(qlen, dm)
+    # and Newton division (dm >= NEWTON_REM_MIN, qlen >= 32) at its
+    # inverse's, so sweep short and long quotients, constant and non-monic
+    # moduli, large ones and dividends shorter than the divisor
     field = PrimeField(p)
     rng = random.Random(p % 1019)
     for da, dm in ((0, 0), (5, 0), (7, 3), (30, 29), (40, 8), (60, 45), (90, 20),
@@ -297,20 +298,53 @@ def test_divmod_reconstructs_over_all_slot_widths(p):
 
 
 def test_newton_and_synthetic_division_agree():
-    # a small field and a long quotient (dm = 120, qlen = 181): Newton
-    # division by a packed modulus, and the remainder of _ModNode, whose
-    # packed modulus takes Newton division here, against synthetic division
-    # and the schoolbook reference
+    # a small field and a long quotient (dm = 120, qlen = 181): divmod takes
+    # Newton division here, checked against synthetic division of the same
+    # dividend, packed at the width divmod gives short quotients, and
+    # against the schoolbook reference
     rng = random.Random(10)
     a = rand_unipoly(F101, rng, 300)
     m = rand_unipoly(F101, rng, 120)
     q, r = poly_divmod(a, m)
     mod = PackedModulus(m.coeffs, F101)
-    assert mod.newton(a.coeffs) == mod.divmod(a.coeffs) == (q.coeffs, r.coeffs)
-    node = _ModNode(0, 0, m.coeffs)
-    assert node.reduce(a.coeffs, F101) == r.coeffs
-    assert node._mod._prec == 181
+    width = _slot_width(121, 101)
+    synthetic = mod._synthetic(_pack(a.coeffs, width), 301, width)
+    assert mod.divmod(a.coeffs) == synthetic == (q.coeffs, r.coeffs)
+    assert mod._prec == 181
     assert schoolbook_product(q, m) + r == a
+
+
+def test_packed_modulus_rem_matches_divmod():
+    # quotient lengths straddle the rule's Newton threshold (32) and modulus
+    # degrees straddle NEWTON_REM_MIN, so the packed modulus is checked
+    # against schoolbook division by both paths. Its packed -m is cached by
+    # slot width and J by precision, so one modulus sees a long quotient,
+    # then a short one, then longer ones: at 2^64 - 59 and dm = 300 the
+    # synthetic division's slots are 17 bytes and Newton's 18, and at
+    # dm = 48, 280 rebuilds J with slots of 18 bytes, not 17, and 300 at the
+    # same width. Constant moduli and p = 2 cover the edges of the
+    # synthetic division; 2^32 - 5 and 2^64 - 59 have slots of 9 and 17
+    # bytes and more. In the widest cases reversed m is x - 1, whose inverse
+    # has every coefficient p - 1, and so has f: Newton's slots reach their
+    # bound, qlen (p - 1)^2
+    rng = random.Random(12)
+    FN, F2 = PrimeField(754974721), PrimeField(2)
+    F32, F64 = PrimeField(2**32 - 5), PrimeField(2**64 - 59)
+    cases = [(field, dm, False) for field, dm in (
+        (FN, NEWTON_REM_MIN - 1), (FN, NEWTON_REM_MIN), (FN, 70), (FN, 0),
+        (F2, 0), (F2, 5), (F2, NEWTON_REM_MIN),
+        (F32, 5), (F32, NEWTON_REM_MIN), (F64, 5), (F64, NEWTON_REM_MIN), (F64, 300),
+    )] + [(FN, NEWTON_REM_MIN, True), (F64, NEWTON_REM_MIN, True)]
+    for field, dm, wide in cases:
+        p = field.p
+        m = UniPoly(field, [0] * (dm - 1) + [1, p - 1]) if wide else rand_unipoly(field, rng, dm)
+        mod = PackedModulus(m.coeffs, field)
+        f = rand_unipoly(field, rng, dm - 1) if dm else UniPoly.zero(field)
+        assert mod.divmod(f.coeffs) == ([], f.coeffs)
+        for qlen in (1, 31, 32, 47, 48, 90, 20, 280, 300):
+            f = UniPoly(field, [p - 1] * (dm + qlen)) if wide else rand_unipoly(field, rng, dm + qlen - 1)
+            assert mod.divmod(f.coeffs) == tuple(x.coeffs for x in poly_divmod(f, m))
+        assert mod._prec == (max(300, dm + 1) if dm >= NEWTON_REM_MIN else 0)
 
 
 # -- taylor shift and evaluation ----------------------------------------------
